@@ -1,5 +1,8 @@
 """Stability analysis of interface coupling schemes for two-domain diffusion."""
 
+# defined before the submodule imports so that sweep can stamp it on its results
+__version__ = "0.1.0"
+
 from .errors import (
     DecayFloorWarning,
     KappaPoleWarning,
@@ -33,7 +36,14 @@ from .assembly import (
     scheme_name,
     write_dense_csv,
 )
-from .spectral import Spectrum, StabilityClass, classify, eigen_spectrum, update_matrix
+from .spectral import (
+    Spectrum,
+    StabilityClass,
+    classify,
+    eigen_spectrum,
+    tridiagonal_solve,
+    update_matrix,
+)
 from .normalmode import (
     ModeSolution,
     ScanSettings,
@@ -58,7 +68,6 @@ from .stepper import (
     state_norm,
     step_monolithic,
     step_partitioned,
-    tridiagonal_solve,
     unpack_state,
 )
 from .sweep import (
@@ -71,5 +80,3 @@ from .sweep import (
     write_csv,
     write_pgm,
 )
-
-__version__ = "0.1.0"

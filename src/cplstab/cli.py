@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 analysis or validation failure, 2 usage errors.
 import argparse
 import configparser
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -83,17 +84,11 @@ def _sweep_spec_from_config(path):
     return spec, output
 
 
-def _replace_spec(spec, **updates):
-    from dataclasses import replace
-
-    return replace(spec, **updates)
-
-
 def _cmd_sweep(args):
     if args.config:
         spec, output = _sweep_spec_from_config(args.config)
         if args.scheme:
-            spec = _replace_spec(spec, scheme=assembly.SCHEMES[args.scheme])
+            spec = replace(spec, scheme=assembly.SCHEMES[args.scheme])
     elif args.preset:
         scheme = args.scheme or "bulk-explicit-flux"
         spec = sweep.preset_sweep(args.preset, scheme=scheme, variant=args.variant, r=args.r)
@@ -102,11 +97,11 @@ def _cmd_sweep(args):
         print("error: sweep needs --config or --preset", file=sys.stderr)
         return 2
     if args.n_minus is not None:
-        spec = _replace_spec(spec, n_minus=args.n_minus)
+        spec = replace(spec, n_minus=args.n_minus)
     if args.n_plus is not None:
-        spec = _replace_spec(spec, n_plus=args.n_plus)
+        spec = replace(spec, n_plus=args.n_plus)
     if args.tol is not None:
-        spec = _replace_spec(spec, tol=args.tol)
+        spec = replace(spec, tol=args.tol)
     csv_path = args.csv or output.get("csv")
     pgm_path = args.pgm or output.get("pgm")
     if not csv_path:
@@ -173,9 +168,7 @@ def _cmd_simulate(args):
         vector = stepper.pack_state(state, layout) / gain
         state = stepper.unpack_state(vector, layout, state.step_index)
         if k >= args.burn_in + 2:
-            window = np.asarray(log_norms[args.burn_in:])
-            slope = np.polyfit(np.arange(window.shape[0]), window, 1)[0]
-            estimate = _fmt(np.exp(slope))
+            estimate = _fmt(stepper.fit_growth(log_norms[args.burn_in:]))
         else:
             estimate = "nan"
         rows.append(f"{k},{_fmt(np.exp(total))},{estimate}")

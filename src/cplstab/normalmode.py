@@ -13,6 +13,7 @@ iteration.
 import cmath
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -416,7 +417,25 @@ def one_way_explicit_roots(beta, d):
     big = (beta + d + np.sqrt(disc)) / (2.0 * d)
     # the roots multiply to beta(1 - beta)/d; dividing by the large root
     # avoids the cancellation in (beta + d) - sqrt(disc) near beta = 0 or 1
-    return big, beta * (1.0 - beta) / (d * big)
+    small = beta * (1.0 - beta) / (d * big)
+    return _polish_quadratic_root(big, beta, d), _polish_quadratic_root(small, beta, d)
+
+
+def _polish_quadratic_root(root, beta, d):
+    """One Newton step on d A^2 - (beta + d) A + beta(1 - beta), done exactly.
+
+    The closed form is off by up to a few ulp.  Near beta = 1 the residual
+    divides by a nearly cancelling kappa, so each ulp of the small root moves
+    it far; the exact step leaves the correctly rounded root.
+    """
+    if not (np.isfinite(root) and np.isfinite(beta) and np.isfinite(d)):
+        return root
+    a, b, dd = Fraction(float(root)), Fraction(float(beta)), Fraction(float(d))
+    slope = 2 * dd * a - (b + dd)
+    if slope == 0:
+        return root
+    q = dd * a * a - (b + dd) * a + b * (1 - b)
+    return float(a - q / slope)
 
 
 def one_way_explicit_bound(d):

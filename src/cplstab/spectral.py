@@ -33,79 +33,100 @@ class Spectrum:
     residual_bound: float
 
 
-def _banded_from_tridiagonal(A):
-    n = A.shape[0]
-    ab = np.zeros((3, n))
-    ab[1] = np.diag(A)
-    if n > 1:
-        ab[0, 1:] = np.diag(A, 1)
-        ab[2, :-1] = np.diag(A, -1)
-    return ab
+def tridiagonal_bands(a):
+    """(sub, diag, sup) of a tridiagonal matrix given dense or as three bands.
 
-
-def _check_square_tridiagonal(A):
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParameterDomainError(f"matrix must be square, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    A dense matrix is tridiagonal when its three bands hold all of its
+    nonzero entries.  Every band entry must be finite.
+    """
+    if isinstance(a, tuple):
+        sub, diag, sup = (np.asarray(v, dtype=float) for v in a)
+        if diag.ndim != 1 or sub.shape != (diag.shape[0] - 1,) or sup.shape != sub.shape:
+            raise ParameterDomainError("band lengths inconsistent with the diagonal")
+    else:
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ParameterDomainError(f"matrix must be square, got shape {a.shape}")
+        sub, diag, sup = np.diag(a, -1), np.diag(a), np.diag(a, 1)
+        in_bands = np.count_nonzero(sub) + np.count_nonzero(diag) + np.count_nonzero(sup)
+        if np.count_nonzero(a) != in_bands:
+            raise ParameterDomainError("matrix is not tridiagonal")
+    if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
         raise ParameterDomainError("matrix has non-finite entries")
-    off = np.triu(A, 2) + np.tril(A, -2)
-    if np.count_nonzero(off):
-        raise ParameterDomainError("matrix is not tridiagonal")
+    return sub, diag, sup
 
 
-def _minimum_pivot(ab):
+def _minimum_pivot(sub, diag, sup):
     """Lower bound on the elimination pivots of a tridiagonal factorization.
 
     Rows that dominate their off-diagonal entries bound the pivots by the
     dominance margin; otherwise the running elimination is evaluated.
     """
-    sup, diag, sub = ab[0], ab[1], ab[2]
-    n = diag.shape[0]
-    margins = np.abs(diag).copy()
-    margins[1:] -= np.abs(sub[:-1])
-    margins[:-1] -= np.abs(sup[1:])
+    margins = np.abs(diag)
+    margins[1:] -= np.abs(sub)
+    margins[:-1] -= np.abs(sup)
     if margins.min() > 0.0:
         return margins.min()
     pivot = diag[0]
     smallest = abs(pivot)
-    for i in range(1, n):
+    for i in range(1, diag.shape[0]):
         if pivot == 0.0:
             return 0.0
-        pivot = diag[i] - (sub[i - 1] / pivot) * sup[i]
+        pivot = diag[i] - (sub[i - 1] / pivot) * sup[i - 1]
         smallest = min(smallest, abs(pivot))
     return smallest
 
 
-def _tridiagonal_matmul(ab, M):
-    """A @ M with A given in diagonal-ordered banded form."""
-    sup, diag, sub = ab[0], ab[1], ab[2]
+def tridiagonal_solve(a, rhs):
+    """Solve A x = rhs for tridiagonal A given dense or as (sub, diag, sup).
+
+    rhs is a vector or a matrix of right-hand sides.  A is singular, and
+    SingularMatrixError is raised, when a pivot of its elimination without
+    row exchanges falls below 1e-14 of the largest absolute column sum of A;
+    otherwise LAPACK's band solver does the solve.
+    """
+    sub, diag, sup = tridiagonal_bands(a)
+    rhs = np.asarray(rhs, dtype=float)
+    n = diag.shape[0]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ParameterDomainError("rhs length does not match the matrix")
+    if not np.isfinite(rhs).all():
+        raise ParameterDomainError("rhs has non-finite entries")
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup
+    ab[1] = diag
+    ab[2, :-1] = sub
+    if _minimum_pivot(sub, diag, sup) < 1e-14 * np.abs(ab).sum(axis=0).max():
+        raise SingularMatrixError("tridiagonal elimination pivot below 1e-14 of the matrix scale")
+    try:
+        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"banded solve failed: {err}") from err
+
+
+def _tridiagonal_matmul(bands, M):
+    """A @ M with A given as (sub, diag, sup)."""
+    sub, diag, sup = bands
     out = diag[:, None] * M
-    out[:-1] += sup[1:, None] * M[1:]
-    out[1:] += sub[:-1, None] * M[:-1]
+    out[:-1] += sup[:, None] * M[1:]
+    out[1:] += sub[:, None] * M[:-1]
     return out
 
 
 def update_matrix(pair):
-    """Dense M = A^{-1} B solved column-block-wise through the band structure.
+    """Dense M = A^{-1} B from one tridiagonal solve with B as the right side.
 
     The result is verified against ||A M - B|| <= 1e-12 ||B|| with one round
     of iterative refinement; a residual still above 1e-10 raises a warning.
     """
-    A, B = np.asarray(pair.A, dtype=float), np.asarray(pair.B, dtype=float)
-    _check_square_tridiagonal(A)
-    ab = _banded_from_tridiagonal(A)
-    row_scale = np.abs(ab).sum(axis=0).max()
-    if _minimum_pivot(ab) < 1e-14 * row_scale:
-        raise SingularMatrixError("tridiagonal elimination pivot below 1e-14 of row scale")
-    try:
-        M = scipy.linalg.solve_banded((1, 1), ab, B)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"banded solve failed: {err}") from err
+    bands = tridiagonal_bands(pair.A)
+    B = np.asarray(pair.B, dtype=float)
+    M = tridiagonal_solve(bands, B)
     norm_b = max(np.abs(B).sum(axis=1).max(), 1e-300)
-    residual = np.abs(_tridiagonal_matmul(ab, M) - B).sum(axis=1).max()
+    residual = np.abs(_tridiagonal_matmul(bands, M) - B).sum(axis=1).max()
     if residual > 1e-12 * norm_b:
-        M = M + scipy.linalg.solve_banded((1, 1), ab, B - _tridiagonal_matmul(ab, M))
-        residual = np.abs(_tridiagonal_matmul(ab, M) - B).sum(axis=1).max()
+        M = M + tridiagonal_solve(bands, B - _tridiagonal_matmul(bands, M))
+        residual = np.abs(_tridiagonal_matmul(bands, M) - B).sum(axis=1).max()
         if residual > 1e-10 * norm_b:
             warnings.warn(
                 f"update matrix residual {residual:.3e} above 1e-10 of ||B|| after refinement",
@@ -144,12 +165,10 @@ def _try_symmetrizable_tridiagonal(M, norm):
     n = M.shape[0]
     if n == 1:
         return _sorted_spectrum(np.diag(M).astype(complex), np.finfo(float).eps * norm)
-    off_test = np.triu(M, 2) + np.tril(M, -2)
-    if np.count_nonzero(off_test):
+    try:
+        sub, diag, sup = tridiagonal_bands(M)
+    except ParameterDomainError:
         return None
-    diag = np.diag(M).copy()
-    sub = np.diag(M, -1)
-    sup = np.diag(M, 1)
     prod = sub * sup
     eigenvalues = []
     for lo, hi in _tridiagonal_blocks(sub, sup):

@@ -5,6 +5,8 @@ The partitioned route advances each domain with its own tridiagonal solve and
 exchanges interface data exactly as the scheme prescribes (lagged, fresh, or
 through a small interface system); for every scheme in the family the two
 routes produce the same update up to roundoff, which the test suite pins.
+Every tridiagonal solve is spectral.tridiagonal_solve: a system whose
+elimination pivot falls below 1e-14 of the matrix scale is singular.
 
 Growth rates come from least-squares fits of log norms; long runs renormalize
 each step and accumulate the log so that unstable schemes cannot overflow.
@@ -14,10 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import assembly
 from .errors import DecayFloorWarning, ParameterDomainError, SingularMatrixError
+from .spectral import tridiagonal_bands, tridiagonal_solve
 from .assembly import (
     BULK,
     DIRICHLET_NEUMANN,
@@ -94,76 +96,6 @@ class Trajectory:
     def from_states(cls, states):
         return cls(states=list(states),
                    norms=np.array([state_norm(s) for s in states]))
-
-
-# --- tridiagonal solves ---
-
-
-def _as_bands(a):
-    if isinstance(a, tuple):
-        sub, diag, sup = (np.asarray(v, dtype=float) for v in a)
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterDomainError(f"matrix must be square, got shape {a.shape}")
-        if np.count_nonzero(np.triu(a, 2) + np.tril(a, -2)):
-            raise ParameterDomainError("matrix is not tridiagonal")
-        sub, diag, sup = np.diag(a, -1), np.diag(a).copy(), np.diag(a, 1)
-    n = diag.shape[0]
-    if sub.shape[0] != n - 1 or sup.shape[0] != n - 1:
-        raise ParameterDomainError("band lengths inconsistent with the diagonal")
-    return sub, diag, sup
-
-
-def _thomas(sub, diag, sup, rhs, pivot_floor):
-    n = diag.shape[0]
-    c = np.empty(n - 1) if n > 1 else np.empty(0)
-    x = np.empty(n)
-    piv = diag[0]
-    if abs(piv) < pivot_floor:
-        raise SingularMatrixError("zero pivot in tridiagonal elimination")
-    x[0] = rhs[0] / piv
-    for i in range(1, n):
-        c[i - 1] = sup[i - 1] / piv
-        piv = diag[i] - sub[i - 1] * c[i - 1]
-        if abs(piv) < pivot_floor:
-            raise SingularMatrixError("zero pivot in tridiagonal elimination")
-        x[i] = (rhs[i] - sub[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
-
-
-def tridiagonal_solve(a, rhs):
-    """Solve a tridiagonal system given as a dense matrix or (sub, diag, sup).
-
-    Diagonally dominant systems run through the Thomas algorithm; anything
-    else falls back to a pivoted band solve.
-    """
-    sub, diag, sup = _as_bands(a)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
-    if rhs.shape[0] != n:
-        raise ParameterDomainError("rhs length does not match the matrix")
-    row_abs = np.abs(diag).copy()
-    row_abs[1:] += np.abs(sub)
-    row_abs[:-1] += np.abs(sup)
-    scale = row_abs.max()
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    pivot_floor = 1e-14 * scale
-    dominant = np.abs(diag) >= row_abs - np.abs(diag)
-    if dominant.all():
-        return _thomas(sub, diag, sup, rhs, pivot_floor)
-    ab = np.zeros((3, n))
-    ab[1] = diag
-    if n > 1:
-        ab[0, 1:] = sup
-        ab[2, :-1] = sub
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"banded solve failed: {err}") from err
 
 
 # --- monolithic stepping ---
@@ -316,6 +248,12 @@ def run_partitioned(scheme, p, n_minus, n_plus, state, steps):
 # --- growth rates ---
 
 
+def fit_growth(log_norms):
+    """Per-step amplification exp(slope) of a least-squares line through log norms."""
+    slope = np.polyfit(np.arange(len(log_norms)), log_norms, 1)[0]
+    return float(np.exp(slope))
+
+
 def growth_rate(trajectory, burn_in=50):
     """Per-step amplification exp(slope) fitted to log norms after burn-in.
 
@@ -335,9 +273,7 @@ def growth_rate(trajectory, burn_in=50):
         window = window[:zero[0]]
         if window.shape[0] < 2:
             return 0.0
-    steps = np.arange(window.shape[0])
-    slope = np.polyfit(steps, np.log(window), 1)[0]
-    return float(np.exp(slope))
+    return fit_growth(np.log(window))
 
 
 def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
@@ -352,12 +288,12 @@ def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
     state = random_state(layout, seed=seed)
     vector = pack_state(state, layout)
     log_norms = np.empty(steps)
-    sub, diag, sup = np.diag(pair.A, -1), np.diag(pair.A).copy(), np.diag(pair.A, 1)
+    bands = tridiagonal_bands(pair.A)
     total = 0.0
     count = steps
     for k in range(steps):
         rhs = pair.B @ vector
-        vector = tridiagonal_solve((sub, diag, sup), rhs)
+        vector = tridiagonal_solve(bands, rhs)
         gain = np.abs(vector).max()
         if gain == 0.0:
             warnings.warn("iterate collapsed to zero; fitting the surviving prefix",
@@ -369,6 +305,4 @@ def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
         vector = vector / gain
     if count - burn_in < 2:
         return 0.0
-    window = log_norms[burn_in:count]
-    slope = np.polyfit(np.arange(window.shape[0]), window, 1)[0]
-    return float(np.exp(slope))
+    return fit_growth(log_norms[burn_in:count])

@@ -6,13 +6,11 @@ a flat CSV (x fastest, y ascending) and optionally a plain PGM rendering of
 the spectral radius with 2.0 mapped to full scale.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, spectral
+from . import __version__, assembly, spectral
 from .errors import ParameterDomainError
 from .params import DimensionlessParams
 
@@ -66,7 +64,6 @@ class SweepSpec:
     n_minus: int = DEFAULT_N_MINUS
     n_plus: int = DEFAULT_N_PLUS
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.axis_x.name == self.axis_y.name:
@@ -111,31 +108,18 @@ def run_sweep(spec):
     lam = np.full((ny, nx), np.nan)
     cls = np.full((ny, nx), "failed", dtype="<U8")
     warning_count = 0
-
-    def point(index):
-        iy, ix = divmod(index, nx)
-        values = dict(spec.fixed)
-        values[spec.axis_x.name] = float(xs[ix])
-        values[spec.axis_y.name] = float(ys[iy])
-        try:
-            return _evaluate_point(spec, values)
-        except Exception:
-            return None
-
-    workers = int(os.environ.get("CPLSTAB_WORKERS", "1"))
-    indices = range(ny * nx)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, indices))
-    else:
-        results = [point(i) for i in indices]
-    for index, value in zip(indices, results):
-        iy, ix = divmod(index, nx)
-        if value is None:
-            warning_count += 1
-            continue
-        lam[iy, ix] = value
-        cls[iy, ix] = spectral.classify(value, spec.tol).value
+    for iy in range(ny):
+        for ix in range(nx):
+            values = dict(spec.fixed)
+            values[spec.axis_x.name] = float(xs[ix])
+            values[spec.axis_y.name] = float(ys[iy])
+            try:
+                value = _evaluate_point(spec, values)
+            except Exception:
+                warning_count += 1
+                continue
+            lam[iy, ix] = value
+            cls[iy, ix] = spectral.classify(value, spec.tol).value
     metadata = {
         "scheme": assembly.scheme_name(spec.scheme),
         "axis_x": spec.axis_x.name,
@@ -144,8 +128,7 @@ def run_sweep(spec):
         "n_minus": spec.n_minus,
         "n_plus": spec.n_plus,
         "tol": spec.tol,
-        "seed": spec.seed,
-        "version": "0.1.0",
+        "version": __version__,
     }
     return StabilityField(xs, ys, lam, cls, warning_count, metadata)
 
@@ -182,20 +165,15 @@ def write_pgm(field_result, path):
     finite = np.isfinite(lam)
     clipped = np.minimum(lam[finite], 2.0)
     pixels[finite] = np.floor(255.0 * clipped / 2.0).astype(int)
-    tokens_per_row = [
-        " ".join(str(v) for v in pixels[iy])
-        for iy in range(ny - 1, -1, -1)
-    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("P2\n")
         fh.write(f"{nx} {ny}\n")
         fh.write("255\n")
-        for row in tokens_per_row:
+        for iy in range(ny - 1, -1, -1):
             # keep plain-format lines short for strict readers
-            tokens = row.split(" ")
             line = []
             length = 0
-            for token in tokens:
+            for token in map(str, pixels[iy]):
                 if length and length + 1 + len(token) > 68:
                     fh.write(" ".join(line))
                     fh.write("\n")

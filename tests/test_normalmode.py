@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +197,21 @@ def test_one_way_explicit_roots_real_and_consistent(beta, d):
         assert abs(q) <= 1e-9 * (d * root * root + (beta + d) * abs(root)
                                  + abs(beta * (1.0 - beta)) + 1.0)
     assert big >= small
+
+
+@pytest.mark.parametrize("beta, d", [(0.999, 0.01), (0.9998, 0.01), (1.0001, 0.02),
+                                     (4.0, 1.0), (1e-4, 0.01), (17.0, 93.0)])
+def test_one_way_explicit_roots_correctly_rounded(beta, d):
+    """No neighbouring float is closer to a root than the returned one."""
+    b, dd = Fraction(beta), Fraction(d)
+
+    def q(a):
+        a = Fraction(a)
+        return abs(dd * a * a - (b + dd) * a + b * (1 - b))
+
+    for root in one_way_explicit_roots(beta, d):
+        assert q(root) <= q(np.nextafter(root, np.inf))
+        assert q(root) <= q(np.nextafter(root, -np.inf))
 
 
 @given(beta=st.floats(0.0, 1.0 - 1e-9), d=st.floats(1e-2, 1e2))

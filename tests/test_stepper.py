@@ -38,8 +38,14 @@ def test_tridiagonal_solve_accepts_bands():
     assert x == pytest.approx(np.array([8.0, 3.0, 1.0]) / 21.0, rel=1e-14)
 
 
-def test_tridiagonal_solve_falls_back_without_dominance():
-    # not diagonally dominant, still solvable with pivoting
+def test_one_singularity_rule_for_solve_and_update_matrix():
+    # a zero elimination pivot is singular even where row exchanges would solve
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SingularMatrixError):
+        tridiagonal_solve(swap, np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        update_matrix(UpdatePair(A=swap, B=np.eye(2), layout=Layout("bulk", 1, 1)))
+    # not diagonally dominant, but every pivot clears the floor
     a = np.array([[1.0, 4.0, 0.0],
                   [2.0, 1.0, 3.0],
                   [0.0, 1.0, 1.0]])
@@ -57,6 +63,13 @@ def test_tridiagonal_solve_rejects_wide_band():
         tridiagonal_solve(np.ones((3, 3)), np.ones(3))
 
 
+def test_tridiagonal_solve_rejects_non_finite_bands():
+    with pytest.raises(ParameterDomainError):
+        tridiagonal_solve((np.zeros(2), np.array([1.0, np.nan, 1.0]), np.zeros(2)), np.ones(3))
+    with pytest.raises(ParameterDomainError):
+        tridiagonal_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
+
+
 @given(n=st.integers(2, 30), seed=st.integers(0, 100))
 @settings(max_examples=40, deadline=None)
 def test_tridiagonal_solve_matches_dense(n, seed):
@@ -68,6 +81,9 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     rhs = local.uniform(-1.0, 1.0, n)
     assert tridiagonal_solve(a, rhs) == pytest.approx(
         np.linalg.solve(a, rhs), rel=1e-11, abs=1e-13)
+    rhs = local.uniform(-1.0, 1.0, (n, 3))
+    np.testing.assert_allclose(tridiagonal_solve(a, rhs), np.linalg.solve(a, rhs),
+                               rtol=1e-11, atol=1e-13)
 
 
 # -------------------------------------------------------------------- states

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cplstab
 import cplstab.sweep as sweep_mod
 from cplstab.assembly import SCHEMES, assemble, scheme_name
 from cplstab.errors import ParameterDomainError
@@ -201,8 +202,8 @@ def test_metadata_describes_the_run():
     assert meta["axis_x"] == "d_minus" and meta["axis_y"] == "beta_minus"
     assert meta["fixed"] == spec.fixed
     assert meta["n_minus"] == spec.n_minus and meta["n_plus"] == spec.n_plus
-    assert meta["tol"] == spec.tol and meta["seed"] == spec.seed
-    assert isinstance(meta["version"], str) and meta["version"]
+    assert meta["tol"] == spec.tol
+    assert meta["version"] == cplstab.__version__
 
 
 def test_lambda_max_nonnegative():
@@ -210,17 +211,6 @@ def test_lambda_max_nonnegative():
     finite = np.isfinite(field.lambda_max)
     assert finite.all()
     assert (field.lambda_max[finite] >= 0.0).all()
-
-
-def test_worker_pool_matches_serial(monkeypatch):
-    spec = tiny_spec()
-    monkeypatch.delenv("CPLSTAB_WORKERS", raising=False)
-    serial = run_sweep(spec)
-    monkeypatch.setenv("CPLSTAB_WORKERS", "3")
-    pooled = run_sweep(spec)
-    np.testing.assert_array_equal(serial.lambda_max, pooled.lambda_max)
-    assert (serial.classification == pooled.classification).all()
-    assert pooled.warning_count == 0
 
 
 def test_failed_cells_never_abort(monkeypatch):
