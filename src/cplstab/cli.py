@@ -217,8 +217,7 @@ def _check(name, condition, failures, messages):
 
 
 def _lambda_max(scheme, p, n_minus, n_plus):
-    pair = assembly.assemble(scheme, p, n_minus, n_plus)
-    return spectral.eigen_spectrum(spectral.update_matrix(pair)).lambda_max
+    return spectral.eigen_spectrum(assembly.assemble(scheme, p, n_minus, n_plus)).lambda_max
 
 
 def _validate_one_way(failures, messages):

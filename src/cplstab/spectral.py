@@ -3,7 +3,9 @@
 The scheme A T^{n+1} = B T^n is stable exactly when every eigenvalue of M
 lies inside the closed unit disk; classification uses a tolerance band around
 |lambda| = 1 so that marginal schemes (the interesting boundary cases) are
-reported as such instead of flapping between verdicts.
+reported as such instead of flapping between verdicts.  When the pair (A, B)
+can be made a symmetric-definite tridiagonal pencil, the ends of its real
+spectrum come from O(n) definiteness tests and M is never formed.
 """
 
 import enum
@@ -12,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
+from .assembly import UpdatePair
 from .errors import ParameterDomainError, SingularMatrixError, SolveResidualWarning, SpectrumError
 
 MAX_DENSE_N = 2048
@@ -184,13 +188,174 @@ def _try_symmetrizable_tridiagonal(M, norm):
     return _sorted_spectrum(ev.astype(complex), bound)
 
 
-def eigen_spectrum(M):
-    """Full spectrum of a dense update matrix, sorted by decreasing modulus.
+# --- symmetric-definite tridiagonal pencil ---
 
+
+def _symmetric_pencil(pair):
+    """(A diag, A off, B diag, B off) of a symmetric pencil with the pair's spectrum.
+
+    At every index i the pairs (A[i,i+1], B[i,i+1]) and (A[i+1,i], B[i+1,i])
+    must be proportional, the first r_i > 0 times the second, or both zero.
+    A positive diagonal similarity then gives both matrices the off-diagonal
+    sqrt(r_i) * (A[i+1,i], B[i+1,i]).  A must also dominate its rows with a
+    positive diagonal, so that its eigenvalues, and with them those of the
+    symmetric A, are positive (Gershgorin).  Returns the pencil with the
+    row dominance margins of A and the off-diagonal row sums of |B|, or None
+    when the pair does not qualify.
+    """
+    a_sub, a_diag, a_sup = tridiagonal_bands(pair.A)
+    try:
+        b_sub, b_diag, b_sup = tridiagonal_bands(pair.B)
+    except ParameterDomainError:
+        return None
+    upper = np.abs(a_sup) + np.abs(b_sup)
+    lower = np.abs(a_sub) + np.abs(b_sub)
+    proportional = ((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
+                    & (b_sup * b_sub >= 0.0) & ((upper > 0.0) == (lower > 0.0)))
+    if not proportional.all():
+        return None
+    margin = a_diag.copy()
+    margin[1:] -= np.abs(a_sub)
+    margin[:-1] -= np.abs(a_sup)
+    # dominance lost to rounding: leave the pair to the dense path
+    if not margin.min() > 1e-14 * np.abs(a_diag).max():
+        return None
+    radius = np.zeros_like(b_diag)
+    radius[1:] += np.abs(b_sub)
+    radius[:-1] += np.abs(b_sup)
+    root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
+    return (a_diag, root * a_sub, b_diag, root * b_sub), margin, radius
+
+
+def _ldl(sigma, pencil):
+    """Pivots of the LDL^T factorization of sigma A - B (LAPACK dpttrf) and its info.
+
+    info is 0 when sigma A - B is positive definite; otherwise pivot info
+    (from 1) is the first that is not positive, and the pivots after it are
+    not computed.
+    """
+    a, b, n = pencil
+    x = sigma * a - b
+    pivots, _, info = lapack.dpttrf(x[:n], x[n:], overwrite_d=1, overwrite_e=1)
+    return pivots, info
+
+
+def _top_end(pencil, lo, margin, radius):
+    """Bracket lo < top <= hi a few ulps wide, where top = inf{sigma : sigma A - B > 0}.
+
+    sigma A - B is not definite at lo, which the caller proves (or -inf).
+    lo is raised to the largest Rayleigh quotient B_ii / A_ii less 2^-26 of
+    it, where a diagonal entry of sigma A - B is negative.  hi starts at
+    twice the Gershgorin bound: sigma A - B is similar to the pair's
+    sigma A - B, whose rows dominate once sigma margin_i > B_ii + radius_i;
+    the test at hi proves it, or None is returned.  Bisection then finds a
+    lo where only the last pivot fails.  That pivot is continuous in sigma
+    and vanishes at top, so from then on the steps are regula falsi with the
+    Illinois halving of a stale end, clamped a few ulps inside the bracket
+    so that both ends close in.  Three steps that do not halve the bracket
+    are followed by a bisection step.
+    """
+    a, b, n = pencil
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    quotient = (b[:n] / a[:n]).max()
+    lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
+    hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
+    pivots, info = _ldl(hi, pencil)
+    if info or not lo < hi:
+        return None
+    f_lo, f_hi, side = None, pivots[-1], 0
+    steps, halved = 0, hi - lo
+    while hi - lo > 4.0 * eps * max(abs(lo), abs(hi)):
+        x = 0.5 * (lo + hi)
+        if f_lo is not None and steps < 3:
+            gap = 2.0 * eps * max(abs(lo), abs(hi))
+            x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap), hi - gap)
+        elif not lo < x < hi:
+            break
+        d, info = _ldl(x, pencil)
+        if info == 0:
+            hi, f_hi = x, d[-1]
+            if side == 1 and f_lo is not None:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo = x
+            if info == n:
+                f_lo = d[-1]
+                if side == -1:
+                    f_hi *= 0.5
+                side = -1
+        steps += 1
+        if hi - lo <= 0.5 * halved:
+            steps, halved = 0, hi - lo
+    return lo, hi
+
+
+def _pencil_spectrum(pair):
+    """Ends of the real spectrum of a symmetrizable pair, or None."""
+    symmetric = _symmetric_pencil(pair)
+    if symmetric is None:
+        return None
+    (a_diag, a_off, b_diag, b_off), margin, radius = symmetric
+    n = a_diag.shape[0]
+    eps = np.finfo(float).eps
+    bound = ((np.abs(b_diag) + radius) / margin).max()
+    width = 0.0
+    if not a_off.any():
+        # A diagonal: the standard problem D^{-1/2} B D^{-1/2}, ends from dstebz
+        scale = 1.0 / np.sqrt(a_diag)
+        diag, off = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
+        ends = [scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(k, k))[0]
+                for k in sorted({0, n - 1})]
+    else:
+        a, b = np.concatenate((a_diag, a_off)), np.concatenate((b_diag, b_off))
+        pencil, negated = (a, b, n), (a, -b, n)
+        top = _top_end(pencil, -np.inf, margin, radius)
+        if top is None:
+            return None
+        ends, width = [top[1]], top[1] - top[0]
+        # B + top A not definite: some eigenvalue lies at or below -top
+        if _ldl(top[1], negated)[1]:
+            bottom = _top_end(negated, top[1], margin, radius)
+            if bottom is None:
+                return None
+            ends.append(-bottom[1])
+            width = max(width, bottom[1] - bottom[0])
+    return _sorted_spectrum(np.array(ends, dtype=complex), width + 8.0 * n * eps * max(bound, 1.0))
+
+
+def eigen_spectrum(M):
+    """Spectrum of a dense update matrix M, or of an UpdatePair (A, B).
+
+    A dense M gives its full spectrum, sorted by decreasing modulus.
     Symmetrizable tridiagonal matrices take a fast symmetric path; everything
     else goes through the general eigensolver with an explicit residual check
     ||M v - lambda v|| <= 1e-8 ||M|| on every eigenpair.
+
+    An UpdatePair whose pencil (A, B) a positive diagonal similarity makes
+    symmetric tridiagonal, with A positive definite (see _symmetric_pencil),
+    has a real spectrum and M is never formed.  Its top end is the smallest
+    sigma at which sigma A - B is positive definite; its bottom end, needed
+    only when B + top A is not positive definite, is the largest sigma at
+    which B - sigma A is.  Each definiteness test is one LDL^T factorization
+    (LAPACK dpttrf), O(n), and bisection with regula falsi closes a bracket
+    proved by these tests to a few ulps (Barth, Martin & Wilkinson 1967); a
+    diagonal A reduces the pencil to a standard tridiagonal problem whose
+    ends come from LAPACK dstebz.  The returned eigenvalues are the ends
+    found, the top end and, when needed, the bottom end, sorted by decreasing
+    modulus, and lambda_max is their larger modulus.  The LDL^T test is
+    backward stable: its verdict is exact for a pencil within O(n eps) of the
+    given one (Kahan 1966), so residual_bound is the bracket width plus
+    8 n eps max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.
+    Any other pair takes the dense path on M = update_matrix(pair).
     """
+    if isinstance(M, UpdatePair):
+        if not 1 <= M.n <= MAX_DENSE_N:
+            raise ParameterDomainError(f"matrix size {M.n} outside 1..{MAX_DENSE_N}")
+        spectrum = _pencil_spectrum(M)
+        if spectrum is not None:
+            return spectrum
+        M = update_matrix(M)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ParameterDomainError(f"matrix must be square, got shape {M.shape}")

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, assembly, spectral
-from .errors import ParameterDomainError
+from .errors import (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
+                     SpectrumError)
 from .params import DimensionlessParams
 
 AXIS_NAMES = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
@@ -21,6 +22,9 @@ DEFAULT_HI = 1e3
 DEFAULT_POINTS = 101
 DEFAULT_N_MINUS = 20
 DEFAULT_N_PLUS = 10
+
+_NUMERICAL_ERRORS = (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
+                     SpectrumError, RuntimeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -95,13 +99,16 @@ class StabilityField:
 def _evaluate_point(spec, values):
     p = DimensionlessParams(**values)
     pair = assembly.assemble(spec.scheme, p, spec.n_minus, spec.n_plus)
-    m = spectral.update_matrix(pair)
-    spectrum = spectral.eigen_spectrum(m)
-    return spectrum.lambda_max
+    return spectral.eigen_spectrum(pair).lambda_max
 
 
 def run_sweep(spec):
-    """Evaluate the grid; failed cells become NaN with class 'failed'."""
+    """Evaluate the grid; failed cells become NaN with class 'failed'.
+
+    A cell fails on a numerical error: one of the package's error types,
+    RuntimeError or LinAlgError.  Any other exception is a programming error
+    and propagates.
+    """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
     ny, nx = ys.shape[0], xs.shape[0]
@@ -115,7 +122,7 @@ def run_sweep(spec):
             values[spec.axis_y.name] = float(ys[iy])
             try:
                 value = _evaluate_point(spec, values)
-            except Exception:
+            except _NUMERICAL_ERRORS:
                 warning_count += 1
                 continue
             lam[iy, ix] = value

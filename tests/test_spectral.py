@@ -159,6 +159,47 @@ def test_tridiagonal_fast_path_matches_dense():
     assert np.abs(np.imag(s.eigenvalues)).max() == 0.0
 
 
+# ------------------------------------------------------------------ pencil
+
+SYMMETRIZABLE = [name for name in SCHEMES if name != "bulk-sequential"]
+log_group = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@given(name=st.sampled_from(SYMMETRIZABLE), n_minus=st.integers(1, 12),
+       n_plus=st.integers(1, 12), groups=st.tuples(*[log_group] * 5))
+@settings(max_examples=300, deadline=None)
+def test_pencil_path_matches_dense_oracle(name, n_minus, n_plus, groups):
+    dp, dm, bp, bm, r = groups
+    if name.startswith("one-way"):
+        p = params(dm=dm, bm=bm)
+    elif name.startswith("dn"):
+        p = params(dp=dp, dm=dm, r=r)
+    else:
+        p = params(dp=dp, dm=dm, bp=bp, bm=bm)
+    pair = assemble(SCHEMES[name], p, n_minus, n_plus)
+    pencil = eigen_spectrum(pair)
+    dense = eigen_spectrum(update_matrix(pair))
+    # the pencil path reports the ends of the spectrum, never all of it
+    assert len(pencil.eigenvalues) <= 2
+    assert abs(pencil.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
+    if abs(dense.lambda_max - 1.0) > 1e-6:
+        assert classify(pencil.lambda_max) == classify(dense.lambda_max)
+
+
+@pytest.mark.parametrize("name, p", [
+    ("bulk-sequential", params(dp=0.9, dm=1.4, bp=0.8, bm=1.1)),
+    ("bulk-explicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
+    ("bulk-implicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
+])
+def test_unsymmetrizable_pairs_take_the_dense_path(name, p):
+    pair = assemble(SCHEMES[name], p, 6, 5)
+    spectrum = eigen_spectrum(pair)
+    dense = eigen_spectrum(update_matrix(pair))
+    assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    assert spectrum.lambda_max == dense.lambda_max
+    assert spectrum.residual_bound == dense.residual_bound
+
+
 # ------------------------------------------------------------ block spectra
 
 def test_sequential_block_triangular_spectrum_union():

@@ -43,9 +43,10 @@ def tiny_spec(**overrides):
 
 
 def lambda_direct(scheme, values, n_minus, n_plus):
+    """lambda_max by the sweep's path and by the dense oracle on M."""
     p = DimensionlessParams(**values)
     pair = assemble(scheme, p, n_minus, n_plus)
-    return eigen_spectrum(update_matrix(pair)).lambda_max
+    return eigen_spectrum(pair).lambda_max, eigen_spectrum(update_matrix(pair)).lambda_max
 
 
 # ------------------------------------------------------------- axes
@@ -136,8 +137,9 @@ def test_sweep_matches_pointwise_evaluation():
             values = dict(spec.fixed)
             values["d_minus"] = float(xv)
             values["beta_minus"] = float(yv)
-            lam = lambda_direct(spec.scheme, values, spec.n_minus, spec.n_plus)
+            lam, dense = lambda_direct(spec.scheme, values, spec.n_minus, spec.n_plus)
             assert field.lambda_max[iy, ix] == lam
+            assert abs(lam - dense) <= 1e-10 * dense
             assert field.classification[iy, ix] == classify(lam, spec.tol).value
 
 
@@ -234,6 +236,15 @@ def test_failed_cells_never_abort(monkeypatch):
         field.lambda_max[:, keep], baseline.lambda_max[:, keep]
     )
     assert (field.classification[:, keep] == baseline.classification[:, keep]).all()
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(spec_, values):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_point", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_sweep(tiny_spec())
 
 
 def test_row_crossings_bracket_flux_bound():
