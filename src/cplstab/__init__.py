@@ -27,6 +27,7 @@ from .assembly import (
     SCHEMES,
     Layout,
     SchemeSpec,
+    Tridiagonal,
     UpdatePair,
     assemble,
     assemble_bulk,

@@ -118,21 +118,75 @@ class Layout:
         return self.kind == DIRICHLET_NEUMANN
 
 
-@dataclass(frozen=True)
-class UpdatePair:
-    """Dense A and B with A tridiagonal; arrays are frozen after assembly."""
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """A tridiagonal matrix held as its three bands, read-only after construction.
 
-    A: np.ndarray
-    B: np.ndarray
-    layout: Layout
+    sub[i] is entry (i+1, i), diag[i] entry (i, i) and sup[i] entry (i, i+1).
+    The bands are copied, must be finite and must fit an n x n matrix with
+    n >= 1.  toarray() is the only dense form.
+    """
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
 
     def __post_init__(self):
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+        bands = [np.array(v, dtype=float) for v in (self.sub, self.diag, self.sup)]
+        sub, diag, sup = bands
+        if diag.ndim != 1 or sub.shape != (diag.shape[0] - 1,) or sup.shape != sub.shape:
+            raise ParameterDomainError("band lengths inconsistent with the diagonal")
+        if not all(np.isfinite(v).all() for v in bands):
+            raise ParameterDomainError("matrix has non-finite entries")
+        for name, band in zip(("sub", "diag", "sup"), bands):
+            band.setflags(write=False)
+            object.__setattr__(self, name, band)
+
+    @classmethod
+    def from_dense(cls, a):
+        """Bands of a square matrix whose three bands hold all its nonzero entries."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ParameterDomainError(f"matrix must be square, got shape {a.shape}")
+        bands = np.diag(a, -1), np.diag(a), np.diag(a, 1)
+        if np.count_nonzero(a) != sum(np.count_nonzero(band) for band in bands):
+            raise ParameterDomainError("matrix is not tridiagonal")
+        return cls(*bands)
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.diag.shape[0]
+
+    def toarray(self):
+        """The dense n x n matrix."""
+        a = np.diag(self.diag)
+        a.flat[1::self.n + 1] = self.sup
+        a.flat[self.n::self.n + 1] = self.sub
+        return a
+
+    def __matmul__(self, x):
+        """Banded product with a vector or an n x k matrix, O(n k)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ParameterDomainError(f"operand shape {x.shape} does not match n = {self.n}")
+        rows = (slice(None),) + (None,) * (x.ndim - 1)
+        out = self.diag[rows] * x
+        out[:-1] += self.sup[rows] * x[1:]
+        out[1:] += self.sub[rows] * x[:-1]
+        return out
+
+
+@dataclass(frozen=True)
+class UpdatePair:
+    """Tridiagonal A and B of A T^{n+1} = B T^n, both stored as bands."""
+
+    A: Tridiagonal
+    B: Tridiagonal
+    layout: Layout
+
+    @property
+    def n(self):
+        return self.A.n
 
 
 def _check_sizes(n_minus, n_plus=1):
@@ -149,24 +203,15 @@ def _check_far_field(far_field, *sizes):
         raise ParameterDomainError("reflective far field needs at least 2 cells per domain")
 
 
-def _backward_euler_block(A, lo, hi, d, far_field, closed_ends):
-    """Fill rows lo..hi-1 of A with the implicit interior stencil [-d, 1+2d, -d].
+def _diagonal(diag):
+    zeros = np.zeros(len(diag) - 1)
+    return Tridiagonal(zeros, diag, zeros)
 
-    closed_ends marks which of (first, last) rows sit at the far field; a
-    reflective closure there drops one d from the diagonal.
-    """
-    for i in range(lo, hi):
-        A[i, i] = 1.0 + 2.0 * d
-        if i > lo:
-            A[i, i - 1] = -d
-        if i + 1 < hi:
-            A[i, i + 1] = -d
-    first_closed, last_closed = closed_ends
-    if far_field == REFLECTIVE:
-        if first_closed:
-            A[lo, lo] = 1.0 + d
-        if last_closed:
-            A[hi - 1, hi - 1] = 1.0 + d
+
+# The assemblers build each band row by row from runs of equal entries,
+# np.repeat(values, counts).  Away from the interface the backward-Euler rows
+# carry the stencil [-d, 1+2d, -d]; a reflective far field drops one d from
+# the diagonal of the outermost row.
 
 
 def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
@@ -184,27 +229,22 @@ def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
         raise SchemeError(f"unknown formulation {formulation!r}")
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
-    n = n_minus + n_plus
-    A = np.zeros((n, n))
-    B = np.eye(n)
-    im, ip = n_minus - 1, n_minus
-    _backward_euler_block(A, 0, n_minus, dm, far_field, (True, False))
-    _backward_euler_block(A, n_minus, n, dp, far_field, (False, True))
-    # interface rows
-    A[im, im] = dm + theta * bm + 1.0
-    A[ip, ip] = dp + theta * bp + 1.0
-    A[im, ip] = -gamma * bm
-    A[ip, im] = -gamma * bp
-    B[im, im] = 1.0 - (1.0 - theta) * bm
-    B[ip, ip] = 1.0 - (1.0 - theta) * bp
-    B[im, ip] = (1.0 - gamma) * bm
-    B[ip, im] = (1.0 - gamma) * bp
-    if formulation == SEQUENTIAL:
-        # negative domain steps first: its coupling to the positive state is lagged
-        A[im, ip] = 0.0
-        B[im, ip] = bm
-    layout = Layout(BULK, n_minus, n_plus, sequential=(formulation == SEQUENTIAL))
-    return UpdatePair(A, B, layout)
+    sequential = formulation == SEQUENTIAL
+    # rows: negative interior, interface rows n_minus-1 and n_minus, positive interior
+    runs = (n_minus - 1, 1, 1, n_plus - 1)
+    off_runs = (n_minus - 1, 1, n_plus - 1)
+    diag = np.repeat([1.0 + 2.0 * dm, dm + theta * bm + 1.0, dp + theta * bp + 1.0,
+                      1.0 + 2.0 * dp], runs)
+    if far_field == REFLECTIVE:
+        diag[[0, -1]] = 1.0 + dm, 1.0 + dp
+    # the sequential negative domain steps first: its coupling to the positive
+    # state is lagged into B
+    A = Tridiagonal(np.repeat([-dm, -gamma * bp, -dp], off_runs), diag,
+                    np.repeat([-dm, 0.0 if sequential else -gamma * bm, -dp], off_runs))
+    b_diag = np.repeat([1.0, 1.0 - (1.0 - theta) * bm, 1.0 - (1.0 - theta) * bp, 1.0], runs)
+    B = Tridiagonal(np.repeat([0.0, (1.0 - gamma) * bp, 0.0], off_runs), b_diag,
+                    np.repeat([0.0, bm if sequential else (1.0 - gamma) * bm, 0.0], off_runs))
+    return UpdatePair(A, B, Layout(BULK, n_minus, n_plus, sequential=sequential))
 
 
 def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
@@ -218,17 +258,15 @@ def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
     if flux not in (EXPLICIT, IMPLICIT):
         raise SchemeError(f"unknown flux level {flux!r}")
     dm, bm = p.d_minus, p.beta_minus
-    A = np.zeros((n_minus, n_minus))
-    B = np.eye(n_minus)
-    _backward_euler_block(A, 0, n_minus, dm, far_field, (True, False))
-    if flux == EXPLICIT:
-        A[-1, -1] = 1.0 + dm
-        B[-1, -1] = 1.0 - bm
-    else:
-        # summed in bulk-row order so the block-equality contract holds exactly
-        A[-1, -1] = dm + bm + 1.0
-    layout = Layout(ONE_WAY_NEGATIVE, n_minus, 0)
-    return UpdatePair(A, B, layout)
+    explicit = flux == EXPLICIT
+    # summed in bulk-row order so the block-equality contract holds exactly
+    diag = np.repeat([1.0 + 2.0 * dm, 1.0 + dm if explicit else dm + bm + 1.0],
+                     (n_minus - 1, 1))
+    if far_field == REFLECTIVE:
+        diag[0] = 1.0 + dm
+    off = np.full(n_minus - 1, -dm)
+    B = _diagonal(np.repeat([1.0, 1.0 - bm if explicit else 1.0], (n_minus - 1, 1)))
+    return UpdatePair(Tridiagonal(off, diag, off), B, Layout(ONE_WAY_NEGATIVE, n_minus, 0))
 
 
 def assemble_dn_explicit(p, n_minus, n_plus):
@@ -239,23 +277,13 @@ def assemble_dn_explicit(p, n_minus, n_plus):
     """
     _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
-    n = n_minus + n_plus + 1
-    k = n_minus  # shared node
-    A = np.eye(n)
-    A[k, k] = (1.0 + r) / 2.0
-    B = np.zeros((n, n))
-    for i in range(n):
-        if i == k:
-            continue
-        d = dm if i < k else dp
-        B[i, i] = 1.0 - 2.0 * d
-        if i - 1 >= 0:
-            B[i, i - 1] = d
-        if i + 1 < n:
-            B[i, i + 1] = d
-    B[k, k] = (1.0 + r) / 2.0 - dm - dp * r
-    B[k, k - 1] = dm
-    B[k, k + 1] = dp * r
+    w = (1.0 + r) / 2.0
+    # rows: negative domain, shared node n_minus, positive domain
+    runs = (n_minus, 1, n_plus)
+    A = _diagonal(np.repeat([1.0, w, 1.0], runs))
+    B = Tridiagonal(np.repeat([dm, dp], (n_minus, n_plus)),
+                    np.repeat([1.0 - 2.0 * dm, w - dm - dp * r, 1.0 - 2.0 * dp], runs),
+                    np.repeat([dm, dp * r, dp], (n_minus, 1, n_plus - 1)))
     return UpdatePair(A, B, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
 
 
@@ -269,30 +297,18 @@ def assemble_dn_implicit(p, n_minus, n_plus):
     """
     _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
-    n = n_minus + n_plus + 1
-    k = n_minus
-    A = np.zeros((n, n))
-    B = np.eye(n)
-    _backward_euler_block(A, 0, n_minus, dm, DIRICHLET, (True, False))
-    A[k - 1, k] = -dm  # the negative stencil continues into the shared node
-    for i in range(k, n):
-        A[i, i] = 1.0 + 2.0 * dp
-        if i > k + 1:
-            A[i, i - 1] = -dp
-        if i + 1 < n:
-            A[i, i + 1] = -dp
-    # interface row: negative flux implicit, positive flux lagged into B
-    A[k, k] = (1.0 + r) / 2.0 + dm
-    A[k, k - 1] = -dm
-    A[k, k + 1] = 0.0
-    B[k, k] = (1.0 + r) / 2.0 - dp * r
-    B[k, k + 1] = dp * r
-    # first positive row: Dirichlet value from the interface taken explicitly
-    A[k + 1, k + 1] = dp + 1.0
-    if k + 2 < n:
-        A[k + 1, k + 2] = -dp
-    B[k + 1, k] = dp
-    B[k + 1, k + 1] = 1.0 - dp
+    w = (1.0 + r) / 2.0
+    # rows: negative domain, shared node n_minus, first positive row, the rest
+    runs = (n_minus, 1, 1, n_plus - 1)
+    off_runs = (n_minus, 1, n_plus - 1)
+    # the negative stencil continues into the shared node, whose row takes
+    # the negative flux implicitly and lags the positive flux into B; the
+    # first positive row takes its Dirichlet value from the old interface
+    off = np.repeat([-dm, 0.0, -dp], off_runs)
+    A = Tridiagonal(off, np.repeat([1.0 + 2.0 * dm, w + dm, dp + 1.0, 1.0 + 2.0 * dp], runs), off)
+    B = Tridiagonal(np.repeat([0.0, dp, 0.0], off_runs),
+                    np.repeat([1.0, w - dp * r, 1.0 - dp, 1.0], runs),
+                    np.repeat([0.0, dp * r, 0.0], off_runs))
     return UpdatePair(A, B, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
 
 

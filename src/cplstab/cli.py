@@ -324,8 +324,8 @@ def _cmd_validate(args):
 def _cmd_dump_matrices(args):
     p = _params_from_args(args)
     pair = assembly.assemble(assembly.SCHEMES[args.scheme], p, args.n_minus, args.n_plus)
-    assembly.write_dense_csv(pair.A, f"{args.out_prefix}_A.csv")
-    assembly.write_dense_csv(pair.B, f"{args.out_prefix}_B.csv")
+    assembly.write_dense_csv(pair.A.toarray(), f"{args.out_prefix}_A.csv")
+    assembly.write_dense_csv(pair.B.toarray(), f"{args.out_prefix}_B.csv")
     print(f"wrote {args.out_prefix}_A.csv and {args.out_prefix}_B.csv ({pair.n}x{pair.n})")
     return 0
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .assembly import UpdatePair
+from .assembly import Tridiagonal, UpdatePair
 from .errors import ParameterDomainError, SingularMatrixError, SolveResidualWarning, SpectrumError
 
 MAX_DENSE_N = 2048
@@ -37,70 +37,46 @@ class Spectrum:
     residual_bound: float
 
 
-def tridiagonal_bands(a):
-    """(sub, diag, sup) of a tridiagonal matrix given dense or as three bands.
-
-    A dense matrix is tridiagonal when its three bands hold all of its
-    nonzero entries.  Every band entry must be finite.
-    """
-    if isinstance(a, tuple):
-        sub, diag, sup = (np.asarray(v, dtype=float) for v in a)
-        if diag.ndim != 1 or sub.shape != (diag.shape[0] - 1,) or sup.shape != sub.shape:
-            raise ParameterDomainError("band lengths inconsistent with the diagonal")
-    else:
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterDomainError(f"matrix must be square, got shape {a.shape}")
-        sub, diag, sup = np.diag(a, -1), np.diag(a), np.diag(a, 1)
-        in_bands = np.count_nonzero(sub) + np.count_nonzero(diag) + np.count_nonzero(sup)
-        if np.count_nonzero(a) != in_bands:
-            raise ParameterDomainError("matrix is not tridiagonal")
-    if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
-        raise ParameterDomainError("matrix has non-finite entries")
-    return sub, diag, sup
-
-
-def _minimum_pivot(sub, diag, sup):
+def _minimum_pivot(a):
     """Lower bound on the elimination pivots of a tridiagonal factorization.
 
     Rows that dominate their off-diagonal entries bound the pivots by the
     dominance margin; otherwise the running elimination is evaluated.
     """
-    margins = np.abs(diag)
-    margins[1:] -= np.abs(sub)
-    margins[:-1] -= np.abs(sup)
+    margins = np.abs(a.diag)
+    margins[1:] -= np.abs(a.sub)
+    margins[:-1] -= np.abs(a.sup)
     if margins.min() > 0.0:
         return margins.min()
-    pivot = diag[0]
+    pivot = a.diag[0]
     smallest = abs(pivot)
-    for i in range(1, diag.shape[0]):
+    for i in range(1, a.n):
         if pivot == 0.0:
             return 0.0
-        pivot = diag[i] - (sub[i - 1] / pivot) * sup[i - 1]
+        pivot = a.diag[i] - (a.sub[i - 1] / pivot) * a.sup[i - 1]
         smallest = min(smallest, abs(pivot))
     return smallest
 
 
 def tridiagonal_solve(a, rhs):
-    """Solve A x = rhs for tridiagonal A given dense or as (sub, diag, sup).
+    """Solve A x = rhs for A given as a Tridiagonal.
 
     rhs is a vector or a matrix of right-hand sides.  A is singular, and
     SingularMatrixError is raised, when a pivot of its elimination without
     row exchanges falls below 1e-14 of the largest absolute column sum of A;
     otherwise LAPACK's band solver does the solve.
     """
-    sub, diag, sup = tridiagonal_bands(a)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.shape[0]
+    n = a.n
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ParameterDomainError("rhs length does not match the matrix")
     if not np.isfinite(rhs).all():
         raise ParameterDomainError("rhs has non-finite entries")
     ab = np.zeros((3, n))
-    ab[0, 1:] = sup
-    ab[1] = diag
-    ab[2, :-1] = sub
-    if _minimum_pivot(sub, diag, sup) < 1e-14 * np.abs(ab).sum(axis=0).max():
+    ab[0, 1:] = a.sup
+    ab[1] = a.diag
+    ab[2, :-1] = a.sub
+    if _minimum_pivot(a) < 1e-14 * np.abs(ab).sum(axis=0).max():
         raise SingularMatrixError("tridiagonal elimination pivot below 1e-14 of the matrix scale")
     try:
         return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
@@ -108,29 +84,22 @@ def tridiagonal_solve(a, rhs):
         raise SingularMatrixError(f"banded solve failed: {err}") from err
 
 
-def _tridiagonal_matmul(bands, M):
-    """A @ M with A given as (sub, diag, sup)."""
-    sub, diag, sup = bands
-    out = diag[:, None] * M
-    out[:-1] += sup[:, None] * M[1:]
-    out[1:] += sub[:, None] * M[:-1]
-    return out
-
-
 def update_matrix(pair):
-    """Dense M = A^{-1} B from one tridiagonal solve with B as the right side.
+    """Dense M = A^{-1} B from one tridiagonal solve with dense B as the right side.
 
+    This is where a pair first becomes n x n, so n is bounded by MAX_DENSE_N.
     The result is verified against ||A M - B|| <= 1e-12 ||B|| with one round
     of iterative refinement; a residual still above 1e-10 raises a warning.
     """
-    bands = tridiagonal_bands(pair.A)
-    B = np.asarray(pair.B, dtype=float)
-    M = tridiagonal_solve(bands, B)
+    if pair.n > MAX_DENSE_N:
+        raise ParameterDomainError(f"matrix size {pair.n} outside 1..{MAX_DENSE_N}")
+    A, B = pair.A, pair.B.toarray()
+    M = tridiagonal_solve(A, B)
     norm_b = max(np.abs(B).sum(axis=1).max(), 1e-300)
-    residual = np.abs(_tridiagonal_matmul(bands, M) - B).sum(axis=1).max()
+    residual = np.abs(A @ M - B).sum(axis=1).max()
     if residual > 1e-12 * norm_b:
-        M = M + tridiagonal_solve(bands, B - _tridiagonal_matmul(bands, M))
-        residual = np.abs(_tridiagonal_matmul(bands, M) - B).sum(axis=1).max()
+        M = M + tridiagonal_solve(A, B - A @ M)
+        residual = np.abs(A @ M - B).sum(axis=1).max()
         if residual > 1e-10 * norm_b:
             warnings.warn(
                 f"update matrix residual {residual:.3e} above 1e-10 of ||B|| after refinement",
@@ -170,9 +139,10 @@ def _try_symmetrizable_tridiagonal(M, norm):
     if n == 1:
         return _sorted_spectrum(np.diag(M).astype(complex), np.finfo(float).eps * norm)
     try:
-        sub, diag, sup = tridiagonal_bands(M)
+        bands = Tridiagonal.from_dense(M)
     except ParameterDomainError:
         return None
+    sub, diag, sup = bands.sub, bands.diag, bands.sup
     prod = sub * sup
     eigenvalues = []
     for lo, hi in _tridiagonal_blocks(sub, sup):
@@ -203,11 +173,8 @@ def _symmetric_pencil(pair):
     row dominance margins of A and the off-diagonal row sums of |B|, or None
     when the pair does not qualify.
     """
-    a_sub, a_diag, a_sup = tridiagonal_bands(pair.A)
-    try:
-        b_sub, b_diag, b_sup = tridiagonal_bands(pair.B)
-    except ParameterDomainError:
-        return None
+    a_sub, a_diag, a_sup = pair.A.sub, pair.A.diag, pair.A.sup
+    b_sub, b_diag, b_sup = pair.B.sub, pair.B.diag, pair.B.sup
     upper = np.abs(a_sup) + np.abs(b_sup)
     lower = np.abs(a_sub) + np.abs(b_sub)
     proportional = ((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
@@ -347,11 +314,11 @@ def eigen_spectrum(M):
     backward stable: its verdict is exact for a pencil within O(n eps) of the
     given one (Kahan 1966), so residual_bound is the bracket width plus
     8 n eps max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.
-    Any other pair takes the dense path on M = update_matrix(pair).
+    The pencil path holds only bands, so a pair of any size takes it; any
+    other pair takes the dense path on M = update_matrix(pair), which
+    bounds n by MAX_DENSE_N.
     """
     if isinstance(M, UpdatePair):
-        if not 1 <= M.n <= MAX_DENSE_N:
-            raise ParameterDomainError(f"matrix size {M.n} outside 1..{MAX_DENSE_N}")
         spectrum = _pencil_spectrum(M)
         if spectrum is not None:
             return spectrum

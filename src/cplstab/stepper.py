@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly
 from .errors import DecayFloorWarning, ParameterDomainError, SingularMatrixError
-from .spectral import tridiagonal_bands, tridiagonal_solve
+from .spectral import tridiagonal_solve
 from .assembly import (
     BULK,
     DIRICHLET_NEUMANN,
@@ -124,12 +124,11 @@ def run_monolithic(pair, state, steps):
 
 
 def _be_bands(n, d, interface_diag, interface_at_end):
-    """Backward-Euler bands with a custom diagonal on the interface row."""
-    sub = np.full(n - 1, -d)
-    sup = np.full(n - 1, -d)
+    """Backward-Euler matrix with a custom diagonal on the interface row."""
+    off = np.full(n - 1, -d)
     diag = np.full(n, 1.0 + 2.0 * d)
     diag[-1 if interface_at_end else 0] = interface_diag
-    return sub, diag, sup
+    return assembly.Tridiagonal(off, diag, off)
 
 
 def _step_bulk_partitioned(p, n_minus, n_plus, theta, gamma, formulation, state):
@@ -191,12 +190,11 @@ def _step_dn_implicit(p, n_minus, n_plus, state):
     tm, tp, ts = state.t_minus, state.t_plus, state.shared_node
     w = (1.0 + r) / 2.0
     # negative domain plus interface node; the positive flux enters lagged
-    sub = np.full(n_minus, -dm)
-    sup = np.full(n_minus, -dm)
+    off = np.full(n_minus, -dm)
     diag = np.full(n_minus + 1, 1.0 + 2.0 * dm)
     diag[-1] = w + dm
     rhs = np.concatenate([tm, [(w - dp * r) * ts + dp * r * tp[0]]])
-    solved = tridiagonal_solve((sub, diag, sup), rhs)
+    solved = tridiagonal_solve(assembly.Tridiagonal(off, diag, off), rhs)
     new_m, new_s = solved[:-1], solved[-1]
     # positive domain against the old interface value; independent of the above
     bands_p = _be_bands(n_plus, dp, 1.0 + dp, False)
@@ -288,12 +286,11 @@ def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
     state = random_state(layout, seed=seed)
     vector = pack_state(state, layout)
     log_norms = np.empty(steps)
-    bands = tridiagonal_bands(pair.A)
     total = 0.0
     count = steps
     for k in range(steps):
         rhs = pair.B @ vector
-        vector = tridiagonal_solve(bands, rhs)
+        vector = tridiagonal_solve(pair.A, rhs)
         gain = np.abs(vector).max()
         if gain == 0.0:
             warnings.warn("iterate collapsed to zero; fitting the surviving prefix",

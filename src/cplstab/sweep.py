@@ -168,7 +168,7 @@ def write_pgm(field_result, path):
     f = field_result
     lam = f.lambda_max
     ny, nx = lam.shape
-    pixels = np.zeros((ny, nx), dtype=int)
+    pixels = np.zeros(lam.shape, dtype=int)
     finite = np.isfinite(lam)
     clipped = np.minimum(lam[finite], 2.0)
     pixels[finite] = np.floor(255.0 * clipped / 2.0).astype(int)

@@ -19,6 +19,7 @@ from cplstab import (
     DimensionlessParams,
     Layout,
     ScanSettings,
+    Tridiagonal,
     UpdatePair,
     assemble,
     classify,
@@ -269,14 +270,14 @@ def test_zero_exchange_spectrum_is_block_union():
     for name in ("bulk-explicit-flux", "bulk-partial-flux",
                  "bulk-implicit-flux", "bulk-sequential"):
         pair = assemble(SCHEMES[name], p, nm, np_)
-        assert np.abs(pair.A[:nm, nm:]).max() == 0.0
-        assert np.abs(pair.B[:nm, nm:]).max() == 0.0
+        assert np.abs(pair.A.toarray()[:nm, nm:]).max() == 0.0
+        assert np.abs(pair.B.toarray()[:nm, nm:]).max() == 0.0
         whole = eigen_spectrum(update_matrix(pair))
         parts = []
         for rows in (slice(0, nm), slice(nm, nm + np_)):
             block = UpdatePair(
-                A=np.array(pair.A[rows, rows]),
-                B=np.array(pair.B[rows, rows]),
+                A=Tridiagonal.from_dense(pair.A.toarray()[rows, rows]),
+                B=Tridiagonal.from_dense(pair.B.toarray()[rows, rows]),
                 layout=Layout(ONE_WAY_NEGATIVE, rows.stop - rows.start, 0),
             )
             parts.extend(eigen_spectrum(update_matrix(block)).eigenvalues)

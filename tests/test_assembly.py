@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
-                     SchemeError, SchemeSpec, assemble, assemble_bulk,
+                     SchemeError, SchemeSpec, Tridiagonal, assemble, assemble_bulk,
                      assemble_dn_explicit, assemble_dn_implicit,
                      assemble_one_way, scheme_name, write_dense_csv)
 from cplstab.assembly import (BULK, DIRICHLET_NEUMANN, EXPLICIT, IMPLICIT,
@@ -47,8 +47,8 @@ def test_scheme_names_round_trip():
 
 def test_bulk_no_dynamics_is_identity():
     pair = assemble_bulk(params(), 3, 2, theta=0, gamma=0)
-    assert np.array_equal(pair.A, np.eye(5))
-    assert np.array_equal(pair.B, np.eye(5))
+    assert np.array_equal(pair.A.toarray(), np.eye(5))
+    assert np.array_equal(pair.B.toarray(), np.eye(5))
 
 
 def test_bulk_explicit_interface_blocks():
@@ -56,31 +56,31 @@ def test_bulk_explicit_interface_blocks():
     d = 0.7
     pair = assemble_bulk(params(dp=d, dm=d, bp=0.25, bm=0.5), 2, 2,
                          theta=0, gamma=0)
-    assert pair.A[1, 1] == pytest.approx(1.0 + d)
-    assert pair.A[2, 2] == pytest.approx(1.0 + d)
-    assert pair.A[1, 2] == 0.0 and pair.A[2, 1] == 0.0
-    assert np.allclose(pair.B[1:3, 1:3], [[0.5, 0.5], [0.25, 0.75]])
+    assert pair.A.toarray()[1, 1] == pytest.approx(1.0 + d)
+    assert pair.A.toarray()[2, 2] == pytest.approx(1.0 + d)
+    assert pair.A.toarray()[1, 2] == 0.0 and pair.A.toarray()[2, 1] == 0.0
+    assert np.allclose(pair.B.toarray()[1:3, 1:3], [[0.5, 0.5], [0.25, 0.75]])
 
 
 def test_bulk_strong_exchange_example():
     pair = assemble_bulk(params(bp=2.0, bm=2.0), 1, 1, theta=0, gamma=0)
-    assert np.array_equal(pair.A, np.eye(2))
-    assert np.array_equal(pair.B, [[-1.0, 2.0], [2.0, -1.0]])
-    assert sorted(np.linalg.eigvals(pair.B).real) == pytest.approx([-3.0, 1.0])
+    assert np.array_equal(pair.A.toarray(), np.eye(2))
+    assert np.array_equal(pair.B.toarray(), [[-1.0, 2.0], [2.0, -1.0]])
+    assert sorted(np.linalg.eigvals(pair.B.toarray()).real) == pytest.approx([-3.0, 1.0])
 
 
 def test_bulk_interface_rows_all_levels():
     p = params(dp=0.3, dm=0.2, bp=0.4, bm=0.6)
     pair = assemble_bulk(p, 3, 3, theta=1, gamma=1)
     im, ip = 2, 3
-    assert pair.A[im, im - 1] == pytest.approx(-0.2)
-    assert pair.A[im, im] == pytest.approx(0.2 + 0.6 + 1.0)
-    assert pair.A[im, ip] == pytest.approx(-0.6)
-    assert pair.A[ip, im] == pytest.approx(-0.4)
-    assert pair.A[ip, ip] == pytest.approx(0.3 + 0.4 + 1.0)
-    assert pair.A[ip, ip + 1] == pytest.approx(-0.3)
+    assert pair.A.toarray()[im, im - 1] == pytest.approx(-0.2)
+    assert pair.A.toarray()[im, im] == pytest.approx(0.2 + 0.6 + 1.0)
+    assert pair.A.toarray()[im, ip] == pytest.approx(-0.6)
+    assert pair.A.toarray()[ip, im] == pytest.approx(-0.4)
+    assert pair.A.toarray()[ip, ip] == pytest.approx(0.3 + 0.4 + 1.0)
+    assert pair.A.toarray()[ip, ip + 1] == pytest.approx(-0.3)
     # fully implicit flux leaves B as the identity
-    assert np.array_equal(pair.B, np.eye(6))
+    assert np.array_equal(pair.B.toarray(), np.eye(6))
 
 
 def test_bulk_sequential_moves_coupling_to_b():
@@ -88,32 +88,32 @@ def test_bulk_sequential_moves_coupling_to_b():
     sim = assemble_bulk(p, 3, 3, theta=1, gamma=1)
     seq = assemble_bulk(p, 3, 3, theta=1, gamma=1, formulation=SEQUENTIAL)
     im, ip = 2, 3
-    assert seq.A[im, ip] == 0.0
-    assert seq.B[im, ip] == pytest.approx(0.6)
+    assert seq.A.toarray()[im, ip] == 0.0
+    assert seq.B.toarray()[im, ip] == pytest.approx(0.6)
     # every other entry matches the simultaneous variant
-    mask = np.ones_like(sim.A, dtype=bool)
+    mask = np.ones_like(sim.A.toarray(), dtype=bool)
     mask[im, ip] = False
-    assert np.array_equal(seq.A[mask], sim.A[mask])
+    assert np.array_equal(seq.A.toarray()[mask], sim.A.toarray()[mask])
 
 
 def test_bulk_sequential_block_triangular_determinant():
     p = params(dp=0.9, dm=1.7, bp=0.8, bm=1.2)
     pair = assemble_bulk(p, 4, 3, theta=1, gamma=1, formulation=SEQUENTIAL)
     nm = 4
-    assert np.all(pair.A[:nm, nm:] == 0.0)
-    det = np.linalg.det(pair.A)
-    det_blocks = (np.linalg.det(pair.A[:nm, :nm])
-                  * np.linalg.det(pair.A[nm:, nm:]))
+    assert np.all(pair.A.toarray()[:nm, nm:] == 0.0)
+    det = np.linalg.det(pair.A.toarray())
+    det_blocks = (np.linalg.det(pair.A.toarray()[:nm, :nm])
+                  * np.linalg.det(pair.A.toarray()[nm:, nm:]))
     assert det == pytest.approx(det_blocks, rel=1e-12)
 
 
 def test_far_field_rows_drop_neighbor_keep_diagonal():
     d = 0.4
     pair = assemble_bulk(params(dp=d, dm=d), 3, 3, theta=0, gamma=0)
-    assert pair.A[0, 0] == pytest.approx(1.0 + 2.0 * d)
-    assert pair.A[0, 1] == pytest.approx(-d)
-    assert pair.A[5, 5] == pytest.approx(1.0 + 2.0 * d)
-    assert pair.A[5, 4] == pytest.approx(-d)
+    assert pair.A.toarray()[0, 0] == pytest.approx(1.0 + 2.0 * d)
+    assert pair.A.toarray()[0, 1] == pytest.approx(-d)
+    assert pair.A.toarray()[5, 5] == pytest.approx(1.0 + 2.0 * d)
+    assert pair.A.toarray()[5, 4] == pytest.approx(-d)
 
 
 def test_reflective_far_field_balances_columns():
@@ -121,7 +121,7 @@ def test_reflective_far_field_balances_columns():
     pair = assemble_bulk(params(dp=d, dm=d), 3, 3, theta=0, gamma=0,
                          far_field=REFLECTIVE)
     # no bulk exchange: every column of A sums to one, so sum(T) is conserved
-    assert np.allclose(pair.A.sum(axis=0), 1.0)
+    assert np.allclose(pair.A.toarray().sum(axis=0), 1.0)
 
 
 def test_reflective_needs_two_cells():
@@ -139,8 +139,8 @@ def test_implicit_rows_diagonally_dominant(dm, dp, bm, bp, levels, nm, np_):
     theta, gamma = levels
     pair = assemble_bulk(params(dp, dm, bp, bm), nm, np_,
                          theta=theta, gamma=gamma)
-    diag = np.abs(np.diag(pair.A))
-    off = np.abs(pair.A).sum(axis=1) - diag
+    diag = np.abs(np.diag(pair.A.toarray()))
+    off = np.abs(pair.A.toarray()).sum(axis=1) - diag
     assert np.all(diag > off)
 
 
@@ -149,19 +149,19 @@ def test_implicit_rows_diagonally_dominant(dm, dp, bm, bp, levels, nm, np_):
 def test_one_way_single_cell_updates():
     d, beta = 0.5, 0.25
     exp = assemble_one_way(params(dm=d, bm=beta), 1, flux="explicit")
-    assert exp.A[0, 0] == pytest.approx(1.0 + d)
-    assert exp.B[0, 0] == pytest.approx(1.0 - beta)
+    assert exp.A.toarray()[0, 0] == pytest.approx(1.0 + d)
+    assert exp.B.toarray()[0, 0] == pytest.approx(1.0 - beta)
     imp = assemble_one_way(params(dm=d, bm=beta), 1, flux="implicit")
-    assert imp.A[0, 0] == pytest.approx(1.0 + d + beta)
-    assert imp.B[0, 0] == 1.0
+    assert imp.A.toarray()[0, 0] == pytest.approx(1.0 + d + beta)
+    assert imp.B.toarray()[0, 0] == 1.0
 
 
 def test_one_way_unforced_variants_match():
     p = params(dm=0.8)
     exp = assemble_one_way(p, 4, flux="explicit")
     imp = assemble_one_way(p, 4, flux="implicit")
-    assert np.array_equal(exp.A, imp.A)
-    assert np.array_equal(exp.B, imp.B)
+    assert np.array_equal(exp.A.toarray(), imp.A.toarray())
+    assert np.array_equal(exp.B.toarray(), imp.B.toarray())
 
 
 @given(dm=small, dp=small, bm=small, bp=small, nm=st.integers(1, 5),
@@ -173,17 +173,17 @@ def test_one_way_equals_bulk_upper_left_block(dm, dp, bm, bp, nm, theta):
     flux = "implicit" if theta else "explicit"
     one = assemble_one_way(p, nm, flux=flux)
     bulk = assemble_bulk(p, nm, 3, theta=theta, gamma=0)
-    a_block = bulk.A[:nm, :nm].copy()
-    b_block = bulk.B[:nm, :nm].copy()
-    assert np.array_equal(one.A, a_block)
-    assert np.array_equal(one.B, b_block)
+    a_block = bulk.A.toarray()[:nm, :nm].copy()
+    b_block = bulk.B.toarray()[:nm, :nm].copy()
+    assert np.array_equal(one.A.toarray(), a_block)
+    assert np.array_equal(one.B.toarray(), b_block)
 
 
 # ----------------------------------------------------------- shared-node D-N
 
 def test_dn_explicit_identity_limit():
     pair = assemble_dn_explicit(params(r=0.5), 2, 2)
-    m = np.linalg.solve(pair.A, pair.B)
+    m = np.linalg.solve(pair.A.toarray(), pair.B.toarray())
     assert np.allclose(m, np.eye(5))
 
 
@@ -191,59 +191,59 @@ def test_dn_explicit_interface_row():
     d, r = 0.3, 2.0
     pair = assemble_dn_explicit(params(dp=d, dm=d, r=r), 2, 2)
     k = 2
-    assert pair.A[k, k] == pytest.approx((1.0 + r) / 2.0)
-    assert pair.B[k, k - 1] == pytest.approx(d)
-    assert pair.B[k, k] == pytest.approx((1.0 + r) / 2.0 - d - d * r)
-    assert pair.B[k, k + 1] == pytest.approx(d * r)
+    assert pair.A.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0)
+    assert pair.B.toarray()[k, k - 1] == pytest.approx(d)
+    assert pair.B.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0 - d - d * r)
+    assert pair.B.toarray()[k, k + 1] == pytest.approx(d * r)
     # r = 1 symmetric case collapses to the interior stencil
     sym = assemble_dn_explicit(params(dp=d, dm=d, r=1.0), 2, 2)
-    assert sym.A[k, k] == 1.0
-    assert np.allclose(sym.B[k, k - 1:k + 2], [d, 1.0 - 2.0 * d, d])
+    assert sym.A.toarray()[k, k] == 1.0
+    assert np.allclose(sym.B.toarray()[k, k - 1:k + 2], [d, 1.0 - 2.0 * d, d])
 
 
 def test_dn_explicit_cfl_boundary_stencil():
     pair = assemble_dn_explicit(params(dp=0.5, dm=0.5, r=3.0), 3, 3)
-    assert np.allclose(pair.B[1, 0:3], [0.5, 0.0, 0.5])
-    assert np.allclose(pair.B[4, 3:6], [0.5, 0.0, 0.5])
+    assert np.allclose(pair.B.toarray()[1, 0:3], [0.5, 0.0, 0.5])
+    assert np.allclose(pair.B.toarray()[4, 3:6], [0.5, 0.0, 0.5])
 
 
 def test_dn_implicit_frozen_positive_domain():
     pair = assemble_dn_implicit(params(dm=0.4), 2, 2)
     k = 2
-    assert np.array_equal(pair.A[k + 1], [0.0, 0.0, 0.0, 1.0, 0.0])
-    assert pair.B[k + 1, k] == 0.0 and pair.B[k + 1, k + 1] == 1.0
+    assert np.array_equal(pair.A.toarray()[k + 1], [0.0, 0.0, 0.0, 1.0, 0.0])
+    assert pair.B.toarray()[k + 1, k] == 0.0 and pair.B.toarray()[k + 1, k + 1] == 1.0
 
 
 def test_dn_implicit_interface_rows():
     d_minus, d_plus, r = 0.7, 1.0, 1.0
     pair = assemble_dn_implicit(params(dp=d_plus, dm=d_minus, r=r), 2, 2)
     k = 2
-    assert pair.A[k, k - 1] == pytest.approx(-d_minus)
-    assert pair.A[k, k] == pytest.approx((1.0 + r) / 2.0 + d_minus)
-    assert pair.B[k, k] == pytest.approx(0.0)
-    assert pair.B[k, k + 1] == pytest.approx(1.0)
+    assert pair.A.toarray()[k, k - 1] == pytest.approx(-d_minus)
+    assert pair.A.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0 + d_minus)
+    assert pair.B.toarray()[k, k] == pytest.approx(0.0)
+    assert pair.B.toarray()[k, k + 1] == pytest.approx(1.0)
     # the positive block solves independently; its interface data rides in B
-    assert pair.A[k + 1, k] == 0.0
-    assert pair.A[k + 1, k + 1] == pytest.approx(d_plus + 1.0)
-    assert pair.A[k + 1, k + 2] == pytest.approx(-d_plus)
-    assert pair.B[k + 1, k] == pytest.approx(d_plus)
-    assert pair.B[k + 1, k + 1] == pytest.approx(1.0 - d_plus)
+    assert pair.A.toarray()[k + 1, k] == 0.0
+    assert pair.A.toarray()[k + 1, k + 1] == pytest.approx(d_plus + 1.0)
+    assert pair.A.toarray()[k + 1, k + 2] == pytest.approx(-d_plus)
+    assert pair.B.toarray()[k + 1, k] == pytest.approx(d_plus)
+    assert pair.B.toarray()[k + 1, k + 1] == pytest.approx(1.0 - d_plus)
 
 
 def test_dn_implicit_small_ratio_limit():
     d_minus, r = 0.7, 1e-12
     pair = assemble_dn_implicit(params(dp=0.3, dm=d_minus, r=r), 2, 2)
     k = 2
-    assert pair.A[k, k] == pytest.approx(0.5 + d_minus, rel=1e-10)
-    assert pair.B[k, k] == pytest.approx(0.5, rel=1e-9)
-    assert pair.B[k, k + 1] == pytest.approx(0.0, abs=1e-12)
+    assert pair.A.toarray()[k, k] == pytest.approx(0.5 + d_minus, rel=1e-10)
+    assert pair.B.toarray()[k, k] == pytest.approx(0.5, rel=1e-9)
+    assert pair.B.toarray()[k, k + 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dn_negative_block_couples_to_shared_node():
     d = 0.6
     pair = assemble_dn_implicit(params(dp=0.2, dm=d, r=1.0), 3, 2)
-    assert pair.A[2, 3] == pytest.approx(-d)
-    assert pair.A[2, 2] == pytest.approx(1.0 + 2.0 * d)
+    assert pair.A.toarray()[2, 3] == pytest.approx(-d)
+    assert pair.A.toarray()[2, 2] == pytest.approx(1.0 + 2.0 * d)
 
 
 # --------------------------------------------------------------- dispatcher
@@ -258,8 +258,8 @@ def test_assemble_matches_direct_builders():
     }
     for name, direct in cases.items():
         via = assemble(SCHEMES[name], p, 3, 2)
-        assert np.array_equal(via.A, direct.A)
-        assert np.array_equal(via.B, direct.B)
+        assert np.array_equal(via.A.toarray(), direct.A.toarray())
+        assert np.array_equal(via.B.toarray(), direct.B.toarray())
 
 
 def test_layout_sizes():
@@ -273,7 +273,7 @@ def test_layout_sizes():
 def test_update_pair_is_read_only():
     pair = assemble_bulk(params(dm=0.5), 2, 2, theta=0, gamma=0)
     with pytest.raises(ValueError):
-        pair.A[0, 0] = 7.0
+        pair.A.diag[0] = 7.0
 
 
 def test_rejects_empty_domains():
@@ -283,15 +283,59 @@ def test_rejects_empty_domains():
         assemble_dn_explicit(params(), 2, 0)
 
 
+# --------------------------------------------------------------- band type
+
+entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(n=st.integers(1, 12), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_tridiagonal_product_and_dense_round_trip(n, data):
+    def draw(*shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(entries, min_size=size, max_size=size))).reshape(shape)
+
+    t = Tridiagonal(draw(n - 1), draw(n), draw(n - 1))
+    dense = t.toarray()
+    for x in (draw(n), draw(n, 3)):
+        # both products sum the same three terms per entry, in different orders
+        bound = 8.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+        assert (t @ x).shape == x.shape
+        assert np.all(np.abs(t @ x - dense @ x) <= bound)
+    back = Tridiagonal.from_dense(dense)
+    for name in ("sub", "diag", "sup"):
+        assert np.array_equal(getattr(back, name), getattr(t, name))
+
+
+def test_tridiagonal_rejects_bad_bands():
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal(np.zeros(2), np.ones(2), np.zeros(1))
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal(np.zeros(0), np.zeros(0), np.zeros(0))
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal(np.array([np.inf]), np.ones(2), np.zeros(1))
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal.from_dense(np.ones((3, 3)))
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal.from_dense(np.ones((2, 3)))
+    with pytest.raises(ParameterDomainError):
+        Tridiagonal(np.zeros(1), np.ones(2), np.zeros(1)) @ np.ones(3)
+    # the bands are copies: writing to the caller's array leaves them alone
+    diag = np.ones(2)
+    t = Tridiagonal(np.zeros(1), diag, np.zeros(1))
+    diag[0] = 7.0
+    assert t.diag[0] == 1.0
+
+
 # ------------------------------------------------------------------ csv dump
 
 def test_write_dense_csv_round_trips(tmp_path):
     pair = assemble_bulk(params(dp=1 / 3, dm=0.1, bp=0.7, bm=0.2), 2, 2,
                          theta=0, gamma=0)
     path = tmp_path / "a.csv"
-    write_dense_csv(pair.A, path)
+    write_dense_csv(pair.A.toarray(), path)
     text = path.read_text()
     rows = [line.split(",") for line in text.strip().splitlines()]
     assert len(rows) == 4 and all(len(r) == 4 for r in rows)
     back = np.array([[float(v) for v in row] for row in rows])
-    assert np.array_equal(back, pair.A)
+    assert np.array_equal(back, pair.A.toarray())

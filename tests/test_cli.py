@@ -292,8 +292,8 @@ def test_dump_matrices_round_trip(tmp_path, capsys):
     pair = assemble(SCHEMES["bulk-partial-flux"], p, 3, 2)
     loaded_a = np.loadtxt(tmp_path / "pair_A.csv", delimiter=",")
     loaded_b = np.loadtxt(tmp_path / "pair_B.csv", delimiter=",")
-    np.testing.assert_array_equal(loaded_a, pair.A)
-    np.testing.assert_array_equal(loaded_b, pair.B)
+    np.testing.assert_array_equal(loaded_a, pair.A.toarray())
+    np.testing.assert_array_equal(loaded_b, pair.B.toarray())
 
 
 # ------------------------------------------------------------- entry point

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
-                     SingularMatrixError, StabilityClass, assemble,
-                     assemble_bulk, assemble_one_way, classify,
-                     eigen_spectrum, power_growth_rate, update_matrix)
+                     SingularMatrixError, StabilityClass, Tridiagonal,
+                     UpdatePair, assemble, assemble_bulk, assemble_one_way,
+                     classify, eigen_spectrum, power_growth_rate,
+                     update_matrix)
 from cplstab.assembly import SEQUENTIAL
 
 SEED = 0
@@ -30,7 +31,7 @@ def match_multisets(a, b, tol):
 
 def test_update_matrix_identity_solve():
     pair = assemble_bulk(params(bp=0.25, bm=0.5), 2, 2, theta=0, gamma=0)
-    assert np.array_equal(update_matrix(pair), pair.B)
+    assert np.array_equal(update_matrix(pair), pair.B.toarray())
 
 
 def test_update_matrix_scalar_solve():
@@ -38,7 +39,7 @@ def test_update_matrix_scalar_solve():
     # A = 2I when 1+2d = 2 everywhere, which needs every row to be an
     # outer row; easier to check directly against a dense solve
     m = update_matrix(pair)
-    assert np.allclose(m, np.linalg.solve(pair.A, pair.B), atol=1e-14)
+    assert np.allclose(m, np.linalg.solve(pair.A.toarray(), pair.B.toarray()), atol=1e-14)
 
 
 def test_update_matrix_swap_example():
@@ -50,13 +51,13 @@ def test_update_matrix_residual_contract():
     p = params(dp=3.0, dm=40.0, bp=0.7, bm=90.0)
     pair = assemble_bulk(p, 30, 20, theta=1, gamma=1)
     m = update_matrix(pair)
-    res = np.abs(pair.A @ m - pair.B).max()
-    assert res <= 1e-12 * np.abs(pair.B).max()
+    res = np.abs(pair.A.toarray() @ m - pair.B.toarray()).max()
+    assert res <= 1e-12 * np.abs(pair.B.toarray()).max()
 
 
 def test_update_matrix_singular_pivot():
     pair = assemble_bulk(params(bp=0.5, bm=0.5), 1, 1, theta=0, gamma=0)
-    bad = type(pair)(A=np.array([[1.0, 1.0], [1.0, 1.0]]),
+    bad = type(pair)(A=Tridiagonal.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])),
                      B=pair.B, layout=pair.layout)
     with pytest.raises(SingularMatrixError):
         update_matrix(bad)
@@ -75,9 +76,11 @@ def test_update_matrix_random_dominant_systems(n, margin):
             a[i, i - 1] = sub[i]
         if i < n - 1:
             a[i, i + 1] = sup[i]
-    b = local.uniform(-1.0, 1.0, (n, n))
-    pair_type = type(assemble_one_way(params(dm=1.0), 1, flux="explicit"))
-    m = update_matrix(pair_type(A=a, B=b, layout=None))
+    # a pair holds a tridiagonal B
+    b = np.diag(local.uniform(-1.0, 1.0, n))
+    b += np.diag(local.uniform(-1.0, 1.0, n - 1), -1) + np.diag(local.uniform(-1.0, 1.0, n - 1), 1)
+    pair = UpdatePair(A=Tridiagonal.from_dense(a), B=Tridiagonal.from_dense(b), layout=None)
+    m = update_matrix(pair)
     assert np.abs(a @ m - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
 
@@ -198,6 +201,36 @@ def test_unsymmetrizable_pairs_take_the_dense_path(name, p):
     assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
     assert spectrum.lambda_max == dense.lambda_max
     assert spectrum.residual_bound == dense.residual_bound
+
+
+# 50,000 cells per domain: a dense A alone would take 80 GB
+LARGE_N = 50_000
+
+
+@pytest.mark.parametrize("d", [0.4, 3.0])
+def test_pencil_path_far_beyond_the_dense_limit(d):
+    # all four groups equal: A is I + d L with L the Dirichlet Laplacian on 2N
+    # cells and B = I (dpttrf bisection)
+    pair = assemble(SCHEMES["bulk-implicit-flux"], params(dp=d, dm=d, bp=d, bm=d),
+                    LARGE_N, LARGE_N)
+    exact = 1.0 / (1.0 + 4.0 * d * np.sin(np.pi / (2 * (2 * LARGE_N + 1))) ** 2)
+    assert eigen_spectrum(pair).lambda_max == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [0.4, 0.6])
+def test_diagonal_a_path_far_beyond_the_dense_limit(d):
+    # r = 1: A = I and B = I - d L on n = 2N + 1 nodes (dstebz)
+    pair = assemble(SCHEMES["dn-explicit"], params(dp=d, dm=d, r=1.0), LARGE_N, LARGE_N)
+    n = 2 * LARGE_N + 1
+    exact = max(abs(1.0 - 4.0 * d * np.sin(k * np.pi / (2 * (n + 1))) ** 2) for k in (1, n))
+    assert eigen_spectrum(pair).lambda_max == pytest.approx(exact, rel=1e-14)
+
+
+def test_dense_path_keeps_the_dense_limit():
+    pair = assemble(SCHEMES["bulk-sequential"], params(dp=0.9, dm=1.4, bp=0.8, bm=1.1),
+                    1025, 1024)
+    with pytest.raises(ParameterDomainError):
+        eigen_spectrum(pair)
 
 
 # ------------------------------------------------------------ block spectra

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      ParameterDomainError, SingularMatrixError, State,
-                     Trajectory, UpdatePair, assemble, assemble_bulk,
+                     Trajectory, Tridiagonal, UpdatePair, assemble, assemble_bulk,
                      assemble_one_way, eigen_spectrum, growth_rate,
                      pack_state, power_growth_rate, random_state,
                      run_monolithic, run_partitioned, state_norm,
@@ -20,13 +20,18 @@ def params(dp=0.0, dm=0.0, bp=0.0, bm=0.0, r=1.0):
     return DimensionlessParams(dp, dm, bp, bm, r)
 
 
+def dense_pair(a, b, layout):
+    """UpdatePair from dense tridiagonal A and B."""
+    return UpdatePair(Tridiagonal.from_dense(a), Tridiagonal.from_dense(b), layout)
+
+
 # ------------------------------------------------------------------- solves
 
 def test_tridiagonal_solve_hand_case():
     a = np.array([[3.0, -1.0, 0.0],
                   [-1.0, 3.0, -1.0],
                   [0.0, -1.0, 3.0]])
-    x = tridiagonal_solve(a, np.array([1.0, 0.0, 0.0]))
+    x = tridiagonal_solve(Tridiagonal.from_dense(a), np.array([1.0, 0.0, 0.0]))
     assert x == pytest.approx(np.array([8.0, 3.0, 1.0]) / 21.0, rel=1e-14)
 
 
@@ -34,7 +39,7 @@ def test_tridiagonal_solve_accepts_bands():
     sub = np.array([-1.0, -1.0])
     diag = np.array([3.0, 3.0, 3.0])
     sup = np.array([-1.0, -1.0])
-    x = tridiagonal_solve((sub, diag, sup), np.array([1.0, 0.0, 0.0]))
+    x = tridiagonal_solve(Tridiagonal(sub, diag, sup), np.array([1.0, 0.0, 0.0]))
     assert x == pytest.approx(np.array([8.0, 3.0, 1.0]) / 21.0, rel=1e-14)
 
 
@@ -42,32 +47,35 @@ def test_one_singularity_rule_for_solve_and_update_matrix():
     # a zero elimination pivot is singular even where row exchanges would solve
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SingularMatrixError):
-        tridiagonal_solve(swap, np.ones(2))
+        tridiagonal_solve(Tridiagonal.from_dense(swap), np.ones(2))
     with pytest.raises(SingularMatrixError):
-        update_matrix(UpdatePair(A=swap, B=np.eye(2), layout=Layout("bulk", 1, 1)))
+        update_matrix(dense_pair(swap, np.eye(2), Layout("bulk", 1, 1)))
     # not diagonally dominant, but every pivot clears the floor
     a = np.array([[1.0, 4.0, 0.0],
                   [2.0, 1.0, 3.0],
                   [0.0, 1.0, 1.0]])
     rhs = np.array([1.0, 2.0, 3.0])
-    assert tridiagonal_solve(a, rhs) == pytest.approx(np.linalg.solve(a, rhs))
+    x = tridiagonal_solve(Tridiagonal.from_dense(a), rhs)
+    assert x == pytest.approx(np.linalg.solve(a, rhs))
 
 
 def test_tridiagonal_solve_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        tridiagonal_solve(np.zeros((3, 3)), np.ones(3))
+        tridiagonal_solve(Tridiagonal.from_dense(np.zeros((3, 3))), np.ones(3))
 
 
 def test_tridiagonal_solve_rejects_wide_band():
     with pytest.raises(ParameterDomainError):
-        tridiagonal_solve(np.ones((3, 3)), np.ones(3))
+        tridiagonal_solve(Tridiagonal.from_dense(np.ones((3, 3))), np.ones(3))
 
 
 def test_tridiagonal_solve_rejects_non_finite_bands():
     with pytest.raises(ParameterDomainError):
-        tridiagonal_solve((np.zeros(2), np.array([1.0, np.nan, 1.0]), np.zeros(2)), np.ones(3))
+        tridiagonal_solve(Tridiagonal(np.zeros(2), np.array([1.0, np.nan, 1.0]), np.zeros(2)),
+                          np.ones(3))
     with pytest.raises(ParameterDomainError):
-        tridiagonal_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2))
+        tridiagonal_solve(Tridiagonal.from_dense(np.array([[1.0, np.inf], [0.0, 1.0]])),
+                          np.ones(2))
 
 
 @given(n=st.integers(2, 30), seed=st.integers(0, 100))
@@ -79,11 +87,11 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     diag = 2.5 + local.uniform(0.0, 1.0, n)
     a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
     rhs = local.uniform(-1.0, 1.0, n)
-    assert tridiagonal_solve(a, rhs) == pytest.approx(
+    assert tridiagonal_solve(Tridiagonal.from_dense(a), rhs) == pytest.approx(
         np.linalg.solve(a, rhs), rel=1e-11, abs=1e-13)
     rhs = local.uniform(-1.0, 1.0, (n, 3))
-    np.testing.assert_allclose(tridiagonal_solve(a, rhs), np.linalg.solve(a, rhs),
-                               rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(tridiagonal_solve(Tridiagonal.from_dense(a), rhs),
+                               np.linalg.solve(a, rhs), rtol=1e-11, atol=1e-13)
 
 
 # -------------------------------------------------------------------- states
@@ -195,21 +203,21 @@ def test_unstable_scheme_norms_blow_up():
 
 def test_growth_rate_scalar_contraction():
     layout = Layout(ONE_WAY_NEGATIVE, 3, 0)
-    pair = UpdatePair(A=np.eye(3), B=0.5 * np.eye(3), layout=layout)
+    pair = dense_pair(np.eye(3), 0.5 * np.eye(3), layout)
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 100)
     assert growth_rate(traj) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_growth_rate_picks_dominant_mode():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
-    pair = UpdatePair(A=np.eye(2), B=np.diag([0.9, 0.2]), layout=layout)
+    pair = dense_pair(np.eye(2), np.diag([0.9, 0.2]), layout)
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 120)
     assert growth_rate(traj) == pytest.approx(0.9, rel=1e-9)
 
 
 def test_growth_rate_needs_enough_norms():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
-    pair = UpdatePair(A=np.eye(2), B=0.5 * np.eye(2), layout=layout)
+    pair = dense_pair(np.eye(2), 0.5 * np.eye(2), layout)
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 20)
     with pytest.raises(ParameterDomainError):
         growth_rate(traj)
@@ -217,7 +225,7 @@ def test_growth_rate_needs_enough_norms():
 
 def test_growth_rate_zero_floor_warns():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
-    pair = UpdatePair(A=np.eye(2), B=np.zeros((2, 2)), layout=layout)
+    pair = dense_pair(np.eye(2), np.zeros((2, 2)), layout)
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 80)
     with pytest.warns(DecayFloorWarning):
         growth_rate(traj)
