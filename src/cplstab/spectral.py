@@ -3,9 +3,10 @@
 The scheme A T^{n+1} = B T^n is stable exactly when every eigenvalue of M
 lies inside the closed unit disk; classification uses a tolerance band around
 |lambda| = 1 so that marginal schemes (the interesting boundary cases) are
-reported as such instead of flapping between verdicts.  When the pair (A, B)
-can be made a symmetric-definite tridiagonal pencil, the ends of its real
-spectrum come from O(n) definiteness tests and M is never formed.
+reported as such instead of flapping between verdicts.  Every assembled pair
+(A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
+symmetric tridiagonal sigma A - B, and M is never formed; the dense path serves
+a dense M, cplstab spectrum and hand-built pairs that fit no case of the pencil.
 """
 
 import enum
@@ -162,25 +163,53 @@ def _try_symmetrizable_tridiagonal(M, norm):
 
 
 def _symmetric_pencil(pair):
-    """(A diag, A off, B diag, B off) of a symmetric pencil with the pair's spectrum.
+    """Symmetric tridiagonal pencil with the eigenvalue counts of the pair, or None.
 
-    At every index i the pairs (A[i,i+1], B[i,i+1]) and (A[i+1,i], B[i+1,i])
-    must be proportional, the first r_i > 0 times the second, or both zero.
-    A positive diagonal similarity then gives both matrices the off-diagonal
-    sqrt(r_i) * (A[i+1,i], B[i+1,i]).  A must also dominate its rows with a
-    positive diagonal, so that its eigenvalues, and with them those of the
-    symmetric A, are positive (Gershgorin).  Returns the pencil with the
-    row dominance margins of A and the off-diagonal row sums of |B|, or None
-    when the pair does not qualify.
+    The elimination pivots of sigma A - B see its off-diagonals only through
+    the products p_i(sigma) = (sigma A[i,i+1] - B[i,i+1]) (sigma A[i+1,i] -
+    B[i+1,i]).  Every index i must be one of three kinds:
+
+    - proportional: (A[i,i+1], B[i,i+1]) is r_i >= 0 times (A[i+1,i],
+      B[i+1,i]), and a positive diagonal similarity gives both matrices the
+      off-diagonal sqrt(r_i) * (A[i+1,i], B[i+1,i]);
+    - zero, where the first holds with r_i = 0 or its mirror: one side's
+      entries are both 0, so p_i = 0, the pair is block triangular and its
+      spectrum the union of the blocks' (one-sided bulk pairs);
+    - lagged: A couples on one side only and B on the other, so p_i(sigma)
+      = c_i sigma with c_i > 0 (bulk-sequential).  The pencil gets
+      off-diagonal 0 in A and B there, and _ldl puts sqrt(c_i sigma) in
+      sigma A - B.  Put mu = sqrt(sigma): the counts are those of
+      Q(mu) = mu^2 A0 - mu C - B0, with A0 and B0 the pencil without its
+      lagged entries and C holding sqrt(c_i).  If A0 and B0 are positive
+      definite, Q is a hyperbolic quadratic eigenproblem (Duffin 1955; Guo,
+      Higham & Tisseur 2009), its roots are real, and Q(0) = -B0 < 0
+      separates the n positive ones from the n negative ones.  det Q is a
+      polynomial in mu^2, so the pair's eigenvalues are the squares of the
+      positive roots, and for sigma >= 0 the number of negative eigenvalues
+      of Q(sqrt(sigma)) is the number of the pair's eigenvalues above
+      sigma.  The caller proves B0 > 0 and searches sigma >= 0 only.
+
+    A must also dominate its rows with a positive diagonal, so that its
+    eigenvalues, and with them those of the symmetric A and of A0, are
+    positive (Gershgorin).  Returns the pencil (A diag, A off, B diag,
+    B off), the lagged (indices, c) or None, the row dominance margins of A
+    and the off-diagonal row sums of |B|; or None when the pair does not
+    qualify.
     """
     a_sub, a_diag, a_sup = pair.A.sub, pair.A.diag, pair.A.sup
     b_sub, b_diag, b_sup = pair.B.sub, pair.B.diag, pair.B.sup
     upper = np.abs(a_sup) + np.abs(b_sup)
     lower = np.abs(a_sub) + np.abs(b_sub)
     proportional = ((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
-                    & (b_sup * b_sub >= 0.0) & ((upper > 0.0) == (lower > 0.0)))
+                    & (b_sup * b_sub >= 0.0))
+    lagged = None
     if not proportional.all():
-        return None
+        index = np.flatnonzero(~proportional)
+        c = -(a_sup[index] * b_sub[index] + b_sup[index] * a_sub[index])
+        if not ((a_sup[index] * a_sub[index] == 0.0) & (b_sup[index] * b_sub[index] == 0.0)
+                & (c > 0.0)).all():
+            return None
+        lagged = index, c
     margin = a_diag.copy()
     margin[1:] -= np.abs(a_sub)
     margin[:-1] -= np.abs(a_sup)
@@ -191,7 +220,10 @@ def _symmetric_pencil(pair):
     radius[1:] += np.abs(b_sub)
     radius[:-1] += np.abs(b_sup)
     root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
-    return (a_diag, root * a_sub, b_diag, root * b_sub), margin, radius
+    a_off, b_off = root * a_sub, root * b_sub
+    if lagged is not None:
+        a_off[lagged[0]] = b_off[lagged[0]] = 0.0
+    return (a_diag, a_off, b_diag, b_off), lagged, margin, radius
 
 
 def _ldl(sigma, pencil):
@@ -199,10 +231,13 @@ def _ldl(sigma, pencil):
 
     info is 0 when sigma A - B is positive definite; otherwise pivot info
     (from 1) is the first that is not positive, and the pivots after it are
-    not computed.
+    not computed.  Lagged indices (see _symmetric_pencil) take the
+    off-diagonal sqrt(c sigma), which needs sigma >= 0.
     """
-    a, b, n = pencil
+    a, b, n, lagged = pencil
     x = sigma * a - b
+    if lagged is not None:
+        x[n + lagged[0]] = np.sqrt(lagged[1] * sigma)
     pivots, _, info = lapack.dpttrf(x[:n], x[n:], overwrite_d=1, overwrite_e=1)
     return pivots, info
 
@@ -222,7 +257,7 @@ def _top_end(pencil, lo, margin, radius):
     so that both ends close in.  Three steps that do not halve the bracket
     are followed by a bisection step.
     """
-    a, b, n = pencil
+    a, b, n, _ = pencil
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     quotient = (b[:n] / a[:n]).max()
     lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
@@ -259,30 +294,40 @@ def _top_end(pencil, lo, margin, radius):
 
 
 def _pencil_spectrum(pair):
-    """Ends of the real spectrum of a symmetrizable pair, or None."""
+    """Ends of the real spectrum of a pair that _symmetric_pencil accepts, or None."""
     symmetric = _symmetric_pencil(pair)
     if symmetric is None:
         return None
-    (a_diag, a_off, b_diag, b_off), margin, radius = symmetric
+    (a_diag, a_off, b_diag, b_off), lagged, margin, radius = symmetric
     n = a_diag.shape[0]
     eps = np.finfo(float).eps
     bound = ((np.abs(b_diag) + radius) / margin).max()
     width = 0.0
-    if not a_off.any():
+    if lagged is None and not a_off.any():
         # A diagonal: the standard problem D^{-1/2} B D^{-1/2}, ends from dstebz
         scale = 1.0 / np.sqrt(a_diag)
         diag, off = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
-        ends = [scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(k, k))[0]
-                for k in sorted({0, n - 1})]
+        if n == 1:  # dstebz rejects an empty off-diagonal
+            ends = [diag[0]]
+        else:
+            ends = []
+            for k in (0, n - 1):
+                _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
+                if info:
+                    raise SpectrumError(f"dstebz failed with info {info}")
+                ends.append(w[0])
     else:
         a, b = np.concatenate((a_diag, a_off)), np.concatenate((b_diag, b_off))
-        pencil, negated = (a, b, n), (a, -b, n)
-        top = _top_end(pencil, -np.inf, margin, radius)
+        # lagged indices need B0 > 0 and then leave no eigenvalue below 0
+        if lagged is not None and lapack.dpttrf(b_diag, b_off)[2]:
+            return None
+        top = _top_end((a, b, n, lagged), -np.inf if lagged is None else 0.0, margin, radius)
         if top is None:
             return None
         ends, width = [top[1]], top[1] - top[0]
+        negated = (a, -b, n, None)
         # B + top A not definite: some eigenvalue lies at or below -top
-        if _ldl(top[1], negated)[1]:
+        if lagged is None and _ldl(top[1], negated)[1]:
             bottom = _top_end(negated, top[1], margin, radius)
             if bottom is None:
                 return None
@@ -299,24 +344,25 @@ def eigen_spectrum(M):
     else goes through the general eigensolver with an explicit residual check
     ||M v - lambda v|| <= 1e-8 ||M|| on every eigenpair.
 
-    An UpdatePair whose pencil (A, B) a positive diagonal similarity makes
-    symmetric tridiagonal, with A positive definite (see _symmetric_pencil),
-    has a real spectrum and M is never formed.  Its top end is the smallest
-    sigma at which sigma A - B is positive definite; its bottom end, needed
-    only when B + top A is not positive definite, is the largest sigma at
-    which B - sigma A is.  Each definiteness test is one LDL^T factorization
-    (LAPACK dpttrf), O(n), and bisection with regula falsi closes a bracket
-    proved by these tests to a few ulps (Barth, Martin & Wilkinson 1967); a
-    diagonal A reduces the pencil to a standard tridiagonal problem whose
-    ends come from LAPACK dstebz.  The returned eigenvalues are the ends
-    found, the top end and, when needed, the bottom end, sorted by decreasing
-    modulus, and lambda_max is their larger modulus.  The LDL^T test is
-    backward stable: its verdict is exact for a pencil within O(n eps) of the
-    given one (Kahan 1966), so residual_bound is the bracket width plus
-    8 n eps max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.
-    The pencil path holds only bands, so a pair of any size takes it; any
-    other pair takes the dense path on M = update_matrix(pair), which
-    bounds n by MAX_DENSE_N.
+    An UpdatePair whose pencil _symmetric_pencil accepts, as it does the
+    pairs of all eight assembled schemes, has a real spectrum and M is never
+    formed.  Its top end is the smallest sigma at which sigma A - B is
+    positive definite; its bottom end, needed only when B + top A is not
+    positive definite, is the largest sigma at which B - sigma A is.  A pair
+    with a lagged coupling (bulk-sequential) has a nonnegative spectrum, so
+    only its top end is searched, from sigma = 0.  Each definiteness test is
+    one LDL^T factorization (LAPACK dpttrf), O(n), and bisection with regula
+    falsi closes a bracket proved by these tests to a few ulps (Barth, Martin
+    & Wilkinson 1967); a diagonal A reduces the pencil to a standard
+    tridiagonal problem whose ends come from LAPACK dstebz.  The returned
+    eigenvalues are the ends found, the top end and, when needed, the bottom
+    end, sorted by decreasing modulus, and lambda_max is their larger
+    modulus.  The LDL^T test is backward stable: its verdict is exact for a
+    pencil within O(n eps) of the given one (Kahan 1966), so residual_bound
+    is the bracket width plus 8 n eps max(g, 1), with g >= |lambda| the
+    Gershgorin bound of the pair.  The pencil path holds only bands, so a
+    pair of any size takes it; a hand-built pair that fits no case takes the
+    dense path on M = update_matrix(pair), which bounds n by MAX_DENSE_N.
     """
     if isinstance(M, UpdatePair):
         spectrum = _pencil_spectrum(M)

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      SingularMatrixError, StabilityClass, Tridiagonal,
                      UpdatePair, assemble, assemble_bulk, assemble_one_way,
                      classify, eigen_spectrum, power_growth_rate,
-                     update_matrix)
+                     tridiagonal_solve, update_matrix)
+from cplstab import spectral
 from cplstab.assembly import SEQUENTIAL
 
 SEED = 0
@@ -164,43 +168,112 @@ def test_tridiagonal_fast_path_matches_dense():
 
 # ------------------------------------------------------------------ pencil
 
-SYMMETRIZABLE = [name for name in SCHEMES if name != "bulk-sequential"]
 log_group = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+# index into (d_plus, d_minus, beta_plus, beta_minus, r) set to 0
+ONE_SIDED = st.sampled_from((None, 2, 3))
 
 
-@given(name=st.sampled_from(SYMMETRIZABLE), n_minus=st.integers(1, 12),
-       n_plus=st.integers(1, 12), groups=st.tuples(*[log_group] * 5))
-@settings(max_examples=300, deadline=None)
-def test_pencil_path_matches_dense_oracle(name, n_minus, n_plus, groups):
+def scheme_params(name, groups):
     dp, dm, bp, bm, r = groups
     if name.startswith("one-way"):
-        p = params(dm=dm, bm=bm)
-    elif name.startswith("dn"):
-        p = params(dp=dp, dm=dm, r=r)
+        return params(dm=dm, bm=bm)
+    if name.startswith("dn"):
+        return params(dp=dp, dm=dm, r=r)
+    return params(dp=dp, dm=dm, bp=bp, bm=bm)
+
+
+def diagonal_blocks(pair, k):
+    """The two diagonal blocks of a pair, rows and columns :k and k:."""
+    def block(m, lo, hi):
+        return Tridiagonal(m.sub[lo:hi - 1], m.diag[lo:hi], m.sup[lo:hi - 1])
+    return [UpdatePair(A=block(pair.A, lo, hi), B=block(pair.B, lo, hi), layout=None)
+            for lo, hi in ((0, k), (k, pair.n))]
+
+
+@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 12),
+       n_plus=st.integers(1, 12), groups=st.tuples(*[log_group] * 5), zero=ONE_SIDED)
+@settings(max_examples=300, deadline=None)
+def test_pencil_path_matches_dense_oracle(name, n_minus, n_plus, groups, zero):
+    groups = list(groups)
+    if zero is not None:
+        groups[zero] = 0.0
+    pair = assemble(SCHEMES[name], scheme_params(name, groups), n_minus, n_plus)
+    # no assembled pair reaches the dense path
+    with mock.patch.object(spectral, "update_matrix", side_effect=AssertionError("dense path")):
+        pencil = eigen_spectrum(pair)
+    if name.startswith("bulk") and zero is not None:
+        # block triangular: M of the whole pair may hold a Jordan block where
+        # the blocks share an eigenvalue, which dense eig resolves only to
+        # about sqrt(eps), so the oracle is the union of the blocks' spectra
+        eigenvalues = np.concatenate([eigen_spectrum(update_matrix(block)).eigenvalues
+                                      for block in diagonal_blocks(pair, n_minus)])
     else:
-        p = params(dp=dp, dm=dm, bp=bp, bm=bm)
-    pair = assemble(SCHEMES[name], p, n_minus, n_plus)
-    pencil = eigen_spectrum(pair)
-    dense = eigen_spectrum(update_matrix(pair))
+        eigenvalues = eigen_spectrum(update_matrix(pair)).eigenvalues
+    lambda_max = np.abs(eigenvalues).max()
     # the pencil path reports the ends of the spectrum, never all of it
     assert len(pencil.eigenvalues) <= 2
-    assert abs(pencil.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
-    if abs(dense.lambda_max - 1.0) > 1e-6:
-        assert classify(pencil.lambda_max) == classify(dense.lambda_max)
+    assert abs(pencil.lambda_max - lambda_max) <= 1e-10 * lambda_max
+    if abs(lambda_max - 1.0) > 1e-6:
+        assert classify(pencil.lambda_max) == classify(lambda_max)
+    if name == "bulk-sequential":
+        # a hyperbolic quadratic eigenproblem in sqrt(lambda): real and nonnegative
+        assert np.abs(eigenvalues.imag).max() <= 1e-8 * lambda_max
+        assert eigenvalues.real.min() >= -1e-8 * lambda_max
 
 
-@pytest.mark.parametrize("name, p", [
-    ("bulk-sequential", params(dp=0.9, dm=1.4, bp=0.8, bm=1.1)),
-    ("bulk-explicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
-    ("bulk-implicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
-])
-def test_unsymmetrizable_pairs_take_the_dense_path(name, p):
-    pair = assemble(SCHEMES[name], p, 6, 5)
+def no_case_pair(n):
+    """A = tridiag(-1, 3, -1), B with unit diagonal, 0.5 above and -0.5 below.
+
+    Every coupling product is sigma^2 - 1/4, which is neither proportional,
+    zero nor lagged, so the pair fits no case of the pencil path.
+    """
+    return UpdatePair(A=Tridiagonal(np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)),
+                      B=Tridiagonal(np.full(n - 1, -0.5), np.ones(n), np.full(n - 1, 0.5)),
+                      layout=None)
+
+
+def test_pair_that_fits_no_case_takes_the_dense_path():
+    pair = no_case_pair(2)
     spectrum = eigen_spectrum(pair)
     dense = eigen_spectrum(update_matrix(pair))
+    assert np.abs(dense.eigenvalues.imag).max() > 0.0
     assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
     assert spectrum.lambda_max == dense.lambda_max
     assert spectrum.residual_bound == dense.residual_bound
+
+
+def mirrored(pair):
+    """The transposed pair, which has the same spectrum."""
+    return UpdatePair(A=Tridiagonal(pair.A.sup, pair.A.diag, pair.A.sub),
+                      B=Tridiagonal(pair.B.sup, pair.B.diag, pair.B.sub), layout=None)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("b_diag, b_off, a_sub, expected", [
+    # lagged, but B0 = diag(-2, 1): det(lambda A - B) = 9 lambda^2 + 2.5 lambda - 2
+    # has its root of larger modulus below 0
+    ([-2.0, 1.0], 0.5, -1.0, (2.5 + np.sqrt(78.25)) / 18.0),
+    # p(sigma) = -sigma / 2 < 0: a complex pair of modulus 1/3
+    ([1.0, 1.0], 0.5, 1.0, 1.0 / 3.0),
+])
+def test_lagged_shape_without_a_real_count_takes_the_dense_path(mirror, b_diag, b_off, a_sub,
+                                                                 expected):
+    pair = UpdatePair(A=Tridiagonal([a_sub], [3.0, 3.0], [0.0]),
+                      B=Tridiagonal([0.0], b_diag, [b_off]), layout=None)
+    if mirror:
+        pair = mirrored(pair)
+    spectrum = eigen_spectrum(pair)
+    assert spectrum.lambda_max == pytest.approx(expected, rel=1e-14)
+    assert np.array_equal(spectrum.eigenvalues, eigen_spectrum(update_matrix(pair)).eigenvalues)
+
+
+def test_mirrored_lagged_pair_takes_the_pencil_path():
+    # A couples above and B below; the pencil without its lagged entries is I
+    pair = assemble(SCHEMES["bulk-sequential"], params(dp=0.9, dm=1.4, bp=0.8, bm=11.0), 6, 5)
+    with mock.patch.object(spectral, "update_matrix", side_effect=AssertionError("dense path")):
+        spectrum = eigen_spectrum(mirrored(pair))
+    dense = eigen_spectrum(update_matrix(pair))
+    assert abs(spectrum.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
 
 
 # 50,000 cells per domain: a dense A alone would take 80 GB
@@ -226,11 +299,32 @@ def test_diagonal_a_path_far_beyond_the_dense_limit(d):
     assert eigen_spectrum(pair).lambda_max == pytest.approx(exact, rel=1e-14)
 
 
-def test_dense_path_keeps_the_dense_limit():
+@pytest.mark.parametrize("name", ["bulk-implicit-flux", "bulk-explicit-flux", "bulk-sequential"])
+def test_one_sided_pair_far_beyond_the_dense_limit(name):
+    # beta_minus = 0: the pair is block triangular.  The negative block is
+    # I + d L with L the Laplacian on N cells, Dirichlet far and Neumann at the
+    # interface; the positive block, with 2d and a Robin or damped interface
+    # row, stays below it.
+    d = 0.4
+    pair = assemble(SCHEMES[name], params(dp=2.0 * d, dm=d, bp=0.5), LARGE_N, LARGE_N)
+    exact = 1.0 / (1.0 + 4.0 * d * np.sin(np.pi / (2 * (2 * LARGE_N + 1))) ** 2)
+    assert eigen_spectrum(pair).lambda_max == pytest.approx(exact, rel=1e-14)
+
+
+def test_sequential_pair_beyond_the_dense_limit_matches_arpack():
     pair = assemble(SCHEMES["bulk-sequential"], params(dp=0.9, dm=1.4, bp=0.8, bm=1.1),
                     1025, 1024)
+    n = pair.n
+    # M = A^-1 B applied from the bands, never formed
+    op = LinearOperator((n, n), matvec=lambda x: tridiagonal_solve(pair.A, pair.B @ x),
+                        dtype=float)
+    (top,) = eigs(op, k=1, which="LM", v0=np.ones(n), return_eigenvectors=False)
+    assert eigen_spectrum(pair).lambda_max == pytest.approx(abs(top), rel=1e-12)
+
+
+def test_dense_path_keeps_the_dense_limit():
     with pytest.raises(ParameterDomainError):
-        eigen_spectrum(pair)
+        eigen_spectrum(no_case_pair(2049))
 
 
 # ------------------------------------------------------------ block spectra
