@@ -242,6 +242,26 @@ def test_pair_that_fits_no_case_takes_the_dense_path():
     assert spectrum.residual_bound == dense.residual_bound
 
 
+@pytest.mark.parametrize("name, p", [
+    ("bulk-sequential", params(dp=0.9, dm=1.4, bp=0.8, bm=1.1)),
+    ("bulk-explicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
+    ("bulk-implicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
+])
+def test_unsymmetrizable_pairs_take_the_dense_path(name, p):
+    # No diagonal similarity makes M = A^{-1} B of these pairs symmetric, so a
+    # dense M takes the general eigensolver.  The pair itself takes the pencil
+    # path, through its lagged or zero coupling, and agrees with it at the top.
+    pair = assemble(SCHEMES[name], p, 6, 5)
+    M = update_matrix(pair)
+    assert spectral._try_symmetrizable_tridiagonal(M, np.abs(M).sum(axis=1).max()) is None
+    dense = eigen_spectrum(M)
+    assert len(dense.eigenvalues) == pair.n
+    match_multisets(dense.eigenvalues, np.linalg.eigvals(M), 1e-10)
+    with mock.patch.object(spectral, "update_matrix", side_effect=AssertionError("dense path")):
+        pencil = eigen_spectrum(pair)
+    assert abs(pencil.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
+
+
 def mirrored(pair):
     """The transposed pair, which has the same spectrum."""
     return UpdatePair(A=Tridiagonal(pair.A.sup, pair.A.diag, pair.A.sub),
