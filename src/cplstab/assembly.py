@@ -203,15 +203,112 @@ def _check_far_field(far_field, *sizes):
         raise ParameterDomainError("reflective far field needs at least 2 cells per domain")
 
 
-def _diagonal(diag):
-    zeros = np.zeros(len(diag) - 1)
-    return Tridiagonal(zeros, diag, zeros)
+def _runs(values, counts, shape):
+    """A band from runs of equal entries: values[k] repeated counts[k] times.
+
+    Each value is a float or an array of the groups' shape; the band holds
+    its rows first, so row i of a batch band is entry i of every cell.
+    """
+    rows = np.empty((len(values),) + shape)
+    for k, value in enumerate(values):
+        rows[k] = value
+    return np.repeat(rows, counts, axis=0)
 
 
-# The assemblers build each band row by row from runs of equal entries,
-# np.repeat(values, counts).  Away from the interface the backward-Euler rows
-# carry the stencil [-d, 1+2d, -d]; a reflective far field drops one d from
-# the diagonal of the outermost row.
+def _zero_off(diag):
+    """All-zero off-diagonal band that fits diag."""
+    return np.zeros((diag.shape[0] - 1,) + diag.shape[1:])
+
+
+def _pair(bands, layout):
+    return UpdatePair(Tridiagonal(*bands[:3]), Tridiagonal(*bands[3:]), layout)
+
+
+# Each *_bands function returns the six bands (A sub, A diag, A sup, B sub,
+# B diag, B sup) of one pair.  The groups of p are floats or arrays of one
+# shape: every entry formula is written once and evaluates either way, so
+# the one-cell assemblers and the batch of assemble_bands share their
+# entries bit for bit.  The bands are built row by row from runs of equal
+# entries.  Away from the interface the backward-Euler rows carry the
+# stencil [-d, 1+2d, -d]; a reflective far field drops one d from the
+# diagonal of the outermost row.
+
+
+def _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field):
+    _check_sizes(n_minus, n_plus)
+    _check_far_field(far_field, n_minus, n_plus)
+    if theta not in (0, 1) or gamma not in (0, 1):
+        raise SchemeError("theta and gamma must be 0 or 1")
+    if formulation not in (SIMULTANEOUS, SEQUENTIAL):
+        raise SchemeError(f"unknown formulation {formulation!r}")
+    dm, dp = p.d_minus, p.d_plus
+    bm, bp = p.beta_minus, p.beta_plus
+    shape = np.shape(dm)
+    sequential = formulation == SEQUENTIAL
+    # rows: negative interior, interface rows n_minus-1 and n_minus, positive interior
+    runs = (n_minus - 1, 1, 1, n_plus - 1)
+    off_runs = (n_minus - 1, 1, n_plus - 1)
+    diag = _runs([1.0 + 2.0 * dm, dm + theta * bm + 1.0, dp + theta * bp + 1.0,
+                  1.0 + 2.0 * dp], runs, shape)
+    if far_field == REFLECTIVE:
+        diag[[0, -1]] = 1.0 + dm, 1.0 + dp
+    # the sequential negative domain steps first: its coupling to the positive
+    # state is lagged into B
+    return (_runs([-dm, -gamma * bp, -dp], off_runs, shape), diag,
+            _runs([-dm, 0.0 if sequential else -gamma * bm, -dp], off_runs, shape),
+            _runs([0.0, (1.0 - gamma) * bp, 0.0], off_runs, shape),
+            _runs([1.0, 1.0 - (1.0 - theta) * bm, 1.0 - (1.0 - theta) * bp, 1.0], runs, shape),
+            _runs([0.0, bm if sequential else (1.0 - gamma) * bm, 0.0], off_runs, shape))
+
+
+def _one_way_bands(p, n_minus, flux, far_field):
+    _check_sizes(n_minus)
+    _check_far_field(far_field, n_minus)
+    if flux not in (EXPLICIT, IMPLICIT):
+        raise SchemeError(f"unknown flux level {flux!r}")
+    dm, bm = p.d_minus, p.beta_minus
+    shape = np.shape(dm)
+    explicit = flux == EXPLICIT
+    # summed in bulk-row order so the block-equality contract holds exactly
+    diag = _runs([1.0 + 2.0 * dm, 1.0 + dm if explicit else dm + bm + 1.0], (n_minus - 1, 1),
+                 shape)
+    if far_field == REFLECTIVE:
+        diag[0] = 1.0 + dm
+    off = _runs([-dm], (n_minus - 1,), shape)
+    b_diag = _runs([1.0, 1.0 - bm if explicit else 1.0], (n_minus - 1, 1), shape)
+    return off, diag, off, _zero_off(b_diag), b_diag, _zero_off(b_diag)
+
+
+def _dn_explicit_bands(p, n_minus, n_plus):
+    _check_sizes(n_minus, n_plus)
+    dm, dp, r = p.d_minus, p.d_plus, p.r
+    shape = np.shape(dm)
+    w = (1.0 + r) / 2.0
+    # rows: negative domain, shared node n_minus, positive domain
+    runs = (n_minus, 1, n_plus)
+    a_diag = _runs([1.0, w, 1.0], runs, shape)
+    return (_zero_off(a_diag), a_diag, _zero_off(a_diag),
+            _runs([dm, dp], (n_minus, n_plus), shape),
+            _runs([1.0 - 2.0 * dm, w - dm - dp * r, 1.0 - 2.0 * dp], runs, shape),
+            _runs([dm, dp * r, dp], (n_minus, 1, n_plus - 1), shape))
+
+
+def _dn_implicit_bands(p, n_minus, n_plus):
+    _check_sizes(n_minus, n_plus)
+    dm, dp, r = p.d_minus, p.d_plus, p.r
+    shape = np.shape(dm)
+    w = (1.0 + r) / 2.0
+    # rows: negative domain, shared node n_minus, first positive row, the rest
+    runs = (n_minus, 1, 1, n_plus - 1)
+    off_runs = (n_minus, 1, n_plus - 1)
+    # the negative stencil continues into the shared node, whose row takes
+    # the negative flux implicitly and lags the positive flux into B; the
+    # first positive row takes its Dirichlet value from the old interface
+    off = _runs([-dm, 0.0, -dp], off_runs, shape)
+    return (off, _runs([1.0 + 2.0 * dm, w + dm, dp + 1.0, 1.0 + 2.0 * dp], runs, shape), off,
+            _runs([0.0, dp, 0.0], off_runs, shape),
+            _runs([1.0, w - dp * r, 1.0 - dp, 1.0], runs, shape),
+            _runs([0.0, dp * r, 0.0], off_runs, shape))
 
 
 def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
@@ -221,30 +318,8 @@ def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
     far_field selects the closure at the two outer ends; the reflective option
     exists for conservation checks and is not part of the analyzed family.
     """
-    _check_sizes(n_minus, n_plus)
-    _check_far_field(far_field, n_minus, n_plus)
-    if theta not in (0, 1) or gamma not in (0, 1):
-        raise SchemeError("theta and gamma must be 0 or 1")
-    if formulation not in (SIMULTANEOUS, SEQUENTIAL):
-        raise SchemeError(f"unknown formulation {formulation!r}")
-    dm, dp = p.d_minus, p.d_plus
-    bm, bp = p.beta_minus, p.beta_plus
-    sequential = formulation == SEQUENTIAL
-    # rows: negative interior, interface rows n_minus-1 and n_minus, positive interior
-    runs = (n_minus - 1, 1, 1, n_plus - 1)
-    off_runs = (n_minus - 1, 1, n_plus - 1)
-    diag = np.repeat([1.0 + 2.0 * dm, dm + theta * bm + 1.0, dp + theta * bp + 1.0,
-                      1.0 + 2.0 * dp], runs)
-    if far_field == REFLECTIVE:
-        diag[[0, -1]] = 1.0 + dm, 1.0 + dp
-    # the sequential negative domain steps first: its coupling to the positive
-    # state is lagged into B
-    A = Tridiagonal(np.repeat([-dm, -gamma * bp, -dp], off_runs), diag,
-                    np.repeat([-dm, 0.0 if sequential else -gamma * bm, -dp], off_runs))
-    b_diag = np.repeat([1.0, 1.0 - (1.0 - theta) * bm, 1.0 - (1.0 - theta) * bp, 1.0], runs)
-    B = Tridiagonal(np.repeat([0.0, (1.0 - gamma) * bp, 0.0], off_runs), b_diag,
-                    np.repeat([0.0, bm if sequential else (1.0 - gamma) * bm, 0.0], off_runs))
-    return UpdatePair(A, B, Layout(BULK, n_minus, n_plus, sequential=sequential))
+    bands = _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field)
+    return _pair(bands, Layout(BULK, n_minus, n_plus, sequential=formulation == SEQUENTIAL))
 
 
 def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
@@ -253,20 +328,7 @@ def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
     flux is EXPLICIT or IMPLICIT and selects the time level of the interface
     flux in the last row.
     """
-    _check_sizes(n_minus)
-    _check_far_field(far_field, n_minus)
-    if flux not in (EXPLICIT, IMPLICIT):
-        raise SchemeError(f"unknown flux level {flux!r}")
-    dm, bm = p.d_minus, p.beta_minus
-    explicit = flux == EXPLICIT
-    # summed in bulk-row order so the block-equality contract holds exactly
-    diag = np.repeat([1.0 + 2.0 * dm, 1.0 + dm if explicit else dm + bm + 1.0],
-                     (n_minus - 1, 1))
-    if far_field == REFLECTIVE:
-        diag[0] = 1.0 + dm
-    off = np.full(n_minus - 1, -dm)
-    B = _diagonal(np.repeat([1.0, 1.0 - bm if explicit else 1.0], (n_minus - 1, 1)))
-    return UpdatePair(Tridiagonal(off, diag, off), B, Layout(ONE_WAY_NEGATIVE, n_minus, 0))
+    return _pair(_one_way_bands(p, n_minus, flux, far_field), Layout(ONE_WAY_NEGATIVE, n_minus, 0))
 
 
 def assemble_dn_explicit(p, n_minus, n_plus):
@@ -275,16 +337,8 @@ def assemble_dn_explicit(p, n_minus, n_plus):
     A is the identity apart from the interface weight (1+r)/2; B carries the
     explicit stencils and the flux-balance interface row.
     """
-    _check_sizes(n_minus, n_plus)
-    dm, dp, r = p.d_minus, p.d_plus, p.r
-    w = (1.0 + r) / 2.0
-    # rows: negative domain, shared node n_minus, positive domain
-    runs = (n_minus, 1, n_plus)
-    A = _diagonal(np.repeat([1.0, w, 1.0], runs))
-    B = Tridiagonal(np.repeat([dm, dp], (n_minus, n_plus)),
-                    np.repeat([1.0 - 2.0 * dm, w - dm - dp * r, 1.0 - 2.0 * dp], runs),
-                    np.repeat([dm, dp * r, dp], (n_minus, 1, n_plus - 1)))
-    return UpdatePair(A, B, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
+    bands = _dn_explicit_bands(p, n_minus, n_plus)
+    return _pair(bands, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
 
 
 def assemble_dn_implicit(p, n_minus, n_plus):
@@ -295,33 +349,41 @@ def assemble_dn_implicit(p, n_minus, n_plus):
     negative domain plus interface node, and the positive domain whose first
     row sees the old interface value through B.
     """
-    _check_sizes(n_minus, n_plus)
-    dm, dp, r = p.d_minus, p.d_plus, p.r
-    w = (1.0 + r) / 2.0
-    # rows: negative domain, shared node n_minus, first positive row, the rest
-    runs = (n_minus, 1, 1, n_plus - 1)
-    off_runs = (n_minus, 1, n_plus - 1)
-    # the negative stencil continues into the shared node, whose row takes
-    # the negative flux implicitly and lags the positive flux into B; the
-    # first positive row takes its Dirichlet value from the old interface
-    off = np.repeat([-dm, 0.0, -dp], off_runs)
-    A = Tridiagonal(off, np.repeat([1.0 + 2.0 * dm, w + dm, dp + 1.0, 1.0 + 2.0 * dp], runs), off)
-    B = Tridiagonal(np.repeat([0.0, dp, 0.0], off_runs),
-                    np.repeat([1.0, w - dp * r, 1.0 - dp, 1.0], runs),
-                    np.repeat([0.0, dp * r, 0.0], off_runs))
-    return UpdatePair(A, B, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
+    bands = _dn_implicit_bands(p, n_minus, n_plus)
+    return _pair(bands, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
+
+
+def scheme_layout(scheme, n_minus, n_plus):
+    """The Layout of the pairs that assemble builds for a SchemeSpec."""
+    if scheme.direction == ONE_WAY_NEGATIVE:
+        return Layout(ONE_WAY_NEGATIVE, n_minus, 0)
+    if scheme.interface == DIRICHLET_NEUMANN:
+        return Layout(DIRICHLET_NEUMANN, n_minus, n_plus)
+    return Layout(BULK, n_minus, n_plus, sequential=scheme.formulation == SEQUENTIAL)
+
+
+def assemble_bands(scheme, p, n_minus, n_plus):
+    """The six bands (A sub, A diag, A sup, B sub, B diag, B sup) of assemble's pair.
+
+    p has the five groups as attributes.  With floats each band is 1-d; with
+    arrays of one shape (cells,) band k has shape (length, cells) and its
+    column j is the band of the groups' entries j, bit for bit.  The bands
+    are not checked: a column may hold non-finite entries.
+    """
+    if scheme.direction == ONE_WAY_NEGATIVE:
+        flux = IMPLICIT if scheme.theta == 1 else EXPLICIT
+        return _one_way_bands(p, n_minus, flux, DIRICHLET)
+    if scheme.interface == DIRICHLET_NEUMANN:
+        build = _dn_explicit_bands if scheme.integrator == EXPLICIT else _dn_implicit_bands
+        return build(p, n_minus, n_plus)
+    return _bulk_bands(p, n_minus, n_plus, scheme.theta, scheme.gamma, scheme.formulation,
+                       DIRICHLET)
 
 
 def assemble(scheme, p, n_minus, n_plus):
-    """Build the update pair for any SchemeSpec."""
-    if scheme.direction == ONE_WAY_NEGATIVE:
-        flux = IMPLICIT if scheme.theta == 1 else EXPLICIT
-        return assemble_one_way(p, n_minus, flux)
-    if scheme.interface == DIRICHLET_NEUMANN:
-        if scheme.integrator == EXPLICIT:
-            return assemble_dn_explicit(p, n_minus, n_plus)
-        return assemble_dn_implicit(p, n_minus, n_plus)
-    return assemble_bulk(p, n_minus, n_plus, scheme.theta, scheme.gamma, scheme.formulation)
+    """Build the update pair for any SchemeSpec: the one-cell call of assemble_bands."""
+    bands = assemble_bands(scheme, p, n_minus, n_plus)
+    return _pair(bands, scheme_layout(scheme, n_minus, n_plus))
 
 
 def write_dense_csv(matrix, path):

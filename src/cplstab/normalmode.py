@@ -121,7 +121,10 @@ def _one_way_kappa(A, p, theta):
     dm, bm = p.d_minus, p.beta_minus
     if theta == 1:
         return (1.0 - 1.0 / A + bm + dm) / dm
-    return (1.0 + dm + (bm - 1.0) / A) / dm
+    # 1 + dm + (bm - 1)/A, regrouped: where kappa is small, A is close to
+    # 1 - bm, so A + (bm - 1) is exact (Sterbenz) and the rounding error of
+    # 1 + dm no longer cancels against (bm - 1)/A
+    return (dm + (A + (bm - 1.0)) / A) / dm
 
 
 def _bulk_pair_residual(p, A):

@@ -108,6 +108,14 @@ class DimensionlessParams:
         _require_positive("r", self.r)
 
 
+def in_domain(d_plus, d_minus, beta_plus, beta_minus, r):
+    """Where DimensionlessParams accepts the groups, elementwise over arrays."""
+    ok = (r > 0.0) & (r != float("inf"))
+    for value in (d_plus, d_minus, beta_plus, beta_minus):
+        ok = ok & (value >= 0.0) & (value != float("inf"))
+    return ok
+
+
 def bulk_coefficient(C_H, U_norm, rho_plus, c_plus):
     """Bulk transfer coefficient b = rho_plus * c_plus * C_H * U_norm."""
     _require_nonnegative("C_H", C_H)

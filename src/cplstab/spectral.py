@@ -7,6 +7,7 @@ reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
 symmetric tridiagonal sigma A - B, and M is never formed; the dense path serves
 a dense M, cplstab spectrum and hand-built pairs that fit no case of the pencil.
+pencil_lambda_max runs the same pencil search on a batch of pairs at once.
 """
 
 import enum
@@ -334,6 +335,165 @@ def _pencil_spectrum(pair):
             ends.append(-bottom[1])
             width = max(width, bottom[1] - bottom[0])
     return _sorted_spectrum(np.array(ends, dtype=complex), width + 8.0 * n * eps * max(bound, 1.0))
+
+
+# --- the pencil path over a batch of cells ---
+#
+# The batch runs _pencil_spectrum on many pairs of one size at once: every
+# band is an (n, cells) array, and each step of the search acts on the
+# columns whose bracket is still open.  Every column takes the operations
+# of the one-cell path in the same order, with Python's max and min where
+# it uses them, so every cell sees the same probes and pivots and ends with
+# the same bits.  eigen_spectrum(pair) stays the oracle: a single cell is
+# faster there than through numpy calls that each touch one column.
+
+
+def _py_max(x, y):
+    """Python's max(x, y) elementwise: y only where y > x."""
+    return np.where(y > x, y, x)
+
+
+def _py_min(x, y):
+    """Python's min(x, y) elementwise: y only where y < x."""
+    return np.where(y < x, y, x)
+
+
+def _batch_pivots(d, e):
+    """LAPACK dpttrf on every column of d (n, cells) and e (n - 1, cells).
+
+    The recurrence keeps dpttrf's operation order, t = e_i / d_i and then
+    d_i+1 - t e_i, so the pivots up to the first that is not positive, and
+    info, are dpttrf's bit for bit; the pivots after that one are not
+    meaningful.  d is overwritten with the pivots.  Returns (pivots, info).
+    """
+    t = np.empty(d.shape[1:])
+    with np.errstate(all="ignore"):
+        for i in range(d.shape[0] - 1):
+            np.divide(e[i], d[i], out=t)
+            t *= e[i]
+            d[i + 1] -= t
+    failed = d <= 0.0
+    return d, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
+
+
+def _batch_ldl(sigma, pencil):
+    """_ldl for every column, at its own sigma."""
+    a, b, lagged, c = pencil
+    n = (a.shape[0] + 1) // 2
+    x = sigma * a - b
+    if lagged is not None:
+        with np.errstate(invalid="ignore"):
+            x[n:] = np.where(lagged, np.sqrt(c * sigma), x[n:])
+    return _batch_pivots(x[:n], x[n:])
+
+
+def _batch_top_end(pencil, lo, margin, radius):
+    """_top_end for every column: (lo, hi, proved), proved False where it returns None.
+
+    pencil is (a, b, lagged, c): the (2n - 1, cells) stacks of diagonal and
+    off-diagonal, the mask of lagged indices and their products c, or None
+    twice.  lo holds each column's start.
+    """
+    n = margin.shape[0]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    a, b = pencil[:2]
+    with np.errstate(all="ignore"):
+        quotient = (b[:n] / a[:n]).max(axis=0)
+        lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
+        hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
+    pivots, info = _batch_ldl(hi, pencil)
+    proved = (info == 0) & (lo < hi)
+    f_lo, f_hi, side = np.full_like(lo, np.nan), pivots[-1].copy(), np.zeros(lo.shape, int)
+    has_f_lo = np.zeros(lo.shape, bool)
+    steps, halved = np.zeros(lo.shape, int), hi - lo
+    open_ = proved.copy()
+    while True:
+        open_ &= hi - lo > 4.0 * eps * _py_max(np.abs(lo), np.abs(hi))
+        k = np.flatnonzero(open_)
+        if not k.size:
+            return lo, hi, proved
+        l, h, fl, fh = lo[k], hi[k], f_lo[k], f_hi[k]
+        falsi = has_f_lo[k] & (steps[k] < 3)
+        with np.errstate(all="ignore"):
+            gap = 2.0 * eps * _py_max(np.abs(l), np.abs(h))
+            x = np.where(falsi, _py_min(_py_max(h - fh * (h - l) / (fh - fl), l + gap), h - gap),
+                         0.5 * (l + h))
+        stop = ~falsi & ~((l < x) & (x < h))
+        if stop.any():
+            open_[k[stop]] = False
+            k, x = k[~stop], x[~stop]
+        d, info = _batch_ldl(x, tuple(None if v is None else v[:, k] for v in pencil))
+        last, was = d[-1], side[k]
+        up, down = info == 0, (info == n)
+        hi[k[up]], f_hi[k[up]] = x[up], last[up]
+        f_lo[k[up & (was == 1) & has_f_lo[k]]] *= 0.5
+        side[k[up]] = 1
+        lo[k[~up]] = x[~up]
+        f_lo[k[down]], has_f_lo[k[down]] = last[down], True
+        f_hi[k[down & (was == -1)]] *= 0.5
+        side[k[down]] = -1
+        steps[k] += 1
+        reset = k[hi[k] - lo[k] <= 0.5 * halved[k]]
+        steps[reset], halved[reset] = 0, hi[reset] - lo[reset]
+
+
+def pencil_lambda_max(bands):
+    """lambda_max of eigen_spectrum(pair) for every cell of a batch, NaN where not proved.
+
+    bands are the six (n, cells) arrays of assembly.assemble_bands.  A cell
+    takes the probes and pivots of the pencil path of eigen_spectrum(pair),
+    so its value is the same bit for bit.  NaN marks the cells that the
+    batch leaves to eigen_spectrum(pair): non-finite entries, no symmetric
+    pencil or dominance margin, a diagonal A (dstebz), B0 not positive
+    definite, a bracket not proved, or an end that is not finite.
+    """
+    a_sub, a_diag, a_sup, b_sub, b_diag, b_sup = bands
+    lam = np.full(a_diag.shape[1], np.nan)
+    with np.errstate(all="ignore"):
+        finite = np.logical_and.reduce([np.isfinite(band).all(axis=0) for band in bands])
+        # _symmetric_pencil, column by column
+        upper = np.abs(a_sup) + np.abs(b_sup)
+        lower = np.abs(a_sub) + np.abs(b_sub)
+        lagged = ~((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
+                   & (b_sup * b_sub >= 0.0))
+        c = -(a_sup * b_sub + b_sup * a_sub)
+        fits = ~lagged | ((a_sup * a_sub == 0.0) & (b_sup * b_sub == 0.0) & (c > 0.0))
+        margin = a_diag.copy()
+        margin[1:] -= np.abs(a_sub)
+        margin[:-1] -= np.abs(a_sup)
+        radius = np.zeros_like(b_diag)
+        radius[1:] += np.abs(b_sub)
+        radius[:-1] += np.abs(b_sup)
+        root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
+        a_off, b_off = root * a_sub, root * b_sub
+        a_off[lagged] = b_off[lagged] = 0.0
+        has_lag = lagged.any(axis=0)
+        ok = (finite & fits.all(axis=0)
+              & (margin.min(axis=0) > 1e-14 * np.abs(a_diag).max(axis=0))
+              & (has_lag | a_off.any(axis=0)))
+    lag = ok & has_lag
+    if lag.any():  # lagged indices need B0 > 0
+        ok[np.flatnonzero(lag)[_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] != 0]] = False
+    cells = np.flatnonzero(ok)
+    if not cells.size:
+        return lam
+    a = np.concatenate((a_diag[:, cells], a_off[:, cells]))
+    b = np.concatenate((b_diag[:, cells], b_off[:, cells]))
+    margin, radius, has_lag = margin[:, cells], radius[:, cells], has_lag[cells]
+    pencil = (a, b, lagged[:, cells], c[:, cells]) if has_lag.any() else (a, b, None, None)
+    _, top, proved = _batch_top_end(pencil, np.where(has_lag, 0.0, -np.inf), margin, radius)
+    end = np.abs(top)
+    # B + top A not definite: some eigenvalue lies at or below -top
+    bottom = np.flatnonzero(proved & ~has_lag)
+    bottom = bottom[_batch_ldl(top[bottom], (a[:, bottom], -b[:, bottom], None, None))[1] != 0]
+    if bottom.size:
+        negated = (a[:, bottom], -b[:, bottom], None, None)
+        _, low, found = _batch_top_end(negated, top[bottom], margin[:, bottom], radius[:, bottom])
+        proved[bottom] &= found
+        end[bottom] = _py_max(end[bottom], np.abs(low))
+    lam[cells[proved]] = end[proved]
+    lam[~np.isfinite(lam)] = np.nan
+    return lam
 
 
 def eigen_spectrum(M):

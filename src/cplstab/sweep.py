@@ -7,13 +7,14 @@ the spectral radius with 2.0 mapped to full scale.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, assembly, spectral
 from .errors import (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
                      SpectrumError)
-from .params import DimensionlessParams
+from .params import DimensionlessParams, in_domain
 
 AXIS_NAMES = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
 
@@ -22,6 +23,9 @@ DEFAULT_HI = 1e3
 DEFAULT_POINTS = 101
 DEFAULT_N_MINUS = 20
 DEFAULT_N_PLUS = 10
+
+# a batch band holds at most this many entries, (n, cells)
+CHUNK_ENTRIES = 2 ** 20
 
 _NUMERICAL_ERRORS = (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
                      SpectrumError, RuntimeError, np.linalg.LinAlgError)
@@ -102,31 +106,80 @@ def _evaluate_point(spec, values):
     return spectral.eigen_spectrum(pair).lambda_max
 
 
+def _batch_lambda_max(spec, x, y):
+    """lambda_max of the cells at axis values x, y by the batch; NaN where not proved.
+
+    Cells whose groups DimensionlessParams would reject are not proved.
+    """
+    groups = {name: np.full(x.shape, value) for name, value in spec.fixed.items()}
+    groups[spec.axis_x.name], groups[spec.axis_y.name] = x, y
+    p = SimpleNamespace(**groups)
+    with np.errstate(all="ignore"):  # an overflow leaves its cell to the per-cell path
+        bands = assembly.assemble_bands(spec.scheme, p, spec.n_minus, spec.n_plus)
+    lam = spectral.pencil_lambda_max(bands)
+    lam[~in_domain(p.d_plus, p.d_minus, p.beta_plus, p.beta_minus, p.r)] = np.nan
+    return lam
+
+
+def _evaluate_chunk(spec, x, y, n):
+    """lambda_max of the cells at axis values x, y; NaN where a cell fails.
+
+    A chunk of at least n cells, n the unknowns of a pair, goes through
+    _batch_lambda_max: below that, n numpy calls per probe cost more than
+    one LAPACK call per cell.  The batch computes in floats, so fixed values
+    of another type keep every cell on the per-cell path, as do the cells
+    the batch does not prove.  There a numerical error fails the cell.
+    """
+    lam = np.full(x.shape, np.nan)
+    if x.size >= n and all(isinstance(v, float) for v in spec.fixed.values()):
+        try:
+            lam = _batch_lambda_max(spec, x, y)
+        except _NUMERICAL_ERRORS:
+            pass  # each cell meets the error again below
+    for k in np.flatnonzero(np.isnan(lam)):
+        values = dict(spec.fixed)
+        values[spec.axis_x.name] = float(x[k])
+        values[spec.axis_y.name] = float(y[k])
+        try:
+            lam[k] = _evaluate_point(spec, values)
+        except _NUMERICAL_ERRORS:
+            pass
+    return lam
+
+
 def run_sweep(spec):
     """Evaluate the grid; failed cells become NaN with class 'failed'.
 
-    A cell fails on a numerical error: one of the package's error types,
-    RuntimeError or LinAlgError.  Any other exception is a programming error
-    and propagates.
+    The cells, row by row, are cut into chunks of at most CHUNK_ENTRIES / n
+    cells, so that a band of a chunk holds at most CHUNK_ENTRIES entries.  A
+    chunk of at least n cells is evaluated as one batch: its bands are
+    (n, cells) arrays from assembly.assemble_bands, and
+    spectral.pencil_lambda_max runs the pencil search of
+    eigen_spectrum(pair) on all of them at once, with the same probes and
+    pivots per cell, so lambda_max is the same bit for bit.  The cells the
+    batch does not prove (invalid groups, non-finite entries, no symmetric
+    pencil, a diagonal A as in dn-explicit, an unproved bracket), and every
+    cell of a smaller chunk, are evaluated one by one through
+    eigen_spectrum(pair).  A cell fails on a numerical error there: one of
+    the package's error types, RuntimeError or LinAlgError; any other
+    exception is a programming error and propagates.  A cell also fails
+    when its lambda_max is not a nonnegative number.
     """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
     ny, nx = ys.shape[0], xs.shape[0]
-    lam = np.full((ny, nx), np.nan)
-    cls = np.full((ny, nx), "failed", dtype="<U8")
-    warning_count = 0
-    for iy in range(ny):
-        for ix in range(nx):
-            values = dict(spec.fixed)
-            values[spec.axis_x.name] = float(xs[ix])
-            values[spec.axis_y.name] = float(ys[iy])
-            try:
-                value = _evaluate_point(spec, values)
-            except _NUMERICAL_ERRORS:
-                warning_count += 1
-                continue
-            lam[iy, ix] = value
-            cls[iy, ix] = spectral.classify(value, spec.tol).value
+    x, y = np.tile(xs, ny), np.repeat(ys, nx)
+    n = assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n
+    size = max(1, int(CHUNK_ENTRIES // n))
+    lam = np.concatenate([_evaluate_chunk(spec, x[k:k + size], y[k:k + size], n)
+                          for k in range(0, x.size, size)]).reshape(ny, nx)
+    failed = ~(lam >= 0.0)
+    lam[failed] = np.nan
+    # spectral.classify, cell by cell
+    cls = np.full(lam.shape, "unstable", dtype="<U8")
+    cls[lam <= 1.0 + spec.tol] = "marginal"
+    cls[lam < 1.0 - spec.tol] = "stable"
+    cls[failed] = "failed"
     metadata = {
         "scheme": assembly.scheme_name(spec.scheme),
         "axis_x": spec.axis_x.name,
@@ -137,27 +190,28 @@ def run_sweep(spec):
         "tol": spec.tol,
         "version": __version__,
     }
-    return StabilityField(xs, ys, lam, cls, warning_count, metadata)
+    return StabilityField(xs, ys, lam, cls, int(failed.sum()), metadata)
 
 
 # --- writers ---
 
 
-def _repr_float(value):
-    return repr(float(value))
-
-
 def write_csv(field_result, path):
-    """Flat CSV: header names the axes, rows walk x fastest with y ascending."""
+    """Flat CSV: header names the axes, rows walk x fastest with y ascending.
+
+    Every number is written as repr(float(value)), so it reads back bit for
+    bit.  Each axis is formatted once, and the file is written row by row.
+    """
     f = field_result
-    lines = [f"{f.metadata['axis_x']},{f.metadata['axis_y']},lambda_max,class"]
-    for iy, yv in enumerate(f.y_values):
-        for ix, xv in enumerate(f.x_values):
-            lines.append(f"{_repr_float(xv)},{_repr_float(yv)},"
-                         f"{_repr_float(f.lambda_max[iy, ix])},{f.classification[iy, ix]}")
+    xs = [repr(x) for x in np.asarray(f.x_values, dtype=float).tolist()]
+    ys = np.asarray(f.y_values, dtype=float).tolist()
+    lam = np.asarray(f.lambda_max, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"{f.metadata['axis_x']},{f.metadata['axis_y']},lambda_max,class\n")
+        for y, lam_row, cls_row in zip(ys, lam, f.classification):
+            y = repr(y)
+            fh.write("".join(f"{x},{y},{value!r},{label}\n" for x, value, label
+                             in zip(xs, lam_row.tolist(), cls_row.tolist())))
 
 
 def write_pgm(field_result, path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,8 @@ from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      assemble_dn_explicit, assemble_dn_implicit,
                      assemble_one_way, scheme_name, write_dense_csv)
 from cplstab.assembly import (BULK, DIRICHLET_NEUMANN, EXPLICIT, IMPLICIT,
-                              ONE_WAY_NEGATIVE, REFLECTIVE, SEQUENTIAL)
+                              ONE_WAY_NEGATIVE, REFLECTIVE, SEQUENTIAL, assemble_bands,
+                              scheme_layout)
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -274,6 +277,28 @@ def test_update_pair_is_read_only():
     pair = assemble_bulk(params(dm=0.5), 2, 2, theta=0, gamma=0)
     with pytest.raises(ValueError):
         pair.A.diag[0] = 7.0
+
+
+group = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@given(name=st.sampled_from(list(SCHEMES)), nm=st.integers(1, 6), np_=st.integers(1, 6),
+       cells=st.lists(st.tuples(*[group] * 5), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_batch_bands_are_the_pairs_bands(name, nm, np_, cells):
+    # column j of every batch band is the band of cell j, bit for bit
+    cells = [(dp, dm, bp, bm, r or 1.0) for dp, dm, bp, bm, r in cells]
+    columns = np.array(cells).T
+    batch = assemble_bands(SCHEMES[name], SimpleNamespace(
+        **dict(zip(("d_plus", "d_minus", "beta_plus", "beta_minus", "r"), columns))), nm, np_)
+    layout = assemble(SCHEMES[name], params(), nm, np_).layout
+    assert scheme_layout(SCHEMES[name], nm, np_) == layout
+    for j, groups in enumerate(cells):
+        pair = assemble(SCHEMES[name], params(*groups), nm, np_)
+        one = [getattr(m, band) for m in (pair.A, pair.B) for band in ("sub", "diag", "sup")]
+        for band, expected in zip(batch, one):
+            assert band.shape == expected.shape + (len(cells),)
+            assert np.ascontiguousarray(band[:, j]).tobytes() == expected.tobytes()
 
 
 def test_rejects_empty_domains():

@@ -296,6 +296,58 @@ def test_mirrored_lagged_pair_takes_the_pencil_path():
     assert abs(spectrum.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
 
 
+# ------------------------------------------------------------ batch of cells
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 30])
+def test_batch_pivots_match_dpttrf(n):
+    # diagonally dominant columns are definite; the rest fail at random rows
+    gen = np.random.default_rng(SEED + n)
+    cells = 4000
+    e = gen.normal(size=(n - 1, cells)) * 10.0 ** gen.uniform(-3, 3, size=(n - 1, cells))
+    d = gen.normal(size=(n, cells)) * 10.0 ** gen.uniform(-3, 3, size=(n, cells))
+    definite = gen.random(cells) < 0.5
+    d[:, definite] = np.abs(d[:, definite])
+    d[1:, definite] += np.abs(e[:, definite])
+    d[:-1, definite] += np.abs(e[:, definite])
+    pivots, info = spectral._batch_pivots(d.copy(), e)
+    for j in range(cells):
+        expected, _, expected_info = spectral.lapack.dpttrf(d[:, j], e[:, j])
+        assert info[j] == expected_info
+        upto = expected_info or n
+        assert pivots[:upto, j].tobytes() == expected[:upto].tobytes()
+    assert 0 < np.count_nonzero(info) < cells
+
+
+def hand_built_pairs(name, groups, n_minus, n_plus):
+    """An assembled pair and variants of it with the same sizes."""
+    pair = assemble(SCHEMES[name], scheme_params(name, groups), n_minus, n_plus)
+    return [pair, mirrored(pair), no_case_pair(pair.n)]
+
+
+@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
+       cells=st.lists(st.tuples(st.tuples(*[log_group] * 5), ONE_SIDED), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_batch_pencil_matches_the_pair_path(name, n_minus, n_plus, cells):
+    pairs = []
+    for groups, zero in cells:
+        groups = list(groups)
+        if zero is not None:
+            groups[zero] = 0.0
+        pairs += hand_built_pairs(name, groups, n_minus, n_plus)
+    bands = [np.stack([getattr(getattr(pair, m), band) for pair in pairs], axis=1)
+             for m in "AB" for band in ("sub", "diag", "sup")]
+    lam = spectral.pencil_lambda_max(bands)
+    for value, pair in zip(lam, pairs):
+        pencil = spectral._pencil_spectrum(pair)
+        if np.isnan(value):
+            # left to eigen_spectrum: no pencil, or one with a diagonal A (dstebz)
+            symmetric = spectral._symmetric_pencil(pair)
+            assert pencil is None or (symmetric[1] is None and not symmetric[0][1].any())
+        else:
+            assert value.tobytes() == np.float64(pencil.lambda_max).tobytes()
+            assert value == eigen_spectrum(pair).lambda_max
+
+
 # 50,000 cells per domain: a dense A alone would take 80 GB
 LARGE_N = 50_000
 

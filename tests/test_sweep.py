@@ -219,13 +219,21 @@ def test_failed_cells_never_abort(monkeypatch):
     spec = tiny_spec()
     baseline = run_sweep(spec)
     target = float(spec.axis_x.values()[1])
-    real = sweep_mod._evaluate_point
+    real_batch, real_point = sweep_mod._batch_lambda_max, sweep_mod._evaluate_point
+
+    def unproved(spec_, x, y):
+        # the batch leaves the target column to the per-cell path ...
+        lam = real_batch(spec_, x, y)
+        lam[x == target] = np.nan
+        return lam
 
     def flaky(spec_, values):
+        # ... which fails there
         if values["d_minus"] == target:
             raise RuntimeError("synthetic eigensolver failure")
-        return real(spec_, values)
+        return real_point(spec_, values)
 
+    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", unproved)
     monkeypatch.setattr(sweep_mod, "_evaluate_point", flaky)
     field = run_sweep(spec)
     assert field.warning_count == 3
@@ -239,12 +247,141 @@ def test_failed_cells_never_abort(monkeypatch):
 
 
 def test_programming_errors_propagate(monkeypatch):
+    def broken(spec_, x, y):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_sweep(tiny_spec())
+
+
+def test_programming_errors_propagate_from_the_per_cell_path(monkeypatch):
     def broken(spec_, values):
         raise TypeError("synthetic bug")
 
     monkeypatch.setattr(sweep_mod, "_evaluate_point", broken)
+    # 9 cells and 10 unknowns: the plane goes cell by cell
     with pytest.raises(TypeError, match="synthetic bug"):
-        run_sweep(tiny_spec())
+        run_sweep(tiny_spec(n_minus=10))
+
+
+def test_sizes_that_no_pair_accepts_fail_every_cell():
+    # a float size passes SweepSpec but not the assemblers, batch or not
+    field = run_sweep(tiny_spec(n_minus=5.0))
+    assert field.warning_count == 9
+    assert (field.classification == "failed").all()
+
+
+def per_cell_field(spec):
+    """lambda_max and labels of a plane, cell by cell through eigen_spectrum(pair)."""
+    xs, ys = spec.axis_x.values(), spec.axis_y.values()
+    lam = np.full((ys.size, xs.size), np.nan)
+    cls = np.full(lam.shape, "failed", dtype="<U8")
+    for iy, ix in np.ndindex(lam.shape):
+        values = dict(spec.fixed)
+        values[spec.axis_x.name] = float(xs[ix])
+        values[spec.axis_y.name] = float(ys[iy])
+        try:
+            pair = assemble(spec.scheme, DimensionlessParams(**values), spec.n_minus, spec.n_plus)
+            value = eigen_spectrum(pair).lambda_max
+            label = classify(value, spec.tol).value
+        except sweep_mod._NUMERICAL_ERRORS:
+            continue
+        lam[iy, ix], cls[iy, ix] = value, label
+    return lam, cls
+
+
+def assert_matches_per_cell(field, spec):
+    lam, cls = per_cell_field(spec)
+    # bit for bit, NaN where a cell failed
+    assert field.lambda_max.tobytes() == lam.tobytes()
+    assert (field.classification == cls).all()
+    assert field.warning_count == int(np.isnan(lam).sum())
+
+
+def count_point_calls(monkeypatch):
+    calls = []
+    real = sweep_mod._evaluate_point
+
+    def counted(spec_, values):
+        calls.append(values)
+        return real(spec_, values)
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_point", counted)
+    return calls
+
+
+def random_axis(draw, name):
+    points = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        lo = 10.0 ** draw(st.floats(-2.0, 2.0))
+        return Axis(name, lo, lo * 10.0 ** draw(st.floats(0.0, 2.0)), points, "log")
+    # a linear axis from 0 gives zero groups; an r of 0 fails its cells
+    lo = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    return Axis(name, lo, lo + draw(st.floats(0.0, 20.0)), points, "linear")
+
+
+@st.composite
+def small_planes(draw):
+    """Planes of any scheme with at least as many cells as unknowns, so one batch."""
+    name = draw(st.sampled_from(list(SCHEMES)))
+    x_name, y_name = draw(st.permutations(AXIS_NAMES))[:2]
+    fixed = {}
+    for group in set(AXIS_NAMES) - {x_name, y_name}:
+        zero = group != "r" and draw(st.integers(0, 4)) == 0
+        fixed[group] = 0.0 if zero else 10.0 ** draw(st.floats(-2.0, 2.0))
+    return SweepSpec(SCHEMES[name], random_axis(draw, x_name), random_axis(draw, y_name), fixed,
+                     n_minus=draw(st.integers(1, 4)), n_plus=draw(st.integers(1, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_planes())
+def test_batched_planes_match_per_cell(spec):
+    assert_matches_per_cell(run_sweep(spec), spec)
+
+
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_batch_takes_every_assembled_cell_but_a_diagonal_a(monkeypatch, name):
+    spec = SweepSpec(SCHEMES[name], Axis("d_minus", 0.05, 50.0, 4), Axis("beta_minus", 0.0, 3.0, 4,
+                     "linear"), {"beta_plus": 0.7, "d_plus": 2.0, "r": 3.0}, n_minus=6, n_plus=5)
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    # dn-explicit has a diagonal A, whose cells take dstebz one by one
+    assert len(calls) == (16 if name == "dn-explicit" else 0)
+    assert_matches_per_cell(field, spec)
+
+
+def test_plane_smaller_than_its_pairs_goes_cell_by_cell(monkeypatch):
+    spec = tiny_spec(n_minus=10)
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    assert len(calls) == 9
+    assert_matches_per_cell(field, spec)
+
+
+def test_chunks_bound_the_batch(monkeypatch):
+    # 5 unknowns and 40 entries: chunks of 8 cells, 8 + 1 for 9 cells, and
+    # the last chunk, smaller than 5 cells, goes cell by cell
+    spec = tiny_spec()
+    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", 40)
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    assert len(calls) == 1
+    assert calls[0]["d_minus"] == field.x_values[-1]
+    assert calls[0]["beta_minus"] == field.y_values[-1]
+    assert_matches_per_cell(field, spec)
+
+
+def test_overflowing_entries_fail_as_cell_by_cell(monkeypatch):
+    # log axes up to 1e308: 1 + 2 d and 1 - beta overflow or lose the
+    # dominance margin, and the batch leaves those cells to the per-cell path
+    spec = tiny_spec(axis_x=Axis("d_minus", 1e-2, 1e308, 7, "log"),
+                     axis_y=Axis("beta_minus", 0.5, 1e308, 3, "log"))
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    assert 0 < len(calls) < 21
+    assert field.warning_count > 0
+    assert_matches_per_cell(field, spec)
 
 
 def test_row_crossings_bracket_flux_bound():
