@@ -92,6 +92,9 @@ def _cmd_sweep(args):
     elif args.preset:
         scheme = args.scheme or "bulk-explicit-flux"
         spec = sweep.preset_sweep(args.preset, scheme=scheme, variant=args.variant, r=args.r)
+        mapped = assembly.scheme_name(spec.scheme)
+        if args.scheme and mapped != args.scheme:
+            raise ParameterDomainError(f"preset {args.preset} maps {mapped}, not {args.scheme}")
         output = {}
     else:
         print("error: sweep needs --config or --preset", file=sys.stderr)

@@ -5,9 +5,10 @@ lies inside the closed unit disk; classification uses a tolerance band around
 |lambda| = 1 so that marginal schemes (the interesting boundary cases) are
 reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
-symmetric tridiagonal sigma A - B, and M is never formed; the dense path serves
-a dense M, cplstab spectrum and hand-built pairs that fit no case of the pencil.
-pencil_lambda_max runs the same pencil search on a batch of pairs at once.
+symmetric tridiagonal sigma A - B, or from LAPACK dstebz when A is diagonal,
+and M is never formed; the dense path serves a dense M, cplstab spectrum and
+hand-built pairs that fit no case of the pencil.  pencil_lambda_max takes the
+same path for every pair of a batch at once.
 """
 
 import enum
@@ -163,12 +164,14 @@ def _try_symmetrizable_tridiagonal(M, norm):
 # --- symmetric-definite tridiagonal pencil ---
 
 
-def _symmetric_pencil(pair):
-    """Symmetric tridiagonal pencil with the eigenvalue counts of the pair, or None.
+def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
+    """Symmetric tridiagonal pencil with the eigenvalue counts of a pair.
 
-    The elimination pivots of sigma A - B see its off-diagonals only through
-    the products p_i(sigma) = (sigma A[i,i+1] - B[i,i+1]) (sigma A[i+1,i] -
-    B[i+1,i]).  Every index i must be one of three kinds:
+    The bands of A and B are 1-d for one pair, or (length, cells) arrays for
+    a batch of pairs of one size, one pair per column.  The elimination
+    pivots of sigma A - B see its off-diagonals only through the products
+    p_i(sigma) = (sigma A[i,i+1] - B[i,i+1]) (sigma A[i+1,i] - B[i+1,i]).
+    Every index i must be one of three kinds:
 
     - proportional: (A[i,i+1], B[i,i+1]) is r_i >= 0 times (A[i+1,i],
       B[i+1,i]), and a positive diagonal similarity gives both matrices the
@@ -193,38 +196,36 @@ def _symmetric_pencil(pair):
     A must also dominate its rows with a positive diagonal, so that its
     eigenvalues, and with them those of the symmetric A and of A0, are
     positive (Gershgorin).  Returns the pencil (A diag, A off, B diag,
-    B off), the lagged (indices, c) or None, the row dominance margins of A
-    and the off-diagonal row sums of |B|; or None when the pair does not
-    qualify.
+    B off), the mask of lagged indices and their c_i (both None when no
+    index is lagged), the row dominance margins of A, the off-diagonal row
+    sums of |B|, and whether each pair qualifies.
     """
-    a_sub, a_diag, a_sup = pair.A.sub, pair.A.diag, pair.A.sup
-    b_sub, b_diag, b_sup = pair.B.sub, pair.B.diag, pair.B.sup
-    upper = np.abs(a_sup) + np.abs(b_sup)
-    lower = np.abs(a_sub) + np.abs(b_sub)
-    proportional = ((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
-                    & (b_sup * b_sub >= 0.0))
-    lagged = None
-    if not proportional.all():
-        index = np.flatnonzero(~proportional)
-        c = -(a_sup[index] * b_sub[index] + b_sup[index] * a_sub[index])
-        if not ((a_sup[index] * a_sub[index] == 0.0) & (b_sup[index] * b_sub[index] == 0.0)
-                & (c > 0.0)).all():
-            return None
-        lagged = index, c
-    margin = a_diag.copy()
-    margin[1:] -= np.abs(a_sub)
-    margin[:-1] -= np.abs(a_sup)
-    # dominance lost to rounding: leave the pair to the dense path
-    if not margin.min() > 1e-14 * np.abs(a_diag).max():
-        return None
-    radius = np.zeros_like(b_diag)
-    radius[1:] += np.abs(b_sub)
-    radius[:-1] += np.abs(b_sup)
-    root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
-    a_off, b_off = root * a_sub, root * b_sub
+    # entries near overflow are judged by the tests below and by the search
+    with np.errstate(all="ignore"):
+        upper = np.abs(a_sup) + np.abs(b_sup)
+        lower = np.abs(a_sub) + np.abs(b_sub)
+        lagged = ~((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
+                   & (b_sup * b_sub >= 0.0))
+        margin = a_diag.copy()
+        margin[1:] -= np.abs(a_sub)
+        margin[:-1] -= np.abs(a_sup)
+        # dominance lost to rounding: leave the pair to the dense path
+        ok = margin.min(axis=0) > 1e-14 * np.abs(a_diag).max(axis=0)
+        c = None
+        if lagged.any():
+            c = -(a_sup * b_sub + b_sup * a_sub)
+            fits = ~lagged | ((a_sup * a_sub == 0.0) & (b_sup * b_sub == 0.0) & (c > 0.0))
+            ok &= fits.all(axis=0)
+        else:
+            lagged = None
+        radius = np.zeros_like(b_diag)
+        radius[1:] += np.abs(b_sub)
+        radius[:-1] += np.abs(b_sup)
+        root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
+        a_off, b_off = root * a_sub, root * b_sub
     if lagged is not None:
-        a_off[lagged[0]] = b_off[lagged[0]] = 0.0
-    return (a_diag, a_off, b_diag, b_off), lagged, margin, radius
+        a_off[lagged] = b_off[lagged] = 0.0
+    return (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok
 
 
 def _ldl(sigma, pencil):
@@ -251,20 +252,23 @@ def _top_end(pencil, lo, margin, radius):
     it, where a diagonal entry of sigma A - B is negative.  hi starts at
     twice the Gershgorin bound: sigma A - B is similar to the pair's
     sigma A - B, whose rows dominate once sigma margin_i > B_ii + radius_i;
-    the test at hi proves it, or None is returned.  Bisection then finds a
-    lo where only the last pivot fails.  That pivot is continuous in sigma
-    and vanishes at top, so from then on the steps are regula falsi with the
-    Illinois halving of a stale end, clamped a few ulps inside the bracket
-    so that both ends close in.  Three steps that do not halve the bracket
-    are followed by a bisection step.
+    the test at hi proves it if hi is finite, or None is returned.
+    Bisection then finds a lo where only the last pivot fails.  That pivot
+    is continuous in sigma and vanishes at top, so from then on the steps
+    are regula falsi with the Illinois halving of a stale end, clamped a few
+    ulps inside the bracket so that both ends close in.  Three steps that do
+    not halve the bracket are followed by a bisection step.
     """
     a, b, n, _ = pencil
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     quotient = (b[:n] / a[:n]).max()
     lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
-    hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
+    with np.errstate(over="ignore"):
+        hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
+    if not lo < hi < np.inf:
+        return None
     pivots, info = _ldl(hi, pencil)
-    if info or not lo < hi:
+    if info:
         return None
     f_lo, f_hi, side = None, pivots[-1], 0
     steps, halved = 0, hi - lo
@@ -294,34 +298,40 @@ def _top_end(pencil, lo, margin, radius):
     return lo, hi
 
 
+def _diagonal_ends(a_diag, b_diag, b_off):
+    """Both ends of the spectrum of a pencil with diagonal A = D: dstebz on D^-1/2 B D^-1/2."""
+    scale = 1.0 / np.sqrt(a_diag)
+    diag, off = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
+    if diag.shape[0] == 1:  # dstebz rejects an empty off-diagonal
+        return [diag[0]]
+    ends = []
+    for k in (1, diag.shape[0]):
+        _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E")
+        if info:
+            raise SpectrumError(f"dstebz failed with info {info}")
+        ends.append(w[0])
+    return ends
+
+
 def _pencil_spectrum(pair):
     """Ends of the real spectrum of a pair that _symmetric_pencil accepts, or None."""
-    symmetric = _symmetric_pencil(pair)
-    if symmetric is None:
+    bands = (pair.A.sub, pair.A.diag, pair.A.sup, pair.B.sub, pair.B.diag, pair.B.sup)
+    (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
+    if not ok:
         return None
-    (a_diag, a_off, b_diag, b_off), lagged, margin, radius = symmetric
     n = a_diag.shape[0]
     eps = np.finfo(float).eps
     bound = ((np.abs(b_diag) + radius) / margin).max()
     width = 0.0
     if lagged is None and not a_off.any():
-        # A diagonal: the standard problem D^{-1/2} B D^{-1/2}, ends from dstebz
-        scale = 1.0 / np.sqrt(a_diag)
-        diag, off = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
-        if n == 1:  # dstebz rejects an empty off-diagonal
-            ends = [diag[0]]
-        else:
-            ends = []
-            for k in (0, n - 1):
-                _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
-                if info:
-                    raise SpectrumError(f"dstebz failed with info {info}")
-                ends.append(w[0])
+        ends = _diagonal_ends(a_diag, b_diag, b_off)
     else:
         a, b = np.concatenate((a_diag, a_off)), np.concatenate((b_diag, b_off))
-        # lagged indices need B0 > 0 and then leave no eigenvalue below 0
-        if lagged is not None and lapack.dpttrf(b_diag, b_off)[2]:
-            return None
+        if lagged is not None:
+            # lagged indices need B0 > 0 and then leave no eigenvalue below 0
+            if lapack.dpttrf(b_diag, b_off)[2]:
+                return None
+            lagged = np.flatnonzero(lagged), c[lagged]
         top = _top_end((a, b, n, lagged), -np.inf if lagged is None else 0.0, margin, radius)
         if top is None:
             return None
@@ -342,10 +352,10 @@ def _pencil_spectrum(pair):
 # The batch runs _pencil_spectrum on many pairs of one size at once: every
 # band is an (n, cells) array, and each step of the search acts on the
 # columns whose bracket is still open.  Every column takes the operations
-# of the one-cell path in the same order, with Python's max and min where
+# of the one-cell search in the same order, with Python's max and min where
 # it uses them, so every cell sees the same probes and pivots and ends with
-# the same bits.  eigen_spectrum(pair) stays the oracle: a single cell is
-# faster there than through numpy calls that each touch one column.
+# the same bits.  The one-cell search stays, as the oracle and because a
+# single cell is faster there than through numpy calls on one column.
 
 
 def _py_max(x, y):
@@ -401,8 +411,8 @@ def _batch_top_end(pencil, lo, margin, radius):
         quotient = (b[:n] / a[:n]).max(axis=0)
         lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
         hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
-    pivots, info = _batch_ldl(hi, pencil)
-    proved = (info == 0) & (lo < hi)
+        pivots, info = _batch_ldl(hi, pencil)
+    proved = (info == 0) & (lo < hi) & (hi < np.inf)
     f_lo, f_hi, side = np.full_like(lo, np.nan), pivots[-1].copy(), np.zeros(lo.shape, int)
     has_f_lo = np.zeros(lo.shape, bool)
     steps, halved = np.zeros(lo.shape, int), hi - lo
@@ -441,40 +451,23 @@ def pencil_lambda_max(bands):
     """lambda_max of eigen_spectrum(pair) for every cell of a batch, NaN where not proved.
 
     bands are the six (n, cells) arrays of assembly.assemble_bands.  A cell
-    takes the probes and pivots of the pencil path of eigen_spectrum(pair),
-    so its value is the same bit for bit.  NaN marks the cells that the
-    batch leaves to eigen_spectrum(pair): non-finite entries, no symmetric
-    pencil or dominance margin, a diagonal A (dstebz), B0 not positive
-    definite, a bracket not proved, or an end that is not finite.
+    takes the pencil, the probes and pivots, or the dstebz call of the pencil
+    path of eigen_spectrum(pair), so its value is the same bit for bit.  NaN
+    marks the cells that the batch leaves to eigen_spectrum(pair): non-finite
+    entries, no symmetric pencil or dominance margin, B0 not positive
+    definite, or a bracket not proved.
     """
-    a_sub, a_diag, a_sup, b_sub, b_diag, b_sup = bands
-    lam = np.full(a_diag.shape[1], np.nan)
-    with np.errstate(all="ignore"):
-        finite = np.logical_and.reduce([np.isfinite(band).all(axis=0) for band in bands])
-        # _symmetric_pencil, column by column
-        upper = np.abs(a_sup) + np.abs(b_sup)
-        lower = np.abs(a_sub) + np.abs(b_sub)
-        lagged = ~((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
-                   & (b_sup * b_sub >= 0.0))
-        c = -(a_sup * b_sub + b_sup * a_sub)
-        fits = ~lagged | ((a_sup * a_sub == 0.0) & (b_sup * b_sub == 0.0) & (c > 0.0))
-        margin = a_diag.copy()
-        margin[1:] -= np.abs(a_sub)
-        margin[:-1] -= np.abs(a_sup)
-        radius = np.zeros_like(b_diag)
-        radius[1:] += np.abs(b_sub)
-        radius[:-1] += np.abs(b_sup)
-        root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
-        a_off, b_off = root * a_sub, root * b_sub
-        a_off[lagged] = b_off[lagged] = 0.0
-        has_lag = lagged.any(axis=0)
-        ok = (finite & fits.all(axis=0)
-              & (margin.min(axis=0) > 1e-14 * np.abs(a_diag).max(axis=0))
-              & (has_lag | a_off.any(axis=0)))
+    (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
+    ok &= np.logical_and.reduce([np.isfinite(band).all(axis=0) for band in bands])
+    has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
     lag = ok & has_lag
     if lag.any():  # lagged indices need B0 > 0
         ok[np.flatnonzero(lag)[_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] != 0]] = False
-    cells = np.flatnonzero(ok)
+    lam = np.full(ok.shape, np.nan)
+    diagonal = ok & ~has_lag & ~a_off.any(axis=0)
+    for k in np.flatnonzero(diagonal):
+        lam[k] = np.abs(_diagonal_ends(a_diag[:, k], b_diag[:, k], b_off[:, k])).max()
+    cells = np.flatnonzero(ok & ~diagonal)
     if not cells.size:
         return lam
     a = np.concatenate((a_diag[:, cells], a_off[:, cells]))
@@ -492,7 +485,6 @@ def pencil_lambda_max(bands):
         proved[bottom] &= found
         end[bottom] = _py_max(end[bottom], np.abs(low))
     lam[cells[proved]] = end[proved]
-    lam[~np.isfinite(lam)] = np.nan
     return lam
 
 

@@ -6,6 +6,7 @@ a flat CSV (x fastest, y ascending) and optionally a plain PGM rendering of
 the spectral radius with 2.0 mapped to full scale.
 """
 
+import textwrap
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -154,16 +155,16 @@ def run_sweep(spec):
     cells, so that a band of a chunk holds at most CHUNK_ENTRIES entries.  A
     chunk of at least n cells is evaluated as one batch: its bands are
     (n, cells) arrays from assembly.assemble_bands, and
-    spectral.pencil_lambda_max runs the pencil search of
-    eigen_spectrum(pair) on all of them at once, with the same probes and
-    pivots per cell, so lambda_max is the same bit for bit.  The cells the
-    batch does not prove (invalid groups, non-finite entries, no symmetric
-    pencil, a diagonal A as in dn-explicit, an unproved bracket), and every
-    cell of a smaller chunk, are evaluated one by one through
-    eigen_spectrum(pair).  A cell fails on a numerical error there: one of
-    the package's error types, RuntimeError or LinAlgError; any other
-    exception is a programming error and propagates.  A cell also fails
-    when its lambda_max is not a nonnegative number.
+    spectral.pencil_lambda_max runs the pencil path of eigen_spectrum(pair)
+    on all of them at once, with the same probes and pivots, or the same
+    dstebz call, per cell, so lambda_max is the same bit for bit.  The cells
+    the batch does not prove (invalid groups, non-finite entries, no
+    symmetric pencil, B0 not definite, an unproved bracket), and every cell
+    of a smaller chunk, are evaluated one by one through eigen_spectrum(pair).
+    A cell fails on a numerical error there: one of the package's error
+    types, RuntimeError or LinAlgError; any other exception is a programming
+    error and propagates.  A cell also fails when its lambda_max is not a
+    nonnegative number.
     """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()
@@ -232,18 +233,8 @@ def write_pgm(field_result, path):
         fh.write("255\n")
         for iy in range(ny - 1, -1, -1):
             # keep plain-format lines short for strict readers
-            line = []
-            length = 0
-            for token in map(str, pixels[iy]):
-                if length and length + 1 + len(token) > 68:
-                    fh.write(" ".join(line))
-                    fh.write("\n")
-                    line, length = [], 0
-                line.append(token)
-                length += len(token) + (1 if length else 0)
-            if line:
-                fh.write(" ".join(line))
-                fh.write("\n")
+            for line in textwrap.wrap(" ".join(map(str, pixels[iy])), 68):
+                fh.write(line + "\n")
 
 
 # --- presets mirroring the reference stability maps ---
@@ -285,7 +276,10 @@ FIG89_RATIOS = (2000.0, 1.0, 5e-4)
 
 
 def preset_sweep(name, scheme="bulk-explicit-flux", variant=0, r=1.0):
-    """Named parameter planes; see the README for the catalogue."""
+    """Named parameter planes; see the README for the catalogue and its variants."""
+    variants = {"fig4": FIG4_VARIANTS, "fig6": FIG6_VARIANTS}.get(name, (None,))
+    if not 0 <= variant < len(variants):
+        raise ParameterDomainError(f"variant {variant} outside 0..{len(variants) - 1} for {name}")
     if name == "fig3":
         return _bulk_minus_plane(scheme, 1.125, 2.025)
     if name == "fig4":

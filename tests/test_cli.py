@@ -161,6 +161,28 @@ def test_sweep_preset(tmp_path, capsys):
     assert lines[0] == "d_minus,d_plus,lambda_max,class"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--preset", "fig4", "--variant", "5"], "variant 5 outside 0..2"),
+    (["--preset", "fig4", "--variant", "-1"], "variant -1 outside 0..2"),
+    (["--preset", "fig3", "--variant", "1"], "variant 1 outside 0..0"),
+    (["--preset", "fig8", "--scheme", "bulk-sequential"], "maps dn-explicit"),
+    (["--preset", "fig9", "--scheme", "dn-explicit"], "maps dn-implicit"),
+])
+def test_sweep_preset_rejects_options_it_would_ignore(tmp_path, capsys, flags, message):
+    csv_path = tmp_path / "field.csv"
+    assert cli_main(["sweep", *flags, "--csv", str(csv_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_sweep_preset_accepts_its_own_scheme(tmp_path, capsys):
+    csv_path = tmp_path / "fig9.csv"
+    code = cli_main(["sweep", "--preset", "fig9", "--scheme", "dn-implicit",
+                     "--n-minus", "2", "--n-plus", "2", "--csv", str(csv_path)])
+    assert code == 0
+    assert "dn-implicit" in capsys.readouterr().out
+
+
 # ------------------------------------------------------------- spectrum
 
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
-                     SingularMatrixError, StabilityClass, Tridiagonal,
+                     SingularMatrixError, SpectrumError, StabilityClass, Tridiagonal,
                      UpdatePair, assemble, assemble_bulk, assemble_one_way,
                      classify, eigen_spectrum, power_growth_rate,
                      tridiagonal_solve, update_matrix)
 from cplstab import spectral
 from cplstab.assembly import SEQUENTIAL
+from cplstab.sweep import Axis
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -324,28 +326,96 @@ def hand_built_pairs(name, groups, n_minus, n_plus):
     return [pair, mirrored(pair), no_case_pair(pair.n)]
 
 
-@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
-       cells=st.lists(st.tuples(st.tuples(*[log_group] * 5), ONE_SIDED), min_size=1, max_size=6))
-@settings(max_examples=150, deadline=None)
-def test_batch_pencil_matches_the_pair_path(name, n_minus, n_plus, cells):
+def pair_bands(pair):
+    """The six bands of a pair: A sub, diag, sup, then B's."""
+    return [getattr(m, band) for m in (pair.A, pair.B) for band in ("sub", "diag", "sup")]
+
+
+def stacked_bands(pairs):
+    """The bands of pairs of one size as (length, cells) arrays, one pair per column."""
+    return [np.stack(bands, axis=1) for bands in zip(*map(pair_bands, pairs))]
+
+
+BATCH_CELLS = st.lists(st.tuples(st.tuples(*[log_group] * 5), ONE_SIDED), min_size=1, max_size=6)
+
+
+def batch_pairs(name, n_minus, n_plus, cells):
     pairs = []
     for groups, zero in cells:
         groups = list(groups)
         if zero is not None:
             groups[zero] = 0.0
         pairs += hand_built_pairs(name, groups, n_minus, n_plus)
-    bands = [np.stack([getattr(getattr(pair, m), band) for pair in pairs], axis=1)
-             for m in "AB" for band in ("sub", "diag", "sup")]
-    lam = spectral.pencil_lambda_max(bands)
+    return pairs
+
+
+@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
+       cells=BATCH_CELLS)
+@settings(max_examples=150, deadline=None)
+def test_batch_pencil_is_the_pair_pencil(name, n_minus, n_plus, cells):
+    pairs = batch_pairs(name, n_minus, n_plus, cells)
+    pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*stacked_bands(pairs))
+    for k, pair in enumerate(pairs):
+        single = spectral._symmetric_pencil(*pair_bands(pair))
+        for column, value in zip((*pencil, margin, radius), (*single[0], *single[3:5])):
+            assert column[:, k].tobytes() == value.tobytes()
+        assert ok[k] == single[5]
+        # the lean builder tests lagged indices only where some index is lagged
+        if single[1] is None:
+            assert lagged is None or not lagged[:, k].any()
+        else:
+            assert lagged[:, k].tobytes() == single[1].tobytes()
+            assert c[:, k].tobytes() == single[2].tobytes()
+
+
+@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
+       cells=BATCH_CELLS)
+@settings(max_examples=150, deadline=None)
+def test_batch_pencil_matches_the_pair_path(name, n_minus, n_plus, cells):
+    pairs = batch_pairs(name, n_minus, n_plus, cells)
+    lam = spectral.pencil_lambda_max(stacked_bands(pairs))
     for value, pair in zip(lam, pairs):
         pencil = spectral._pencil_spectrum(pair)
-        if np.isnan(value):
-            # left to eigen_spectrum: no pencil, or one with a diagonal A (dstebz)
-            symmetric = spectral._symmetric_pencil(pair)
-            assert pencil is None or (symmetric[1] is None and not symmetric[0][1].any())
-        else:
+        # the batch leaves to eigen_spectrum only the pairs without a pencil
+        assert np.isnan(value) == (pencil is None)
+        if pencil is not None:
             assert value.tobytes() == np.float64(pencil.lambda_max).tobytes()
             assert value == eigen_spectrum(pair).lambda_max
+
+
+def overflow_plane_pairs():
+    """The pairs of the one-way explicit plane with d_minus and beta_minus up to 1e308."""
+    pairs = []
+    for dm in Axis("d_minus", 1e-2, 1e308, 7, "log").values():
+        for bm in Axis("beta_minus", 0.5, 1e308, 3, "log").values():
+            with np.errstate(all="ignore"):
+                try:
+                    pairs.append(assemble(SCHEMES["one-way-explicit-flux"],
+                                          params(dm=dm, bm=bm), 5, 2))
+                except ParameterDomainError:  # an entry overflowed
+                    continue
+    return pairs
+
+
+def test_overflowing_gershgorin_bound_proves_nothing():
+    # twice the Gershgorin bound overflows; a definiteness test at an
+    # infinite hi proved an infinite end for a pair with finite entries
+    pair = assemble(SCHEMES["one-way-explicit-flux"], params(dm=0.01, bm=1e308), 5, 2)
+    assert spectral._pencil_spectrum(pair) is None
+    assert np.isnan(spectral.pencil_lambda_max(stacked_bands([pair]))).all()
+    # the dense fallback's M reaches 9.9e307 and fails its residual check
+    with np.errstate(all="ignore"), pytest.raises(SpectrumError):
+        eigen_spectrum(pair)
+
+
+def test_pencil_paths_raise_no_floating_point_warning():
+    pairs = overflow_plane_pairs()
+    assert len(pairs) > 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectra = [spectral._pencil_spectrum(pair) for pair in pairs]
+        lam = spectral.pencil_lambda_max(stacked_bands(pairs))
+    assert np.isnan(lam).tolist() == [spectrum is None for spectrum in spectra]
 
 
 # 50,000 cells per domain: a dense A alone would take 80 GB

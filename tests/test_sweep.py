@@ -341,13 +341,12 @@ def test_batched_planes_match_per_cell(spec):
 
 
 @pytest.mark.parametrize("name", list(SCHEMES))
-def test_batch_takes_every_assembled_cell_but_a_diagonal_a(monkeypatch, name):
+def test_batch_takes_every_assembled_cell(monkeypatch, name):
     spec = SweepSpec(SCHEMES[name], Axis("d_minus", 0.05, 50.0, 4), Axis("beta_minus", 0.0, 3.0, 4,
                      "linear"), {"beta_plus": 0.7, "d_plus": 2.0, "r": 3.0}, n_minus=6, n_plus=5)
     calls = count_point_calls(monkeypatch)
     field = run_sweep(spec)
-    # dn-explicit has a diagonal A, whose cells take dstebz one by one
-    assert len(calls) == (16 if name == "dn-explicit" else 0)
+    assert len(calls) == 0
     assert_matches_per_cell(field, spec)
 
 
@@ -382,6 +381,8 @@ def test_overflowing_entries_fail_as_cell_by_cell(monkeypatch):
     assert 0 < len(calls) < 21
     assert field.warning_count > 0
     assert_matches_per_cell(field, spec)
+    # d_minus = 0.01, beta_minus = 1e308: its Gershgorin bound overflows
+    assert field.classification[2, 0] == "failed"
 
 
 def test_row_crossings_bracket_flux_bound():
@@ -512,6 +513,17 @@ def test_pgm_lines_stay_short(tmp_path):
         assert len(line) <= 70
 
 
+def test_pgm_rows_fill_lines_up_to_68_characters(tmp_path):
+    # 15 x "127" and 3 x "63" make a line of exactly 68 characters
+    row = [1.0] * 15 + [0.5] * 3 + [2.0] * 2
+    field = synthetic_field([row, row], x_values=np.arange(1.0, 21.0), y_values=[1.0, 2.0])
+    path = tmp_path / "wide.pgm"
+    write_pgm(field, path)
+    first = " ".join(["127"] * 15 + ["63"] * 3)
+    assert len(first) == 68
+    assert path.read_text(encoding="utf-8").splitlines()[3:] == [first, "255 255"] * 2
+
+
 def test_outputs_byte_identical(tmp_path):
     spec = tiny_spec()
     blobs = []
@@ -538,6 +550,12 @@ def test_preset_names_all_build():
 def test_unknown_preset_rejected():
     with pytest.raises(ParameterDomainError):
         preset_sweep("fig7")
+
+
+@pytest.mark.parametrize("name, variant", [("fig4", 3), ("fig6", -1), ("fig3", 1), ("fig8", 2)])
+def test_preset_variant_out_of_range_rejected(name, variant):
+    with pytest.raises(ParameterDomainError, match="variant"):
+        preset_sweep(name, variant=variant)
 
 
 def test_bulk_minus_plane_preset():
