@@ -45,20 +45,23 @@ class ModeSolution:
     admissible: bool
 
 
+# the annulus grid (rows, columns) and the polish tolerance and iteration cap
+N_RADIAL = 64
+N_ANGULAR = 256
+REFINE_TOL = 1e-10
+MAX_NEWTON_ITER = 60
+
+
 @dataclass(frozen=True)
 class ScanSettings:
+    """Outer radius of gks_scan's annulus; its grid and tolerance are constants."""
+
     radius_max: float = 10.0
-    n_radial: int = 64
-    n_angular: int = 256
-    refine_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.radius_max > 1.0):
-            raise ParameterDomainError("radius_max must exceed 1")
-        if self.n_radial < 16 or self.n_angular < 16:
-            raise ParameterDomainError("scan grids need at least 16 points per direction")
-        if not (self.refine_tol >= 0.0):
-            raise ParameterDomainError("refine_tol must be nonnegative")
+        # an infinite radius leaves no finite grid row and so finds no root
+        if not (1.0 < self.radius_max < np.inf):
+            raise ParameterDomainError("radius_max must be finite and exceed 1")
 
 
 def _kappa_from_s(s):
@@ -140,11 +143,12 @@ def _bulk_pair_residual(p, A):
     return r_minus, r_plus
 
 
-def _residual_functions(scheme, p):
-    """Vectorized (residual, magnitude-scale) callables used by the scan.
+def _residual(scheme, p):
+    """Vectorized A -> (f, scale) used by the scan.
 
-    The scale callable bounds the natural size of the residual's terms so the
-    polish criterion |f| <= tol * scale stays meaningful for large beta.
+    f is the interface residual; scale bounds the natural size of its terms
+    so the polish criterion |f| <= tol * scale stays meaningful for large
+    beta.  Both come from one evaluation of the spatial roots.
     """
     if scheme.direction == ONE_WAY_NEGATIVE:
         if not (p.d_minus > 0.0):
@@ -154,50 +158,40 @@ def _residual_functions(scheme, p):
         # the interior residual has a pole where the boundary factor kappa
         # vanishes, and that pole can sit within a grid cell of the root;
         # multiplying through by kappa clears it without moving any root
-        def f(A):
+        def residual(A):
             kappa = _one_way_kappa(A, p, theta)
-            return kappa * (1.0 - 1.0 / A) - dm * (kappa - 1.0) ** 2
+            f = kappa * (1.0 - 1.0 / A) - dm * (kappa - 1.0) ** 2
+            scale = np.abs(kappa) * np.abs(1.0 - 1.0 / A) + dm * (np.abs(kappa) + 1.0) ** 2 + 1.0
+            return f, scale
 
-        def scale(A):
-            kappa = _one_way_kappa(A, p, theta)
-            return np.abs(kappa) * np.abs(1.0 - 1.0 / A) + dm * (np.abs(kappa) + 1.0) ** 2 + 1.0
-
-        return f, scale
+        return residual
 
     if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
         dm, dp, r = p.d_minus, p.d_plus, p.r
 
-        def f(A):
+        def residual(A):
             _, em = _decay_terms(A, dm, False)
             _, ep = _decay_terms(A, dp, False)
-            return (A - 1.0) * (1.0 + r) + 2.0 * em + 2.0 * r * ep
+            f = (A - 1.0) * (1.0 + r) + 2.0 * em + 2.0 * r * ep
+            scale = np.abs((A - 1.0) * (1.0 + r)) + 2.0 * np.abs(em) + 2.0 * r * np.abs(ep) + 1.0
+            return f, scale
 
-        def scale(A):
-            _, em = _decay_terms(A, dm, False)
-            _, ep = _decay_terms(A, dp, False)
-            return np.abs((A - 1.0) * (1.0 + r)) + 2.0 * np.abs(em) + 2.0 * r * np.abs(ep) + 1.0
-
-        return f, scale
+        return residual
 
     if scheme.interface == DIRICHLET_NEUMANN:
         dm, dp, r = p.d_minus, p.d_plus, p.r
         w = (1.0 + r) / 2.0
 
-        def f(A):
+        def residual(A):
             _, ep = _decay_terms(A, dp, True)
             _, em = _decay_terms(A, dm, True)
             left = w * (A - 1.0) + A * em
             bracket = A * (1.0 + ep) - (1.0 - dp)
-            return (left + dp * r) * bracket - dp * dp * r
+            f = (left + dp * r) * bracket - dp * dp * r
+            scale = np.abs(left + dp * r) * np.abs(bracket) + dp * dp * r + 1.0
+            return f, scale
 
-        def scale(A):
-            _, ep = _decay_terms(A, dp, True)
-            _, em = _decay_terms(A, dm, True)
-            left = w * (A - 1.0) + A * em
-            bracket = A * (1.0 + ep) - (1.0 - dp)
-            return np.abs(left + dp * r) * np.abs(bracket) + dp * dp * r + 1.0
-
-        return f, scale
+        return residual
 
     # bulk interface, backward-Euler interiors
     dm, dp = p.d_minus, p.d_plus
@@ -205,24 +199,18 @@ def _residual_functions(scheme, p):
     theta, gamma = scheme.theta, scheme.gamma
     sequential = scheme.formulation == SEQUENTIAL
 
-    def factors(A):
+    def residual(A):
         _, em = _decay_terms(A, dm, True)
         _, ep = _decay_terms(A, dp, True)
         f_minus = A * (1.0 + theta * bm + em) - 1.0 + (1.0 - theta) * bm
         f_plus = A * (1.0 + theta * bp + ep) - 1.0 + (1.0 - theta) * bp
         weight = (1.0 - gamma) + gamma * A
         cross = weight if sequential else weight * weight
-        return f_minus, f_plus, cross
+        f = f_minus * f_plus - bm * bp * cross
+        scale = np.abs(f_minus) * np.abs(f_plus) + bm * bp * np.abs(cross) + 1.0
+        return f, scale
 
-    def f(A):
-        f_minus, f_plus, cross = factors(A)
-        return f_minus * f_plus - bm * bp * cross
-
-    def scale(A):
-        f_minus, f_plus, cross = factors(A)
-        return np.abs(f_minus) * np.abs(f_plus) + bm * bp * np.abs(cross) + 1.0
-
-    return f, scale
+    return residual
 
 
 def dispersion_residual(scheme, p, A):
@@ -247,8 +235,7 @@ def dispersion_residual(scheme, p, A):
             and p.d_minus > 0.0 and p.d_plus > 0.0):
         r_minus, r_plus = _bulk_pair_residual(p, np.asarray(A, dtype=complex))
         return complex(r_minus), complex(r_plus)
-    f, _ = _residual_functions(scheme, p)
-    return complex(f(np.asarray(A, dtype=complex)))
+    return complex(_residual(scheme, p)(np.asarray(A, dtype=complex))[0])
 
 
 # --- root scan ---
@@ -276,52 +263,47 @@ def _local_minima(values):
     return down & up & left & right
 
 
-def _extra_newton_step(f, z, fz):
-    # one undamped step after acceptance drives the residual from the
-    # acceptance band down to roundoff (quadratic convergence)
-    if fz == 0:
-        return z
+def _evaluate(residual, z):
+    f, scale = residual(np.asarray(z, dtype=complex))
+    return complex(f), float(scale)
+
+
+def _derivative(residual, z):
+    """Central difference of f at z; None where it is 0 or not finite."""
     h = 1e-7 * max(1.0, abs(z))
-    fp = complex(f(np.asarray(z + h, dtype=complex)))
-    fm = complex(f(np.asarray(z - h, dtype=complex)))
-    deriv = (fp - fm) / (2.0 * h)
-    if deriv == 0 or not np.isfinite(abs(deriv)):
-        return z
-    trial = z - fz / deriv
-    ft = complex(f(np.asarray(trial, dtype=complex)))
-    if np.isfinite(abs(ft)) and abs(ft) < abs(fz):
-        return trial
-    return z
+    deriv = (_evaluate(residual, z + h)[0] - _evaluate(residual, z - h)[0]) / (2.0 * h)
+    return None if deriv == 0 or not np.isfinite(abs(deriv)) else deriv
 
 
-def _newton_polish(f, scale, z, tol, max_iter=60):
-    for _ in range(max_iter):
-        fz = complex(f(np.asarray(z, dtype=complex)))
+def _newton_polish(residual, z, tol):
+    """Damped Newton from z, at most MAX_NEWTON_ITER steps, to |f| <= tol * scale."""
+    for iteration in range(MAX_NEWTON_ITER + 1):
+        fz, scale = _evaluate(residual, z)
         if not np.isfinite(abs(fz)):
             return None
-        if abs(fz) <= tol * float(scale(np.asarray(z, dtype=complex))):
-            return _extra_newton_step(f, z, fz)
-        h = 1e-7 * max(1.0, abs(z))
-        fp = complex(f(np.asarray(z + h, dtype=complex)))
-        fm = complex(f(np.asarray(z - h, dtype=complex)))
-        deriv = (fp - fm) / (2.0 * h)
-        if deriv == 0 or not np.isfinite(abs(deriv)):
+        if abs(fz) <= tol * scale:
+            break
+        if iteration == MAX_NEWTON_ITER or (deriv := _derivative(residual, z)) is None:
             return None
         step = fz / deriv
         damping = 1.0
         while damping > 1.0 / 64.0:
-            trial = z - damping * step
-            ft = complex(f(np.asarray(trial, dtype=complex)))
+            ft = _evaluate(residual, z - damping * step)[0]
             if np.isfinite(abs(ft)) and abs(ft) < abs(fz):
                 break
             damping /= 2.0
         else:
             return None
         z = z - damping * step
-    fz = complex(f(np.asarray(z, dtype=complex)))
-    if np.isfinite(abs(fz)) and abs(fz) <= tol * float(scale(np.asarray(z, dtype=complex))):
-        return _extra_newton_step(f, z, fz)
-    return None
+    # one undamped step after acceptance drives the residual from the
+    # acceptance band down to roundoff (quadratic convergence)
+    if fz == 0 or (deriv := _derivative(residual, z)) is None:
+        return z
+    trial = z - fz / deriv
+    ft = _evaluate(residual, trial)[0]
+    if np.isfinite(abs(ft)) and abs(ft) < abs(fz):
+        return trial
+    return z
 
 
 def _analytic_seeds(scheme, p):
@@ -342,25 +324,27 @@ def _analytic_seeds(scheme, p):
 def gks_scan(scheme, p, scan=None):
     """Growing normal modes of a scheme: residual roots with |A| > 1.
 
-    Scans |f| on an annulus grid just outside the unit circle, polishes every
-    local minimum by damped Newton, and keeps the distinct polished roots that
-    grow and whose spatial factors decay into both domains.  Candidates that
-    fail to converge are reported through UnconfirmedRootWarning rather than
-    silently dropped.
+    Scans |f| / scale, from one residual evaluation, on an N_RADIAL x
+    N_ANGULAR grid of the annulus 1 < |A| <= scan.radius_max, polishes every
+    local minimum by damped Newton to |f| <= REFINE_TOL * scale, and keeps the
+    distinct polished roots that grow and whose spatial factors decay into
+    both domains.  Candidates that fail to converge are reported through
+    UnconfirmedRootWarning rather than silently dropped.
     """
     if scan is None:
         scan = ScanSettings()
-    f, scale = _residual_functions(scheme, p)
+    residual = _residual(scheme, p)
     # geometric spacing packs rows near the unit circle, where growing modes
     # first appear
-    inner = np.geomspace(1e-6, scan.radius_max - 1.0, scan.n_radial)
+    inner = np.geomspace(1e-6, scan.radius_max - 1.0, N_RADIAL)
     # one overshoot row beyond radius_max certifies minima on the outermost
     # real row; without it, annulus truncation mints fake edge candidates
     radii = 1.0 + np.append(inner, inner[-1] * (inner[-1] / inner[-2]))
-    angles = np.linspace(0.0, 2.0 * np.pi, scan.n_angular, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * np.pi, N_ANGULAR, endpoint=False)
     grid = radii[:, None] * np.exp(1j * angles)[None, :]
     with np.errstate(all="ignore"):
-        magnitude = np.abs(f(grid)) / np.maximum(scale(grid).real, 1e-300)
+        f, scale = residual(grid)
+        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
     magnitude = np.where(np.isfinite(magnitude), magnitude, np.inf)
     minima = _local_minima(magnitude) & np.isfinite(magnitude)
     minima[-1, :] = False
@@ -370,7 +354,7 @@ def gks_scan(scheme, p, scan=None):
     unconfirmed = 0
     with np.errstate(all="ignore"):
         for z0 in candidates:
-            z = _newton_polish(f, scale, complex(z0), scan.refine_tol)
+            z = _newton_polish(residual, complex(z0), REFINE_TOL)
             if z is None:
                 # minima hugging the unit circle are marginal-band artifacts,
                 # not missed growing roots

@@ -91,23 +91,29 @@ def update_matrix(pair):
     """Dense M = A^{-1} B from one tridiagonal solve with dense B as the right side.
 
     This is where a pair first becomes n x n, so n is bounded by MAX_DENSE_N.
-    The result is verified against ||A M - B|| <= 1e-12 ||B|| with one round
-    of iterative refinement; a residual still above 1e-10 raises a warning.
+    A solve with non-finite entries raises ParameterDomainError.  M is verified
+    against ||A M - B|| <= 1e-12 ||B|| with one round of iterative refinement;
+    a residual still above 1e-10, or not finite, raises a warning.
     """
     if pair.n > MAX_DENSE_N:
         raise ParameterDomainError(f"matrix size {pair.n} outside 1..{MAX_DENSE_N}")
     A, B = pair.A, pair.B.toarray()
-    M = tridiagonal_solve(A, B)
-    norm_b = max(np.abs(B).sum(axis=1).max(), 1e-300)
-    residual = np.abs(A @ M - B).sum(axis=1).max()
-    if residual > 1e-12 * norm_b:
-        M = M + tridiagonal_solve(A, B - A @ M)
+    # entries near 1e308 overflow the solve's pivot scale and the products
+    # below: a residual that is not finite fails its test
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = tridiagonal_solve(A, B)
+        if not np.isfinite(M).all():
+            raise ParameterDomainError("update matrix has non-finite entries")
+        norm_b = max(np.abs(B).sum(axis=1).max(), 1e-300)
         residual = np.abs(A @ M - B).sum(axis=1).max()
-        if residual > 1e-10 * norm_b:
-            warnings.warn(
-                f"update matrix residual {residual:.3e} above 1e-10 of ||B|| after refinement",
-                SolveResidualWarning,
-            )
+        if not residual <= 1e-12 * norm_b:
+            M = M + tridiagonal_solve(A, B - A @ M)
+            residual = np.abs(A @ M - B).sum(axis=1).max()
+    if not residual <= 1e-10 * norm_b:
+        warnings.warn(
+            f"update matrix residual {residual:.3e} above 1e-10 of ||B|| after refinement",
+            SolveResidualWarning,
+        )
     return M
 
 
@@ -321,7 +327,8 @@ def _pencil_spectrum(pair):
         return None
     n = a_diag.shape[0]
     eps = np.finfo(float).eps
-    bound = ((np.abs(b_diag) + radius) / margin).max()
+    with np.errstate(over="ignore"):
+        bound = ((np.abs(b_diag) + radius) / margin).max()
     width = 0.0
     if lagged is None and not a_off.any():
         ends = _diagonal_ends(a_diag, b_diag, b_off)
@@ -529,7 +536,8 @@ def eigen_spectrum(M):
         raise ParameterDomainError(f"matrix size {n} outside 1..{MAX_DENSE_N}")
     if not np.isfinite(M).all():
         raise ParameterDomainError("matrix has non-finite entries")
-    norm = np.abs(M).sum(axis=1).max()
+    with np.errstate(over="ignore"):
+        norm = np.abs(M).sum(axis=1).max()
     fast = _try_symmetrizable_tridiagonal(M, norm)
     if fast is not None:
         return fast

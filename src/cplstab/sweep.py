@@ -280,6 +280,8 @@ def preset_sweep(name, scheme="bulk-explicit-flux", variant=0, r=1.0):
     variants = {"fig4": FIG4_VARIANTS, "fig6": FIG6_VARIANTS}.get(name, (None,))
     if not 0 <= variant < len(variants):
         raise ParameterDomainError(f"variant {variant} outside 0..{len(variants) - 1} for {name}")
+    if name in ("fig3", "fig4", "fig5", "fig6") and r != 1.0:
+        raise ParameterDomainError(f"{name} fixes r = 1, got r = {r:g}")
     if name == "fig3":
         return _bulk_minus_plane(scheme, 1.125, 2.025)
     if name == "fig4":

@@ -167,6 +167,7 @@ def test_sweep_preset(tmp_path, capsys):
     (["--preset", "fig3", "--variant", "1"], "variant 1 outside 0..0"),
     (["--preset", "fig8", "--scheme", "bulk-sequential"], "maps dn-explicit"),
     (["--preset", "fig9", "--scheme", "dn-explicit"], "maps dn-implicit"),
+    (["--preset", "fig3", "--r", "5"], "fig3 fixes r = 1, got r = 5"),
 ])
 def test_sweep_preset_rejects_options_it_would_ignore(tmp_path, capsys, flags, message):
     csv_path = tmp_path / "field.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cplstab import normalmode
 from cplstab import (SCHEMES, DimensionlessParams, KappaPoleWarning,
                      MarginalModeWarning, ParameterDomainError, ScanSettings,
                      SingularityError, UnconfirmedRootWarning, beljaars_bound,
@@ -151,22 +152,39 @@ def test_scan_deterministic():
     assert a == b
 
 
-def test_scan_unconfirmed_candidates_warn():
+def test_scan_unconfirmed_candidates_warn(monkeypatch):
     # an impossible polish tolerance turns every candidate into a report
+    monkeypatch.setattr(normalmode, "REFINE_TOL", 0.0)
     p = params(dm=1.0, bm=4.0)
     with pytest.warns(UnconfirmedRootWarning):
-        modes = gks_scan(ONE_WAY_EXPLICIT, p,
-                         scan=ScanSettings(refine_tol=0.0))
+        modes = gks_scan(ONE_WAY_EXPLICIT, p)
     assert modes == []
 
 
 def test_scan_settings_validation():
     with pytest.raises(ParameterDomainError):
         ScanSettings(radius_max=1.0)
-    with pytest.raises(ParameterDomainError):
-        ScanSettings(n_radial=8)
-    with pytest.raises(ParameterDomainError):
-        ScanSettings(refine_tol=-1e-3)
+    # an infinite annulus scans no finite row, so it would call an unstable
+    # bulk scheme stable
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ParameterDomainError):
+            ScanSettings(radius_max=radius)
+
+
+def test_scan_evaluates_grid_roots_once_per_domain(monkeypatch):
+    # f and scale come from one evaluation: one _decay_terms call per
+    # domain on the grid, none repeated for the scale
+    grid_calls = []
+    real = normalmode._decay_terms
+
+    def counted(A, d, backward):
+        if np.ndim(A) == 2:
+            grid_calls.append(d)
+        return real(A, d, backward)
+
+    monkeypatch.setattr(normalmode, "_decay_terms", counted)
+    gks_scan(SCHEMES["dn-implicit"], params(dp=9.0, dm=0.5, r=1.0))
+    assert sorted(grid_calls) == [0.5, 9.0]
 
 
 def test_verdict_uses_cfl_rule_for_shared_node_explicit():

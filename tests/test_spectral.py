@@ -61,6 +61,16 @@ def test_update_matrix_residual_contract():
     assert res <= 1e-12 * np.abs(pair.B.toarray()).max()
 
 
+def test_update_matrix_rejects_a_non_finite_solve():
+    # the solve overflows; its NaN residual must not pass the residual check
+    # and hand back a non-finite M with numpy warnings
+    pair = assemble(SCHEMES["one-way-explicit-flux"], params(dm=1e153, bm=1e308), 5, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ParameterDomainError, match="non-finite"):
+            update_matrix(pair)
+
+
 def test_update_matrix_singular_pivot():
     pair = assemble_bulk(params(bp=0.5, bm=0.5), 1, 1, theta=0, gamma=0)
     bad = type(pair)(A=Tridiagonal.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]])),

@@ -1,5 +1,7 @@
 """Sweep grids over parameter planes, their file writers, and the presets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,16 +375,33 @@ def test_chunks_bound_the_batch(monkeypatch):
 
 def test_overflowing_entries_fail_as_cell_by_cell(monkeypatch):
     # log axes up to 1e308: 1 + 2 d and 1 - beta overflow or lose the
-    # dominance margin, and the batch leaves those cells to the per-cell path
+    # dominance margin, and the batch leaves those cells to the per-cell path,
+    # which fails them without a numpy warning
     spec = tiny_spec(axis_x=Axis("d_minus", 1e-2, 1e308, 7, "log"),
                      axis_y=Axis("beta_minus", 0.5, 1e308, 3, "log"))
     calls = count_point_calls(monkeypatch)
-    field = run_sweep(spec)
-    assert 0 < len(calls) < 21
-    assert field.warning_count > 0
-    assert_matches_per_cell(field, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        field = run_sweep(spec)
+        assert 0 < len(calls) < 21
+        assert field.warning_count > 0
+        assert_matches_per_cell(field, spec)
     # d_minus = 0.01, beta_minus = 1e308: its Gershgorin bound overflows
     assert field.classification[2, 0] == "failed"
+
+
+def test_overflowing_bulk_plane_fails_without_numpy_warnings():
+    # the bulk pair's Gershgorin bound, ||M|| and the solve's pivot scale
+    # overflow on this plane
+    spec = tiny_spec(scheme=SCHEMES["bulk-explicit-flux"],
+                     axis_x=Axis("d_minus", 1e-2, 1e308, 7, "log"),
+                     axis_y=Axis("beta_minus", 0.5, 1e308, 3, "log"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        field = run_sweep(spec)
+        assert_matches_per_cell(field, spec)
+    assert field.warning_count > 0
+    assert field.classification[0, 0] == "stable"
 
 
 def test_row_crossings_bracket_flux_bound():
@@ -556,6 +575,14 @@ def test_unknown_preset_rejected():
 def test_preset_variant_out_of_range_rejected(name, variant):
     with pytest.raises(ParameterDomainError, match="variant"):
         preset_sweep(name, variant=variant)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6"])
+def test_bulk_preset_rejects_a_heat_content_ratio(name):
+    # the bulk planes fix r = 1; another r would be silently ignored
+    assert preset_sweep(name, r=1.0).fixed["r"] == 1.0
+    with pytest.raises(ParameterDomainError, match="fixes r = 1"):
+        preset_sweep(name, r=5.0)
 
 
 def test_bulk_minus_plane_preset():
