@@ -8,14 +8,19 @@ Exit codes: 0 success, 1 analysis or validation failure, 2 usage errors.
 
 import argparse
 import configparser
+import contextlib
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
-from .errors import ParameterDomainError, SchemeError
+from .errors import ParameterDomainError, SchemeError, UnconfirmedRootWarning
 from .params import DimensionlessParams
+
+# the marginal band; cells per domain and kept draws per scheme of the scan audit
+MARGIN, SCAN_N, SCAN_POINTS = 5e-3, 60, 50
 
 
 def _fmt(value):
@@ -42,6 +47,11 @@ def _params_from_args(args):
         beta_minus=args.beta_minus,
         r=args.r,
     )
+
+
+def _emit(rows, path):
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 # --- sweep ---
@@ -130,14 +140,8 @@ def _cmd_spectrum(args):
     p = _params_from_args(args)
     pair = assembly.assemble(assembly.SCHEMES[args.scheme], p, args.n_minus, args.n_plus)
     spectrum = spectral.eigen_spectrum(spectral.update_matrix(pair))
-    lines = ["re,im"]
-    lines += [f"{_fmt(ev.real)},{_fmt(ev.imag)}" for ev in spectrum.eigenvalues]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(["re,im"] + [f"{_fmt(ev.real)},{_fmt(ev.imag)}" for ev in spectrum.eigenvalues],
+          args.out)
     verdict = spectral.classify(spectrum.lambda_max, args.tol)
     print(f"lambda_max = {_fmt(spectrum.lambda_max)} ({verdict.value})", file=sys.stderr)
     return 0
@@ -147,40 +151,34 @@ def _cmd_spectrum(args):
 
 
 def _cmd_simulate(args):
+    for flag, value in (("--steps", args.steps), ("--burn-in", args.burn_in),
+                        ("--seed", args.seed)):
+        if value < 0:
+            raise ParameterDomainError(f"{flag} must be nonnegative, got {value}")
     scheme = assembly.SCHEMES[args.scheme]
     p = _params_from_args(args)
     pair = assembly.assemble(scheme, p, args.n_minus, args.n_plus)
     layout = pair.layout
-    state = stepper.random_state(layout, seed=args.seed)
-    log_norms = [0.0]
-    rows = ["step,norm,growth_estimate"]
-    rows.append(f"0,{_fmt(1.0)},nan")
-    total = 0.0
-    for k in range(1, args.steps + 1):
+
+    def step(vector):
+        state = stepper.unpack_state(vector, layout, 0)
         if args.stepper == "monolithic":
             state = stepper.step_monolithic(pair, state)
         else:
             state = stepper.step_partitioned(scheme, p, args.n_minus, args.n_plus, state)
-        gain = stepper.state_norm(state)
-        if gain == 0.0:
-            rows.append(f"{k},0.0,nan")
-            break
-        total += np.log(gain)
+        return stepper.pack_state(state, layout)
+
+    vector = stepper.pack_state(stepper.random_state(layout, seed=args.seed), layout)
+    log_norms = [0.0]
+    rows = ["step,norm,growth_estimate", f"0,{_fmt(1.0)},nan"]
+    for k, total in enumerate(stepper.renormalized_log_norms(step, vector, args.steps), 1):
         log_norms.append(total)
-        # renormalize so unstable schemes cannot overflow the state
-        vector = stepper.pack_state(state, layout) / gain
-        state = stepper.unpack_state(vector, layout, state.step_index)
-        if k >= args.burn_in + 2:
-            estimate = _fmt(stepper.fit_growth(log_norms[args.burn_in:]))
-        else:
-            estimate = "nan"
+        estimate = (_fmt(stepper.fit_growth(log_norms[args.burn_in:]))
+                    if k >= args.burn_in + 2 else "nan")
         rows.append(f"{k},{_fmt(np.exp(total))},{estimate}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if len(log_norms) <= args.steps:
+        rows.append(f"{len(log_norms)},0.0,nan")
+    _emit(rows, args.out)
     return 0
 
 
@@ -223,6 +221,39 @@ def _lambda_max(scheme, p, n_minus, n_plus):
     return spectral.eigen_spectrum(assembly.assemble(scheme, p, n_minus, n_plus)).lambda_max
 
 
+def _compare_verdicts(scheme, p, n, dense=False):
+    """(lambda_max, verdicts agree, dense agrees) at n cells per domain, None if marginal.
+
+    The pencil path picks the draws to skip; with dense=True the dense oracle
+    decides the verdict and must match the pencil to 1e-10 relative.
+    """
+    pair = assembly.assemble(scheme, p, n, n)
+    lam = spectral.eigen_spectrum(pair).lambda_max
+    if abs(lam - 1.0) <= MARGIN:  # a finite matrix cannot decide
+        return None
+    fast = lam
+    if dense:
+        lam = spectral.eigen_spectrum(spectral.update_matrix(pair)).lambda_max
+    # the annulus must reach past the observed growth or the scan is blind
+    scan = normalmode.ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnconfirmedRootWarning)
+        stable = normalmode.normal_mode_verdict(scheme, p, scan)
+    return lam, stable == (lam <= 1.0), abs(fast - lam) <= 1e-10 * lam
+
+
+def _draw(rng, name):
+    """Groups log-uniform on [1e-2, 1e2], as many as the scheme family uses."""
+    if name.startswith("one-way"):
+        d, beta = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+        return DimensionlessParams(0.0, float(d), 0.0, float(beta), 1.0)
+    if name.startswith("dn"):
+        dp, dm, r = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+        return DimensionlessParams(float(dp), float(dm), 0.0, 0.0, float(r))
+    dp, dm, bp, bm = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+    return DimensionlessParams(float(dp), float(dm), float(bp), float(bm), 1.0)
+
+
 def _validate_one_way(failures, messages):
     explicit = assembly.SCHEMES["one-way-explicit-flux"]
     implicit = assembly.SCHEMES["one-way-implicit-flux"]
@@ -252,43 +283,23 @@ def _validate_one_way(failures, messages):
 def _validate_bulk(failures, messages):
     rng = np.random.default_rng(seed=1)
     for name in ("bulk-partial-flux", "bulk-implicit-flux", "bulk-sequential"):
-        scheme = assembly.SCHEMES[name]
-        worst = 0.0
-        for _ in range(8):
-            values = 10.0 ** rng.uniform(-2, 2, size=4)
-            p = DimensionlessParams(values[0], values[1], values[2], values[3], 1.0)
-            worst = max(worst, _lambda_max(scheme, p, 15, 15))
+        worst = max(_lambda_max(assembly.SCHEMES[name], _draw(rng, name), 15, 15)
+                    for _ in range(8))
         _check(f"{name} stable across sampled parameters", worst <= 1.0 + 1e-8,
                failures, messages)
-    scheme = assembly.SCHEMES["bulk-explicit-flux"]
-    agree = True
-    for _ in range(10):
-        values = 10.0 ** rng.uniform(-2, 2, size=4)
-        p = DimensionlessParams(values[0], values[1], values[2], values[3], 1.0)
-        lam = _lambda_max(scheme, p, 40, 40)
-        if abs(lam - 1.0) <= 5e-3:
-            continue
-        # the annulus must reach past the observed growth or the scan is blind
-        scan = normalmode.ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
-        if normalmode.normal_mode_verdict(scheme, p, scan) != (lam <= 1.0):
-            agree = False
-    _check("bulk explicit-flux scan verdicts match matrix classification", agree,
-           failures, messages)
+    name = "bulk-explicit-flux"
+    results = [_compare_verdicts(assembly.SCHEMES[name], _draw(rng, name), 40) for _ in range(10)]
+    _check("bulk explicit-flux scan verdicts match matrix classification",
+           all(result is None or result[1] for result in results), failures, messages)
 
 
 def _validate_dn(failures, messages):
     explicit = assembly.SCHEMES["dn-explicit"]
-    agree = True
-    for r in (2000.0, 1.0, 5e-4):
-        for dm, dp in ((0.2, 0.2), (0.2, 0.7), (0.7, 0.2), (0.45, 0.45)):
-            p = DimensionlessParams(dp, dm, 0.0, 0.0, r)
-            lam = _lambda_max(explicit, p, 100, 100)
-            if abs(lam - 1.0) <= 5e-3:
-                continue
-            if normalmode.normal_mode_verdict(explicit, p) != (lam <= 1.0):
-                agree = False
-    _check("dn-explicit verdict rule matches matrix classification", agree,
-           failures, messages)
+    results = [_compare_verdicts(explicit, DimensionlessParams(dp, dm, 0.0, 0.0, r), 100)
+               for r in (2000.0, 1.0, 5e-4)
+               for dm, dp in ((0.2, 0.2), (0.2, 0.7), (0.7, 0.2), (0.45, 0.45))]
+    _check("dn-explicit verdict rule matches matrix classification",
+           all(result is None or result[1] for result in results), failures, messages)
     implicit = assembly.SCHEMES["dn-implicit"]
     from scipy.optimize import minimize_scalar
 
@@ -306,7 +317,34 @@ def _validate_dn(failures, messages):
     _check("dn-implicit small-ratio root sits at 1/(1+4d)", ok, failures, messages)
 
 
+def _validate_scan(failures, messages, points, seed):
+    """Scan-versus-matrix audit: `points` kept draws per scheme from default_rng(seed)."""
+    for name, scheme in assembly.SCHEMES.items():
+        rng = np.random.default_rng(seed=seed)
+        outcomes = []
+        while len(outcomes) < points:
+            p = _draw(rng, name)
+            result = _compare_verdicts(scheme, p, SCAN_N, dense=True)
+            if result is None:
+                continue
+            lam, agree, dense_agrees = result
+            outcomes.append((agree, dense_agrees))
+            if not (agree and dense_agrees):
+                print(f"  {name} at {p}: lambda_max={lam!r}, verdicts agree: {agree}, "
+                      f"pencil matches dense: {dense_agrees}")
+        disagree, mismatch = (points - sum(column) for column in zip(*outcomes))
+        _check(f"{name} scan verdicts match the matrix on {points} draws "
+               f"({disagree} disagree, {mismatch} pencil/dense mismatches)",
+               disagree == mismatch == 0, failures, messages)
+
+
 def _cmd_validate(args):
+    if args.suite != "scan" and (args.points, args.seed) != (None, None):
+        raise ParameterDomainError("--points and --seed apply only to --suite scan")
+    points = SCAN_POINTS if args.points is None else args.points
+    seed = args.seed or 0
+    if points < 1 or seed < 0:
+        raise ParameterDomainError("--suite scan needs --points >= 1 and --seed >= 0")
     failures, messages = [], []
     if args.suite in ("one-way", "all"):
         _validate_one_way(failures, messages)
@@ -314,6 +352,8 @@ def _cmd_validate(args):
         _validate_bulk(failures, messages)
     if args.suite in ("dn", "all"):
         _validate_dn(failures, messages)
+    if args.suite == "scan":
+        _validate_scan(failures, messages, points, seed)
     for message in messages:
         print(message)
     passed = len(messages) - len(failures)
@@ -378,7 +418,11 @@ def _build_parser():
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_validate = commands.add_parser("validate", help="cross-check battery")
-    p_validate.add_argument("--suite", choices=("one-way", "bulk", "dn", "all"), default="all")
+    p_validate.add_argument("--suite", choices=("one-way", "bulk", "dn", "scan", "all"),
+                            default="all", help="all is one-way, bulk and dn, well under a "
+                            "second; scan, the 6-8 s scan-versus-matrix audit, runs alone")
+    p_validate.add_argument("--points", type=int, help="scan draws per scheme (default 50)")
+    p_validate.add_argument("--seed", type=int, help="seed of the scan draws (default 0)")
     p_validate.set_defaults(func=_cmd_validate)
 
     p_dump = commands.add_parser("dump-matrices", help="write assembled A and B as CSV")

@@ -274,32 +274,31 @@ def growth_rate(trajectory, burn_in=50):
     return fit_growth(np.log(window))
 
 
-def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
-    """Growth rate from a renormalized run; safe for strongly unstable pairs.
-
-    Each step renormalizes the state to unit norm and accumulates the log of
-    the amplification, so only the logs grow.
-    """
-    if steps < burn_in + 10:
-        raise ParameterDomainError(f"need steps >= burn_in + 10 = {burn_in + 10}")
-    layout = pair.layout
-    state = random_state(layout, seed=seed)
-    vector = pack_state(state, layout)
-    log_norms = np.empty(steps)
+def renormalized_log_norms(step, vector, steps):
+    """Cumulative log max-norm gains of `steps` renormalized steps; stops at a zero iterate."""
     total = 0.0
-    count = steps
-    for k in range(steps):
-        rhs = pair.B @ vector
-        vector = tridiagonal_solve(pair.A, rhs)
+    for _ in range(steps):
+        vector = step(vector)
         gain = np.abs(vector).max()
         if gain == 0.0:
-            warnings.warn("iterate collapsed to zero; fitting the surviving prefix",
-                          DecayFloorWarning)
-            count = k
-            break
+            return
         total += np.log(gain)
-        log_norms[k] = total
+        yield total
         vector = vector / gain
-    if count - burn_in < 2:
+
+
+def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
+    """Growth rate from a renormalized monolithic run; safe for strongly unstable pairs."""
+    if burn_in < 0:
+        raise ParameterDomainError(f"burn_in must be nonnegative, got {burn_in}")
+    if steps < burn_in + 10:
+        raise ParameterDomainError(f"need steps >= burn_in + 10 = {burn_in + 10}")
+    vector = pack_state(random_state(pair.layout, seed=seed), pair.layout)
+    log_norms = list(renormalized_log_norms(
+        lambda v: tridiagonal_solve(pair.A, pair.B @ v), vector, steps))
+    if len(log_norms) < steps:
+        warnings.warn("iterate collapsed to zero; fitting the surviving prefix",
+                      DecayFloorWarning)
+    if len(log_norms) - burn_in < 2:
         return 0.0
-    return fit_growth(log_norms[burn_in:count])
+    return fit_growth(log_norms[burn_in:])

@@ -49,6 +49,8 @@ class Axis:
             raise ParameterDomainError(f"unknown axis scale {self.scale!r}")
         if self.points < 2:
             raise ParameterDomainError("an axis needs at least 2 points")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ParameterDomainError(f"axis ends must be finite, got {self.lo!r}, {self.hi!r}")
         if not (0.0 < self.lo <= self.hi) and self.scale == "log":
             raise ParameterDomainError("log axis needs 0 < lo <= hi")
         if not (self.lo <= self.hi):

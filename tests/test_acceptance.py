@@ -9,7 +9,6 @@ are asserted because the battery doubles as the regression gate.
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -18,14 +17,12 @@ from cplstab import (
     SCHEMES,
     DimensionlessParams,
     Layout,
-    ScanSettings,
     Tridiagonal,
     UpdatePair,
     assemble,
     classify,
     dispersion_residual,
     eigen_spectrum,
-    normal_mode_verdict,
     one_way_explicit_roots,
     pack_state,
     random_state,
@@ -37,7 +34,6 @@ from cplstab import (
 )
 from cplstab.assembly import ONE_WAY_NEGATIVE
 from cplstab.cli import cli_main
-from cplstab.errors import UnconfirmedRootWarning
 from cplstab.sweep import Axis, SweepSpec, default_axis, preset_sweep
 
 SEED = 0
@@ -212,45 +208,19 @@ def test_growth_rate_matches_boundary_mode():
     assert time.monotonic() - start < 10.0
 
 
-def draw_parameters(rng, name):
-    if name.startswith("one-way"):
-        d, beta = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
-        return DimensionlessParams(0.0, float(d), 0.0, float(beta), 1.0)
-    if name.startswith("dn"):
-        dp, dm, r = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
-        return DimensionlessParams(float(dp), float(dm), 0.0, 0.0, float(r))
-    dp, dm, bp, bm = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
-    return DimensionlessParams(float(dp), float(dm), float(bp), float(bm), 1.0)
-
-
-def test_scan_verdicts_match_matrix_classification():
+def test_scan_verdicts_match_matrix_classification(capsys):
     """Normal-mode verdicts agree with the matrix on random parameter points.
 
-    Fifty seeded draws per scheme, skipping the marginal band where finite
-    matrices cannot decide; the scan window is sized from the observed growth.
-    The pencil path picks the draws to skip, and the dense oracle, which must
-    agree with it, decides every compared verdict.
+    ``cplstab validate --suite scan``: fifty seeded draws per scheme off the
+    marginal band, each decided by the dense oracle, which must match the
+    pencil path to 1e-10.
     """
     start = time.monotonic()
-    disagreements = 0
-    for name, scheme in SCHEMES.items():
-        rng = np.random.default_rng(seed=SEED)
-        done = 0
-        while done < 50:
-            p = draw_parameters(rng, name)
-            fast = eigen_spectrum(assemble(scheme, p, 60, 60)).lambda_max
-            if abs(fast - 1.0) <= 5e-3:
-                continue
-            lam = lambda_max_of(scheme, p, 60, 60)
-            assert abs(fast - lam) <= 1e-10 * lam
-            done += 1
-            settings = ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnconfirmedRootWarning)
-                verdict = normal_mode_verdict(scheme, p, scan=settings)
-            if verdict != (lam <= 1.0):
-                disagreements += 1
-    assert disagreements == 0
+    assert cli_main(["validate", "--suite", "scan", "--points", "50", "--seed", str(SEED)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"ok   {name} scan verdicts match the matrix on 50 draws "
+                     "(0 disagree, 0 pencil/dense mismatches)" for name in SCHEMES] + [
+        f"{len(SCHEMES)} passed, 0 failed"]
     assert time.monotonic() - start < 120.0
 
 

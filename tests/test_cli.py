@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cplstab.normalmode as normalmode_mod
+import cplstab.spectral as spectral_mod
 from cplstab.assembly import SCHEMES, assemble
 from cplstab.cli import cli_main
 from cplstab.normalmode import beljaars_bound, one_way_explicit_bound
@@ -53,6 +54,23 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
 
 
 # ------------------------------------------------------------- usage errors
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--scheme", "dn-implicit", "--burn-in", "-5"], "--burn-in must be nonnegative"),
+    (["simulate", "--scheme", "dn-implicit", "--steps", "-3"], "--steps must be nonnegative"),
+    (["simulate", "--scheme", "dn-implicit", "--seed", "-1"], "--seed must be nonnegative"),
+    (["validate", "--suite", "all", "--points", "5"], "apply only to --suite scan"),
+    (["validate", "--suite", "bulk", "--seed", "1"], "apply only to --suite scan"),
+    (["validate", "--points", "3"], "apply only to --suite scan"),
+    (["validate", "--suite", "scan", "--points", "0"], "--points >= 1 and --seed >= 0"),
+    (["validate", "--suite", "scan", "--seed", "-1"], "--points >= 1 and --seed >= 0"),
+])
+def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -248,6 +266,13 @@ def test_simulate_steppers_agree(tmp_path):
     np.testing.assert_allclose(tables[0][:, 1], tables[1][:, 1], rtol=1e-9)
 
 
+def test_simulate_zero_gain_ends_the_run(capsys):
+    # beta = 1 with one explicit-flux cell maps every state to zero
+    assert cli_main(["simulate", "--scheme", "one-way-explicit-flux", "--d-minus", "1",
+                     "--beta-minus", "1", "--n-minus", "1", "--steps", "5"]) == 0
+    assert capsys.readouterr().out == "step,norm,growth_estimate\n0,1,nan\n1,0.0,nan\n"
+
+
 # ------------------------------------------------------------- bounds
 
 
@@ -288,6 +313,22 @@ def test_validate_one_way_suite(capsys):
 def test_validate_all_suites(capsys):
     assert cli_main(["validate", "--suite", "all"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "13 passed, 0 failed"
+
+
+@pytest.mark.parametrize("module, name, wrap, flag", [
+    (normalmode_mod, "normal_mode_verdict",
+     lambda verdict: lambda scheme, p, scan=None: not verdict(scheme, p, scan), "agree: False"),
+    (spectral_mod, "update_matrix",
+     lambda update: lambda pair: update(pair) * (1.0 + 1e-6), "dense: False"),
+])
+def test_validate_scan_prints_each_failing_point(monkeypatch, capsys, module, name, wrap, flag):
+    # a flipped verdict, or a dense oracle off by 1e-6, fails every scheme's one draw
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    assert cli_main(["validate", "--suite", "scan", "--points", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" at DimensionlessParams(")[0] for line in lines if flag in line] == [
+        f"  {scheme}" for scheme in SCHEMES]
+    assert lines[-1] == f"0 passed, {len(SCHEMES)} failed"
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):

@@ -229,6 +229,8 @@ def test_growth_rate_zero_floor_warns():
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 80)
     with pytest.warns(DecayFloorWarning):
         growth_rate(traj)
+    with pytest.warns(DecayFloorWarning):
+        assert power_growth_rate(pair, steps=20, burn_in=0) == 0.0
 
 
 def test_power_growth_rate_deterministic():
@@ -237,3 +239,10 @@ def test_power_growth_rate_deterministic():
     a = power_growth_rate(pair, steps=200, burn_in=50, seed=SEED)
     b = power_growth_rate(pair, steps=200, burn_in=50, seed=SEED)
     assert a == b
+
+
+def test_power_growth_rate_rejects_negative_burn_in():
+    # a negative burn-in used to fit the last |burn_in| log norms
+    pair = assemble_bulk(params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5, theta=1, gamma=0)
+    with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
+        power_growth_rate(pair, steps=20, burn_in=-5)

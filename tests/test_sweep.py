@@ -79,6 +79,14 @@ def test_axis_rejects_reversed_range():
         Axis("d_minus", 2.0, 1.0, 5, "linear")
 
 
+@pytest.mark.parametrize("lo, hi, scale", [(1.0, np.inf, "log"), (np.inf, np.inf, "log"),
+                                           (0.0, np.inf, "linear"), (-np.inf, 1.0, "linear")])
+def test_axis_rejects_non_finite_ends(lo, hi, scale):
+    # an infinite end made every value NaN or inf, so every cell failed
+    with pytest.raises(ParameterDomainError, match="axis ends must be finite"):
+        Axis("d_minus", lo, hi, 3, scale)
+
+
 def test_log_axis_values():
     values = Axis("d_minus", 1e-2, 1e2, 5, "log").values()
     assert values.shape == (5,)
