@@ -42,6 +42,7 @@ from .spectral import (
     StabilityClass,
     classify,
     eigen_spectrum,
+    full_spectrum,
     tridiagonal_solve,
     update_matrix,
 )

@@ -103,7 +103,6 @@ class Layout:
     kind: str  # BULK, DIRICHLET_NEUMANN, or ONE_WAY_NEGATIVE
     n_minus: int
     n_plus: int
-    sequential: bool = False
 
     @property
     def n(self):
@@ -319,7 +318,7 @@ def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
     exists for conservation checks and is not part of the analyzed family.
     """
     bands = _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field)
-    return _pair(bands, Layout(BULK, n_minus, n_plus, sequential=formulation == SEQUENTIAL))
+    return _pair(bands, Layout(BULK, n_minus, n_plus))
 
 
 def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
@@ -359,7 +358,7 @@ def scheme_layout(scheme, n_minus, n_plus):
         return Layout(ONE_WAY_NEGATIVE, n_minus, 0)
     if scheme.interface == DIRICHLET_NEUMANN:
         return Layout(DIRICHLET_NEUMANN, n_minus, n_plus)
-    return Layout(BULK, n_minus, n_plus, sequential=scheme.formulation == SEQUENTIAL)
+    return Layout(BULK, n_minus, n_plus)
 
 
 def assemble_bands(scheme, p, n_minus, n_plus):

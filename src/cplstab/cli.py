@@ -17,7 +17,7 @@ import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
 from .errors import ParameterDomainError, SchemeError, UnconfirmedRootWarning
-from .params import DimensionlessParams
+from .params import DimensionlessParams, _section_values
 
 # the marginal band; cells per domain and kept draws per scheme of the scan audit
 MARGIN, SCAN_N, SCAN_POINTS = 5e-3, 60, 50
@@ -75,12 +75,13 @@ def _sweep_spec_from_config(path):
     for name in ("scheme", "axes", "fixed"):
         if not parser.has_section(name):
             raise ParameterDomainError(f"sweep config needs a [{name}] section")
-    scheme_name = parser["scheme"].get("name")
+    scheme_name = _section_values(parser, "scheme", ("name",))["name"]
     if scheme_name not in assembly.SCHEMES:
         raise ParameterDomainError(f"unknown scheme name {scheme_name!r}")
-    axes = parser["axes"]
+    axes = _section_values(parser, "axes", ("x", "y"), [f"{axis}_{key}" for axis in "xy"
+                                                         for key in ("lo", "hi", "points", "scale")])
     fixed = {key: float(value) for key, value in parser["fixed"].items()}
-    grid = parser["grid"] if parser.has_section("grid") else {}
+    grid = _section_values(parser, "grid", (), ("n_minus", "n_plus", "tol"))
     spec = sweep.SweepSpec(
         scheme=assembly.SCHEMES[scheme_name],
         axis_x=_axis_from_config(axes, "x"),
@@ -90,8 +91,7 @@ def _sweep_spec_from_config(path):
         n_plus=int(grid.get("n_plus", sweep.DEFAULT_N_PLUS)),
         tol=float(grid.get("tol", 1e-8)),
     )
-    output = dict(parser["output"]) if parser.has_section("output") else {}
-    return spec, output
+    return spec, _section_values(parser, "output", (), ("csv", "pgm"))
 
 
 def _cmd_sweep(args):
@@ -139,7 +139,7 @@ def _cmd_sweep(args):
 def _cmd_spectrum(args):
     p = _params_from_args(args)
     pair = assembly.assemble(assembly.SCHEMES[args.scheme], p, args.n_minus, args.n_plus)
-    spectrum = spectral.eigen_spectrum(spectral.update_matrix(pair))
+    spectrum = spectral.full_spectrum(pair)
     _emit(["re,im"] + [f"{_fmt(ev.real)},{_fmt(ev.imag)}" for ev in spectrum.eigenvalues],
           args.out)
     verdict = spectral.classify(spectrum.lambda_max, args.tol)
@@ -194,6 +194,11 @@ def _bounds_values(d):
 
 
 def _cmd_bounds(args):
+    for flag, value in (("--d", args.d), ("--d-lo", args.d_lo), ("--d-hi", args.d_hi)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise ParameterDomainError(f"{flag} must be positive and finite, got {value!r}")
+    if args.points < 1 or args.d_lo > args.d_hi:
+        raise ParameterDomainError("bounds needs --points >= 1 and --d-lo <= --d-hi")
     if args.d is not None:
         explicit, beljaars, admissible = _bounds_values(args.d)
         print(f"beta_max_explicit,{_fmt(explicit)}")

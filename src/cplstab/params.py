@@ -147,7 +147,7 @@ _DIMENSIONLESS_KEYS = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
 
 
 def _section_values(parser, section, required, optional=()):
-    present = dict(parser.items(section))
+    present = dict(parser.items(section)) if parser.has_section(section) else {}
     unknown = set(present) - set(required) - set(optional)
     if unknown:
         raise ParameterDomainError(f"unknown keys in [{section}]: {sorted(unknown)}")

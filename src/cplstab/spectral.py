@@ -6,11 +6,13 @@ lies inside the closed unit disk; classification uses a tolerance band around
 reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
 symmetric tridiagonal sigma A - B, or from LAPACK dstebz when A is diagonal,
-and M is never formed; the dense path serves a dense M, cplstab spectrum and
-hand-built pairs that fit no case of the pencil.  pencil_lambda_max takes the
-same path for every pair of a batch at once.
+and M is never formed; pencil_lambda_max does so for a batch of pairs, and
+full_spectrum gives every eigenvalue from the same pencil.  The dense path,
+plain eig of M with a residual check, is the oracle and serves the pairs
+that fit no case of the pencil.
 """
 
+import contextlib
 import enum
 import warnings
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .assembly import Tridiagonal, UpdatePair
+from .assembly import UpdatePair
 from .errors import ParameterDomainError, SingularMatrixError, SolveResidualWarning, SpectrumError
 
 MAX_DENSE_N = 2048
@@ -125,46 +127,6 @@ def _sorted_spectrum(eigenvalues, residual_bound):
     order = np.lexsort((-ev.imag, -ev.real, -np.abs(ev)))
     ev = ev[order]
     return Spectrum(ev, float(np.abs(ev[0])), float(residual_bound))
-
-
-def _tridiagonal_blocks(sub, sup):
-    """Split indices where the coupling product vanishes (block triangular)."""
-    cuts = [0]
-    for i in range(sub.shape[0]):
-        if sub[i] * sup[i] == 0.0:
-            cuts.append(i + 1)
-    cuts.append(sub.shape[0] + 1)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _try_symmetrizable_tridiagonal(M, norm):
-    """Real spectrum path for tridiagonal M with sign-matched couplings.
-
-    A diagonal similarity D M D^{-1} with D_i^2 accumulating sub/sup ratios is
-    symmetric whenever every sub[i]*sup[i] > 0; zero products split M into
-    independent diagonal blocks first.  Returns None when M does not qualify.
-    """
-    n = M.shape[0]
-    if n == 1:
-        return _sorted_spectrum(np.diag(M).astype(complex), np.finfo(float).eps * norm)
-    try:
-        bands = Tridiagonal.from_dense(M)
-    except ParameterDomainError:
-        return None
-    sub, diag, sup = bands.sub, bands.diag, bands.sup
-    prod = sub * sup
-    eigenvalues = []
-    for lo, hi in _tridiagonal_blocks(sub, sup):
-        block = prod[lo:hi - 1]
-        if block.size and (block <= 0.0).any():
-            return None
-        if hi - lo == 1:
-            eigenvalues.append(np.array([diag[lo]]))
-        else:
-            eigenvalues.append(scipy.linalg.eigvalsh_tridiagonal(diag[lo:hi], np.sqrt(block)))
-    ev = np.concatenate(eigenvalues)
-    bound = 8.0 * n * np.finfo(float).eps * max(norm, 1.0)
-    return _sorted_spectrum(ev.astype(complex), bound)
 
 
 # --- symmetric-definite tridiagonal pencil ---
@@ -304,10 +266,15 @@ def _top_end(pencil, lo, margin, radius):
     return lo, hi
 
 
-def _diagonal_ends(a_diag, b_diag, b_off):
-    """Both ends of the spectrum of a pencil with diagonal A = D: dstebz on D^-1/2 B D^-1/2."""
+def _diagonal_form(a_diag, b_diag, b_off):
+    """Diagonal and off-diagonal of D^-1/2 B D^-1/2, for a pencil with diagonal A = D."""
     scale = 1.0 / np.sqrt(a_diag)
-    diag, off = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
+    return b_diag / a_diag, b_off * scale[:-1] * scale[1:]
+
+
+def _diagonal_ends(a_diag, b_diag, b_off):
+    """Both ends of the spectrum of a pencil with diagonal A: dstebz on _diagonal_form."""
+    diag, off = _diagonal_form(a_diag, b_diag, b_off)
     if diag.shape[0] == 1:  # dstebz rejects an empty off-diagonal
         return [diag[0]]
     ends = []
@@ -498,10 +465,10 @@ def pencil_lambda_max(bands):
 def eigen_spectrum(M):
     """Spectrum of a dense update matrix M, or of an UpdatePair (A, B).
 
-    A dense M gives its full spectrum, sorted by decreasing modulus.
-    Symmetrizable tridiagonal matrices take a fast symmetric path; everything
-    else goes through the general eigensolver with an explicit residual check
-    ||M v - lambda v|| <= 1e-8 ||M|| on every eigenpair.
+    A dense M gives its full spectrum, sorted by decreasing modulus, from the
+    general eigensolver with an explicit residual check ||M v - lambda v|| <=
+    1e-8 ||M|| on every eigenpair.  This plain path shares no code with the
+    pencil and serves as its oracle.
 
     An UpdatePair whose pencil _symmetric_pencil accepts, as it does the
     pairs of all eight assembled schemes, has a real spectrum and M is never
@@ -538,9 +505,6 @@ def eigen_spectrum(M):
         raise ParameterDomainError("matrix has non-finite entries")
     with np.errstate(over="ignore"):
         norm = np.abs(M).sum(axis=1).max()
-    fast = _try_symmetrizable_tridiagonal(M, norm)
-    if fast is not None:
-        return fast
     try:
         values, vectors = np.linalg.eig(M)
     except np.linalg.LinAlgError as err:
@@ -555,6 +519,36 @@ def eigen_spectrum(M):
             spectrum=spectrum,
         )
     return spectrum
+
+
+def full_spectrum(pair):
+    """Every eigenvalue of an UpdatePair, sorted by decreasing modulus.
+
+    A pencil that _symmetric_pencil accepts with no lagged index is symmetric
+    definite: eigvalsh_tridiagonal solves D^-1/2 B D^-1/2 for a diagonal A = D
+    at any n, and LAPACK's symmetric-definite solver the dense pencil up to
+    MAX_DENSE_N.  Both are backward stable, so residual_bound is
+    8 n eps max(G, 1), with G = max_i(|B_ii| + radius_i) / min_i margin_i >=
+    ||A^-1|| ||B|| (Gershgorin).  Other pairs, and non-finite pencils or
+    results, take eigen_spectrum(update_matrix(pair)).
+    """
+    bands = (pair.A.sub, pair.A.diag, pair.A.sup, pair.B.sub, pair.B.diag, pair.B.sup)
+    (a_diag, a_off, b_diag, b_off), lagged, _, margin, radius, ok = _symmetric_pencil(*bands)
+    pencil, values = (), None
+    with np.errstate(all="ignore"):  # overflow leaves non-finite entries: the dense path
+        if ok and lagged is None and not a_off.any():
+            solve, pencil = scipy.linalg.eigvalsh_tridiagonal, _diagonal_form(a_diag, b_diag, b_off)
+        elif ok and lagged is None and pair.n <= MAX_DENSE_N:
+            solve = scipy.linalg.eigvalsh  # eigh(B, A, eigvals_only=True)
+            pencil = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                      for d, e in ((b_diag, b_off), (a_diag, a_off))]
+        g = (np.abs(b_diag) + radius).max() / margin.min()
+    if pencil and all(np.isfinite(x).all() for x in pencil):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            values = solve(*pencil)
+    if values is None or not np.isfinite(values).all():
+        return eigen_spectrum(update_matrix(pair))
+    return _sorted_spectrum(values, 8.0 * pair.n * np.finfo(float).eps * max(g, 1.0))
 
 
 def classify(lambda_max, tol=1e-8):

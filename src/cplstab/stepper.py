@@ -258,6 +258,8 @@ def growth_rate(trajectory, burn_in=50):
     Norms that underflow to exact zero end the fit window early with a
     warning; the estimate then comes from the surviving prefix.
     """
+    if burn_in < 0:
+        raise ParameterDomainError(f"burn_in must be nonnegative, got {burn_in}")
     norms = np.asarray(trajectory.norms, dtype=float)
     if norms.shape[0] < burn_in + 10:
         raise ParameterDomainError(

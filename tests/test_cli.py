@@ -65,6 +65,15 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     (["validate", "--points", "3"], "apply only to --suite scan"),
     (["validate", "--suite", "scan", "--points", "0"], "--points >= 1 and --seed >= 0"),
     (["validate", "--suite", "scan", "--seed", "-1"], "--points >= 1 and --seed >= 0"),
+    (["bounds", "--points", "-3"], "--points >= 1 and --d-lo <= --d-hi"),
+    (["bounds", "--points", "0"], "--points >= 1 and --d-lo <= --d-hi"),
+    (["bounds", "--d", "0"], "--d must be positive and finite"),
+    (["bounds", "--d", "inf"], "--d must be positive and finite"),
+    (["bounds", "--d", "nan"], "--d must be positive and finite"),
+    (["bounds", "--d-lo", "0"], "--d-lo must be positive and finite"),
+    (["bounds", "--d-lo", "-1"], "--d-lo must be positive and finite"),
+    (["bounds", "--d-hi", "inf"], "--d-hi must be positive and finite"),
+    (["bounds", "--d-lo", "10", "--d-hi", "1"], "--points >= 1 and --d-lo <= --d-hi"),
 ])
 def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
     assert cli_main(argv) == 2
@@ -101,6 +110,22 @@ def test_sweep_incomplete_config(tmp_path, capsys):
     code = cli_main(["sweep", "--config", str(path), "--csv", str(tmp_path / "o.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("scheme", "nmae"), ("axes", "x_point"), ("grid", "n_minu"), ("output", "cvs"),
+])
+def test_sweep_config_rejects_unknown_keys(tmp_path, capsys, section, key):
+    # a misspelt key used to be ignored, and its default swept
+    config = tmp_path / "sweep.ini"
+    text = SWEEP_CONFIG + f"\n[output]\npgm = {tmp_path / 'field.pgm'}\n"
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = 3\n"),
+                      encoding="utf-8")
+    csv_path = tmp_path / "field.csv"
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"unknown keys in [{section}]: ['{key}']" in captured.err
+    assert captured.out == "" and not list(tmp_path.glob("field.*"))
 
 
 def test_sweep_without_csv_path(tmp_path, capsys):
@@ -225,6 +250,47 @@ def test_spectrum_to_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert path.read_text(encoding="utf-8") == "re,im\n-3,0\n1,0\n"
+
+
+def spectrum_rows(argv, capsys):
+    assert cli_main(["spectrum", *argv]) == 0
+    return [float(row.split(",")[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_spectrum_resolves_a_double_eigenvalue(capsys):
+    # the two blocks of this one-sided pair share their top eigenvalue, so M
+    # holds a Jordan block there, which dense eig resolves only to about 1e-9
+    rows = spectrum_rows(["--scheme", "bulk-partial-flux", "--d-plus", "1", "--d-minus", "1",
+                          "--beta-plus", "1", "--beta-minus", "0",
+                          "--n-minus", "5", "--n-plus", "10"], capsys)
+    expected = 1.0 / (1.0 + 4.0 * np.sin(np.pi / 22.0) ** 2)
+    assert len(rows) == 15
+    assert rows[0] == pytest.approx(expected, rel=1e-14)
+    assert rows[1] == pytest.approx(expected, rel=1e-14)
+
+
+def test_spectrum_of_a_graded_block_triangular_pair(capsys):
+    # M has entries from 1e-21 to 1, and the eigenpair residual of dense eig
+    # misses its 1e-8 check, although the eigenvalues are right
+    p = DimensionlessParams(0.01, 1.0, 1.0 + 6.8e-13, 0.0, 1.0)
+    rows = spectrum_rows(["--scheme", "bulk-explicit-flux", "--d-plus", "0.01",
+                          "--d-minus", "1", "--beta-plus", repr(p.beta_plus),
+                          "--beta-minus", "0", "--n-minus", "2", "--n-plus", "5"], capsys)
+    top = spectral_mod.eigen_spectrum(assemble(SCHEMES["bulk-explicit-flux"], p, 2, 5))
+    assert len(rows) == 7
+    assert rows[0] == pytest.approx(top.lambda_max, rel=1e-14)
+
+
+@pytest.mark.parametrize("scheme, code", [("dn-explicit", 0), ("dn-implicit", 2)])
+def test_spectrum_past_the_dense_limit(capsys, scheme, code):
+    # only a diagonal A (dn-explicit) gives the whole spectrum without an n x n array
+    assert cli_main(["spectrum", "--scheme", scheme, "--d-minus", "0.3", "--d-plus", "0.45",
+                     "--n-minus", "1100", "--n-plus", "1100"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "outside 1..2048" in captured.err
+    else:
+        assert len(captured.out.splitlines()) == 1 + 2201
 
 
 # ------------------------------------------------------------- simulate

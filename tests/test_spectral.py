@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, eigs
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      SingularMatrixError, SpectrumError, StabilityClass, Tridiagonal,
                      UpdatePair, assemble, assemble_bulk, assemble_one_way,
-                     classify, eigen_spectrum, power_growth_rate,
+                     classify, eigen_spectrum, full_spectrum, power_growth_rate,
                      tridiagonal_solve, update_matrix)
 from cplstab import spectral
 from cplstab.assembly import SEQUENTIAL
@@ -167,17 +167,6 @@ def test_permutation_similarity(seed):
     match_multisets(sa.eigenvalues, sb.eigenvalues, 1e-8 * max(1.0, sa.lambda_max))
 
 
-def test_tridiagonal_fast_path_matches_dense():
-    # explicit D-N update matrices are symmetrizable tridiagonal
-    p = params(dp=0.3, dm=0.45, r=3.0)
-    pair = assemble(SCHEMES["dn-explicit"], p, 15, 10)
-    m = update_matrix(pair)
-    s = eigen_spectrum(m)
-    dense = np.linalg.eigvals(m)
-    match_multisets(s.eigenvalues, dense, 1e-9)
-    assert np.abs(np.imag(s.eigenvalues)).max() == 0.0
-
-
 # ------------------------------------------------------------------ pencil
 
 log_group = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
@@ -260,12 +249,12 @@ def test_pair_that_fits_no_case_takes_the_dense_path():
     ("bulk-implicit-flux", params(dp=0.9, dm=1.4, bp=0.8, bm=0.0)),
 ])
 def test_unsymmetrizable_pairs_take_the_dense_path(name, p):
-    # No diagonal similarity makes M = A^{-1} B of these pairs symmetric, so a
-    # dense M takes the general eigensolver.  The pair itself takes the pencil
-    # path, through its lagged or zero coupling, and agrees with it at the top.
+    # No diagonal similarity makes M = A^{-1} B of these pairs symmetric; a
+    # dense M, like every dense M, takes the general eigensolver.  The pair
+    # itself takes the pencil path, through its lagged or zero coupling, and
+    # agrees with it at the top.
     pair = assemble(SCHEMES[name], p, 6, 5)
     M = update_matrix(pair)
-    assert spectral._try_symmetrizable_tridiagonal(M, np.abs(M).sum(axis=1).max()) is None
     dense = eigen_spectrum(M)
     assert len(dense.eigenvalues) == pair.n
     match_multisets(dense.eigenvalues, np.linalg.eigvals(M), 1e-10)
@@ -306,6 +295,91 @@ def test_mirrored_lagged_pair_takes_the_pencil_path():
         spectrum = eigen_spectrum(mirrored(pair))
     dense = eigen_spectrum(update_matrix(pair))
     assert abs(spectrum.lambda_max - dense.lambda_max) <= 1e-10 * dense.lambda_max
+
+
+# ------------------------------------------------------------ full spectrum
+
+def test_full_spectrum_within_its_bound_of_dense_eig():
+    # every eigenvalue, n = 1 included, within residual_bound of plain eig of M
+    gen = np.random.default_rng(SEED)
+    names = list(SCHEMES)
+    for k in range(400):
+        name = names[k % len(names)]
+        n_minus, n_plus = (1, 1) if k < len(names) else (int(v) for v in gen.integers(1, 16, 2))
+        groups = 10.0 ** gen.uniform(-2.0, 2.0, size=5)
+        groups[2:4] *= gen.random(2) >= 0.15
+        pair = assemble(SCHEMES[name], scheme_params(name, groups), n_minus, n_plus)
+        spectrum = full_spectrum(pair)
+        assert len(spectrum.eigenvalues) == pair.n
+        if name == "bulk-sequential" and groups[2:4].all():
+            # a lagged coupling: the dense path itself
+            dense = eigen_spectrum(update_matrix(pair))
+            assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
+            continue
+        if name.startswith("bulk") and not groups[2:4].all() and groups[2:4].any():
+            # block triangular: where the blocks' eigenvalues come close, eig of
+            # the whole M loses accuracy (a Jordan block where they meet), so
+            # the oracle is eig of each block's M
+            eigenvalues = np.concatenate([np.linalg.eigvals(update_matrix(block))
+                                          for block in diagonal_blocks(pair, n_minus)])
+        else:
+            eigenvalues = np.linalg.eigvals(update_matrix(pair))
+        assert not spectrum.eigenvalues.imag.any()
+        eigenvalues = eigenvalues[np.argsort(eigenvalues.real)]
+        error = np.abs(np.sort(spectrum.eigenvalues.real) - eigenvalues).max()
+        assert error <= spectrum.residual_bound, (name, n_minus, n_plus, groups)
+
+
+def test_full_spectrum_of_a_diagonal_a_matches_dense():
+    # explicit D-N pairs have a diagonal A: one symmetric tridiagonal problem
+    pair = assemble(SCHEMES["dn-explicit"], params(dp=0.3, dm=0.45, r=3.0), 15, 10)
+    with mock.patch.object(spectral, "update_matrix", side_effect=AssertionError("dense path")):
+        spectrum = full_spectrum(pair)
+    assert not spectrum.eigenvalues.imag.any()
+    match_multisets(spectrum.eigenvalues, np.linalg.eigvals(update_matrix(pair)), 1e-9)
+
+
+def test_full_spectrum_of_a_diagonal_a_past_the_dense_limit():
+    import tracemalloc
+
+    pair = assemble(SCHEMES["dn-explicit"], params(dp=0.3, dm=0.45, r=3.0), 1100, 1100)
+    tracemalloc.start()
+    try:
+        spectrum = full_spectrum(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum.eigenvalues) == pair.n > spectral.MAX_DENSE_N
+    # no n x n array: a dense one would take 8 n^2 = 39 MB
+    assert peak < 0.05 * 8 * pair.n ** 2
+    ends = eigen_spectrum(pair).eigenvalues.real
+    assert abs(spectrum.eigenvalues.real.max() - ends.max()) <= spectrum.residual_bound
+    assert abs(spectrum.eigenvalues.real.min() - ends.min()) <= spectrum.residual_bound
+
+
+def overflowing_pencil_pair():
+    """A pair whose symmetric pencil overflows: sqrt(1 / 1e-309) is infinite."""
+    return UpdatePair(A=Tridiagonal([1e-309], [3.0, 3.0], [1.0]),
+                      B=Tridiagonal([0.0], [1.0, 2.0], [0.0]), layout=None)
+
+
+@pytest.mark.parametrize("case", ["lagged", "no case", "non-finite pencil", "solver failure"])
+def test_full_spectrum_falls_back_to_the_dense_path(case):
+    pair = {
+        "lagged": lambda: assemble(SCHEMES["bulk-sequential"],
+                                   params(dp=0.9, dm=1.4, bp=0.8, bm=1.1), 6, 5),
+        "no case": lambda: no_case_pair(3),
+        "non-finite pencil": overflowing_pencil_pair,
+        "solver failure": lambda: assemble(SCHEMES["bulk-implicit-flux"],
+                                           params(dp=0.9, dm=1.4, bp=0.8, bm=1.1), 6, 5),
+    }[case]()
+    failure = np.linalg.LinAlgError("no convergence") if case == "solver failure" else None
+    with mock.patch.object(spectral.scipy.linalg, "eigvalsh", side_effect=failure,
+                           wraps=spectral.scipy.linalg.eigvalsh):
+        spectrum = full_spectrum(pair)
+    dense = eigen_spectrum(update_matrix(pair))
+    assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    assert spectrum.residual_bound == dense.residual_bound
 
 
 # ------------------------------------------------------------ batch of cells

@@ -246,3 +246,11 @@ def test_power_growth_rate_rejects_negative_burn_in():
     pair = assemble_bulk(params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5, theta=1, gamma=0)
     with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
         power_growth_rate(pair, steps=20, burn_in=-5)
+
+
+def test_growth_rate_rejects_negative_burn_in():
+    # a negative burn-in used to fit the last |burn_in| norms
+    pair = assemble_bulk(params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5, theta=1, gamma=1)
+    traj = run_monolithic(pair, random_state(pair.layout, seed=SEED), 20)
+    with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
+        growth_rate(traj, burn_in=-5)
