@@ -15,6 +15,7 @@ that fit no case of the pencil.
 import contextlib
 import enum
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,30 +64,65 @@ def _minimum_pivot(a):
     return smallest
 
 
+class _TridiagonalFactor:
+    """LU factors of a nonsingular Tridiagonal (LAPACK dgttrf), reused by each solve.
+
+    dgttrf then dgttrs runs the elimination of gtsv, which scipy's
+    solve_banded calls, so the bits are the same.  The dgttrf wrapper needs
+    n >= 3; smaller matrices keep their band array for solve_banded.
+    """
+
+    def __init__(self, a):
+        ab = np.zeros((3, a.n))
+        ab[0, 1:] = a.sup
+        ab[1] = a.diag
+        ab[2, :-1] = a.sub
+        if _minimum_pivot(a) < 1e-14 * np.abs(ab).sum(axis=0).max():
+            raise SingularMatrixError(
+                "tridiagonal elimination pivot below 1e-14 of the matrix scale")
+        self.n = a.n
+        if a.n < 3:
+            self.ab = ab
+            return
+        *self.lu, info = lapack.dgttrf(a.sub, a.diag, a.sup)
+        if info != 0:
+            raise SingularMatrixError(f"tridiagonal factorization failed: dgttrf info {info}")
+
+    def solve(self, rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.n:
+            raise ParameterDomainError("rhs length does not match the matrix")
+        if not np.isfinite(rhs).all():
+            raise ParameterDomainError("rhs has non-finite entries")
+        if self.n < 3:
+            try:
+                return scipy.linalg.solve_banded((1, 1), self.ab, rhs, check_finite=False)
+            except np.linalg.LinAlgError as err:
+                raise SingularMatrixError(f"banded solve failed: {err}") from err
+        x, info = lapack.dgttrs(*self.lu, rhs)
+        if info != 0:
+            raise SingularMatrixError(f"tridiagonal solve failed: dgttrs info {info}")
+        return x
+
+
+# A Tridiagonal is frozen, hashes by identity and has read-only bands, so its
+# factors stay valid for its lifetime; a failed factorization is not kept.
+_FACTORS = weakref.WeakKeyDictionary()
+
+
 def tridiagonal_solve(a, rhs):
     """Solve A x = rhs for A given as a Tridiagonal.
 
     rhs is a vector or a matrix of right-hand sides.  A is singular, and
     SingularMatrixError is raised, when a pivot of its elimination without
-    row exchanges falls below 1e-14 of the largest absolute column sum of A;
-    otherwise LAPACK's band solver does the solve.
+    row exchanges falls below 1e-14 of the largest absolute column sum of A.
+    Otherwise A is factored once (LAPACK dgttrf), and every solve with the
+    same A reuses its factors (dgttrs).
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = a.n
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ParameterDomainError("rhs length does not match the matrix")
-    if not np.isfinite(rhs).all():
-        raise ParameterDomainError("rhs has non-finite entries")
-    ab = np.zeros((3, n))
-    ab[0, 1:] = a.sup
-    ab[1] = a.diag
-    ab[2, :-1] = a.sub
-    if _minimum_pivot(a) < 1e-14 * np.abs(ab).sum(axis=0).max():
-        raise SingularMatrixError("tridiagonal elimination pivot below 1e-14 of the matrix scale")
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"banded solve failed: {err}") from err
+    factor = _FACTORS.get(a)
+    if factor is None:
+        factor = _FACTORS[a] = _TridiagonalFactor(a)
+    return factor.solve(rhs)
 
 
 def update_matrix(pair):
@@ -193,6 +229,8 @@ def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
         a_off, b_off = root * a_sub, root * b_sub
     if lagged is not None:
         a_off[lagged] = b_off[lagged] = 0.0
+    # a scaling root that overflows leaves a pencil with inf or NaN entries
+    ok &= np.isfinite(a_off).all(axis=0) & np.isfinite(b_off).all(axis=0)
     return (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok
 
 

@@ -6,12 +6,18 @@ exchanges interface data exactly as the scheme prescribes (lagged, fresh, or
 through a small interface system); for every scheme in the family the two
 routes produce the same update up to roundoff, which the test suite pins.
 Every tridiagonal solve is spectral.tridiagonal_solve: a system whose
-elimination pivot falls below 1e-14 of the matrix scale is singular.
+elimination pivot falls below 1e-14 of the matrix scale is singular.  The
+matrices do not change during a run, so each is factored once (LAPACK
+dgttrf) and each step's solve runs dgttrs: the monolithic A with the pair,
+and the per-domain matrices of the partitioned route, built from each
+domain's own bands in a small cache keyed on (scheme, params, n_minus,
+n_plus) together with the interface responses of a fresh bulk exchange.
 
 Growth rates come from least-squares fits of log norms; long runs renormalize
 each step and accumulate the log so that unstable schemes cannot overflow.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,15 +137,48 @@ def _be_bands(n, d, interface_diag, interface_at_end):
     return assembly.Tridiagonal(off, diag, off)
 
 
-def _step_bulk_partitioned(p, n_minus, n_plus, theta, gamma, formulation, state):
-    dm, dp = p.d_minus, p.d_plus
-    bm, bp = p.beta_minus, p.beta_plus
-    tm, tp = state.t_minus, state.t_plus
+@functools.lru_cache(maxsize=16)
+def _domain_operators(scheme, p, n_minus, n_plus):
+    """The constant per-domain matrices of a partitioned step, built once per run.
+
+    A simultaneous fresh bulk exchange also gets its interface responses
+    v_m = A_m^-1 beta_m e_last, v_p = A_p^-1 beta_p e_first and the
+    determinant 1 - v_m[-1] v_p[0] of its interface system.
+    """
+    dm, dp, bm, bp, theta = p.d_minus, p.d_plus, p.beta_minus, p.beta_plus, scheme.theta
+    if scheme.direction == ONE_WAY_NEGATIVE:
+        return _be_bands(n_minus, dm, 1.0 + dm + bm if theta == 1 else 1.0 + dm, True),
+    if scheme.interface == DIRICHLET_NEUMANN:
+        # negative domain plus interface node; the positive flux enters lagged
+        off = np.full(n_minus, -dm)
+        diag = np.full(n_minus + 1, 1.0 + 2.0 * dm)
+        diag[-1] = (1.0 + p.r) / 2.0 + dm
+        return assembly.Tridiagonal(off, diag, off), _be_bands(n_plus, dp, 1.0 + dp, False)
     bands_m = _be_bands(n_minus, dm, 1.0 + dm + theta * bm, True)
     bands_p = _be_bands(n_plus, dp, 1.0 + dp + theta * bp, False)
+    if scheme.formulation == SEQUENTIAL or scheme.gamma == 0:
+        return bands_m, bands_p
+    e_m = np.zeros(n_minus)
+    e_m[-1] = bm
+    e_p = np.zeros(n_plus)
+    e_p[0] = bp
+    v_m = tridiagonal_solve(bands_m, e_m)
+    v_p = tridiagonal_solve(bands_p, e_p)
+    for v in (v_m, v_p):  # shared by every step that hits the cache
+        v.setflags(write=False)
+    det = 1.0 - v_m[-1] * v_p[0]
+    if abs(det) < 1e-14:
+        raise SingularMatrixError("interface coupling system is singular")
+    return bands_m, bands_p, v_m, v_p, det
+
+
+def _step_bulk_partitioned(scheme, p, operators, state):
+    bm, bp, theta, gamma = p.beta_minus, p.beta_plus, scheme.theta, scheme.gamma
+    bands_m, bands_p = operators[:2]
+    tm, tp = state.t_minus, state.t_plus
     rhs_m = tm.copy()
     rhs_p = tp.copy()
-    if formulation == SEQUENTIAL:
+    if scheme.formulation == SEQUENTIAL:
         # negative domain first against the lagged positive interface value
         rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + bm * tp[0]
         new_m = tridiagonal_solve(bands_m, rhs_m)
@@ -149,30 +188,18 @@ def _step_bulk_partitioned(p, n_minus, n_plus, theta, gamma, formulation, state)
         return State(new_m, new_p, step_index=state.step_index + 1)
     rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + (1.0 - gamma) * bm * tp[0]
     rhs_p[0] = (1.0 - (1.0 - theta) * bp) * tp[0] + (1.0 - gamma) * bp * tm[-1]
+    new_m = tridiagonal_solve(bands_m, rhs_m)
+    new_p = tridiagonal_solve(bands_p, rhs_p)
     if gamma == 0:
-        new_m = tridiagonal_solve(bands_m, rhs_m)
-        new_p = tridiagonal_solve(bands_p, rhs_p)
         return State(new_m, new_p, step_index=state.step_index + 1)
     # simultaneous fresh exchange: eliminate the two interface unknowns first
-    u_m = tridiagonal_solve(bands_m, rhs_m)
-    u_p = tridiagonal_solve(bands_p, rhs_p)
-    e_m = np.zeros(n_minus)
-    e_m[-1] = bm
-    e_p = np.zeros(n_plus)
-    e_p[0] = bp
-    v_m = tridiagonal_solve(bands_m, e_m)
-    v_p = tridiagonal_solve(bands_p, e_p)
-    det = 1.0 - v_m[-1] * v_p[0]
-    if abs(det) < 1e-14:
-        raise SingularMatrixError("interface coupling system is singular")
-    a = (u_m[-1] + v_m[-1] * u_p[0]) / det
-    b = (u_p[0] + v_p[0] * u_m[-1]) / det
-    new_m = u_m + b * v_m
-    new_p = u_p + a * v_p
-    return State(new_m, new_p, step_index=state.step_index + 1)
+    _, _, v_m, v_p, det = operators
+    a = (new_m[-1] + v_m[-1] * new_p[0]) / det
+    b = (new_p[0] + v_p[0] * new_m[-1]) / det
+    return State(new_m + b * v_m, new_p + a * v_p, step_index=state.step_index + 1)
 
 
-def _step_dn_explicit(p, n_minus, n_plus, state):
+def _step_dn_explicit(p, state):
     dm, dp, r = p.d_minus, p.d_plus, p.r
     tm, tp, ts = state.t_minus, state.t_plus, state.shared_node
     # positive domain sees the old interface value as a Dirichlet condition
@@ -185,35 +212,27 @@ def _step_dn_explicit(p, n_minus, n_plus, state):
     return State(new_m, new_p, shared_node=float(new_s), step_index=state.step_index + 1)
 
 
-def _step_dn_implicit(p, n_minus, n_plus, state):
-    dm, dp, r = p.d_minus, p.d_plus, p.r
+def _step_dn_implicit(p, operators, state):
+    dp, r = p.d_plus, p.r
+    bands_m, bands_p = operators
     tm, tp, ts = state.t_minus, state.t_plus, state.shared_node
     w = (1.0 + r) / 2.0
-    # negative domain plus interface node; the positive flux enters lagged
-    off = np.full(n_minus, -dm)
-    diag = np.full(n_minus + 1, 1.0 + 2.0 * dm)
-    diag[-1] = w + dm
     rhs = np.concatenate([tm, [(w - dp * r) * ts + dp * r * tp[0]]])
-    solved = tridiagonal_solve(assembly.Tridiagonal(off, diag, off), rhs)
+    solved = tridiagonal_solve(bands_m, rhs)
     new_m, new_s = solved[:-1], solved[-1]
     # positive domain against the old interface value; independent of the above
-    bands_p = _be_bands(n_plus, dp, 1.0 + dp, False)
     rhs_p = tp.copy()
     rhs_p[0] = dp * ts + (1.0 - dp) * tp[0]
     new_p = tridiagonal_solve(bands_p, rhs_p)
     return State(new_m, new_p, shared_node=float(new_s), step_index=state.step_index + 1)
 
 
-def _step_one_way(p, n_minus, theta, state):
-    dm, bm = p.d_minus, p.beta_minus
+def _step_one_way(p, theta, operators, state):
     tm = state.t_minus
     rhs = tm.copy()
-    if theta == 1:
-        bands = _be_bands(n_minus, dm, 1.0 + dm + bm, True)
-    else:
-        bands = _be_bands(n_minus, dm, 1.0 + dm, True)
-        rhs[-1] = (1.0 - bm) * tm[-1]
-    new_m = tridiagonal_solve(bands, rhs)
+    if theta != 1:
+        rhs[-1] = (1.0 - p.beta_minus) * tm[-1]
+    new_m = tridiagonal_solve(operators[0], rhs)
     return State(new_m, np.empty(0), step_index=state.step_index + 1)
 
 
@@ -222,17 +241,18 @@ def step_partitioned(scheme, p, n_minus, n_plus, state):
     if scheme.direction == ONE_WAY_NEGATIVE:
         if state.t_minus.shape[0] != n_minus:
             raise ParameterDomainError("state size does not match n_minus")
-        return _step_one_way(p, n_minus, scheme.theta, state)
+        return _step_one_way(p, scheme.theta, _domain_operators(scheme, p, n_minus, n_plus),
+                             state)
     if state.t_minus.shape[0] != n_minus or state.t_plus.shape[0] != n_plus:
         raise ParameterDomainError("state sizes do not match the domain sizes")
     if scheme.interface == DIRICHLET_NEUMANN:
         if state.shared_node is None:
             raise ParameterDomainError("Dirichlet-Neumann state needs a shared node value")
         if scheme.integrator == EXPLICIT:
-            return _step_dn_explicit(p, n_minus, n_plus, state)
-        return _step_dn_implicit(p, n_minus, n_plus, state)
-    return _step_bulk_partitioned(p, n_minus, n_plus, scheme.theta, scheme.gamma,
-                                  scheme.formulation, state)
+            return _step_dn_explicit(p, state)
+        return _step_dn_implicit(p, _domain_operators(scheme, p, n_minus, n_plus), state)
+    return _step_bulk_partitioned(scheme, p, _domain_operators(scheme, p, n_minus, n_plus),
+                                  state)
 
 
 def run_partitioned(scheme, p, n_minus, n_plus, state, steps):

@@ -502,6 +502,27 @@ def test_pencil_paths_raise_no_floating_point_warning():
     assert np.isnan(lam).tolist() == [spectrum is None for spectrum in spectra]
 
 
+def test_non_finite_pencil_leaves_the_pair_path():
+    # sqrt(1 / 1e-309) overflows; searched anyway, that pencil gives
+    # 0.6666666567 under a 3.9e-15 bound where the eigenvalues are 2/3 and 1/3
+    pair = overflowing_pencil_pair()
+    assert not spectral._symmetric_pencil(*pair_bands(pair))[5]
+    assert spectral._pencil_spectrum(pair) is None
+    spectrum = eigen_spectrum(pair)
+    assert spectrum.lambda_max == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert spectrum.eigenvalues[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+def test_non_finite_pencil_leaves_the_batch():
+    # the batch leaves the overflowing cell to eigen_spectrum and keeps the
+    # finite one beside it
+    finite = UpdatePair(A=Tridiagonal([-1.0], [3.0, 3.0], [-1.0]),
+                        B=Tridiagonal([0.5], [1.0, 2.0], [0.5]), layout=None)
+    lam = spectral.pencil_lambda_max(stacked_bands([overflowing_pencil_pair(), finite]))
+    assert np.isnan(lam[0])
+    assert lam[1].tobytes() == np.float64(eigen_spectrum(finite).lambda_max).tobytes()
+
+
 # 50,000 cells per domain: a dense A alone would take 80 GB
 LARGE_N = 50_000
 

@@ -1,5 +1,10 @@
+import gc
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
@@ -10,7 +15,8 @@ from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      run_monolithic, run_partitioned, state_norm,
                      step_monolithic, step_partitioned, tridiagonal_solve,
                      unpack_state, update_matrix)
-from cplstab.assembly import ONE_WAY_NEGATIVE, REFLECTIVE
+from cplstab import spectral, stepper
+from cplstab.assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE, REFLECTIVE
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -92,6 +98,120 @@ def test_tridiagonal_solve_matches_dense(n, seed):
     rhs = local.uniform(-1.0, 1.0, (n, 3))
     np.testing.assert_allclose(tridiagonal_solve(Tridiagonal.from_dense(a), rhs),
                                np.linalg.solve(a, rhs), rtol=1e-11, atol=1e-13)
+
+
+def seeded_scheme_pairs():
+    """Seeded assembled pairs of all eight schemes with n = 1..120 unknowns."""
+    local = np.random.default_rng(seed=SEED + 12)
+    pairs = []
+    for n in range(1, 121):
+        for name, scheme in sorted(SCHEMES.items()):
+            shared = scheme.interface == DIRICHLET_NEUMANN
+            if scheme.direction == ONE_WAY_NEGATIVE:
+                nm, np_ = n, 1
+            elif n >= 3 or (n == 2 and not shared):
+                nm = int(local.integers(1, n - shared))
+                np_ = n - shared - nm
+            else:
+                continue
+            dp, dm, bp, bm, r = (float(v) for v in 10.0 ** local.uniform(-1.5, 1.5, size=5))
+            pair = assemble(scheme, params(dp, dm, bp, bm, r), nm, np_)
+            assert pair.n == n
+            pairs.append((name, pair))
+    return pairs
+
+
+def banded(a):
+    ab = np.zeros((3, a.n))
+    ab[0, 1:], ab[1], ab[2, :-1] = a.sup, a.diag, a.sub
+    return ab
+
+
+def test_tridiagonal_solve_is_bit_identical_to_solve_banded():
+    # the factored solve (dgttrf once, dgttrs per call) runs gtsv's elimination
+    pairs = seeded_scheme_pairs()
+    assert {name for name, _ in pairs} == set(SCHEMES)
+    local = np.random.default_rng(seed=SEED + 13)
+    for _, pair in pairs:
+        for rhs in (local.standard_normal(pair.n), local.standard_normal((pair.n, 3)),
+                    pair.B.toarray()):
+            for _ in range(2):  # the second solve reuses the stored factors
+                x = tridiagonal_solve(pair.A, rhs)
+                expected = scipy.linalg.solve_banded((1, 1), banded(pair.A), rhs)
+                assert x.shape == expected.shape
+                assert x.tobytes() == expected.tobytes()
+
+
+def test_power_growth_rate_is_bit_identical_to_a_solve_banded_loop():
+    for _, pair in seeded_scheme_pairs()[::9]:
+        vector = pack_state(random_state(pair.layout, seed=3), pair.layout)
+        log_norms, total = [], 0.0
+        for _ in range(80):
+            vector = scipy.linalg.solve_banded((1, 1), banded(pair.A), pair.B @ vector)
+            gain = np.abs(vector).max()
+            total += np.log(gain)
+            log_norms.append(total)
+            vector = vector / gain
+        expected = np.exp(np.polyfit(np.arange(60), log_norms[20:], 1)[0])
+        assert power_growth_rate(pair, steps=80, burn_in=20, seed=3) == expected
+
+
+def test_tridiagonal_solve_factors_each_matrix_once():
+    a = Tridiagonal(np.full(5, -1.0), np.full(6, 3.0), np.full(5, -0.5))
+    with mock.patch.object(spectral.lapack, "dgttrf", wraps=spectral.lapack.dgttrf) as dgttrf:
+        for k in range(4):
+            tridiagonal_solve(a, np.full(6, float(k)))
+        tridiagonal_solve(a, np.eye(6))
+    assert dgttrf.call_count == 1
+    # the stored factors do not keep their matrix alive
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+def test_singular_matrix_raises_on_every_solve():
+    for a in (Tridiagonal.from_dense(np.zeros((3, 3))),
+              Tridiagonal.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])),
+              Tridiagonal([2.0, 2.0], [1.0, 4.0, 1.0], [2.0, 2.0])):
+        for _ in range(3):
+            with pytest.raises(SingularMatrixError):
+                tridiagonal_solve(a, np.ones(a.n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tridiagonal_solve_of_one_and_two_unknowns(n):
+    a = Tridiagonal.from_dense(np.array([[3.0, -1.0], [2.0, 5.0]])[:n, :n])
+    for rhs in (np.arange(1.0, n + 1.0), np.arange(1.0, 2 * n + 1.0).reshape(n, 2)):
+        for _ in range(2):
+            x = tridiagonal_solve(a, rhs)
+            assert x.tobytes() == scipy.linalg.solve_banded((1, 1), banded(a), rhs).tobytes()
+            np.testing.assert_allclose(x, np.linalg.solve(a.toarray(), rhs), rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_partitioned_operators_cannot_go_stale(name):
+    # interleaved runs over two parameter sets and two sizes share the cache
+    # of per-domain operators; each step must equal the same step computed
+    # from a cleared cache
+    sets = [params(dp=0.8, dm=1.3, bp=0.6, bm=0.9, r=2.5),
+            params(dp=0.3, dm=0.5, bp=1.7, bm=0.2, r=0.4)]
+    cases = [(SCHEMES[name], p, nm, np_) for p in sets for nm, np_ in [(7, 5), (4, 9)]]
+    runs = {case: [random_state(assemble(*case).layout, seed=k)]
+            for k, case in enumerate(cases)}
+    stepper._domain_operators.cache_clear()
+    for _ in range(6):
+        for case, states in runs.items():
+            states.append(step_partitioned(*case, states[-1]))
+    if name != "dn-explicit":  # the explicit step has no matrix
+        assert stepper._domain_operators.cache_info().hits == 5 * len(cases)
+    for case, states in runs.items():
+        layout = assemble(*case).layout
+        state = states[0]
+        for expected in states[1:]:
+            stepper._domain_operators.cache_clear()
+            state = step_partitioned(*case, state)
+            assert pack_state(state, layout).tobytes() == pack_state(expected, layout).tobytes()
 
 
 # -------------------------------------------------------------------- states
