@@ -137,6 +137,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_spectrum(args):
+    if not args.tol > 0.0:
+        raise ParameterDomainError(f"--tol must be positive, got {args.tol!r}")
     p = _params_from_args(args)
     pair = assembly.assemble(assembly.SCHEMES[args.scheme], p, args.n_minus, args.n_plus)
     spectrum = spectral.full_spectrum(pair)

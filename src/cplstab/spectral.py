@@ -6,10 +6,12 @@ lies inside the closed unit disk; classification uses a tolerance band around
 reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
 symmetric tridiagonal sigma A - B, or from LAPACK dstebz when A is diagonal,
-and M is never formed; pencil_lambda_max does so for a batch of pairs, and
-full_spectrum gives every eigenvalue from the same pencil.  The dense path,
-plain eig of M with a residual check, is the oracle and serves the pairs
-that fit no case of the pencil.
+and M is never formed.  pencil_ends is the one front end of that search, for
+a batch of pairs of one size, and picks its kernel per call;
+eigen_spectrum(pair) calls it on one pair.  full_spectrum gives every
+eigenvalue from the same pencil.  The dense path, plain eig of M with a
+residual check, is the oracle and serves the pairs that fit no case of the
+pencil.
 """
 
 import contextlib
@@ -202,31 +204,30 @@ def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
     positive (Gershgorin).  Returns the pencil (A diag, A off, B diag,
     B off), the mask of lagged indices and their c_i (both None when no
     index is lagged), the row dominance margins of A, the off-diagonal row
-    sums of |B|, and whether each pair qualifies.
+    sums of |B|, and whether each pair qualifies.  Entries near overflow are
+    judged by these tests, under the caller's np.errstate.
     """
-    # entries near overflow are judged by the tests below and by the search
-    with np.errstate(all="ignore"):
-        upper = np.abs(a_sup) + np.abs(b_sup)
-        lower = np.abs(a_sub) + np.abs(b_sub)
-        lagged = ~((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
-                   & (b_sup * b_sub >= 0.0))
-        margin = a_diag.copy()
-        margin[1:] -= np.abs(a_sub)
-        margin[:-1] -= np.abs(a_sup)
-        # dominance lost to rounding: leave the pair to the dense path
-        ok = margin.min(axis=0) > 1e-14 * np.abs(a_diag).max(axis=0)
-        c = None
-        if lagged.any():
-            c = -(a_sup * b_sub + b_sup * a_sub)
-            fits = ~lagged | ((a_sup * a_sub == 0.0) & (b_sup * b_sub == 0.0) & (c > 0.0))
-            ok &= fits.all(axis=0)
-        else:
-            lagged = None
-        radius = np.zeros_like(b_diag)
-        radius[1:] += np.abs(b_sub)
-        radius[:-1] += np.abs(b_sup)
-        root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
-        a_off, b_off = root * a_sub, root * b_sub
+    upper = np.abs(a_sup) + np.abs(b_sup)
+    lower = np.abs(a_sub) + np.abs(b_sub)
+    lagged = ~((a_sup * b_sub == b_sup * a_sub) & (a_sup * a_sub >= 0.0)
+               & (b_sup * b_sub >= 0.0))
+    margin = a_diag.copy()
+    margin[1:] -= np.abs(a_sub)
+    margin[:-1] -= np.abs(a_sup)
+    # dominance lost to rounding: leave the pair to the dense path
+    ok = margin.min(axis=0) > 1e-14 * np.abs(a_diag).max(axis=0)
+    c = None
+    if lagged.any():
+        c = -(a_sup * b_sub + b_sup * a_sub)
+        fits = ~lagged | ((a_sup * a_sub == 0.0) & (b_sup * b_sub == 0.0) & (c > 0.0))
+        ok &= fits.all(axis=0)
+    else:
+        lagged = None
+    radius = np.zeros_like(b_diag)
+    radius[1:] += np.abs(b_sub)
+    radius[:-1] += np.abs(b_sup)
+    root = np.sqrt(np.divide(upper, lower, out=np.zeros_like(upper), where=lower > 0.0))
+    a_off, b_off = root * a_sub, root * b_sub
     if lagged is not None:
         a_off[lagged] = b_off[lagged] = 0.0
     # a scaling root that overflows leaves a pencil with inf or NaN entries
@@ -237,15 +238,17 @@ def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
 def _ldl(sigma, pencil):
     """Pivots of the LDL^T factorization of sigma A - B (LAPACK dpttrf) and its info.
 
-    info is 0 when sigma A - B is positive definite; otherwise pivot info
-    (from 1) is the first that is not positive, and the pivots after it are
-    not computed.  Lagged indices (see _symmetric_pencil) take the
-    off-diagonal sqrt(c sigma), which needs sigma >= 0.
+    pencil is one column (a, b, lagged, c), see _columns.  info is 0 when
+    sigma A - B is positive definite; otherwise pivot info (from 1) is the
+    first that is not positive, and the pivots after it are not computed.
+    Lagged indices (see _symmetric_pencil) take the off-diagonal
+    sqrt(c sigma), which needs sigma >= 0.
     """
-    a, b, n, lagged = pencil
+    a, b, lagged, c = pencil
+    n = (a.shape[0] + 1) // 2
     x = sigma * a - b
     if lagged is not None:
-        x[n + lagged[0]] = np.sqrt(lagged[1] * sigma)
+        x[n:][lagged] = np.sqrt(c[lagged] * sigma)
     pivots, _, info = lapack.dpttrf(x[:n], x[n:], overwrite_d=1, overwrite_e=1)
     return pivots, info
 
@@ -258,24 +261,25 @@ def _top_end(pencil, lo, margin, radius):
     it, where a diagonal entry of sigma A - B is negative.  hi starts at
     twice the Gershgorin bound: sigma A - B is similar to the pair's
     sigma A - B, whose rows dominate once sigma margin_i > B_ii + radius_i;
-    the test at hi proves it if hi is finite, or None is returned.
+    the test at hi proves it if hi is finite, or hi is returned NaN.
     Bisection then finds a lo where only the last pivot fails.  That pivot
     is continuous in sigma and vanishes at top, so from then on the steps
     are regula falsi with the Illinois halving of a stale end, clamped a few
     ulps inside the bracket so that both ends close in.  Three steps that do
-    not halve the bracket are followed by a bisection step.
+    not halve the bracket are followed by a bisection step.  A probe of
+    entries near overflow can overflow and leave hi NaN, which proves nothing.
     """
-    a, b, n, _ = pencil
+    a, b = pencil[:2]
+    n = margin.shape[0]
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     quotient = (b[:n] / a[:n]).max()
     lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
-    with np.errstate(over="ignore"):
-        hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
+    hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
     if not lo < hi < np.inf:
-        return None
+        return lo, np.nan
     pivots, info = _ldl(hi, pencil)
     if info:
-        return None
+        return lo, np.nan
     f_lo, f_hi, side = None, pivots[-1], 0
     steps, halved = 0, hi - lo
     while hi - lo > 4.0 * eps * max(abs(lo), abs(hi)):
@@ -304,6 +308,24 @@ def _top_end(pencil, lo, margin, radius):
     return lo, hi
 
 
+def _columns(pencil, k):
+    """Columns k of a pencil (a, b, lagged, c): (2n - 1, cells) stacks of diagonal
+    over off-diagonal, and the mask of lagged indices and their c, or None twice."""
+    return tuple(None if v is None else v[:, k] for v in pencil)
+
+
+def _column_top_end(pencil, lo, margin, radius):
+    """_batch_top_end by _top_end, one column at a time."""
+    lo, hi = np.array([_top_end(_columns(pencil, j), lo[j], margin[:, j], radius[:, j])
+                       for j in range(lo.size)]).T
+    return lo, hi, hi == hi
+
+
+def _column_ldl(sigma, pencil):
+    """The info of _batch_ldl by _ldl, one column at a time, and no pivots."""
+    return None, np.array([_ldl(s, _columns(pencil, j))[1] for j, s in enumerate(sigma)], int)
+
+
 def _diagonal_form(a_diag, b_diag, b_off):
     """Diagonal and off-diagonal of D^-1/2 B D^-1/2, for a pencil with diagonal A = D."""
     scale = 1.0 / np.sqrt(a_diag)
@@ -311,63 +333,26 @@ def _diagonal_form(a_diag, b_diag, b_off):
 
 
 def _diagonal_ends(a_diag, b_diag, b_off):
-    """Both ends of the spectrum of a pencil with diagonal A: dstebz on _diagonal_form."""
+    """Top and bottom end of a pencil with diagonal A: dstebz on _diagonal_form.
+
+    A 1 x 1 pencil has only its top end, and NaN for the bottom.
+    """
     diag, off = _diagonal_form(a_diag, b_diag, b_off)
     if diag.shape[0] == 1:  # dstebz rejects an empty off-diagonal
-        return [diag[0]]
-    ends = []
-    for k in (1, diag.shape[0]):
-        _, w, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E")
-        if info:
-            raise SpectrumError(f"dstebz failed with info {info}")
-        ends.append(w[0])
-    return ends
+        return diag[0], np.nan
+    calls = [lapack.dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E") for k in (diag.shape[0], 1)]
+    _, w, _, _, info = zip(*calls)
+    if any(info):
+        raise SpectrumError(f"dstebz failed with info {info}")
+    return w[0][0], w[1][0]
 
 
-def _pencil_spectrum(pair):
-    """Ends of the real spectrum of a pair that _symmetric_pencil accepts, or None."""
-    bands = (pair.A.sub, pair.A.diag, pair.A.sup, pair.B.sub, pair.B.diag, pair.B.sup)
-    (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
-    if not ok:
-        return None
-    n = a_diag.shape[0]
-    eps = np.finfo(float).eps
-    with np.errstate(over="ignore"):
-        bound = ((np.abs(b_diag) + radius) / margin).max()
-    width = 0.0
-    if lagged is None and not a_off.any():
-        ends = _diagonal_ends(a_diag, b_diag, b_off)
-    else:
-        a, b = np.concatenate((a_diag, a_off)), np.concatenate((b_diag, b_off))
-        if lagged is not None:
-            # lagged indices need B0 > 0 and then leave no eigenvalue below 0
-            if lapack.dpttrf(b_diag, b_off)[2]:
-                return None
-            lagged = np.flatnonzero(lagged), c[lagged]
-        top = _top_end((a, b, n, lagged), -np.inf if lagged is None else 0.0, margin, radius)
-        if top is None:
-            return None
-        ends, width = [top[1]], top[1] - top[0]
-        negated = (a, -b, n, None)
-        # B + top A not definite: some eigenvalue lies at or below -top
-        if lagged is None and _ldl(top[1], negated)[1]:
-            bottom = _top_end(negated, top[1], margin, radius)
-            if bottom is None:
-                return None
-            ends.append(-bottom[1])
-            width = max(width, bottom[1] - bottom[0])
-    return _sorted_spectrum(np.array(ends, dtype=complex), width + 8.0 * n * eps * max(bound, 1.0))
-
-
-# --- the pencil path over a batch of cells ---
+# --- the masked kernel: the search on many columns at once ---
 #
-# The batch runs _pencil_spectrum on many pairs of one size at once: every
-# band is an (n, cells) array, and each step of the search acts on the
-# columns whose bracket is still open.  Every column takes the operations
-# of the one-cell search in the same order, with Python's max and min where
-# it uses them, so every cell sees the same probes and pivots and ends with
-# the same bits.  The one-cell search stays, as the oracle and because a
-# single cell is faster there than through numpy calls on one column.
+# Every band is an (n, cells) array, and each step of the search acts on the
+# columns whose bracket is still open.  Every column takes the operations of
+# _top_end in the same order, with Python's max and min where it uses them,
+# so every column sees the same probes and pivots and ends with the same bits.
 
 
 def _py_max(x, y):
@@ -389,11 +374,10 @@ def _batch_pivots(d, e):
     meaningful.  d is overwritten with the pivots.  Returns (pivots, info).
     """
     t = np.empty(d.shape[1:])
-    with np.errstate(all="ignore"):
-        for i in range(d.shape[0] - 1):
-            np.divide(e[i], d[i], out=t)
-            t *= e[i]
-            d[i + 1] -= t
+    for i in range(d.shape[0] - 1):
+        np.divide(e[i], d[i], out=t)
+        t *= e[i]
+        d[i + 1] -= t
     failed = d <= 0.0
     return d, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
@@ -404,26 +388,19 @@ def _batch_ldl(sigma, pencil):
     n = (a.shape[0] + 1) // 2
     x = sigma * a - b
     if lagged is not None:
-        with np.errstate(invalid="ignore"):
-            x[n:] = np.where(lagged, np.sqrt(c * sigma), x[n:])
+        x[n:] = np.where(lagged, np.sqrt(c * sigma), x[n:])
     return _batch_pivots(x[:n], x[n:])
 
 
 def _batch_top_end(pencil, lo, margin, radius):
-    """_top_end for every column: (lo, hi, proved), proved False where it returns None.
-
-    pencil is (a, b, lagged, c): the (2n - 1, cells) stacks of diagonal and
-    off-diagonal, the mask of lagged indices and their products c, or None
-    twice.  lo holds each column's start.
-    """
+    """_top_end for every column: (lo, hi, proved), proved False where hi is NaN."""
     n = margin.shape[0]
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     a, b = pencil[:2]
-    with np.errstate(all="ignore"):
-        quotient = (b[:n] / a[:n]).max(axis=0)
-        lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
-        hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
-        pivots, info = _batch_ldl(hi, pencil)
+    quotient = (b[:n] / a[:n]).max(axis=0)
+    lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
+    hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
+    pivots, info = _batch_ldl(hi, pencil)
     proved = (info == 0) & (lo < hi) & (hi < np.inf)
     f_lo, f_hi, side = np.full_like(lo, np.nan), pivots[-1].copy(), np.zeros(lo.shape, int)
     has_f_lo = np.zeros(lo.shape, bool)
@@ -433,18 +410,17 @@ def _batch_top_end(pencil, lo, margin, radius):
         open_ &= hi - lo > 4.0 * eps * _py_max(np.abs(lo), np.abs(hi))
         k = np.flatnonzero(open_)
         if not k.size:
-            return lo, hi, proved
+            return lo, hi, proved & ~np.isnan(hi)
         l, h, fl, fh = lo[k], hi[k], f_lo[k], f_hi[k]
         falsi = has_f_lo[k] & (steps[k] < 3)
-        with np.errstate(all="ignore"):
-            gap = 2.0 * eps * _py_max(np.abs(l), np.abs(h))
-            x = np.where(falsi, _py_min(_py_max(h - fh * (h - l) / (fh - fl), l + gap), h - gap),
-                         0.5 * (l + h))
+        gap = 2.0 * eps * _py_max(np.abs(l), np.abs(h))
+        x = np.where(falsi, _py_min(_py_max(h - fh * (h - l) / (fh - fl), l + gap), h - gap),
+                     0.5 * (l + h))
         stop = ~falsi & ~((l < x) & (x < h))
         if stop.any():
             open_[k[stop]] = False
             k, x = k[~stop], x[~stop]
-        d, info = _batch_ldl(x, tuple(None if v is None else v[:, k] for v in pencil))
+        d, info = _batch_ldl(x, _columns(pencil, k))
         last, was = d[-1], side[k]
         up, down = info == 0, (info == n)
         hi[k[up]], f_hi[k[up]] = x[up], last[up]
@@ -459,45 +435,72 @@ def _batch_top_end(pencil, lo, margin, radius):
         steps[reset], halved[reset] = 0, hi[reset] - lo[reset]
 
 
-def pencil_lambda_max(bands):
-    """lambda_max of eigen_spectrum(pair) for every cell of a batch, NaN where not proved.
+# --- the front end ---
 
-    bands are the six (n, cells) arrays of assembly.assemble_bands.  A cell
-    takes the pencil, the probes and pivots, or the dstebz call of the pencil
-    path of eigen_spectrum(pair), so its value is the same bit for bit.  NaN
-    marks the cells that the batch leaves to eigen_spectrum(pair): non-finite
-    entries, no symmetric pencil or dominance margin, B0 not positive
-    definite, or a bracket not proved.
+
+def masked_kernel(rows, columns):
+    """Whether pencil_ends runs the masked kernel, not the scalar one, on rows x columns.
+
+    The scalar _top_end makes one dpttrf call per column and probe, the
+    masked _batch_top_end about 3n numpy calls per probe for all open columns.
     """
-    (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
-    ok &= np.logical_and.reduce([np.isfinite(band).all(axis=0) for band in bands])
-    has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
-    lag = ok & has_lag
-    if lag.any():  # lagged indices need B0 > 0
-        ok[np.flatnonzero(lag)[_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] != 0]] = False
-    lam = np.full(ok.shape, np.nan)
-    diagonal = ok & ~has_lag & ~a_off.any(axis=0)
-    for k in np.flatnonzero(diagonal):
-        lam[k] = np.abs(_diagonal_ends(a_diag[:, k], b_diag[:, k], b_off[:, k])).max()
-    cells = np.flatnonzero(ok & ~diagonal)
-    if not cells.size:
-        return lam
-    a = np.concatenate((a_diag[:, cells], a_off[:, cells]))
-    b = np.concatenate((b_diag[:, cells], b_off[:, cells]))
-    margin, radius, has_lag = margin[:, cells], radius[:, cells], has_lag[cells]
-    pencil = (a, b, lagged[:, cells], c[:, cells]) if has_lag.any() else (a, b, None, None)
-    _, top, proved = _batch_top_end(pencil, np.where(has_lag, 0.0, -np.inf), margin, radius)
-    end = np.abs(top)
-    # B + top A not definite: some eigenvalue lies at or below -top
-    bottom = np.flatnonzero(proved & ~has_lag)
-    bottom = bottom[_batch_ldl(top[bottom], (a[:, bottom], -b[:, bottom], None, None))[1] != 0]
-    if bottom.size:
-        negated = (a[:, bottom], -b[:, bottom], None, None)
-        _, low, found = _batch_top_end(negated, top[bottom], margin[:, bottom], radius[:, bottom])
-        proved[bottom] &= found
-        end[bottom] = _py_max(end[bottom], np.abs(low))
-    lam[cells[proved]] = end[proved]
-    return lam
+    return columns >= rows
+
+
+def pencil_ends(bands):
+    """Top and bottom end of the real spectrum of each pair of a batch, and their bound.
+
+    bands are six (n, cells) arrays, A's sub, diag and sup, then B's, one
+    pair per column (assembly.assemble_bands); eigen_spectrum states the
+    search.  Returns (top, bottom, bound), each (cells,).  bottom is NaN
+    where it is not searched: a lagged pair, B + top A definite, or n = 1.
+    All three are NaN where the pair is left to the dense path: non-finite
+    entries, no symmetric pencil or dominance margin, B0 not definite, or
+    a bracket not proved.  masked_kernel picks the kernel per call; both
+    take a column through the same probes and pivots, so its bits do not
+    depend on its batch.
+    """
+    # overflow: _symmetric_pencil judges the entries, and a NaN hi proves nothing
+    with np.errstate(all="ignore"):
+        (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
+        ok &= np.isfinite(np.concatenate(bands)).all(axis=0)
+        n, cells = a_diag.shape
+        batch = masked_kernel(n, cells)
+        has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
+        lag = np.flatnonzero(ok & has_lag)
+        if lag.size:  # lagged indices need B0 > 0
+            info = (_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] if batch
+                    else [lapack.dpttrf(b_diag[:, k], b_off[:, k])[2] for k in lag])
+            ok[lag[np.asarray(info) != 0]] = False
+        top, bottom, width = np.full(cells, np.nan), np.full(cells, np.nan), np.zeros(cells)
+        diagonal = ok & ~has_lag & ~a_off.any(axis=0)
+        for k in np.flatnonzero(diagonal):
+            top[k], bottom[k] = _diagonal_ends(a_diag[:, k], b_diag[:, k], b_off[:, k])
+        k = np.flatnonzero(ok & ~diagonal)
+        if k.size:
+            a, b = np.concatenate((a_diag, a_off))[:, k], np.concatenate((b_diag, b_off))[:, k]
+            margin_k, radius_k, lag_k = margin[:, k], radius[:, k], has_lag[k]
+            pencil = (a, b, lagged[:, k], c[:, k]) if lag_k.any() else (a, b, None, None)
+            top_end, ldl = ((_batch_top_end, _batch_ldl) if batch
+                            else (_column_top_end, _column_ldl))
+            lo, hi, proved = top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
+            width[k] = hi - lo
+            # B + top A not definite: some eigenvalue lies at or below -top
+            negated = (a, -b, None, None)
+            p = np.flatnonzero(proved & ~lag_k)
+            p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
+            if p.size:
+                low, high, found = top_end(_columns(negated, p), hi[p], margin_k[:, p],
+                                           radius_k[:, p])
+                proved[p] &= found
+                p, low, high = p[found], low[found], high[found]
+                bottom[k[p]] = -high
+                width[k[p]] = _py_max(width[k[p]], high - low)
+            top[k[proved]] = hi[proved]
+        g = ((np.abs(b_diag) + radius) / margin).max(axis=0)
+        bound = width + 8.0 * n * np.finfo(float).eps * _py_max(g, 1.0)
+    bound[np.isnan(top)] = np.nan
+    return top, bottom, bound
 
 
 def eigen_spectrum(M):
@@ -510,28 +513,30 @@ def eigen_spectrum(M):
 
     An UpdatePair whose pencil _symmetric_pencil accepts, as it does the
     pairs of all eight assembled schemes, has a real spectrum and M is never
-    formed.  Its top end is the smallest sigma at which sigma A - B is
-    positive definite; its bottom end, needed only when B + top A is not
-    positive definite, is the largest sigma at which B - sigma A is.  A pair
-    with a lagged coupling (bulk-sequential) has a nonnegative spectrum, so
-    only its top end is searched, from sigma = 0.  Each definiteness test is
-    one LDL^T factorization (LAPACK dpttrf), O(n), and bisection with regula
-    falsi closes a bracket proved by these tests to a few ulps (Barth, Martin
-    & Wilkinson 1967); a diagonal A reduces the pencil to a standard
-    tridiagonal problem whose ends come from LAPACK dstebz.  The returned
-    eigenvalues are the ends found, the top end and, when needed, the bottom
-    end, sorted by decreasing modulus, and lambda_max is their larger
-    modulus.  The LDL^T test is backward stable: its verdict is exact for a
-    pencil within O(n eps) of the given one (Kahan 1966), so residual_bound
-    is the bracket width plus 8 n eps max(g, 1), with g >= |lambda| the
-    Gershgorin bound of the pair.  The pencil path holds only bands, so a
-    pair of any size takes it; a hand-built pair that fits no case takes the
-    dense path on M = update_matrix(pair), which bounds n by MAX_DENSE_N.
+    formed: pencil_ends finds its ends.  Its top end is the smallest sigma
+    at which sigma A - B is positive definite; its bottom end, needed only
+    when B + top A is not positive definite, is the largest sigma at which
+    B - sigma A is.  A pair with a lagged coupling (bulk-sequential) has a
+    nonnegative spectrum, so only its top end is searched, from sigma = 0.
+    Each definiteness test is one LDL^T factorization (LAPACK dpttrf), O(n),
+    and bisection with regula falsi closes a bracket proved by these tests
+    to a few ulps (Barth, Martin & Wilkinson 1967); a diagonal A reduces the
+    pencil to a standard tridiagonal problem whose ends come from LAPACK
+    dstebz.  The returned eigenvalues are the ends found, the top end and,
+    when needed, the bottom end, sorted by decreasing modulus, and
+    lambda_max is their larger modulus.  The LDL^T test is backward stable:
+    its verdict is exact for a pencil within O(n eps) of the given one
+    (Kahan 1966), so residual_bound is the bracket width plus 8 n eps
+    max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.  The
+    pencil path holds only bands, so a pair of any size takes it; a pair
+    that fits no case or is not proved takes the dense path on
+    M = update_matrix(pair), which bounds n by MAX_DENSE_N.
     """
     if isinstance(M, UpdatePair):
-        spectrum = _pencil_spectrum(M)
-        if spectrum is not None:
-            return spectrum
+        bands = (M.A.sub, M.A.diag, M.A.sup, M.B.sub, M.B.diag, M.B.sup)
+        (top,), (bottom,), (bound,) = pencil_ends([band[:, None] for band in bands])
+        if top == top:  # not NaN: proved
+            return _sorted_spectrum([top] if bottom != bottom else [top, bottom], bound)
         M = update_matrix(M)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -571,9 +576,9 @@ def full_spectrum(pair):
     results, take eigen_spectrum(update_matrix(pair)).
     """
     bands = (pair.A.sub, pair.A.diag, pair.A.sup, pair.B.sub, pair.B.diag, pair.B.sup)
-    (a_diag, a_off, b_diag, b_off), lagged, _, margin, radius, ok = _symmetric_pencil(*bands)
     pencil, values = (), None
     with np.errstate(all="ignore"):  # overflow leaves non-finite entries: the dense path
+        (a_diag, a_off, b_diag, b_off), lagged, _, margin, radius, ok = _symmetric_pencil(*bands)
         if ok and lagged is None and not a_off.any():
             solve, pencil = scipy.linalg.eigvalsh_tridiagonal, _diagonal_form(a_diag, b_diag, b_off)
         elif ok and lagged is None and pair.n <= MAX_DENSE_N:

@@ -110,31 +110,31 @@ def _evaluate_point(spec, values):
 
 
 def _batch_lambda_max(spec, x, y):
-    """lambda_max of the cells at axis values x, y by the batch; NaN where not proved.
-
-    Cells whose groups DimensionlessParams would reject are not proved.
-    """
+    """lambda_max by spectral.pencil_ends; NaN where not proved or DimensionlessParams fails."""
     groups = {name: np.full(x.shape, value) for name, value in spec.fixed.items()}
     groups[spec.axis_x.name], groups[spec.axis_y.name] = x, y
     p = SimpleNamespace(**groups)
     with np.errstate(all="ignore"):  # an overflow leaves its cell to the per-cell path
         bands = assembly.assemble_bands(spec.scheme, p, spec.n_minus, spec.n_plus)
-    lam = spectral.pencil_lambda_max(bands)
+    top, bottom, _ = spectral.pencil_ends(bands)
+    lam = np.fmax(np.abs(top), np.abs(bottom))
     lam[~in_domain(p.d_plus, p.d_minus, p.beta_plus, p.beta_minus, p.r)] = np.nan
     return lam
 
 
 def _evaluate_chunk(spec, x, y, n):
-    """lambda_max of the cells at axis values x, y; NaN where a cell fails.
+    """lambda_max of the cells at axis values x, y, n unknowns each; NaN where a cell fails.
 
-    A chunk of at least n cells, n the unknowns of a pair, goes through
-    _batch_lambda_max: below that, n numpy calls per probe cost more than
-    one LAPACK call per cell.  The batch computes in floats, so fixed values
-    of another type keep every cell on the per-cell path, as do the cells
-    the batch does not prove.  There a numerical error fails the cell.
+    A chunk that spectral.pencil_ends searches with its masked kernel is one
+    _batch_lambda_max call.  A smaller one would take the scalar kernel,
+    which eigen_spectrum(pair) runs alike, so it goes cell by cell through
+    it, as do the cells the batch does not prove and, since the batch
+    computes in floats, every cell of other fixed values.  There a numerical
+    error fails the cell.
     """
     lam = np.full(x.shape, np.nan)
-    if x.size >= n and all(isinstance(v, float) for v in spec.fixed.values()):
+    if spectral.masked_kernel(n, x.size) and all(isinstance(v, float)
+                                                 for v in spec.fixed.values()):
         try:
             lam = _batch_lambda_max(spec, x, y)
         except _NUMERICAL_ERRORS:
@@ -153,20 +153,12 @@ def _evaluate_chunk(spec, x, y, n):
 def run_sweep(spec):
     """Evaluate the grid; failed cells become NaN with class 'failed'.
 
-    The cells, row by row, are cut into chunks of at most CHUNK_ENTRIES / n
-    cells, so that a band of a chunk holds at most CHUNK_ENTRIES entries.  A
-    chunk of at least n cells is evaluated as one batch: its bands are
-    (n, cells) arrays from assembly.assemble_bands, and
-    spectral.pencil_lambda_max runs the pencil path of eigen_spectrum(pair)
-    on all of them at once, with the same probes and pivots, or the same
-    dstebz call, per cell, so lambda_max is the same bit for bit.  The cells
-    the batch does not prove (invalid groups, non-finite entries, no
-    symmetric pencil, B0 not definite, an unproved bracket), and every cell
-    of a smaller chunk, are evaluated one by one through eigen_spectrum(pair).
-    A cell fails on a numerical error there: one of the package's error
-    types, RuntimeError or LinAlgError; any other exception is a programming
-    error and propagates.  A cell also fails when its lambda_max is not a
-    nonnegative number.
+    The cells, row by row, go through _evaluate_chunk in chunks of at most
+    CHUNK_ENTRIES / n cells, n the unknowns of a pair, so that a band of a
+    chunk holds at most CHUNK_ENTRIES entries.  A cell fails on a numerical
+    error: one of the package's error types, RuntimeError or LinAlgError;
+    any other exception is a programming error and propagates.  A cell also
+    fails when its lambda_max is not a nonnegative number.
     """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()

@@ -74,6 +74,9 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     (["bounds", "--d-lo", "-1"], "--d-lo must be positive and finite"),
     (["bounds", "--d-hi", "inf"], "--d-hi must be positive and finite"),
     (["bounds", "--d-lo", "10", "--d-hi", "1"], "--points >= 1 and --d-lo <= --d-hi"),
+    (["spectrum", "--scheme", "dn-implicit", "--tol", "0"], "--tol must be positive"),
+    (["spectrum", "--scheme", "dn-implicit", "--tol=-1e-8"], "--tol must be positive"),
+    (["spectrum", "--scheme", "dn-implicit", "--tol", "nan"], "--tol must be positive"),
 ])
 def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
     assert cli_main(argv) == 2

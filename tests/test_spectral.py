@@ -357,10 +357,13 @@ def test_full_spectrum_of_a_diagonal_a_past_the_dense_limit():
     assert abs(spectrum.eigenvalues.real.min() - ends.min()) <= spectrum.residual_bound
 
 
-def overflowing_pencil_pair():
+def overflowing_pencil_pair(n=2):
     """A pair whose symmetric pencil overflows: sqrt(1 / 1e-309) is infinite."""
-    return UpdatePair(A=Tridiagonal([1e-309], [3.0, 3.0], [1.0]),
-                      B=Tridiagonal([0.0], [1.0, 2.0], [0.0]), layout=None)
+    coupling = np.zeros(n - 1)
+    coupling[0] = 1.0
+    return UpdatePair(A=Tridiagonal(1e-309 * coupling, np.full(n, 3.0), coupling),
+                      B=Tridiagonal(np.zeros(n - 1), np.arange(1.0, n + 1.0), np.zeros(n - 1)),
+                      layout=None)
 
 
 @pytest.mark.parametrize("case", ["lagged", "no case", "non-finite pencil", "solver failure"])
@@ -452,19 +455,67 @@ def test_batch_pencil_is_the_pair_pencil(name, n_minus, n_plus, cells):
             assert c[:, k].tobytes() == single[2].tobytes()
 
 
+def huge_pair(n, a_diag, b_diag):
+    """A = tridiag(-1, a_diag, -1) and B = b_diag I."""
+    off = np.full(n - 1, -1.0)
+    return UpdatePair(A=Tridiagonal(off, np.full(n, a_diag), off),
+                      B=Tridiagonal(0.0 * off, np.full(n, b_diag), 0.0 * off), layout=None)
+
+
+def test_probe_that_overflows_proves_nothing():
+    # the top end 5e307 of A = tridiag(-1, 3, -1) and B = 1e308 I, found by a
+    # search whose probes overflow, came out NaN; the dense path finds it
+    pair = huge_pair(2, 3.0, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
+        assert np.isnan(spectral.pencil_ends(stacked_bands([pair] * 2))).all()
+    assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
+
+
+def pencil_ends(bands):
+    """spectral.pencil_ends, and which kernels it ran: (ends, scalar, masked)."""
+    with mock.patch.object(spectral, "_top_end", wraps=spectral._top_end) as scalar, \
+            mock.patch.object(spectral, "_batch_top_end", wraps=spectral._batch_top_end) as masked:
+        ends = spectral.pencil_ends(bands)
+    return ends, scalar.called, masked.called
+
+
 @given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
        cells=BATCH_CELLS)
 @settings(max_examples=150, deadline=None)
-def test_batch_pencil_matches_the_pair_path(name, n_minus, n_plus, cells):
+def test_both_kernels_give_the_same_bits(name, n_minus, n_plus, cells):
+    # assembled, mirrored and no-case pairs, one-sided and lagged among them,
+    # then a pencil, a Gershgorin bound and a probe that overflow, and an
+    # infinite entry
     pairs = batch_pairs(name, n_minus, n_plus, cells)
-    lam = spectral.pencil_lambda_max(stacked_bands(pairs))
-    for value, pair in zip(lam, pairs):
-        pencil = spectral._pencil_spectrum(pair)
-        # the batch leaves to eigen_spectrum only the pairs without a pencil
-        assert np.isnan(value) == (pencil is None)
-        if pencil is not None:
-            assert value.tobytes() == np.float64(pencil.lambda_max).tobytes()
-            assert value == eigen_spectrum(pair).lambda_max
+    n = pairs[0].n
+    if n > 1:
+        pairs += [overflowing_pencil_pair(n), huge_pair(n, 2.5, 1.7e308), huge_pair(n, 3.0, 1e308)]
+    bands = stacked_bands(pairs + pairs[:1])
+    bands[4][0, -1] = np.inf
+    # tiled past n columns, the call runs the masked kernel
+    tiled, scalar, _ = pencil_ends([np.tile(band, n // len(pairs) + 1) for band in bands])
+    assert not scalar
+    columns = bands[0].shape[1]
+    for j in range(tiled[0].size):
+        one, _, masked = pencil_ends([band[:, j % columns, None] for band in bands])
+        assert not masked
+        for batch, single in zip(tiled, one):
+            assert batch[j].tobytes() == single.tobytes()
+    if columns < n:  # the scalar kernel on several columns at once
+        untiled, _, masked = pencil_ends(bands)
+        assert not masked
+        assert all(u.tobytes() == t[:columns].tobytes() for u, t in zip(untiled, tiled))
+    top, bottom, bound = (end[:columns] for end in tiled)
+    assert np.isnan(top[-1]) and (n == 1 or np.isnan(top[-4:]).all())
+    for pair, t, b, r in zip(pairs, top, bottom, bound):
+        if np.isnan(t):
+            continue
+        spectrum = eigen_spectrum(pair)
+        assert spectrum.residual_bound == r
+        ends = [t] if np.isnan(b) else [t, b]
+        assert sorted(spectrum.eigenvalues.real) == sorted(ends)
 
 
 def overflow_plane_pairs():
@@ -485,8 +536,8 @@ def test_overflowing_gershgorin_bound_proves_nothing():
     # twice the Gershgorin bound overflows; a definiteness test at an
     # infinite hi proved an infinite end for a pair with finite entries
     pair = assemble(SCHEMES["one-way-explicit-flux"], params(dm=0.01, bm=1e308), 5, 2)
-    assert spectral._pencil_spectrum(pair) is None
-    assert np.isnan(spectral.pencil_lambda_max(stacked_bands([pair]))).all()
+    assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
+    assert np.isnan(spectral.pencil_ends(stacked_bands([pair] * pair.n))).all()
     # the dense fallback's M reaches 9.9e307 and fails its residual check
     with np.errstate(all="ignore"), pytest.raises(SpectrumError):
         eigen_spectrum(pair)
@@ -497,9 +548,9 @@ def test_pencil_paths_raise_no_floating_point_warning():
     assert len(pairs) > 10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spectra = [spectral._pencil_spectrum(pair) for pair in pairs]
-        lam = spectral.pencil_lambda_max(stacked_bands(pairs))
-    assert np.isnan(lam).tolist() == [spectrum is None for spectrum in spectra]
+        single = [spectral.pencil_ends(stacked_bands([pair]))[0][0] for pair in pairs]
+        top = spectral.pencil_ends(stacked_bands(pairs))[0]
+    assert np.isnan(top).tolist() == np.isnan(single).tolist()
 
 
 def test_non_finite_pencil_leaves_the_pair_path():
@@ -507,7 +558,7 @@ def test_non_finite_pencil_leaves_the_pair_path():
     # 0.6666666567 under a 3.9e-15 bound where the eigenvalues are 2/3 and 1/3
     pair = overflowing_pencil_pair()
     assert not spectral._symmetric_pencil(*pair_bands(pair))[5]
-    assert spectral._pencil_spectrum(pair) is None
+    assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
     spectrum = eigen_spectrum(pair)
     assert spectrum.lambda_max == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert spectrum.eigenvalues[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -518,9 +569,10 @@ def test_non_finite_pencil_leaves_the_batch():
     # finite one beside it
     finite = UpdatePair(A=Tridiagonal([-1.0], [3.0, 3.0], [-1.0]),
                         B=Tridiagonal([0.5], [1.0, 2.0], [0.5]), layout=None)
-    lam = spectral.pencil_lambda_max(stacked_bands([overflowing_pencil_pair(), finite]))
-    assert np.isnan(lam[0])
-    assert lam[1].tobytes() == np.float64(eigen_spectrum(finite).lambda_max).tobytes()
+    top, bottom, _ = spectral.pencil_ends(stacked_bands([overflowing_pencil_pair(), finite]))
+    assert np.isnan(top[0]) and np.isnan(bottom[0])
+    lam = max(abs(top[1]), abs(bottom[1]))
+    assert lam.tobytes() == np.float64(eigen_spectrum(finite).lambda_max).tobytes()
 
 
 # 50,000 cells per domain: a dense A alone would take 80 GB

@@ -373,8 +373,17 @@ def test_chunks_bound_the_batch(monkeypatch):
     # the last chunk, smaller than 5 cells, goes cell by cell
     spec = tiny_spec()
     monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", 40)
+    sizes = []
+    real = sweep_mod._batch_lambda_max
+
+    def counted(spec_, x, y):
+        sizes.append(x.size)
+        return real(spec_, x, y)
+
+    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", counted)
     calls = count_point_calls(monkeypatch)
     field = run_sweep(spec)
+    assert sizes == [8]
     assert len(calls) == 1
     assert calls[0]["d_minus"] == field.x_values[-1]
     assert calls[0]["beta_minus"] == field.y_values[-1]
