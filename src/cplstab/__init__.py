@@ -30,10 +30,6 @@ from .assembly import (
     Tridiagonal,
     UpdatePair,
     assemble,
-    assemble_bulk,
-    assemble_dn_explicit,
-    assemble_dn_implicit,
-    assemble_one_way,
     scheme_name,
     write_dense_csv,
 )

@@ -17,6 +17,9 @@ The sequential variant zeroes the negative row's A coupling and moves it to B
 Dirichlet-Neumann schemes carry a shared interface node at index n_minus with
 weight (1+r)/2; the one-way scheme keeps only the negative domain with the
 interface flux folded into its last row.
+
+assemble(scheme, p, n_minus, n_plus) is the one constructor of a pair, and
+assemble_bands its batch form: every scheme of the family is a SchemeSpec.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,6 @@ SIMULTANEOUS = "simultaneous"
 SEQUENTIAL = "sequential"
 TWO_WAY = "two_way"
 ONE_WAY_NEGATIVE = "one_way_negative"
-DIRICHLET = "dirichlet"
-REFLECTIVE = "reflective"
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,6 @@ class Layout:
         if self.kind == ONE_WAY_NEGATIVE:
             return self.n_minus
         return self.n_minus + self.n_plus
-
-    @property
-    def has_shared_node(self):
-        return self.kind == DIRICHLET_NEUMANN
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +191,6 @@ def _check_sizes(n_minus, n_plus=1):
             raise ParameterDomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_far_field(far_field, *sizes):
-    if far_field not in (DIRICHLET, REFLECTIVE):
-        raise ParameterDomainError(f"unknown far-field closure {far_field!r}")
-    # with a single cell the far-field row and the interface row coincide
-    if far_field == REFLECTIVE and min(sizes) < 2:
-        raise ParameterDomainError("reflective far field needs at least 2 cells per domain")
-
-
 def _runs(values, counts, shape):
     """A band from runs of equal entries: values[k] repeated counts[k] times.
 
@@ -219,38 +208,27 @@ def _zero_off(diag):
     return np.zeros((diag.shape[0] - 1,) + diag.shape[1:])
 
 
-def _pair(bands, layout):
-    return UpdatePair(Tridiagonal(*bands[:3]), Tridiagonal(*bands[3:]), layout)
+# Each *_bands function takes (scheme, p, n_minus, n_plus) and returns the
+# six bands (A sub, A diag, A sup, B sub, B diag, B sup) of one pair.  The
+# groups of p are floats or arrays of one shape: every entry formula is
+# written once and evaluates either way, so a one-cell pair and a column of
+# a batch share their entries bit for bit.  The bands are built row by row
+# from runs of equal entries.  Away from the interface the backward-Euler
+# rows carry the stencil [-d, 1+2d, -d].
 
 
-# Each *_bands function returns the six bands (A sub, A diag, A sup, B sub,
-# B diag, B sup) of one pair.  The groups of p are floats or arrays of one
-# shape: every entry formula is written once and evaluates either way, so
-# the one-cell assemblers and the batch of assemble_bands share their
-# entries bit for bit.  The bands are built row by row from runs of equal
-# entries.  Away from the interface the backward-Euler rows carry the
-# stencil [-d, 1+2d, -d]; a reflective far field drops one d from the
-# diagonal of the outermost row.
-
-
-def _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field):
+def _bulk_bands(scheme, p, n_minus, n_plus):
     _check_sizes(n_minus, n_plus)
-    _check_far_field(far_field, n_minus, n_plus)
-    if theta not in (0, 1) or gamma not in (0, 1):
-        raise SchemeError("theta and gamma must be 0 or 1")
-    if formulation not in (SIMULTANEOUS, SEQUENTIAL):
-        raise SchemeError(f"unknown formulation {formulation!r}")
+    theta, gamma = scheme.theta, scheme.gamma
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
     shape = np.shape(dm)
-    sequential = formulation == SEQUENTIAL
+    sequential = scheme.formulation == SEQUENTIAL
     # rows: negative interior, interface rows n_minus-1 and n_minus, positive interior
     runs = (n_minus - 1, 1, 1, n_plus - 1)
     off_runs = (n_minus - 1, 1, n_plus - 1)
     diag = _runs([1.0 + 2.0 * dm, dm + theta * bm + 1.0, dp + theta * bp + 1.0,
                   1.0 + 2.0 * dp], runs, shape)
-    if far_field == REFLECTIVE:
-        diag[[0, -1]] = 1.0 + dm, 1.0 + dp
     # the sequential negative domain steps first: its coupling to the positive
     # state is lagged into B
     return (_runs([-dm, -gamma * bp, -dp], off_runs, shape), diag,
@@ -260,30 +238,29 @@ def _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field):
             _runs([0.0, bm if sequential else (1.0 - gamma) * bm, 0.0], off_runs, shape))
 
 
-def _one_way_bands(p, n_minus, flux, far_field):
+def _one_way_bands(scheme, p, n_minus, n_plus):
+    # the positive side acts as forcing only; theta picks the time level of
+    # the interface flux in the last row
     _check_sizes(n_minus)
-    _check_far_field(far_field, n_minus)
-    if flux not in (EXPLICIT, IMPLICIT):
-        raise SchemeError(f"unknown flux level {flux!r}")
     dm, bm = p.d_minus, p.beta_minus
     shape = np.shape(dm)
-    explicit = flux == EXPLICIT
+    explicit = scheme.theta == 0
     # summed in bulk-row order so the block-equality contract holds exactly
     diag = _runs([1.0 + 2.0 * dm, 1.0 + dm if explicit else dm + bm + 1.0], (n_minus - 1, 1),
                  shape)
-    if far_field == REFLECTIVE:
-        diag[0] = 1.0 + dm
     off = _runs([-dm], (n_minus - 1,), shape)
     b_diag = _runs([1.0, 1.0 - bm if explicit else 1.0], (n_minus - 1, 1), shape)
     return off, diag, off, _zero_off(b_diag), b_diag, _zero_off(b_diag)
 
 
-def _dn_explicit_bands(p, n_minus, n_plus):
+def _dn_explicit_bands(scheme, p, n_minus, n_plus):
     _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
     w = (1.0 + r) / 2.0
-    # rows: negative domain, shared node n_minus, positive domain
+    # rows: negative domain, shared node n_minus, positive domain.  A is the
+    # identity apart from the interface weight; B carries the forward-Euler
+    # stencils and the flux-balance interface row
     runs = (n_minus, 1, n_plus)
     a_diag = _runs([1.0, w, 1.0], runs, shape)
     return (_zero_off(a_diag), a_diag, _zero_off(a_diag),
@@ -292,7 +269,7 @@ def _dn_explicit_bands(p, n_minus, n_plus):
             _runs([dm, dp * r, dp], (n_minus, 1, n_plus - 1), shape))
 
 
-def _dn_implicit_bands(p, n_minus, n_plus):
+def _dn_implicit_bands(scheme, p, n_minus, n_plus):
     _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
@@ -302,7 +279,8 @@ def _dn_implicit_bands(p, n_minus, n_plus):
     off_runs = (n_minus, 1, n_plus - 1)
     # the negative stencil continues into the shared node, whose row takes
     # the negative flux implicitly and lags the positive flux into B; the
-    # first positive row takes its Dirichlet value from the old interface
+    # first positive row takes its Dirichlet value from the old interface.
+    # So A splits into two independent blocks
     off = _runs([-dm, 0.0, -dp], off_runs, shape)
     return (off, _runs([1.0 + 2.0 * dm, w + dm, dp + 1.0, 1.0 + 2.0 * dp], runs, shape), off,
             _runs([0.0, dp, 0.0], off_runs, shape),
@@ -310,55 +288,11 @@ def _dn_implicit_bands(p, n_minus, n_plus):
             _runs([0.0, dp * r, 0.0], off_runs, shape))
 
 
-def assemble_bulk(p, n_minus, n_plus, theta, gamma, formulation=SIMULTANEOUS,
-                  far_field=DIRICHLET):
-    """Bulk-interface update pair on n_minus + n_plus cells.
-
-    far_field selects the closure at the two outer ends; the reflective option
-    exists for conservation checks and is not part of the analyzed family.
-    """
-    bands = _bulk_bands(p, n_minus, n_plus, theta, gamma, formulation, far_field)
-    return _pair(bands, Layout(BULK, n_minus, n_plus))
-
-
-def assemble_one_way(p, n_minus, flux, far_field=DIRICHLET):
-    """One-way coupled negative domain; the positive side acts as forcing only.
-
-    flux is EXPLICIT or IMPLICIT and selects the time level of the interface
-    flux in the last row.
-    """
-    return _pair(_one_way_bands(p, n_minus, flux, far_field), Layout(ONE_WAY_NEGATIVE, n_minus, 0))
-
-
-def assemble_dn_explicit(p, n_minus, n_plus):
-    """Forward-Euler Dirichlet-Neumann pair with a shared interface node.
-
-    A is the identity apart from the interface weight (1+r)/2; B carries the
-    explicit stencils and the flux-balance interface row.
-    """
-    bands = _dn_explicit_bands(p, n_minus, n_plus)
-    return _pair(bands, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
-
-
-def assemble_dn_implicit(p, n_minus, n_plus):
-    """Backward-Euler Dirichlet-Neumann pair with a shared interface node.
-
-    The interface row closes the negative solve with the positive flux taken
-    at the old time level, so A splits into two independent blocks: the
-    negative domain plus interface node, and the positive domain whose first
-    row sees the old interface value through B.
-    """
-    bands = _dn_implicit_bands(p, n_minus, n_plus)
-    return _pair(bands, Layout(DIRICHLET_NEUMANN, n_minus, n_plus))
-
-
 def scheme_layout(scheme, n_minus, n_plus):
     """The Layout of the pairs that assemble builds for a SchemeSpec."""
     if scheme.direction == ONE_WAY_NEGATIVE:
         return Layout(ONE_WAY_NEGATIVE, n_minus, 0)
-    if scheme.interface == DIRICHLET_NEUMANN:
-        return Layout(DIRICHLET_NEUMANN, n_minus, n_plus)
-    return Layout(BULK, n_minus, n_plus)
+    return Layout(scheme.interface, n_minus, n_plus)
 
 
 def assemble_bands(scheme, p, n_minus, n_plus):
@@ -370,19 +304,19 @@ def assemble_bands(scheme, p, n_minus, n_plus):
     are not checked: a column may hold non-finite entries.
     """
     if scheme.direction == ONE_WAY_NEGATIVE:
-        flux = IMPLICIT if scheme.theta == 1 else EXPLICIT
-        return _one_way_bands(p, n_minus, flux, DIRICHLET)
-    if scheme.interface == DIRICHLET_NEUMANN:
+        build = _one_way_bands
+    elif scheme.interface == DIRICHLET_NEUMANN:
         build = _dn_explicit_bands if scheme.integrator == EXPLICIT else _dn_implicit_bands
-        return build(p, n_minus, n_plus)
-    return _bulk_bands(p, n_minus, n_plus, scheme.theta, scheme.gamma, scheme.formulation,
-                       DIRICHLET)
+    else:
+        build = _bulk_bands
+    return build(scheme, p, n_minus, n_plus)
 
 
 def assemble(scheme, p, n_minus, n_plus):
     """Build the update pair for any SchemeSpec: the one-cell call of assemble_bands."""
     bands = assemble_bands(scheme, p, n_minus, n_plus)
-    return _pair(bands, scheme_layout(scheme, n_minus, n_plus))
+    return UpdatePair(Tridiagonal(*bands[:3]), Tridiagonal(*bands[3:]),
+                      scheme_layout(scheme, n_minus, n_plus))
 
 
 def write_dense_csv(matrix, path):

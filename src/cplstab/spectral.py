@@ -71,22 +71,23 @@ class _TridiagonalFactor:
 
     dgttrf then dgttrs runs the elimination of gtsv, which scipy's
     solve_banded calls, so the bits are the same.  The dgttrf wrapper needs
-    n >= 3; smaller matrices keep their band array for solve_banded.
+    n >= 3, so a smaller matrix is padded to n = 3 with decoupled identity
+    rows and its right-hand sides with zeros.
     """
 
     def __init__(self, a):
-        ab = np.zeros((3, a.n))
-        ab[0, 1:] = a.sup
-        ab[1] = a.diag
-        ab[2, :-1] = a.sub
-        if _minimum_pivot(a) < 1e-14 * np.abs(ab).sum(axis=0).max():
+        scale = np.abs(a.diag)  # column sums of |A|
+        scale[1:] += np.abs(a.sup)
+        scale[:-1] += np.abs(a.sub)
+        if _minimum_pivot(a) < 1e-14 * scale.max():
             raise SingularMatrixError(
                 "tridiagonal elimination pivot below 1e-14 of the matrix scale")
         self.n = a.n
+        bands = a.sub, a.diag, a.sup
         if a.n < 3:
-            self.ab = ab
-            return
-        *self.lu, info = lapack.dgttrf(a.sub, a.diag, a.sup)
+            bands = [np.pad(band, (0, 3 - a.n), constant_values=value)
+                     for band, value in zip(bands, (0.0, 1.0, 0.0))]
+        *self.lu, info = lapack.dgttrf(*bands)
         if info != 0:
             raise SingularMatrixError(f"tridiagonal factorization failed: dgttrf info {info}")
 
@@ -97,14 +98,11 @@ class _TridiagonalFactor:
         if not np.isfinite(rhs).all():
             raise ParameterDomainError("rhs has non-finite entries")
         if self.n < 3:
-            try:
-                return scipy.linalg.solve_banded((1, 1), self.ab, rhs, check_finite=False)
-            except np.linalg.LinAlgError as err:
-                raise SingularMatrixError(f"banded solve failed: {err}") from err
+            rhs = np.concatenate([rhs, np.zeros((3 - self.n,) + rhs.shape[1:])])
         x, info = lapack.dgttrs(*self.lu, rhs)
         if info != 0:
             raise SingularMatrixError(f"tridiagonal solve failed: dgttrs info {info}")
-        return x
+        return x[:self.n]
 
 
 # A Tridiagonal is frozen, hashes by identity and has read-only bands, so its

@@ -6,6 +6,7 @@ a flat CSV (x fastest, y ascending) and optionally a plain PGM rendering of
 the spectral radius with 2.0 mapped to full scale.
 """
 
+import numbers
 import textwrap
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -85,6 +86,11 @@ class SweepSpec:
             raise ParameterDomainError(
                 f"fixed values must cover exactly {sorted(remaining)}, got {sorted(given)}"
             )
+        for name, value in self.fixed.items():
+            if not isinstance(value, numbers.Real):
+                raise ParameterDomainError(f"fixed {name} must be a real number, got {value!r}")
+        # stored as floats, so every plane of real values takes the batch
+        object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
         if self.n_minus < 1 or self.n_plus < 1:
             raise ParameterDomainError("domain sizes must be at least 1")
         if not (self.tol > 0.0):
@@ -128,13 +134,11 @@ def _evaluate_chunk(spec, x, y, n):
     A chunk that spectral.pencil_ends searches with its masked kernel is one
     _batch_lambda_max call.  A smaller one would take the scalar kernel,
     which eigen_spectrum(pair) runs alike, so it goes cell by cell through
-    it, as do the cells the batch does not prove and, since the batch
-    computes in floats, every cell of other fixed values.  There a numerical
-    error fails the cell.
+    it, as do the cells the batch does not prove.  There a numerical error
+    fails the cell.
     """
     lam = np.full(x.shape, np.nan)
-    if spectral.masked_kernel(n, x.size) and all(isinstance(v, float)
-                                                 for v in spec.fixed.values()):
+    if spectral.masked_kernel(n, x.size):
         try:
             lam = _batch_lambda_max(spec, x, y)
         except _NUMERICAL_ERRORS:

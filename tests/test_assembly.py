@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
-                     SchemeError, SchemeSpec, Tridiagonal, assemble, assemble_bulk,
-                     assemble_dn_explicit, assemble_dn_implicit,
-                     assemble_one_way, scheme_name, write_dense_csv)
+                     SchemeError, SchemeSpec, Tridiagonal, assemble, scheme_name,
+                     write_dense_csv)
 from cplstab.assembly import (BULK, DIRICHLET_NEUMANN, EXPLICIT, IMPLICIT,
-                              ONE_WAY_NEGATIVE, REFLECTIVE, SEQUENTIAL, assemble_bands,
-                              scheme_layout)
+                              ONE_WAY_NEGATIVE, SEQUENTIAL, assemble_bands, scheme_layout)
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -49,7 +47,7 @@ def test_scheme_names_round_trip():
 # --------------------------------------------------------------------- bulk
 
 def test_bulk_no_dynamics_is_identity():
-    pair = assemble_bulk(params(), 3, 2, theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(), 3, 2)
     assert np.array_equal(pair.A.toarray(), np.eye(5))
     assert np.array_equal(pair.B.toarray(), np.eye(5))
 
@@ -57,8 +55,7 @@ def test_bulk_no_dynamics_is_identity():
 def test_bulk_explicit_interface_blocks():
     # theta = gamma = 0: A carries no cross terms, B carries the bulk exchange
     d = 0.7
-    pair = assemble_bulk(params(dp=d, dm=d, bp=0.25, bm=0.5), 2, 2,
-                         theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dp=d, dm=d, bp=0.25, bm=0.5), 2, 2)
     assert pair.A.toarray()[1, 1] == pytest.approx(1.0 + d)
     assert pair.A.toarray()[2, 2] == pytest.approx(1.0 + d)
     assert pair.A.toarray()[1, 2] == 0.0 and pair.A.toarray()[2, 1] == 0.0
@@ -66,7 +63,7 @@ def test_bulk_explicit_interface_blocks():
 
 
 def test_bulk_strong_exchange_example():
-    pair = assemble_bulk(params(bp=2.0, bm=2.0), 1, 1, theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(bp=2.0, bm=2.0), 1, 1)
     assert np.array_equal(pair.A.toarray(), np.eye(2))
     assert np.array_equal(pair.B.toarray(), [[-1.0, 2.0], [2.0, -1.0]])
     assert sorted(np.linalg.eigvals(pair.B.toarray()).real) == pytest.approx([-3.0, 1.0])
@@ -74,7 +71,7 @@ def test_bulk_strong_exchange_example():
 
 def test_bulk_interface_rows_all_levels():
     p = params(dp=0.3, dm=0.2, bp=0.4, bm=0.6)
-    pair = assemble_bulk(p, 3, 3, theta=1, gamma=1)
+    pair = assemble(SCHEMES["bulk-implicit-flux"], p, 3, 3)
     im, ip = 2, 3
     assert pair.A.toarray()[im, im - 1] == pytest.approx(-0.2)
     assert pair.A.toarray()[im, im] == pytest.approx(0.2 + 0.6 + 1.0)
@@ -88,8 +85,8 @@ def test_bulk_interface_rows_all_levels():
 
 def test_bulk_sequential_moves_coupling_to_b():
     p = params(dp=0.3, dm=0.2, bp=0.4, bm=0.6)
-    sim = assemble_bulk(p, 3, 3, theta=1, gamma=1)
-    seq = assemble_bulk(p, 3, 3, theta=1, gamma=1, formulation=SEQUENTIAL)
+    sim = assemble(SCHEMES["bulk-implicit-flux"], p, 3, 3)
+    seq = assemble(SCHEMES["bulk-sequential"], p, 3, 3)
     im, ip = 2, 3
     assert seq.A.toarray()[im, ip] == 0.0
     assert seq.B.toarray()[im, ip] == pytest.approx(0.6)
@@ -101,7 +98,7 @@ def test_bulk_sequential_moves_coupling_to_b():
 
 def test_bulk_sequential_block_triangular_determinant():
     p = params(dp=0.9, dm=1.7, bp=0.8, bm=1.2)
-    pair = assemble_bulk(p, 4, 3, theta=1, gamma=1, formulation=SEQUENTIAL)
+    pair = assemble(SCHEMES["bulk-sequential"], p, 4, 3)
     nm = 4
     assert np.all(pair.A.toarray()[:nm, nm:] == 0.0)
     det = np.linalg.det(pair.A.toarray())
@@ -110,27 +107,37 @@ def test_bulk_sequential_block_triangular_determinant():
     assert det == pytest.approx(det_blocks, rel=1e-12)
 
 
-def test_far_field_rows_drop_neighbor_keep_diagonal():
+def test_dirichlet_end_rows_drop_neighbor_keep_diagonal():
     d = 0.4
-    pair = assemble_bulk(params(dp=d, dm=d), 3, 3, theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dp=d, dm=d), 3, 3)
     assert pair.A.toarray()[0, 0] == pytest.approx(1.0 + 2.0 * d)
     assert pair.A.toarray()[0, 1] == pytest.approx(-d)
     assert pair.A.toarray()[5, 5] == pytest.approx(1.0 + 2.0 * d)
     assert pair.A.toarray()[5, 4] == pytest.approx(-d)
 
 
-def test_reflective_far_field_balances_columns():
-    d = 0.4
-    pair = assemble_bulk(params(dp=d, dm=d), 3, 3, theta=0, gamma=0,
-                         far_field=REFLECTIVE)
-    # no bulk exchange: every column of A sums to one, so sum(T) is conserved
-    assert np.allclose(pair.A.toarray().sum(axis=0), 1.0)
-
-
-def test_reflective_needs_two_cells():
-    with pytest.raises(ParameterDomainError):
-        assemble_bulk(params(dp=0.4, dm=0.4), 1, 3, theta=0, gamma=0,
-                      far_field=REFLECTIVE)
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_heat_is_conserved_across_the_interface(name):
+    # with weights that make the interface fluxes cancel, w @ (A - B) keeps
+    # only the far-end Dirichlet columns (one-way: its far end and the flux
+    # that leaves through the interface)
+    p = params(dp=0.7, dm=1.1, bp=0.3, bm=0.6, r=2.5)
+    nm, np_ = 4, 3
+    pair = assemble(SCHEMES[name], p, nm, np_)
+    kind = pair.layout.kind
+    if kind == BULK:
+        w = np.r_[np.full(nm, 1.0 / p.beta_minus), np.full(np_, 1.0 / p.beta_plus)]
+        ends = p.d_minus / p.beta_minus, p.d_plus / p.beta_plus
+    elif kind == DIRICHLET_NEUMANN:
+        w = np.r_[np.ones(nm + 1), np.full(np_, p.r)]
+        ends = p.d_minus, p.d_plus * p.r
+    else:
+        w = np.ones(nm)
+        ends = p.d_minus, p.beta_minus
+    expected = np.zeros(pair.n)
+    expected[[0, -1]] = ends
+    columns = w @ (pair.A.toarray() - pair.B.toarray())
+    np.testing.assert_allclose(columns, expected, rtol=0.0, atol=1e-13)
 
 
 @given(dm=small, dp=small, bm=small, bp=small,
@@ -140,8 +147,7 @@ def test_reflective_needs_two_cells():
 def test_implicit_rows_diagonally_dominant(dm, dp, bm, bp, levels, nm, np_):
     """Assembled A rows stay strictly diagonally dominant for positive d."""
     theta, gamma = levels
-    pair = assemble_bulk(params(dp, dm, bp, bm), nm, np_,
-                         theta=theta, gamma=gamma)
+    pair = assemble(SchemeSpec(BULK, IMPLICIT, theta, gamma), params(dp, dm, bp, bm), nm, np_)
     diag = np.abs(np.diag(pair.A.toarray()))
     off = np.abs(pair.A.toarray()).sum(axis=1) - diag
     assert np.all(diag > off)
@@ -151,18 +157,18 @@ def test_implicit_rows_diagonally_dominant(dm, dp, bm, bp, levels, nm, np_):
 
 def test_one_way_single_cell_updates():
     d, beta = 0.5, 0.25
-    exp = assemble_one_way(params(dm=d, bm=beta), 1, flux="explicit")
+    exp = assemble(SCHEMES["one-way-explicit-flux"], params(dm=d, bm=beta), 1, 1)
     assert exp.A.toarray()[0, 0] == pytest.approx(1.0 + d)
     assert exp.B.toarray()[0, 0] == pytest.approx(1.0 - beta)
-    imp = assemble_one_way(params(dm=d, bm=beta), 1, flux="implicit")
+    imp = assemble(SCHEMES["one-way-implicit-flux"], params(dm=d, bm=beta), 1, 1)
     assert imp.A.toarray()[0, 0] == pytest.approx(1.0 + d + beta)
     assert imp.B.toarray()[0, 0] == 1.0
 
 
 def test_one_way_unforced_variants_match():
     p = params(dm=0.8)
-    exp = assemble_one_way(p, 4, flux="explicit")
-    imp = assemble_one_way(p, 4, flux="implicit")
+    exp = assemble(SCHEMES["one-way-explicit-flux"], p, 4, 1)
+    imp = assemble(SCHEMES["one-way-implicit-flux"], p, 4, 1)
     assert np.array_equal(exp.A.toarray(), imp.A.toarray())
     assert np.array_equal(exp.B.toarray(), imp.B.toarray())
 
@@ -173,9 +179,8 @@ def test_one_way_unforced_variants_match():
 def test_one_way_equals_bulk_upper_left_block(dm, dp, bm, bp, nm, theta):
     """One-way matrices are the negative bulk blocks minus the coupling."""
     p = params(dp, dm, bp, bm)
-    flux = "implicit" if theta else "explicit"
-    one = assemble_one_way(p, nm, flux=flux)
-    bulk = assemble_bulk(p, nm, 3, theta=theta, gamma=0)
+    one = assemble(SchemeSpec(BULK, IMPLICIT, theta, direction=ONE_WAY_NEGATIVE), p, nm, 1)
+    bulk = assemble(SchemeSpec(BULK, IMPLICIT, theta), p, nm, 3)
     a_block = bulk.A.toarray()[:nm, :nm].copy()
     b_block = bulk.B.toarray()[:nm, :nm].copy()
     assert np.array_equal(one.A.toarray(), a_block)
@@ -185,33 +190,33 @@ def test_one_way_equals_bulk_upper_left_block(dm, dp, bm, bp, nm, theta):
 # ----------------------------------------------------------- shared-node D-N
 
 def test_dn_explicit_identity_limit():
-    pair = assemble_dn_explicit(params(r=0.5), 2, 2)
+    pair = assemble(SCHEMES["dn-explicit"], params(r=0.5), 2, 2)
     m = np.linalg.solve(pair.A.toarray(), pair.B.toarray())
     assert np.allclose(m, np.eye(5))
 
 
 def test_dn_explicit_interface_row():
     d, r = 0.3, 2.0
-    pair = assemble_dn_explicit(params(dp=d, dm=d, r=r), 2, 2)
+    pair = assemble(SCHEMES["dn-explicit"], params(dp=d, dm=d, r=r), 2, 2)
     k = 2
     assert pair.A.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0)
     assert pair.B.toarray()[k, k - 1] == pytest.approx(d)
     assert pair.B.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0 - d - d * r)
     assert pair.B.toarray()[k, k + 1] == pytest.approx(d * r)
     # r = 1 symmetric case collapses to the interior stencil
-    sym = assemble_dn_explicit(params(dp=d, dm=d, r=1.0), 2, 2)
+    sym = assemble(SCHEMES["dn-explicit"], params(dp=d, dm=d, r=1.0), 2, 2)
     assert sym.A.toarray()[k, k] == 1.0
     assert np.allclose(sym.B.toarray()[k, k - 1:k + 2], [d, 1.0 - 2.0 * d, d])
 
 
 def test_dn_explicit_cfl_boundary_stencil():
-    pair = assemble_dn_explicit(params(dp=0.5, dm=0.5, r=3.0), 3, 3)
+    pair = assemble(SCHEMES["dn-explicit"], params(dp=0.5, dm=0.5, r=3.0), 3, 3)
     assert np.allclose(pair.B.toarray()[1, 0:3], [0.5, 0.0, 0.5])
     assert np.allclose(pair.B.toarray()[4, 3:6], [0.5, 0.0, 0.5])
 
 
 def test_dn_implicit_frozen_positive_domain():
-    pair = assemble_dn_implicit(params(dm=0.4), 2, 2)
+    pair = assemble(SCHEMES["dn-implicit"], params(dm=0.4), 2, 2)
     k = 2
     assert np.array_equal(pair.A.toarray()[k + 1], [0.0, 0.0, 0.0, 1.0, 0.0])
     assert pair.B.toarray()[k + 1, k] == 0.0 and pair.B.toarray()[k + 1, k + 1] == 1.0
@@ -219,7 +224,7 @@ def test_dn_implicit_frozen_positive_domain():
 
 def test_dn_implicit_interface_rows():
     d_minus, d_plus, r = 0.7, 1.0, 1.0
-    pair = assemble_dn_implicit(params(dp=d_plus, dm=d_minus, r=r), 2, 2)
+    pair = assemble(SCHEMES["dn-implicit"], params(dp=d_plus, dm=d_minus, r=r), 2, 2)
     k = 2
     assert pair.A.toarray()[k, k - 1] == pytest.approx(-d_minus)
     assert pair.A.toarray()[k, k] == pytest.approx((1.0 + r) / 2.0 + d_minus)
@@ -235,7 +240,7 @@ def test_dn_implicit_interface_rows():
 
 def test_dn_implicit_small_ratio_limit():
     d_minus, r = 0.7, 1e-12
-    pair = assemble_dn_implicit(params(dp=0.3, dm=d_minus, r=r), 2, 2)
+    pair = assemble(SCHEMES["dn-implicit"], params(dp=0.3, dm=d_minus, r=r), 2, 2)
     k = 2
     assert pair.A.toarray()[k, k] == pytest.approx(0.5 + d_minus, rel=1e-10)
     assert pair.B.toarray()[k, k] == pytest.approx(0.5, rel=1e-9)
@@ -244,37 +249,22 @@ def test_dn_implicit_small_ratio_limit():
 
 def test_dn_negative_block_couples_to_shared_node():
     d = 0.6
-    pair = assemble_dn_implicit(params(dp=0.2, dm=d, r=1.0), 3, 2)
+    pair = assemble(SCHEMES["dn-implicit"], params(dp=0.2, dm=d, r=1.0), 3, 2)
     assert pair.A.toarray()[2, 3] == pytest.approx(-d)
     assert pair.A.toarray()[2, 2] == pytest.approx(1.0 + 2.0 * d)
 
 
 # --------------------------------------------------------------- dispatcher
 
-def test_assemble_matches_direct_builders():
-    p = params(dp=0.3, dm=0.6, bp=0.2, bm=0.9, r=2.0)
-    cases = {
-        "bulk-partial-flux": assemble_bulk(p, 3, 2, theta=1, gamma=0),
-        "dn-explicit": assemble_dn_explicit(p, 3, 2),
-        "dn-implicit": assemble_dn_implicit(p, 3, 2),
-        "one-way-implicit-flux": assemble_one_way(p, 3, flux="implicit"),
-    }
-    for name, direct in cases.items():
-        via = assemble(SCHEMES[name], p, 3, 2)
-        assert np.array_equal(via.A.toarray(), direct.A.toarray())
-        assert np.array_equal(via.B.toarray(), direct.B.toarray())
-
-
 def test_layout_sizes():
     p = params(dp=0.1, dm=0.1, r=1.0)
     assert assemble(SCHEMES["bulk-explicit-flux"], p, 3, 2).layout.n == 5
     assert assemble(SCHEMES["dn-explicit"], p, 3, 2).layout.n == 6
-    assert assemble(SCHEMES["dn-explicit"], p, 3, 2).layout.has_shared_node
     assert assemble(SCHEMES["one-way-explicit-flux"], p, 3, 2).layout.n == 3
 
 
 def test_update_pair_is_read_only():
-    pair = assemble_bulk(params(dm=0.5), 2, 2, theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dm=0.5), 2, 2)
     with pytest.raises(ValueError):
         pair.A.diag[0] = 7.0
 
@@ -303,9 +293,9 @@ def test_batch_bands_are_the_pairs_bands(name, nm, np_, cells):
 
 def test_rejects_empty_domains():
     with pytest.raises(ParameterDomainError):
-        assemble_bulk(params(), 0, 2, theta=0, gamma=0)
+        assemble(SCHEMES["bulk-explicit-flux"], params(), 0, 2)
     with pytest.raises(ParameterDomainError):
-        assemble_dn_explicit(params(), 2, 0)
+        assemble(SCHEMES["dn-explicit"], params(), 2, 0)
 
 
 # --------------------------------------------------------------- band type
@@ -355,8 +345,7 @@ def test_tridiagonal_rejects_bad_bands():
 # ------------------------------------------------------------------ csv dump
 
 def test_write_dense_csv_round_trips(tmp_path):
-    pair = assemble_bulk(params(dp=1 / 3, dm=0.1, bp=0.7, bm=0.2), 2, 2,
-                         theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dp=1 / 3, dm=0.1, bp=0.7, bm=0.2), 2, 2)
     path = tmp_path / "a.csv"
     write_dense_csv(pair.A.toarray(), path)
     text = path.read_text()

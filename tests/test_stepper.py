@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      ParameterDomainError, SingularMatrixError, State,
-                     Trajectory, Tridiagonal, UpdatePair, assemble, assemble_bulk,
-                     assemble_one_way, eigen_spectrum, growth_rate,
+                     Trajectory, Tridiagonal, UpdatePair, assemble, eigen_spectrum, growth_rate,
                      pack_state, power_growth_rate, random_state,
                      run_monolithic, run_partitioned, state_norm,
                      step_monolithic, step_partitioned, tridiagonal_solve,
                      unpack_state, update_matrix)
 from cplstab import spectral, stepper
-from cplstab.assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE, REFLECTIVE
+from cplstab.assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -251,8 +250,7 @@ def test_state_norm_includes_shared_node():
 
 def test_trajectory_norms_match_states():
     layout = Layout("bulk", 3, 3)
-    pair = assemble_bulk(params(dp=0.5, dm=0.5, bp=0.2, bm=0.2), 3, 3,
-                         theta=1, gamma=0)
+    pair = assemble(SCHEMES["bulk-partial-flux"], params(dp=0.5, dm=0.5, bp=0.2, bm=0.2), 3, 3)
     traj = run_monolithic(pair, random_state(layout, seed=SEED), 10)
     assert len(traj.states) == 11
     for state, norm in zip(traj.states, traj.norms):
@@ -289,32 +287,17 @@ def test_step_partitioned_validates_sizes():
 
 
 def test_step_monolithic_validates_sizes():
-    pair = assemble_bulk(params(dm=0.5), 3, 3, theta=0, gamma=0)
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dm=0.5), 3, 3)
     bad = random_state(Layout("bulk", 2, 2), seed=SEED)
     with pytest.raises(ParameterDomainError):
         step_monolithic(pair, bad)
-
-
-# -------------------------------------------------------------- conservation
-
-def test_reflective_uncoupled_walls_conserve_heat():
-    # beta = 0 with reflective closure: each domain's cell sum is constant
-    p = params(dp=0.7, dm=1.1)
-    pair = assemble_bulk(p, 5, 4, theta=0, gamma=0, far_field=REFLECTIVE)
-    state = random_state(pair.layout, seed=SEED)
-    traj = run_monolithic(pair, state, 25)
-    minus0 = traj.states[0].t_minus.sum()
-    plus0 = traj.states[0].t_plus.sum()
-    for prev, cur in zip(traj.states, traj.states[1:]):
-        assert cur.t_minus.sum() == pytest.approx(minus0, rel=1e-12, abs=1e-12)
-        assert cur.t_plus.sum() == pytest.approx(plus0, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------------- growth
 
 def test_unstable_scheme_norms_blow_up():
     p = params(dm=1.0, bm=4.0)
-    pair = assemble_one_way(p, 10, flux="explicit")
+    pair = assemble(SCHEMES["one-way-explicit-flux"], p, 10, 1)
     lam = eigen_spectrum(update_matrix(pair)).lambda_max
     assert lam > 1.0
     traj = run_monolithic(pair, random_state(pair.layout, seed=SEED), 60)
@@ -355,7 +338,7 @@ def test_growth_rate_zero_floor_warns():
 
 def test_power_growth_rate_deterministic():
     p = params(dp=0.4, dm=0.9, bp=0.3, bm=0.7)
-    pair = assemble_bulk(p, 6, 5, theta=1, gamma=0)
+    pair = assemble(SCHEMES["bulk-partial-flux"], p, 6, 5)
     a = power_growth_rate(pair, steps=200, burn_in=50, seed=SEED)
     b = power_growth_rate(pair, steps=200, burn_in=50, seed=SEED)
     assert a == b
@@ -363,14 +346,14 @@ def test_power_growth_rate_deterministic():
 
 def test_power_growth_rate_rejects_negative_burn_in():
     # a negative burn-in used to fit the last |burn_in| log norms
-    pair = assemble_bulk(params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5, theta=1, gamma=0)
+    pair = assemble(SCHEMES["bulk-partial-flux"], params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5)
     with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
         power_growth_rate(pair, steps=20, burn_in=-5)
 
 
 def test_growth_rate_rejects_negative_burn_in():
     # a negative burn-in used to fit the last |burn_in| norms
-    pair = assemble_bulk(params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5, theta=1, gamma=1)
+    pair = assemble(SCHEMES["bulk-implicit-flux"], params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5)
     traj = run_monolithic(pair, random_state(pair.layout, seed=SEED), 20)
     with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
         growth_rate(traj, burn_in=-5)

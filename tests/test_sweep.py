@@ -134,6 +134,35 @@ def test_spec_rejects_bad_tolerance():
         tiny_spec(tol=0.0)
 
 
+def test_spec_rejects_a_fixed_value_that_is_not_a_number():
+    with pytest.raises(ParameterDomainError, match="real number"):
+        tiny_spec(fixed={"beta_plus": 0.1, "d_plus": 0.1, "r": "one"})
+
+
+def test_integer_fixed_values_take_the_batch(monkeypatch, tmp_path):
+    # integers are stored as floats: the same plane, bytes and batch call
+    batches = []
+    real = sweep_mod._batch_lambda_max
+
+    def counted(spec_, x, y):
+        batches.append(x.size)
+        return real(spec_, x, y)
+
+    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", counted)
+    blobs = []
+    for fixed in ({"beta_minus": 0, "beta_plus": 0, "r": 2},
+                  {"beta_minus": 0.0, "beta_plus": 0.0, "r": 2.0}):
+        spec = SweepSpec(SCHEMES["dn-implicit"], Axis("d_minus", 0.1, 10.0, 3),
+                         Axis("d_plus", 0.1, 10.0, 3), fixed, n_minus=3, n_plus=2)
+        assert spec.fixed == fixed and all(type(v) is float for v in spec.fixed.values())
+        field = run_sweep(spec)
+        write_csv(field, tmp_path / "plane.csv")
+        write_pgm(field, tmp_path / "plane.pgm")
+        blobs.append(((tmp_path / "plane.csv").read_bytes(), (tmp_path / "plane.pgm").read_bytes()))
+    assert batches == [9, 9]
+    assert blobs[0] == blobs[1]
+
+
 # ------------------------------------------------------------- run_sweep
 
 
