@@ -57,12 +57,21 @@ def _emit(rows, path):
 # --- sweep ---
 
 
+def _config_number(name, section, key, kind, default=None):
+    """section[key] (or the default) as `kind`; a malformed value is a usage error."""
+    text = section.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterDomainError(f"[{name}] {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def _axis_from_config(section, prefix):
     return sweep.Axis(
         name=section[prefix],
-        lo=float(section.get(f"{prefix}_lo", sweep.DEFAULT_LO)),
-        hi=float(section.get(f"{prefix}_hi", sweep.DEFAULT_HI)),
-        points=int(section.get(f"{prefix}_points", sweep.DEFAULT_POINTS)),
+        lo=_config_number("axes", section, f"{prefix}_lo", float, sweep.DEFAULT_LO),
+        hi=_config_number("axes", section, f"{prefix}_hi", float, sweep.DEFAULT_HI),
+        points=_config_number("axes", section, f"{prefix}_points", int, sweep.DEFAULT_POINTS),
         scale=section.get(f"{prefix}_scale", "log"),
     )
 
@@ -80,16 +89,16 @@ def _sweep_spec_from_config(path):
         raise ParameterDomainError(f"unknown scheme name {scheme_name!r}")
     axes = _section_values(parser, "axes", ("x", "y"), [f"{axis}_{key}" for axis in "xy"
                                                          for key in ("lo", "hi", "points", "scale")])
-    fixed = {key: float(value) for key, value in parser["fixed"].items()}
+    fixed = {key: _config_number("fixed", parser["fixed"], key, float) for key in parser["fixed"]}
     grid = _section_values(parser, "grid", (), ("n_minus", "n_plus", "tol"))
     spec = sweep.SweepSpec(
         scheme=assembly.SCHEMES[scheme_name],
         axis_x=_axis_from_config(axes, "x"),
         axis_y=_axis_from_config(axes, "y"),
         fixed=fixed,
-        n_minus=int(grid.get("n_minus", sweep.DEFAULT_N_MINUS)),
-        n_plus=int(grid.get("n_plus", sweep.DEFAULT_N_PLUS)),
-        tol=float(grid.get("tol", 1e-8)),
+        n_minus=_config_number("grid", grid, "n_minus", int, sweep.DEFAULT_N_MINUS),
+        n_plus=_config_number("grid", grid, "n_plus", int, sweep.DEFAULT_N_PLUS),
+        tol=_config_number("grid", grid, "tol", float, 1e-8),
     )
     return spec, _section_values(parser, "output", (), ("csv", "pgm"))
 

@@ -5,17 +5,18 @@ The partitioned route advances each domain with its own tridiagonal solve and
 exchanges interface data exactly as the scheme prescribes (lagged, fresh, or
 through a small interface system); for every scheme in the family the two
 routes produce the same update up to roundoff, which the test suite pins.
-Every tridiagonal solve is spectral.tridiagonal_solve: a system whose
-elimination pivot falls below 1e-14 of the matrix scale is singular.  The
-matrices do not change during a run, so each is factored once (LAPACK
-dgttrf) and each step's solve runs dgttrs: the monolithic A with the pair,
-and the per-domain matrices of the partitioned route, built from each
-domain's own bands in a small cache keyed on (scheme, params, n_minus,
-n_plus) together with the interface responses of a fresh bulk exchange.
+One builder, _partitioned_step, decides the scheme family once per (scheme,
+params, n_minus, n_plus), builds the per-domain matrices from each domain's
+own bands (plus the interface responses of a fresh bulk exchange) and
+returns the step; it is cached, so a run builds it once.  Both routes share
+one run loop.  Every tridiagonal solve is spectral.tridiagonal_solve: a
+system whose elimination pivot falls below 1e-14 of the matrix scale is
+singular.  The matrices do not change during a run, so each is factored once
+(LAPACK dgttrf) and each step's solve runs dgttrs.
 
-Growth rates come from least-squares fits of log norms; long runs renormalize
-each step and accumulate the log so that unstable schemes cannot overflow.
-"""
+Growth rates come from least-squares fits of log norms over one window rule;
+long runs renormalize each step and accumulate the log so that unstable
+schemes cannot overflow."""
 
 import functools
 import warnings
@@ -26,14 +27,7 @@ import numpy as np
 from . import assembly
 from .errors import DecayFloorWarning, ParameterDomainError, SingularMatrixError
 from .spectral import tridiagonal_solve
-from .assembly import (
-    BULK,
-    DIRICHLET_NEUMANN,
-    EXPLICIT,
-    IMPLICIT,
-    ONE_WAY_NEGATIVE,
-    SEQUENTIAL,
-)
+from .assembly import DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
 
 
 @dataclass(frozen=True)
@@ -117,13 +111,18 @@ def step_monolithic(pair, state):
     return unpack_state(x, pair.layout, state.step_index + 1)
 
 
-def run_monolithic(pair, state, steps):
-    """Trajectory of `steps` monolithic updates, raw states recorded."""
+def _run(step, state, steps):
+    """Trajectory of `steps` applications of `step`, raw states recorded."""
     states = [state]
     for _ in range(steps):
-        state = step_monolithic(pair, state)
+        state = step(state)
         states.append(state)
     return Trajectory.from_states(states)
+
+
+def run_monolithic(pair, state, steps):
+    """Trajectory of `steps` monolithic updates, raw states recorded."""
+    return _run(lambda s: step_monolithic(pair, s), state, steps)
 
 
 # --- partitioned stepping ---
@@ -138,102 +137,83 @@ def _be_bands(n, d, interface_diag, interface_at_end):
 
 
 @functools.lru_cache(maxsize=16)
-def _domain_operators(scheme, p, n_minus, n_plus):
-    """The constant per-domain matrices of a partitioned step, built once per run.
+def _partitioned_step(scheme, p, n_minus, n_plus):
+    """The step (t_minus, t_plus, shared) -> (t_minus, t_plus, shared) of one scheme.
 
-    A simultaneous fresh bulk exchange also gets its interface responses
-    v_m = A_m^-1 beta_m e_last, v_p = A_p^-1 beta_p e_first and the
-    determinant 1 - v_m[-1] v_p[0] of its interface system.
+    The scheme family is decided here, once, and the constant per-domain
+    matrices are built from each domain's own bands.  A simultaneous fresh
+    bulk exchange also gets its interface responses v_m = A_m^-1 beta_m e_last,
+    v_p = A_p^-1 beta_p e_first and the determinant 1 - v_m[-1] v_p[0] of its
+    interface system.
     """
-    dm, dp, bm, bp, theta = p.d_minus, p.d_plus, p.beta_minus, p.beta_plus, scheme.theta
+    dm, dp, bm, bp, r = p.d_minus, p.d_plus, p.beta_minus, p.beta_plus, p.r
+    theta, gamma, w = scheme.theta, scheme.gamma, (1.0 + r) / 2.0
     if scheme.direction == ONE_WAY_NEGATIVE:
-        return _be_bands(n_minus, dm, 1.0 + dm + bm if theta == 1 else 1.0 + dm, True),
+        bands_m = _be_bands(n_minus, dm, 1.0 + dm + bm if theta == 1 else 1.0 + dm, True)
+
+        def one_way(tm, tp, ts):
+            rhs = tm.copy()
+            if theta != 1:
+                rhs[-1] = (1.0 - bm) * tm[-1]
+            return tridiagonal_solve(bands_m, rhs), np.empty(0), None
+        return one_way
+    if scheme.integrator == EXPLICIT:  # dn-explicit, the one explicit scheme: no matrix
+        def dn_explicit(tm, tp, ts):
+            # positive domain sees the old interface value as a Dirichlet condition
+            padded_p = np.concatenate([[ts], tp, [0.0]])
+            new_p = tp + dp * (padded_p[2:] - 2.0 * tp + padded_p[:-2])
+            padded_m = np.concatenate([[0.0], tm, [ts]])
+            new_m = tm + dm * (padded_m[2:] - 2.0 * tm + padded_m[:-2])
+            new_s = ((w - dm - dp * r) * ts + dm * tm[-1] + dp * r * tp[0]) / w
+            return new_m, new_p, float(new_s)
+        return dn_explicit
     if scheme.interface == DIRICHLET_NEUMANN:
         # negative domain plus interface node; the positive flux enters lagged
-        off = np.full(n_minus, -dm)
-        diag = np.full(n_minus + 1, 1.0 + 2.0 * dm)
-        diag[-1] = (1.0 + p.r) / 2.0 + dm
-        return assembly.Tridiagonal(off, diag, off), _be_bands(n_plus, dp, 1.0 + dp, False)
+        bands_m = _be_bands(n_minus + 1, dm, w + dm, True)
+        bands_p = _be_bands(n_plus, dp, 1.0 + dp, False)
+
+        def dn_implicit(tm, tp, ts):
+            solved = tridiagonal_solve(
+                bands_m, np.concatenate([tm, [(w - dp * r) * ts + dp * r * tp[0]]]))
+            # positive domain against the old interface value; independent of the above
+            rhs_p = tp.copy()
+            rhs_p[0] = dp * ts + (1.0 - dp) * tp[0]
+            return solved[:-1], tridiagonal_solve(bands_p, rhs_p), float(solved[-1])
+        return dn_implicit
     bands_m = _be_bands(n_minus, dm, 1.0 + dm + theta * bm, True)
     bands_p = _be_bands(n_plus, dp, 1.0 + dp + theta * bp, False)
-    if scheme.formulation == SEQUENTIAL or scheme.gamma == 0:
-        return bands_m, bands_p
-    e_m = np.zeros(n_minus)
-    e_m[-1] = bm
-    e_p = np.zeros(n_plus)
-    e_p[0] = bp
-    v_m = tridiagonal_solve(bands_m, e_m)
-    v_p = tridiagonal_solve(bands_p, e_p)
-    for v in (v_m, v_p):  # shared by every step that hits the cache
-        v.setflags(write=False)
-    det = 1.0 - v_m[-1] * v_p[0]
-    if abs(det) < 1e-14:
-        raise SingularMatrixError("interface coupling system is singular")
-    return bands_m, bands_p, v_m, v_p, det
-
-
-def _step_bulk_partitioned(scheme, p, operators, state):
-    bm, bp, theta, gamma = p.beta_minus, p.beta_plus, scheme.theta, scheme.gamma
-    bands_m, bands_p = operators[:2]
-    tm, tp = state.t_minus, state.t_plus
-    rhs_m = tm.copy()
-    rhs_p = tp.copy()
     if scheme.formulation == SEQUENTIAL:
-        # negative domain first against the lagged positive interface value
-        rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + bm * tp[0]
+        def sequential(tm, tp, ts):
+            # negative domain first against the lagged positive interface value
+            rhs_m = tm.copy()
+            rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + bm * tp[0]
+            new_m = tridiagonal_solve(bands_m, rhs_m)
+            rhs_p = tp.copy()
+            rhs_p[0] = ((1.0 - (1.0 - theta) * bp) * tp[0]
+                        + gamma * bp * new_m[-1] + (1.0 - gamma) * bp * tm[-1])
+            return new_m, tridiagonal_solve(bands_p, rhs_p), None
+        return sequential
+    if gamma:
+        e_m, e_p = np.zeros(n_minus), np.zeros(n_plus)
+        e_m[-1], e_p[0] = bm, bp
+        v_m, v_p = tridiagonal_solve(bands_m, e_m), tridiagonal_solve(bands_p, e_p)
+        det = 1.0 - v_m[-1] * v_p[0]
+        if abs(det) < 1e-14:
+            raise SingularMatrixError("interface coupling system is singular")
+
+    def simultaneous(tm, tp, ts):
+        rhs_m, rhs_p = tm.copy(), tp.copy()
+        rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + (1.0 - gamma) * bm * tp[0]
+        rhs_p[0] = (1.0 - (1.0 - theta) * bp) * tp[0] + (1.0 - gamma) * bp * tm[-1]
         new_m = tridiagonal_solve(bands_m, rhs_m)
-        rhs_p[0] = ((1.0 - (1.0 - theta) * bp) * tp[0]
-                    + gamma * bp * new_m[-1] + (1.0 - gamma) * bp * tm[-1])
         new_p = tridiagonal_solve(bands_p, rhs_p)
-        return State(new_m, new_p, step_index=state.step_index + 1)
-    rhs_m[-1] = (1.0 - (1.0 - theta) * bm) * tm[-1] + (1.0 - gamma) * bm * tp[0]
-    rhs_p[0] = (1.0 - (1.0 - theta) * bp) * tp[0] + (1.0 - gamma) * bp * tm[-1]
-    new_m = tridiagonal_solve(bands_m, rhs_m)
-    new_p = tridiagonal_solve(bands_p, rhs_p)
-    if gamma == 0:
-        return State(new_m, new_p, step_index=state.step_index + 1)
-    # simultaneous fresh exchange: eliminate the two interface unknowns first
-    _, _, v_m, v_p, det = operators
-    a = (new_m[-1] + v_m[-1] * new_p[0]) / det
-    b = (new_p[0] + v_p[0] * new_m[-1]) / det
-    return State(new_m + b * v_m, new_p + a * v_p, step_index=state.step_index + 1)
-
-
-def _step_dn_explicit(p, state):
-    dm, dp, r = p.d_minus, p.d_plus, p.r
-    tm, tp, ts = state.t_minus, state.t_plus, state.shared_node
-    # positive domain sees the old interface value as a Dirichlet condition
-    padded_p = np.concatenate([[ts], tp, [0.0]])
-    new_p = tp + dp * (padded_p[2:] - 2.0 * tp + padded_p[:-2])
-    padded_m = np.concatenate([[0.0], tm, [ts]])
-    new_m = tm + dm * (padded_m[2:] - 2.0 * tm + padded_m[:-2])
-    w = (1.0 + r) / 2.0
-    new_s = ((w - dm - dp * r) * ts + dm * tm[-1] + dp * r * tp[0]) / w
-    return State(new_m, new_p, shared_node=float(new_s), step_index=state.step_index + 1)
-
-
-def _step_dn_implicit(p, operators, state):
-    dp, r = p.d_plus, p.r
-    bands_m, bands_p = operators
-    tm, tp, ts = state.t_minus, state.t_plus, state.shared_node
-    w = (1.0 + r) / 2.0
-    rhs = np.concatenate([tm, [(w - dp * r) * ts + dp * r * tp[0]]])
-    solved = tridiagonal_solve(bands_m, rhs)
-    new_m, new_s = solved[:-1], solved[-1]
-    # positive domain against the old interface value; independent of the above
-    rhs_p = tp.copy()
-    rhs_p[0] = dp * ts + (1.0 - dp) * tp[0]
-    new_p = tridiagonal_solve(bands_p, rhs_p)
-    return State(new_m, new_p, shared_node=float(new_s), step_index=state.step_index + 1)
-
-
-def _step_one_way(p, theta, operators, state):
-    tm = state.t_minus
-    rhs = tm.copy()
-    if theta != 1:
-        rhs[-1] = (1.0 - p.beta_minus) * tm[-1]
-    new_m = tridiagonal_solve(operators[0], rhs)
-    return State(new_m, np.empty(0), step_index=state.step_index + 1)
+        if gamma == 0:
+            return new_m, new_p, None
+        # simultaneous fresh exchange: eliminate the two interface unknowns first
+        a = (new_m[-1] + v_m[-1] * new_p[0]) / det
+        b = (new_p[0] + v_p[0] * new_m[-1]) / det
+        return new_m + b * v_m, new_p + a * v_p, None
+    return simultaneous
 
 
 def step_partitioned(scheme, p, n_minus, n_plus, state):
@@ -241,26 +221,18 @@ def step_partitioned(scheme, p, n_minus, n_plus, state):
     if scheme.direction == ONE_WAY_NEGATIVE:
         if state.t_minus.shape[0] != n_minus:
             raise ParameterDomainError("state size does not match n_minus")
-        return _step_one_way(p, scheme.theta, _domain_operators(scheme, p, n_minus, n_plus),
-                             state)
-    if state.t_minus.shape[0] != n_minus or state.t_plus.shape[0] != n_plus:
+    elif state.t_minus.shape[0] != n_minus or state.t_plus.shape[0] != n_plus:
         raise ParameterDomainError("state sizes do not match the domain sizes")
-    if scheme.interface == DIRICHLET_NEUMANN:
-        if state.shared_node is None:
-            raise ParameterDomainError("Dirichlet-Neumann state needs a shared node value")
-        if scheme.integrator == EXPLICIT:
-            return _step_dn_explicit(p, state)
-        return _step_dn_implicit(p, _domain_operators(scheme, p, n_minus, n_plus), state)
-    return _step_bulk_partitioned(scheme, p, _domain_operators(scheme, p, n_minus, n_plus),
-                                  state)
+    elif scheme.interface == DIRICHLET_NEUMANN and state.shared_node is None:
+        raise ParameterDomainError("Dirichlet-Neumann state needs a shared node value")
+    t_minus, t_plus, shared = _partitioned_step(scheme, p, n_minus, n_plus)(
+        state.t_minus, state.t_plus, state.shared_node)
+    return State(t_minus, t_plus, shared_node=shared, step_index=state.step_index + 1)
 
 
 def run_partitioned(scheme, p, n_minus, n_plus, state, steps):
-    states = [state]
-    for _ in range(steps):
-        state = step_partitioned(scheme, p, n_minus, n_plus, state)
-        states.append(state)
-    return Trajectory.from_states(states)
+    """Trajectory of `steps` partitioned updates, raw states recorded."""
+    return _run(lambda s: step_partitioned(scheme, p, n_minus, n_plus, s), state, steps)
 
 
 # --- growth rates ---
@@ -272,28 +244,34 @@ def fit_growth(log_norms):
     return float(np.exp(slope))
 
 
-def growth_rate(trajectory, burn_in=50):
-    """Per-step amplification exp(slope) fitted to log norms after burn-in.
-
-    Norms that underflow to exact zero end the fit window early with a
-    warning; the estimate then comes from the surviving prefix.
-    """
+def _check_window(burn_in, length, what):
     if burn_in < 0:
         raise ParameterDomainError(f"burn_in must be nonnegative, got {burn_in}")
-    norms = np.asarray(trajectory.norms, dtype=float)
-    if norms.shape[0] < burn_in + 10:
-        raise ParameterDomainError(
-            f"need at least burn_in + 10 = {burn_in + 10} recorded norms, got {norms.shape[0]}"
-        )
-    window = norms[burn_in:]
-    zero = np.nonzero(window == 0.0)[0]
-    if zero.size:
-        warnings.warn("trajectory norms reached zero; fitting the surviving prefix",
+    if length < burn_in + 10:
+        raise ParameterDomainError(f"need {what} >= burn_in + 10 = {burn_in + 10}, got {length}")
+
+
+def _fit_window(log_norms, burn_in, collapsed):
+    """exp(slope) over log_norms[burn_in:], log_norms[0] being the initial state (step 0).
+
+    A collapsed run, fitted on its surviving prefix, warns once; under two points give 0.0."""
+    if collapsed:
+        warnings.warn("the run collapsed to zero; fitting the surviving prefix",
                       DecayFloorWarning)
-        window = window[:zero[0]]
-        if window.shape[0] < 2:
-            return 0.0
-    return fit_growth(np.log(window))
+    window = log_norms[burn_in:]
+    return fit_growth(window) if len(window) >= 2 else 0.0
+
+
+def growth_rate(trajectory, burn_in=50):
+    """Per-step amplification exp(slope) fitted to log norms[burn_in:].
+
+    norms[0] is the initial state, so the window starts at step burn_in.
+    Norms that reach exact zero end the run's surviving prefix.
+    """
+    norms = np.asarray(trajectory.norms, dtype=float)
+    _check_window(burn_in, norms.shape[0], "recorded norms")
+    zero = np.flatnonzero(norms == 0.0)
+    return _fit_window(np.log(norms[:zero[0]] if zero.size else norms), burn_in, zero.size > 0)
 
 
 def renormalized_log_norms(step, vector, steps):
@@ -310,17 +288,13 @@ def renormalized_log_norms(step, vector, steps):
 
 
 def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
-    """Growth rate from a renormalized monolithic run; safe for strongly unstable pairs."""
-    if burn_in < 0:
-        raise ParameterDomainError(f"burn_in must be nonnegative, got {burn_in}")
-    if steps < burn_in + 10:
-        raise ParameterDomainError(f"need steps >= burn_in + 10 = {burn_in + 10}")
+    """Growth rate from a renormalized monolithic run; safe for strongly unstable pairs.
+
+    Log norms count from the initial state's 0.0 at step 0 and the fit runs over
+    [burn_in:]: steps burn_in..steps, the window of growth_rate and `cplstab simulate`.
+    """
+    _check_window(burn_in, steps, "steps")
     vector = pack_state(random_state(pair.layout, seed=seed), pair.layout)
-    log_norms = list(renormalized_log_norms(
-        lambda v: tridiagonal_solve(pair.A, pair.B @ v), vector, steps))
-    if len(log_norms) < steps:
-        warnings.warn("iterate collapsed to zero; fitting the surviving prefix",
-                      DecayFloorWarning)
-    if len(log_norms) - burn_in < 2:
-        return 0.0
-    return fit_growth(log_norms[burn_in:])
+    log_norms = [0.0, *renormalized_log_norms(
+        lambda v: tridiagonal_solve(pair.A, pair.B @ v), vector, steps)]
+    return _fit_window(log_norms, burn_in, len(log_norms) <= steps)

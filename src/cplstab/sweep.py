@@ -91,8 +91,7 @@ class SweepSpec:
                 raise ParameterDomainError(f"fixed {name} must be a real number, got {value!r}")
         # stored as floats, so every plane of real values takes the batch
         object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
-        if self.n_minus < 1 or self.n_plus < 1:
-            raise ParameterDomainError("domain sizes must be at least 1")
+        assembly._check_sizes(self.n_minus, self.n_plus)  # the assemblers' own size rule
         if not (self.tol > 0.0):
             raise ParameterDomainError("tol must be positive")
 

@@ -131,6 +131,21 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys, section, key):
     assert captured.out == "" and not list(tmp_path.glob("field.*"))
 
 
+@pytest.mark.parametrize("section, old, new", [
+    ("axes", "x_points = 3", "x_points = many"),
+    ("grid", "n_minus = 5", "n_minus = 2.5"),
+    ("fixed", "r = 1.0", "r = one"),
+])
+def test_sweep_config_rejects_malformed_numbers(tmp_path, capsys, section, old, new):
+    # a value that is not a number used to exit 1, the code of an analysis failure
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG.replace(old, new), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
+    key, value = new.split(" = ")
+    assert f"error: [{section}] {key} = {value!r} is not a valid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("f.*"))
+
+
 def test_sweep_without_csv_path(tmp_path, capsys):
     path = tmp_path / "sweep.ini"
     path.write_text(SWEEP_CONFIG, encoding="utf-8")

@@ -15,6 +15,7 @@ from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      step_monolithic, step_partitioned, tridiagonal_solve,
                      unpack_state, update_matrix)
 from cplstab import spectral, stepper
+from cplstab.cli import cli_main
 from cplstab.assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE
 
 SEED = 0
@@ -144,14 +145,14 @@ def test_tridiagonal_solve_is_bit_identical_to_solve_banded():
 def test_power_growth_rate_is_bit_identical_to_a_solve_banded_loop():
     for _, pair in seeded_scheme_pairs()[::9]:
         vector = pack_state(random_state(pair.layout, seed=3), pair.layout)
-        log_norms, total = [], 0.0
+        log_norms, total = [0.0], 0.0  # the initial state is step 0
         for _ in range(80):
             vector = scipy.linalg.solve_banded((1, 1), banded(pair.A), pair.B @ vector)
             gain = np.abs(vector).max()
             total += np.log(gain)
             log_norms.append(total)
             vector = vector / gain
-        expected = np.exp(np.polyfit(np.arange(60), log_norms[20:], 1)[0])
+        expected = np.exp(np.polyfit(np.arange(61), log_norms[20:], 1)[0])
         assert power_growth_rate(pair, steps=80, burn_in=20, seed=3) == expected
 
 
@@ -191,24 +192,23 @@ def test_tridiagonal_solve_of_one_and_two_unknowns(n):
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_partitioned_operators_cannot_go_stale(name):
     # interleaved runs over two parameter sets and two sizes share the cache
-    # of per-domain operators; each step must equal the same step computed
-    # from a cleared cache
+    # of built steps; each step must equal the same step computed from a
+    # cleared cache
     sets = [params(dp=0.8, dm=1.3, bp=0.6, bm=0.9, r=2.5),
             params(dp=0.3, dm=0.5, bp=1.7, bm=0.2, r=0.4)]
     cases = [(SCHEMES[name], p, nm, np_) for p in sets for nm, np_ in [(7, 5), (4, 9)]]
     runs = {case: [random_state(assemble(*case).layout, seed=k)]
             for k, case in enumerate(cases)}
-    stepper._domain_operators.cache_clear()
+    stepper._partitioned_step.cache_clear()
     for _ in range(6):
         for case, states in runs.items():
             states.append(step_partitioned(*case, states[-1]))
-    if name != "dn-explicit":  # the explicit step has no matrix
-        assert stepper._domain_operators.cache_info().hits == 5 * len(cases)
+    assert stepper._partitioned_step.cache_info().hits == 5 * len(cases)
     for case, states in runs.items():
         layout = assemble(*case).layout
         state = states[0]
         for expected in states[1:]:
-            stepper._domain_operators.cache_clear()
+            stepper._partitioned_step.cache_clear()
             state = step_partitioned(*case, state)
             assert pack_state(state, layout).tobytes() == pack_state(expected, layout).tobytes()
 
@@ -334,6 +334,27 @@ def test_growth_rate_zero_floor_warns():
         growth_rate(traj)
     with pytest.warns(DecayFloorWarning):
         assert power_growth_rate(pair, steps=20, burn_in=0) == 0.0
+
+
+@pytest.mark.parametrize("name", ["bulk-explicit-flux", "bulk-sequential", "dn-implicit",
+                                  "one-way-explicit-flux"])
+def test_power_growth_rate_has_the_window_of_simulate_and_growth_rate(name, capsys):
+    # one window rule: log norms count from the initial state at step 0
+    steps, burn_in, seed = 120, 50, 0
+    # two growing pairs (explicit flux) and two decaying ones
+    groups = ["--d-minus", "0.5", "--d-plus", "0.5", "--beta-minus", "2.5", "--beta-plus", "2.5",
+              "--r", "2"]
+    assert cli_main(["simulate", "--scheme", name, *groups, "--n-minus", "20", "--n-plus", "10",
+                     "--steps", str(steps), "--burn-in", str(burn_in),
+                     "--seed", str(seed)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[0] == str(steps)
+    pair = assemble(SCHEMES[name], params(dp=0.5, dm=0.5, bp=2.5, bm=2.5, r=2.0), 20, 10)
+    rate = power_growth_rate(pair, steps, burn_in, seed)
+    assert float(last[2]) == rate  # the CSV holds the shortest round-trip repr
+    stepped = growth_rate(run_monolithic(pair, random_state(pair.layout, seed=seed), steps),
+                          burn_in)
+    assert stepped == pytest.approx(rate, rel=1e-12)
 
 
 def test_power_growth_rate_deterministic():

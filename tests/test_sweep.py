@@ -129,6 +129,18 @@ def test_spec_rejects_empty_domains():
         tiny_spec(n_minus=0)
 
 
+def test_spec_rejects_a_size_that_is_not_an_integer(tmp_path):
+    # a float size used to pass SweepSpec and then fail every cell of the plane
+    for size in (2.5, 5.0, "3"):
+        with pytest.raises(ParameterDomainError, match="n_minus must be an integer >= 1"):
+            tiny_spec(n_minus=size)
+    blobs = []
+    for size in (3, np.int64(3)):
+        write_csv(run_sweep(tiny_spec(n_minus=size, n_plus=size)), tmp_path / "plane.csv")
+        blobs.append((tmp_path / "plane.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_spec_rejects_bad_tolerance():
     with pytest.raises(ParameterDomainError):
         tiny_spec(tol=0.0)
@@ -302,13 +314,6 @@ def test_programming_errors_propagate_from_the_per_cell_path(monkeypatch):
     # 9 cells and 10 unknowns: the plane goes cell by cell
     with pytest.raises(TypeError, match="synthetic bug"):
         run_sweep(tiny_spec(n_minus=10))
-
-
-def test_sizes_that_no_pair_accepts_fail_every_cell():
-    # a float size passes SweepSpec but not the assemblers, batch or not
-    field = run_sweep(tiny_spec(n_minus=5.0))
-    assert field.warning_count == 9
-    assert (field.classification == "failed").all()
 
 
 def per_cell_field(spec):
