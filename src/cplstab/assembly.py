@@ -113,6 +113,19 @@ class Layout:
             return self.n_minus
         return self.n_minus + self.n_plus
 
+    @property
+    def interface_row(self):
+        """The row at which the pencil search twists its definiteness tests.
+
+        The modes at the ends of the spectrum are localized at the interface,
+        so the row is there: the shared node n_minus of a Dirichlet-Neumann
+        pair, else the last row of the negative domain, n_minus - 1, which
+        is the last row of a one-way pair.
+        """
+        if self.kind == DIRICHLET_NEUMANN:
+            return self.n_minus
+        return self.n_minus - 1
+
 
 @dataclass(frozen=True, eq=False)
 class Tridiagonal:

@@ -184,9 +184,9 @@ def _cmd_simulate(args):
     rows = ["step,norm,growth_estimate", f"0,{_fmt(1.0)},nan"]
     for k, total in enumerate(stepper.renormalized_log_norms(step, vector, args.steps), 1):
         log_norms.append(total)
-        estimate = (_fmt(stepper.fit_growth(log_norms[args.burn_in:]))
-                    if k >= args.burn_in + 2 else "nan")
-        rows.append(f"{k},{_fmt(np.exp(total))},{estimate}")
+        # the window of stepper.power_growth_rate; NaN until it holds two points
+        estimate = stepper.fit_growth(log_norms[args.burn_in:])
+        rows.append(f"{k},{_fmt(np.exp(total))},{_fmt(estimate)}")
     if len(log_norms) <= args.steps:
         rows.append(f"{len(log_norms)},0.0,nan")
     _emit(rows, args.out)

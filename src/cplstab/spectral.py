@@ -6,16 +6,23 @@ lies inside the closed unit disk; classification uses a tolerance band around
 reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
 symmetric tridiagonal sigma A - B, or from LAPACK dstebz when A is diagonal,
-and M is never formed.  pencil_ends is the one front end of that search, for
-a batch of pairs of one size, and picks its kernel per call;
-eigen_spectrum(pair) calls it on one pair.  full_spectrum gives every
-eigenvalue from the same pencil.  The dense path, plain eig of M with a
-residual check, is the oracle and serves the pairs that fit no case of the
-pencil.
+and M is never formed.  Each test is an LDL^T factorization twisted at the
+pair's interface row k (Layout.interface_row: the shared node of a
+Dirichlet-Neumann pair, else the last row of the negative domain): by
+Sylvester's law of inertia sigma A - B is definite exactly when the pivots
+of rows 0..k-1 from the top, of rows n-1..k+1 from the bottom, and the
+twisted pivot gamma_k are all positive (Fernando 1997; Dhillon & Parlett
+2004).  pencil_ends is the one front end of that search, for a batch of
+pairs of one size, and picks its kernel per call; eigen_spectrum(pair) calls
+it on one pair.  full_spectrum gives every eigenvalue from the same pencil.
+The dense path, plain eig of M with a residual check, is the oracle and
+serves the pairs that fit no case of the pencil.
 """
 
 import contextlib
 import enum
+import functools
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -233,39 +240,97 @@ def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
     return (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok
 
 
-def _ldl(sigma, pencil):
-    """Pivots of the LDL^T factorization of sigma A - B (LAPACK dpttrf) and its info.
+@functools.lru_cache(maxsize=64)
+def _twist_order(n, twist):
+    """The row order of a pencil twisted at row k = twist.
 
-    pencil is one column (a, b, lagged, c), see _columns.  info is 0 when
-    sigma A - B is positive definite; otherwise pivot info (from 1) is the
-    first that is not positive, and the pivots after it are not computed.
-    Lagged indices (see _symmetric_pencil) take the off-diagonal
-    sqrt(c sigma), which needs sigma >= 0.
+    A twisted pencil is a (2n, cells) stack of diagonal over off-diagonal.
+    Its diagonal takes rows n-1 down to k+1, then rows 0 up to k; its
+    off-diagonal couples them in that order, with 0 where the two runs meet,
+    and ends with the coupling of row k to row k+1 (0 when k = n-1).
+    Returns the order of the diagonal, in rows; the order of the stack, in
+    the rows of [diagonal; off-diagonal; 0]; and the position q of row k+1 in
+    the order, or 0 when k = n-1.  The arrays are cached and read-only.
     """
-    a, b, lagged, c = pencil
-    n = (a.shape[0] + 1) // 2
+    down = np.arange(n - 1, twist, -1)  # rows k+1..n-1, factored from the bottom
+    up = np.arange(twist + 1)
+    rows = np.concatenate((down, up))
+    # the off-diagonal, 2n - 1 the 0
+    stack = np.concatenate((rows, n + down[1:], np.full(min(down.size, 1), 2 * n - 1), n + up))
+    for index in (rows, stack):
+        index.setflags(write=False)
+    return rows, stack, max(down.size - 1, 0)
+
+
+def _twisted_pencil(pencil, lagged, c, margin, radius, twist, k):
+    """Columns k of a pencil twisted at row twist, and its margin and radius in its order.
+
+    The arguments are _symmetric_pencil's, and one gather builds all of it.
+    Returns ((a, b, lagged, c, q), margin, radius), lagged and c None when
+    no column is lagged; see _twist_order and _ldl.
+    """
+    a_diag, a_off, b_diag, b_off = pencil
+    n, cells = a_diag.shape
+    rows, order, q = _twist_order(n, twist)
+    zero = np.zeros((1, cells))
+    stack = np.concatenate((a_diag, a_off, zero, b_diag, b_off, zero, margin, radius))
+    twisted = stack[np.concatenate((order, 2 * n + order, 4 * n + rows, 5 * n + rows))][:, k]
+    lags = None, None
+    if lagged is not None and lagged[:, k].any():
+        off = order[n:] - n  # n - 1 the 0
+        lags = (np.concatenate((v, np.zeros_like(v[:1])))[off][:, k] for v in (lagged, c))
+    pencil = twisted[:2 * n], twisted[2 * n:4 * n], *lags, q
+    return pencil, twisted[4 * n:5 * n], twisted[5 * n:]
+
+
+def _ldl(sigma, pencil):
+    """Twisted LDL^T test of sigma A - B at row k: (gamma_k, info).
+
+    pencil is one column (a, b, lagged, c, q) of a pencil twisted at row k,
+    see _twist_order and _columns.  The two runs are decoupled, so one
+    dpttrf call factors rows n-1..k+1 from the bottom and rows 0..k from the
+    top; its last pivot is p_k = d_k - (e_k-1 / p_k-1) e_k-1.  Then gamma_k =
+    p_k - (e_k / q_k+1) e_k, q_k+1 the pivot of row k+1.  A twisted
+    factorization is a congruence, so by Sylvester's law sigma A - B is
+    positive definite exactly when its n - 1 other pivots and gamma_k are
+    positive (Fernando 1997).  info is 0 then; n when only gamma_k fails,
+    or p_k, which bounds gamma_k from above; and otherwise dpttrf's first
+    failed pivot (from 1), with gamma_k None.  At k = n - 1 the test is plain
+    dpttrf on sigma A - B, and gamma_k its last pivot bit for bit.  Lagged
+    indices (see _symmetric_pencil) take the off-diagonal sqrt(c sigma),
+    which needs sigma >= 0.  The pencil has n >= 2 rows.
+    """
+    a, b, lagged, c, q = pencil
+    n = a.shape[0] // 2
     x = sigma * a - b
     if lagged is not None:
         x[n:][lagged] = np.sqrt(c[lagged] * sigma)
-    pivots, _, info = lapack.dpttrf(x[:n], x[n:], overwrite_d=1, overwrite_e=1)
-    return pivots, info
+    e = x.item(-1)
+    pivots, _, info = lapack.dpttrf(x[:n], x[n:-1], overwrite_d=1, overwrite_e=1)
+    if 0 < info < n:
+        return None, info
+    # Python floats, IEEE doubles as numpy's; pivot q < n - 1 is positive or NaN
+    gamma = pivots.item(-1) - (e / pivots.item(q)) * e
+    return gamma, n if info or gamma <= 0.0 else 0
 
 
 def _top_end(pencil, lo, margin, radius):
     """Bracket lo < top <= hi a few ulps wide, where top = inf{sigma : sigma A - B > 0}.
 
-    sigma A - B is not definite at lo, which the caller proves (or -inf).
-    lo is raised to the largest Rayleigh quotient B_ii / A_ii less 2^-26 of
-    it, where a diagonal entry of sigma A - B is negative.  hi starts at
-    twice the Gershgorin bound: sigma A - B is similar to the pair's
-    sigma A - B, whose rows dominate once sigma margin_i > B_ii + radius_i;
-    the test at hi proves it if hi is finite, or hi is returned NaN.
-    Bisection then finds a lo where only the last pivot fails.  That pivot
-    is continuous in sigma and vanishes at top, so from then on the steps
-    are regula falsi with the Illinois halving of a stale end, clamped a few
-    ulps inside the bracket so that both ends close in.  Three steps that do
-    not halve the bracket are followed by a bisection step.  A probe of
-    entries near overflow can overflow and leave hi NaN, which proves nothing.
+    pencil is one column of a twisted pencil, with margin and radius in its
+    row order.  sigma A - B is not definite at lo, which the caller proves
+    (or -inf).  lo is raised to the largest Rayleigh quotient B_ii / A_ii
+    less 2^-26 of it, where a diagonal entry of sigma A - B is negative.  hi
+    starts at twice the Gershgorin bound: sigma A - B is similar to the
+    pair's sigma A - B, whose rows dominate once sigma margin_i > B_ii +
+    radius_i; the test at hi proves it if hi is finite, or hi is returned
+    NaN.  Bisection then finds a lo where only gamma_k of the twisted test
+    (_ldl) fails.  gamma_k is continuous in sigma and vanishes at top, so
+    from then on the steps are regula falsi with the Illinois halving of a
+    stale end, clamped a few ulps inside the bracket so that both ends close
+    in.  Three steps that do not halve the bracket are followed by a
+    bisection step.  A probe of entries near overflow can overflow and leave
+    hi NaN, which proves nothing.
     """
     a, b = pencil[:2]
     n = margin.shape[0]
@@ -275,10 +340,10 @@ def _top_end(pencil, lo, margin, radius):
     hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
     if not lo < hi < np.inf:
         return lo, np.nan
-    pivots, info = _ldl(hi, pencil)
+    f_hi, info = _ldl(hi, pencil)
     if info:
         return lo, np.nan
-    f_lo, f_hi, side = None, pivots[-1], 0
+    f_lo, side = None, 0
     steps, halved = 0, hi - lo
     while hi - lo > 4.0 * eps * max(abs(lo), abs(hi)):
         x = 0.5 * (lo + hi)
@@ -287,16 +352,16 @@ def _top_end(pencil, lo, margin, radius):
             x = min(max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap), hi - gap)
         elif not lo < x < hi:
             break
-        d, info = _ldl(x, pencil)
+        gamma, info = _ldl(x, pencil)
         if info == 0:
-            hi, f_hi = x, d[-1]
+            hi, f_hi = x, gamma
             if side == 1 and f_lo is not None:
                 f_lo *= 0.5
             side = 1
         else:
             lo = x
             if info == n:
-                f_lo = d[-1]
+                f_lo = gamma
                 if side == -1:
                     f_hi *= 0.5
                 side = -1
@@ -307,9 +372,10 @@ def _top_end(pencil, lo, margin, radius):
 
 
 def _columns(pencil, k):
-    """Columns k of a pencil (a, b, lagged, c): (2n - 1, cells) stacks of diagonal
-    over off-diagonal, and the mask of lagged indices and their c, or None twice."""
-    return tuple(None if v is None else v[:, k] for v in pencil)
+    """Columns k of a twisted pencil (a, b, lagged, c, q): (2n, cells) stacks of
+    diagonal over off-diagonal, the mask of lagged off-diagonal entries and
+    their c, or None twice, and the position q of _twist_order."""
+    return (*(None if v is None else v[:, k] for v in pencil[:4]), pencil[4])
 
 
 def _column_top_end(pencil, lo, margin, radius):
@@ -372,22 +438,27 @@ def _batch_pivots(d, e):
     meaningful.  d is overwritten with the pivots.  Returns (pivots, info).
     """
     t = np.empty(d.shape[1:])
-    for i in range(d.shape[0] - 1):
-        np.divide(e[i], d[i], out=t)
-        t *= e[i]
-        d[i + 1] -= t
+    for e_i, d_i, d_next in zip(e, d, d[1:]):  # row views: no indexing per step
+        np.divide(e_i, d_i, out=t)
+        t *= e_i
+        d_next -= t
     failed = d <= 0.0
     return d, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
 
 
 def _batch_ldl(sigma, pencil):
-    """_ldl for every column, at its own sigma."""
-    a, b, lagged, c = pencil
-    n = (a.shape[0] + 1) // 2
+    """_ldl for every column, at its own sigma: (gamma_k, info), gamma_k not
+    meaningful where info is not 0 or n."""
+    a, b, lagged, c, q = pencil
+    n = a.shape[0] // 2
     x = sigma * a - b
     if lagged is not None:
         x[n:] = np.where(lagged, np.sqrt(c * sigma), x[n:])
-    return _batch_pivots(x[:n], x[n:])
+    e = x[-1]
+    pivots, info = _batch_pivots(x[:n], x[n:-1])
+    gamma = pivots[-1] - (e / pivots[q]) * e
+    info[(info == 0) & (gamma <= 0.0)] = n
+    return gamma, info
 
 
 def _batch_top_end(pencil, lo, margin, radius):
@@ -398,9 +469,9 @@ def _batch_top_end(pencil, lo, margin, radius):
     quotient = (b[:n] / a[:n]).max(axis=0)
     lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
     hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
-    pivots, info = _batch_ldl(hi, pencil)
+    f_hi, info = _batch_ldl(hi, pencil)
     proved = (info == 0) & (lo < hi) & (hi < np.inf)
-    f_lo, f_hi, side = np.full_like(lo, np.nan), pivots[-1].copy(), np.zeros(lo.shape, int)
+    f_lo, side = np.full_like(lo, np.nan), np.zeros(lo.shape, int)
     has_f_lo = np.zeros(lo.shape, bool)
     steps, halved = np.zeros(lo.shape, int), hi - lo
     open_ = proved.copy()
@@ -418,8 +489,8 @@ def _batch_top_end(pencil, lo, margin, radius):
         if stop.any():
             open_[k[stop]] = False
             k, x = k[~stop], x[~stop]
-        d, info = _batch_ldl(x, _columns(pencil, k))
-        last, was = d[-1], side[k]
+        last, info = _batch_ldl(x, _columns(pencil, k))
+        was = side[k]
         up, down = info == 0, (info == n)
         hi[k[up]], f_hi[k[up]] = x[up], last[up]
         f_lo[k[up & (was == 1) & has_f_lo[k]]] *= 0.5
@@ -445,24 +516,30 @@ def masked_kernel(rows, columns):
     return columns >= rows
 
 
-def pencil_ends(bands):
+def pencil_ends(bands, twist=None):
     """Top and bottom end of the real spectrum of each pair of a batch, and their bound.
 
     bands are six (n, cells) arrays, A's sub, diag and sup, then B's, one
     pair per column (assembly.assemble_bands); eigen_spectrum states the
-    search.  Returns (top, bottom, bound), each (cells,).  bottom is NaN
-    where it is not searched: a lagged pair, B + top A definite, or n = 1.
+    search.  twist is the row k at which every definiteness test is twisted
+    (_ldl); the default n - 1 is plain dpttrf, and a pair's k is its
+    Layout.interface_row.  Returns (top, bottom, bound), each (cells,).
+    bottom is NaN where it is not searched: a lagged pair, B + top A
+    definite, or n = 1.
     All three are NaN where the pair is left to the dense path: non-finite
     entries, no symmetric pencil or dominance margin, B0 not definite, or
     a bracket not proved.  masked_kernel picks the kernel per call; both
     take a column through the same probes and pivots, so its bits do not
     depend on its batch.
     """
+    n, cells = np.shape(bands[1])
+    twist = n - 1 if twist is None else operator.index(twist)
+    if not 0 <= twist < n:
+        raise ParameterDomainError(f"twist row {twist} outside 0..{n - 1}")
     # overflow: _symmetric_pencil judges the entries, and a NaN hi proves nothing
     with np.errstate(all="ignore"):
         (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
         ok &= np.isfinite(np.concatenate(bands)).all(axis=0)
-        n, cells = a_diag.shape
         batch = masked_kernel(n, cells)
         has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
         lag = np.flatnonzero(ok & has_lag)
@@ -476,15 +553,17 @@ def pencil_ends(bands):
             top[k], bottom[k] = _diagonal_ends(a_diag[:, k], b_diag[:, k], b_off[:, k])
         k = np.flatnonzero(ok & ~diagonal)
         if k.size:
-            a, b = np.concatenate((a_diag, a_off))[:, k], np.concatenate((b_diag, b_off))[:, k]
-            margin_k, radius_k, lag_k = margin[:, k], radius[:, k], has_lag[k]
-            pencil = (a, b, lagged[:, k], c[:, k]) if lag_k.any() else (a, b, None, None)
+            # twisted once; every probe of both ends tests it
+            pencil, margin_k, radius_k = _twisted_pencil(
+                (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, twist, k)
+            a, b, *_, q = pencil
+            lag_k = has_lag[k]
             top_end, ldl = ((_batch_top_end, _batch_ldl) if batch
                             else (_column_top_end, _column_ldl))
             lo, hi, proved = top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
             width[k] = hi - lo
             # B + top A not definite: some eigenvalue lies at or below -top
-            negated = (a, -b, None, None)
+            negated = (a, -b, None, None, q)
             p = np.flatnonzero(proved & ~lag_k)
             p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
             if p.size:
@@ -516,9 +595,20 @@ def eigen_spectrum(M):
     when B + top A is not positive definite, is the largest sigma at which
     B - sigma A is.  A pair with a lagged coupling (bulk-sequential) has a
     nonnegative spectrum, so only its top end is searched, from sigma = 0.
-    Each definiteness test is one LDL^T factorization (LAPACK dpttrf), O(n),
-    and bisection with regula falsi closes a bracket proved by these tests
-    to a few ulps (Barth, Martin & Wilkinson 1967); a diagonal A reduces the
+    Each definiteness test is one LDL^T factorization twisted at row k, the
+    pair's Layout.interface_row (the shared node n_minus of a
+    Dirichlet-Neumann pair, else n_minus - 1, the last row of a one-way
+    pair), or k = n - 1 for a pair without a layout: one LAPACK dpttrf call,
+    O(n), factors rows 0..k-1 from the top and rows n-1..k+1 from the
+    bottom, and the twisted pivot gamma_k completes it; by Sylvester's law
+    all n pivots are positive exactly when sigma A - B is definite (Fernando
+    1997).  Bisection closes a bracket proved by these tests to a few ulps
+    (Barth, Martin & Wilkinson 1967), with regula falsi on gamma_k once only
+    gamma_k fails.  The end modes are localized at the interface, so the
+    poles of gamma_k, the eigenvalues of the pencil without row k, lie far
+    from the ends (Dhillon & Parlett 2004 on the choice of twist); at k =
+    n - 1, plain dpttrf, the last pivot has a pole next to the bottom end of
+    a two-way pair.  A diagonal A reduces the
     pencil to a standard tridiagonal problem whose ends come from LAPACK
     dstebz.  The returned eigenvalues are the ends found, the top end and,
     when needed, the bottom end, sorted by decreasing modulus, and
@@ -532,7 +622,8 @@ def eigen_spectrum(M):
     """
     if isinstance(M, UpdatePair):
         bands = (M.A.sub, M.A.diag, M.A.sup, M.B.sub, M.B.diag, M.B.sup)
-        (top,), (bottom,), (bound,) = pencil_ends([band[:, None] for band in bands])
+        twist = None if M.layout is None else M.layout.interface_row
+        (top,), (bottom,), (bound,) = pencil_ends([band[:, None] for band in bands], twist)
         if top == top:  # not NaN: proved
             return _sorted_spectrum([top] if bottom != bottom else [top, bottom], bound)
         M = update_matrix(M)

@@ -239,7 +239,12 @@ def run_partitioned(scheme, p, n_minus, n_plus, state, steps):
 
 
 def fit_growth(log_norms):
-    """Per-step amplification exp(slope) of a least-squares line through log norms."""
+    """Per-step amplification exp(slope) of a least-squares line through log norms.
+
+    A line needs two points: with fewer the amplification is NaN.
+    """
+    if len(log_norms) < 2:
+        return np.nan
     slope = np.polyfit(np.arange(len(log_norms)), log_norms, 1)[0]
     return float(np.exp(slope))
 
@@ -258,8 +263,8 @@ def _fit_window(log_norms, burn_in, collapsed):
     if collapsed:
         warnings.warn("the run collapsed to zero; fitting the surviving prefix",
                       DecayFloorWarning)
-    window = log_norms[burn_in:]
-    return fit_growth(window) if len(window) >= 2 else 0.0
+    rate = fit_growth(log_norms[burn_in:])
+    return 0.0 if np.isnan(rate) else rate
 
 
 def growth_rate(trajectory, burn_in=50):

@@ -121,7 +121,8 @@ def _batch_lambda_max(spec, x, y):
     p = SimpleNamespace(**groups)
     with np.errstate(all="ignore"):  # an overflow leaves its cell to the per-cell path
         bands = assembly.assemble_bands(spec.scheme, p, spec.n_minus, spec.n_plus)
-    top, bottom, _ = spectral.pencil_ends(bands)
+    layout = assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus)
+    top, bottom, _ = spectral.pencil_ends(bands, layout.interface_row)
     lam = np.fmax(np.abs(top), np.abs(bottom))
     lam[~in_domain(p.d_plus, p.d_minus, p.beta_plus, p.beta_minus, p.r)] = np.nan
     return lam

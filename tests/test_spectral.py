@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
@@ -11,7 +13,7 @@ from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      UpdatePair, assemble, classify, eigen_spectrum, full_spectrum,
                      power_growth_rate, tridiagonal_solve, update_matrix)
 from cplstab import spectral
-from cplstab.sweep import Axis
+from cplstab.sweep import Axis, preset_sweep, run_sweep
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -471,12 +473,17 @@ def test_probe_that_overflows_proves_nothing():
     assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
 
 
-def pencil_ends(bands):
+def pencil_ends(bands, twist):
     """spectral.pencil_ends, and which kernels it ran: (ends, scalar, masked)."""
     with mock.patch.object(spectral, "_top_end", wraps=spectral._top_end) as scalar, \
             mock.patch.object(spectral, "_batch_top_end", wraps=spectral._batch_top_end) as masked:
-        ends = spectral.pencil_ends(bands)
+        ends = spectral.pencil_ends(bands, twist)
     return ends, scalar.called, masked.called
+
+
+def twist_row(pair):
+    """The row at which eigen_spectrum(pair) twists its definiteness tests."""
+    return pair.n - 1 if pair.layout is None else pair.layout.interface_row
 
 
 @given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
@@ -492,28 +499,106 @@ def test_both_kernels_give_the_same_bits(name, n_minus, n_plus, cells):
         pairs += [overflowing_pencil_pair(n), huge_pair(n, 2.5, 1.7e308), huge_pair(n, 3.0, 1e308)]
     bands = stacked_bands(pairs + pairs[:1])
     bands[4][0, -1] = np.inf
-    # tiled past n columns, the call runs the masked kernel
-    tiled, scalar, _ = pencil_ends([np.tile(band, n // len(pairs) + 1) for band in bands])
-    assert not scalar
-    columns = bands[0].shape[1]
-    for j in range(tiled[0].size):
-        one, _, masked = pencil_ends([band[:, j % columns, None] for band in bands])
-        assert not masked
-        for batch, single in zip(tiled, one):
-            assert batch[j].tobytes() == single.tobytes()
-    if columns < n:  # the scalar kernel on several columns at once
-        untiled, _, masked = pencil_ends(bands)
-        assert not masked
-        assert all(u.tobytes() == t[:columns].tobytes() for u, t in zip(untiled, tiled))
-    top, bottom, bound = (end[:columns] for end in tiled)
-    assert np.isnan(top[-1]) and (n == 1 or np.isnan(top[-4:]).all())
-    for pair, t, b, r in zip(pairs, top, bottom, bound):
-        if np.isnan(t):
-            continue
-        spectrum = eigen_spectrum(pair)
-        assert spectrum.residual_bound == r
-        ends = [t] if np.isnan(b) else [t, b]
-        assert sorted(spectrum.eigenvalues.real) == sorted(ends)
+    # every pair twisted at the assembled pair's interface row and at n - 1
+    for twist in {twist_row(pairs[0]), n - 1}:
+        # tiled past n columns, the call runs the masked kernel
+        tiled, scalar, _ = pencil_ends([np.tile(band, n // len(pairs) + 1) for band in bands],
+                                       twist)
+        assert not scalar
+        columns = bands[0].shape[1]
+        for j in range(tiled[0].size):
+            one, _, masked = pencil_ends([band[:, j % columns, None] for band in bands], twist)
+            assert not masked
+            for batch, single in zip(tiled, one):
+                assert batch[j].tobytes() == single.tobytes()
+        if columns < n:  # the scalar kernel on several columns at once
+            untiled, _, masked = pencil_ends(bands, twist)
+            assert not masked
+            assert all(u.tobytes() == t[:columns].tobytes() for u, t in zip(untiled, tiled))
+        top, bottom, bound = (end[:columns] for end in tiled)
+        assert np.isnan(top[-1]) and (n == 1 or np.isnan(top[-4:]).all())
+        for pair, t, b, r in zip(pairs, top, bottom, bound):
+            if np.isnan(t) or twist_row(pair) != twist:
+                continue
+            spectrum = eigen_spectrum(pair)
+            assert spectrum.residual_bound == r
+            ends = [t] if np.isnan(b) else [t, b]
+            assert sorted(spectrum.eigenvalues.real) == sorted(ends)
+
+
+def dense_symmetric(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
+       groups=st.tuples(*[log_group] * 5), zero=ONE_SIDED,
+       where=st.sampled_from(("first", "interior", "last")), t=st.floats(0.0, 1.0),
+       u=st.floats(-1.25, 1.25))
+@settings(max_examples=300, deadline=None)
+def test_twisted_test_is_sylvesters_verdict(name, n_minus, n_plus, groups, zero, where, t, u):
+    groups = list(groups)
+    if zero is not None:
+        groups[zero] = 0.0
+    pair = assemble(SCHEMES[name], scheme_params(name, groups), n_minus, n_plus)
+    n = pair.n
+    assume(n >= 2)  # a 1 x 1 pencil has a diagonal A: dstebz finds its end
+    k = {"first": 0, "last": n - 1, "interior": min(1 + int(t * (n - 2)), n - 1)}[where]
+    bands = stacked_bands([pair])
+    with np.errstate(all="ignore"):
+        pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*bands)
+    assert ok.all()
+    a_diag, a_off, b_diag, b_off = (v[:, 0] for v in pencil)
+    if lagged is None:
+        eigenvalues = scipy.linalg.eigvalsh(dense_symmetric(b_diag, b_off),
+                                            dense_symmetric(a_diag, a_off))
+        sigma = u * np.abs(eigenvalues).max()
+        gaps = eigenvalues - sigma
+    else:  # the pair's eigenvalues are nonnegative; sigma >= 0 only
+        sigma = abs(u) * ((np.abs(b_diag) + radius[:, 0]) / margin[:, 0]).max()
+    d, e = sigma * a_diag - b_diag, sigma * a_off - b_off
+    if lagged is not None:
+        e[lagged[:, 0]] = np.sqrt(c[lagged[:, 0], 0] * sigma)
+        # the negative eigenvalues of sigma A - B, lagged entries and all,
+        # count the pair's eigenvalues above sigma (see _symmetric_pencil)
+        gaps = -scipy.linalg.eigvalsh(dense_symmetric(d, e))
+    # no verdict is exact within rounding of an eigenvalue
+    assume(np.abs(gaps).min() > 1e-9 * np.abs(gaps).max())
+    above = np.count_nonzero(gaps > 0.0)
+    pivots, _, info = spectral.lapack.dpttrf(d, e)
+    twisted, _, _ = spectral._twisted_pencil(pencil, lagged, c, margin, radius, k, [0])
+    gamma, twisted_info = spectral._ldl(sigma, spectral._columns(twisted, 0))
+    assert (twisted_info == 0) == (info == 0) == (above == 0)
+    if k == n - 1 and info in (0, n):
+        # plain dpttrf: gamma_k is its last pivot, bit for bit
+        assert twisted_info == info
+        assert np.float64(gamma).tobytes() == pivots[-1].tobytes()
+
+
+# mean definiteness tests per cell on 9 x 9 subgrids of the preset planes,
+# 3% above the counts of the search twisted at the interface row (29.96,
+# 35.54, 20.41 and 27.81); it took 43.68, 46.85, 24.30 and 42.54 at row n - 1
+PROBE_CEILINGS = {("fig3", 1.0): 30.9, ("fig5", 1.0): 36.6, ("fig9", 1.0): 21.0,
+                  ("fig9", 2000.0): 28.6}
+
+
+@pytest.mark.parametrize("preset, r", list(PROBE_CEILINGS))
+def test_probes_per_cell(preset, r):
+    spec = preset_sweep(preset, r=r)
+    spec = dataclasses.replace(spec, axis_x=dataclasses.replace(spec.axis_x, points=9),
+                               axis_y=dataclasses.replace(spec.axis_y, points=9))
+    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked:
+        field = run_sweep(spec)
+    assert masked.called and not np.isnan(field.lambda_max).any()
+    with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
+        for y in spec.axis_y.values():
+            for x in spec.axis_x.values():
+                groups = dict(spec.fixed, **{spec.axis_x.name: x, spec.axis_y.name: y})
+                eigen_spectrum(assemble(spec.scheme, DimensionlessParams(**groups),
+                                        spec.n_minus, spec.n_plus))
+    probes = sum(np.size(call.args[0]) for call in masked.call_args_list)
+    # both kernels take every cell through the same probes
+    assert probes == scalar.call_count
+    assert probes / field.lambda_max.size <= PROBE_CEILINGS[preset, r]
 
 
 def overflow_plane_pairs():
