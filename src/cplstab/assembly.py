@@ -198,10 +198,14 @@ class UpdatePair:
         return self.A.n
 
 
+def _check_count(name, value, least=1):
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_sizes(n_minus, n_plus=1):
-    for name, value in (("n_minus", n_minus), ("n_plus", n_plus)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ParameterDomainError(f"{name} must be an integer >= 1, got {value!r}")
+    _check_count("n_minus", n_minus)
+    _check_count("n_plus", n_plus)
 
 
 def _runs(values, counts, shape):
@@ -231,7 +235,6 @@ def _zero_off(diag):
 
 
 def _bulk_bands(scheme, p, n_minus, n_plus):
-    _check_sizes(n_minus, n_plus)
     theta, gamma = scheme.theta, scheme.gamma
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
@@ -254,7 +257,6 @@ def _bulk_bands(scheme, p, n_minus, n_plus):
 def _one_way_bands(scheme, p, n_minus, n_plus):
     # the positive side acts as forcing only; theta picks the time level of
     # the interface flux in the last row
-    _check_sizes(n_minus)
     dm, bm = p.d_minus, p.beta_minus
     shape = np.shape(dm)
     explicit = scheme.theta == 0
@@ -267,7 +269,6 @@ def _one_way_bands(scheme, p, n_minus, n_plus):
 
 
 def _dn_explicit_bands(scheme, p, n_minus, n_plus):
-    _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
     w = (1.0 + r) / 2.0
@@ -283,7 +284,6 @@ def _dn_explicit_bands(scheme, p, n_minus, n_plus):
 
 
 def _dn_implicit_bands(scheme, p, n_minus, n_plus):
-    _check_sizes(n_minus, n_plus)
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
     w = (1.0 + r) / 2.0
@@ -316,7 +316,9 @@ def assemble_bands(scheme, p, n_minus, n_plus):
     column j is the band of the groups' entries j, bit for bit.  The bands
     are not checked: a column may hold non-finite entries.
     """
-    if scheme.direction == ONE_WAY_NEGATIVE:
+    one_way = scheme.direction == ONE_WAY_NEGATIVE
+    _check_sizes(n_minus, 1 if one_way else n_plus)  # a one-way pair has no positive rows
+    if one_way:
         build = _one_way_bands
     elif scheme.interface == DIRICHLET_NEUMANN:
         build = _dn_explicit_bands if scheme.integrator == EXPLICIT else _dn_implicit_bands

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
 from .errors import ParameterDomainError, SchemeError, UnconfirmedRootWarning
-from .params import DimensionlessParams, _section_values
+from .params import DimensionlessParams, _require_positive, _section_values
 
 # the marginal band; cells per domain and kept draws per scheme of the scan audit
 MARGIN, SCAN_N, SCAN_POINTS = 5e-3, 60, 50
@@ -146,8 +146,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_spectrum(args):
-    if not args.tol > 0.0:
-        raise ParameterDomainError(f"--tol must be positive, got {args.tol!r}")
+    _require_positive("--tol", args.tol)  # spectral.classify's rule, before the work
     p = _params_from_args(args)
     pair = assembly.assemble(assembly.SCHEMES[args.scheme], p, args.n_minus, args.n_plus)
     spectrum = spectral.full_spectrum(pair)

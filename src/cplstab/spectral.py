@@ -33,6 +33,7 @@ from scipy.linalg import lapack
 
 from .assembly import UpdatePair
 from .errors import ParameterDomainError, SingularMatrixError, SolveResidualWarning, SpectrumError
+from .params import _require_positive
 
 MAX_DENSE_N = 2048
 
@@ -380,9 +381,8 @@ def _columns(pencil, k):
 
 def _column_top_end(pencil, lo, margin, radius):
     """_batch_top_end by _top_end, one column at a time."""
-    lo, hi = np.array([_top_end(_columns(pencil, j), lo[j], margin[:, j], radius[:, j])
-                       for j in range(lo.size)]).T
-    return lo, hi, hi == hi
+    return np.array([_top_end(_columns(pencil, j), lo[j], margin[:, j], radius[:, j])
+                     for j in range(lo.size)]).T
 
 
 def _column_ldl(sigma, pencil):
@@ -413,8 +413,8 @@ def _diagonal_ends(a_diag, b_diag, b_off):
 
 # --- the masked kernel: the search on many columns at once ---
 #
-# Every band is an (n, cells) array, and each step of the search acts on the
-# columns whose bracket is still open.  Every column takes the operations of
+# Every band is an (n, cells) array, and the search keeps its state and
+# pencil for the open columns only.  Every column takes the operations of
 # _top_end in the same order, with Python's max and min where it uses them,
 # so every column sees the same probes and pivots and ends with the same bits.
 
@@ -462,7 +462,12 @@ def _batch_ldl(sigma, pencil):
 
 
 def _batch_top_end(pencil, lo, margin, radius):
-    """_top_end for every column: (lo, hi, proved), proved False where hi is NaN."""
+    """_top_end for every column: (lo, hi), hi NaN where the bracket is not proved.
+
+    The state is one array per quantity over the open columns, k their index
+    in the call.  Where a column closes, as _top_end's loop ends, its bracket
+    is written back and one mask compacts the state and the pencil.
+    """
     n = margin.shape[0]
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     a, b = pencil[:2]
@@ -470,38 +475,32 @@ def _batch_top_end(pencil, lo, margin, radius):
     lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
     hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
     f_hi, info = _batch_ldl(hi, pencil)
-    proved = (info == 0) & (lo < hi) & (hi < np.inf)
-    f_lo, side = np.full_like(lo, np.nan), np.zeros(lo.shape, int)
-    has_f_lo = np.zeros(lo.shape, bool)
-    steps, halved = np.zeros(lo.shape, int), hi - lo
-    open_ = proved.copy()
-    while True:
-        open_ &= hi - lo > 4.0 * eps * _py_max(np.abs(lo), np.abs(hi))
-        k = np.flatnonzero(open_)
-        if not k.size:
-            return lo, hi, proved & ~np.isnan(hi)
-        l, h, fl, fh = lo[k], hi[k], f_lo[k], f_hi[k]
-        falsi = has_f_lo[k] & (steps[k] < 3)
-        gap = 2.0 * eps * _py_max(np.abs(l), np.abs(h))
-        x = np.where(falsi, _py_min(_py_max(h - fh * (h - l) / (fh - fl), l + gap), h - gap),
-                     0.5 * (l + h))
-        stop = ~falsi & ~((l < x) & (x < h))
-        if stop.any():
-            open_[k[stop]] = False
-            k, x = k[~stop], x[~stop]
-        last, info = _batch_ldl(x, _columns(pencil, k))
-        was = side[k]
-        up, down = info == 0, (info == n)
-        hi[k[up]], f_hi[k[up]] = x[up], last[up]
-        f_lo[k[up & (was == 1) & has_f_lo[k]]] *= 0.5
-        side[k[up]] = 1
-        lo[k[~up]] = x[~up]
-        f_lo[k[down]], has_f_lo[k[down]] = last[down], True
-        f_hi[k[down & (was == -1)]] *= 0.5
-        side[k[down]] = -1
-        steps[k] += 1
-        reset = k[hi[k] - lo[k] <= 0.5 * halved[k]]
-        steps[reset], halved[reset] = 0, hi[reset] - lo[reset]
+    hi = np.where((info == 0) & (lo < hi) & (hi < np.inf), hi, np.nan)
+    ends, k = (lo, hi), np.arange(lo.size)  # the state is rebound, never written in place
+    f_lo, has_f_lo = np.full_like(lo, np.nan), np.zeros(lo.shape, bool)
+    side, steps, halved = np.zeros(lo.shape, int), np.zeros(lo.shape, int), hi - lo
+    while k.size:
+        falsi, scale = has_f_lo & (steps < 3), _py_max(np.abs(lo), np.abs(hi))
+        gap = 2.0 * eps * scale
+        x = np.where(falsi, _py_min(_py_max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap),
+                                    hi - gap), 0.5 * (lo + hi))
+        keep = (hi - lo > 4.0 * eps * scale) & (falsi | ((lo < x) & (x < hi)))
+        if not keep.all():
+            ends[0][k], ends[1][k] = lo, hi
+            k, lo, hi, f_lo, f_hi, has_f_lo, side, steps, halved, x = (
+                v[keep] for v in (k, lo, hi, f_lo, f_hi, has_f_lo, side, steps, halved, x))
+            if not k.size:
+                break
+            pencil = _columns(pencil, keep)
+        gamma, info = _batch_ldl(x, pencil)
+        up, down = info == 0, info == n
+        f_lo = np.where(up & (side == 1), 0.5 * f_lo, np.where(down, gamma, f_lo))
+        f_hi = np.where(up, gamma, np.where(down & (side == -1), 0.5 * f_hi, f_hi))
+        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
+        has_f_lo, side = has_f_lo | down, np.where(up, 1, np.where(down, -1, side))
+        steps = np.where(hi - lo <= 0.5 * halved, 0, steps + 1)
+        halved = np.where(steps == 0, hi - lo, halved)
+    return ends
 
 
 # --- the front end ---
@@ -560,16 +559,16 @@ def pencil_ends(bands, twist=None):
             lag_k = has_lag[k]
             top_end, ldl = ((_batch_top_end, _batch_ldl) if batch
                             else (_column_top_end, _column_ldl))
-            lo, hi, proved = top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
+            lo, hi = top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
+            proved = hi == hi
             width[k] = hi - lo
             # B + top A not definite: some eigenvalue lies at or below -top
             negated = (a, -b, None, None, q)
             p = np.flatnonzero(proved & ~lag_k)
             p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
             if p.size:
-                low, high, found = top_end(_columns(negated, p), hi[p], margin_k[:, p],
-                                           radius_k[:, p])
-                proved[p] &= found
+                low, high = top_end(_columns(negated, p), hi[p], margin_k[:, p], radius_k[:, p])
+                found = proved[p] = high == high
                 p, low, high = p[found], low[found], high[found]
                 bottom[k[p]] = -high
                 width[k[p]] = _py_max(width[k[p]], high - low)
@@ -689,8 +688,7 @@ def classify(lambda_max, tol=1e-8):
     stable: lambda_max < 1 - tol; marginal: |lambda_max - 1| <= tol;
     unstable: lambda_max > 1 + tol.
     """
-    if not (tol > 0.0):
-        raise ParameterDomainError(f"tol must be positive, got {tol!r}")
+    _require_positive("tol", tol)
     if lambda_max != lambda_max or lambda_max < 0.0:
         raise ParameterDomainError(f"lambda_max must be a nonnegative number, got {lambda_max!r}")
     if lambda_max < 1.0 - tol:

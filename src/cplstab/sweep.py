@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__, assembly, spectral
 from .errors import (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
                      SpectrumError)
-from .params import DimensionlessParams, in_domain
+from .params import DimensionlessParams, _require_nonnegative, _require_positive, in_domain
 
 AXIS_NAMES = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
 
@@ -48,8 +48,7 @@ class Axis:
             raise ParameterDomainError(f"unknown axis {self.name!r}")
         if self.scale not in ("log", "linear"):
             raise ParameterDomainError(f"unknown axis scale {self.scale!r}")
-        if self.points < 2:
-            raise ParameterDomainError("an axis needs at least 2 points")
+        assembly._check_count("axis points", self.points, 2)  # the assemblers' integer rule
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ParameterDomainError(f"axis ends must be finite, got {self.lo!r}, {self.hi!r}")
         if not (0.0 < self.lo <= self.hi) and self.scale == "log":
@@ -89,11 +88,12 @@ class SweepSpec:
         for name, value in self.fixed.items():
             if not isinstance(value, numbers.Real):
                 raise ParameterDomainError(f"fixed {name} must be a real number, got {value!r}")
+            # DimensionlessParams' own rule; an axis value outside it fails its cell
+            (_require_positive if name == "r" else _require_nonnegative)(f"fixed {name}", value)
         # stored as floats, so every plane of real values takes the batch
         object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
         assembly._check_sizes(self.n_minus, self.n_plus)  # the assemblers' own size rule
-        if not (self.tol > 0.0):
-            raise ParameterDomainError("tol must be positive")
+        _require_positive("tol", self.tol)  # spectral.classify's rule
 
 
 @dataclass

@@ -77,6 +77,8 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     (["spectrum", "--scheme", "dn-implicit", "--tol", "0"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol=-1e-8"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol", "nan"], "--tol must be positive"),
+    # an infinite tolerance used to print "(marginal)"
+    (["spectrum", "--scheme", "dn-implicit", "--tol", "inf"], "--tol must be positive and finite"),
 ])
 def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
     assert cli_main(argv) == 2
@@ -143,6 +145,29 @@ def test_sweep_config_rejects_malformed_numbers(tmp_path, capsys, section, old, 
     assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
     key, value = new.split(" = ")
     assert f"error: [{section}] {key} = {value!r} is not a valid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("f.*"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "fig9", "--r", "-1"], "fixed r must be positive and finite, got -1.0"),
+    (["--preset", "fig9", "--r", "nan"], "fixed r must be positive and finite, got nan"),
+    (["--preset", "fig3", "--tol", "inf", "--n-minus", "4", "--n-plus", "2"],
+     "tol must be positive and finite, got inf"),
+])
+def test_sweep_rejects_values_outside_the_domain(tmp_path, capsys, argv, message):
+    # these exited 0 with every cell failed, or every cell marginal
+    csv_path = tmp_path / "f.csv"
+    assert cli_main(["sweep", *argv, "--csv", str(csv_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == "" and not csv_path.exists()
+
+
+def test_sweep_config_rejects_a_fixed_group_outside_the_domain(tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG.replace("r = 1.0", "r = -1"), encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
+    assert "error: fixed r must be positive and finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("f.*"))
 
 

@@ -473,6 +473,29 @@ def test_probe_that_overflows_proves_nothing():
     assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
 
 
+@pytest.mark.parametrize("a_diag, b_diag, calls", [(2.5, 1.7e308, 1), (3.0, 1e308, 4)])
+def test_masked_search_without_a_proved_column(a_diag, b_diag, calls):
+    # the first pair's Gershgorin bound overflows, so no column is proved
+    # after the test at hi; the second's fourth probe overflows to NaN and
+    # closes every column.  A loop that tested keep.all() on its empty state
+    # never ended, and one that probed after the last column closed made a
+    # call on zero columns
+    bands = stacked_bands([huge_pair(2, a_diag, b_diag)] * 3)  # past n columns
+    with np.errstate(all="ignore"):
+        pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*bands)
+        assert ok.all()
+        twisted, margin, radius = spectral._twisted_pencil(pencil, lagged, c, margin, radius, 1,
+                                                          np.arange(3))
+        start = np.full(3, -np.inf)
+        with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as probes:
+            lo, hi = spectral._batch_top_end(twisted, start, margin, radius)
+        column_lo, column_hi = spectral._column_top_end(twisted, start, margin, radius)
+    assert probes.call_count == calls
+    assert all(np.size(call.args[0]) == 3 for call in probes.call_args_list)
+    assert np.isnan(hi).all() and np.isnan(column_hi).all()
+    assert lo.tobytes() == column_lo.tobytes()
+
+
 def pencil_ends(bands, twist):
     """spectral.pencil_ends, and which kernels it ran: (ends, scalar, masked)."""
     with mock.patch.object(spectral, "_top_end", wraps=spectral._top_end) as scalar, \
@@ -595,7 +618,10 @@ def test_probes_per_cell(preset, r):
                 groups = dict(spec.fixed, **{spec.axis_x.name: x, spec.axis_y.name: y})
                 eigen_spectrum(assemble(spec.scheme, DimensionlessParams(**groups),
                                         spec.n_minus, spec.n_plus))
-    probes = sum(np.size(call.args[0]) for call in masked.call_args_list)
+    probes = [np.size(call.args[0]) for call in masked.call_args_list]
+    # the masked search probes no column that has closed, and never none
+    assert min(probes) >= 1
+    probes = sum(probes)
     # both kernels take every cell through the same probes
     assert probes == scalar.call_count
     assert probes / field.lambda_max.size <= PROBE_CEILINGS[preset, r]
@@ -789,3 +815,6 @@ def test_classify_rejects_nan_and_bad_tol():
         classify(np.nan)
     with pytest.raises(ParameterDomainError):
         classify(0.5, tol=0.0)
+    # an infinite band used to label every lambda_max marginal
+    with pytest.raises(ParameterDomainError, match="tol must be positive and finite"):
+        classify(0.5, tol=np.inf)

@@ -69,6 +69,18 @@ def test_axis_rejects_single_point():
         Axis("d_minus", 0.1, 1.0, 1)
 
 
+@pytest.mark.parametrize("points", [2.5, 3.0, np.float64(3.0), "3", True])
+def test_axis_points_must_be_an_integer(points):
+    # a float count passed, and values() then raised a bare TypeError
+    with pytest.raises(ParameterDomainError, match="axis points must be an integer >= 2"):
+        Axis("d_minus", 0.1, 1.0, points)
+
+
+def test_axis_takes_a_numpy_integer_count():
+    values = Axis("d_minus", 0.1, 1.0, np.int64(3)).values()
+    assert values.tobytes() == Axis("d_minus", 0.1, 1.0, 3).values().tobytes()
+
+
 def test_log_axis_rejects_nonpositive_lo():
     with pytest.raises(ParameterDomainError):
         Axis("d_minus", 0.0, 1.0, 5, "log")
@@ -144,11 +156,26 @@ def test_spec_rejects_a_size_that_is_not_an_integer(tmp_path):
 def test_spec_rejects_bad_tolerance():
     with pytest.raises(ParameterDomainError):
         tiny_spec(tol=0.0)
+    # an infinite tolerance labelled every cell marginal
+    with pytest.raises(ParameterDomainError, match="tol must be positive and finite"):
+        tiny_spec(tol=np.inf)
 
 
 def test_spec_rejects_a_fixed_value_that_is_not_a_number():
     with pytest.raises(ParameterDomainError, match="real number"):
         tiny_spec(fixed={"beta_plus": 0.1, "d_plus": 0.1, "r": "one"})
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    ("r", -1.0, "positive"), ("r", 0.0, "positive"), ("r", np.nan, "positive"),
+    ("r", np.inf, "positive"), ("d_plus", -0.1, "nonnegative"),
+    ("beta_plus", np.inf, "nonnegative"), ("beta_plus", np.nan, "nonnegative"),
+])
+def test_spec_rejects_a_fixed_group_outside_the_domain(name, value, rule):
+    # such a plane used to run with every cell failed
+    fixed = {"beta_plus": 0.1, "d_plus": 0.1, "r": 1.0, name: value}
+    with pytest.raises(ParameterDomainError, match=f"fixed {name} must be {rule} and finite"):
+        tiny_spec(fixed=fixed)
 
 
 def test_integer_fixed_values_take_the_batch(monkeypatch, tmp_path):
