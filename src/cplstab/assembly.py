@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, SchemeError
+from .params import _require_count
 
 BULK = "bulk"
 DIRICHLET_NEUMANN = "dirichlet_neumann"
@@ -198,16 +199,6 @@ class UpdatePair:
         return self.A.n
 
 
-def _check_count(name, value, least=1):
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ParameterDomainError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_sizes(n_minus, n_plus=1):
-    _check_count("n_minus", n_minus)
-    _check_count("n_plus", n_plus)
-
-
 def _runs(values, counts, shape):
     """A band from runs of equal entries: values[k] repeated counts[k] times.
 
@@ -317,7 +308,8 @@ def assemble_bands(scheme, p, n_minus, n_plus):
     are not checked: a column may hold non-finite entries.
     """
     one_way = scheme.direction == ONE_WAY_NEGATIVE
-    _check_sizes(n_minus, 1 if one_way else n_plus)  # a one-way pair has no positive rows
+    _require_count("n_minus", n_minus)
+    _require_count("n_plus", 1 if one_way else n_plus)  # a one-way pair has no positive rows
     if one_way:
         build = _one_way_bands
     elif scheme.interface == DIRICHLET_NEUMANN:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 analysis or validation failure, 2 usage errors.
 """
 
 import argparse
-import configparser
 import contextlib
 import sys
 import warnings
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
 from .errors import ParameterDomainError, SchemeError, UnconfirmedRootWarning
-from .params import DimensionlessParams, _require_positive, _section_values
+from .params import (DimensionlessParams, _config_number, _read_config, _require_count,
+                     _require_positive, _section_values)
 
 # the marginal band; cells per domain and kept draws per scheme of the scan audit
 MARGIN, SCAN_N, SCAN_POINTS = 5e-3, 60, 50
@@ -57,15 +57,6 @@ def _emit(rows, path):
 # --- sweep ---
 
 
-def _config_number(name, section, key, kind, default=None):
-    """section[key] (or the default) as `kind`; a malformed value is a usage error."""
-    text = section.get(key, default)
-    try:
-        return kind(text)
-    except ValueError:
-        raise ParameterDomainError(f"[{name}] {key} = {text!r} is not a valid {kind.__name__}") from None
-
-
 def _axis_from_config(section, prefix):
     return sweep.Axis(
         name=section[prefix],
@@ -77,10 +68,7 @@ def _axis_from_config(section, prefix):
 
 
 def _sweep_spec_from_config(path):
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    if not parser.read(path, encoding="utf-8"):
-        raise ParameterDomainError(f"config file not found: {path}")
+    parser = _read_config(path)
     for name in ("scheme", "axes", "fixed"):
         if not parser.has_section(name):
             raise ParameterDomainError(f"sweep config needs a [{name}] section")
@@ -163,8 +151,7 @@ def _cmd_spectrum(args):
 def _cmd_simulate(args):
     for flag, value in (("--steps", args.steps), ("--burn-in", args.burn_in),
                         ("--seed", args.seed)):
-        if value < 0:
-            raise ParameterDomainError(f"{flag} must be nonnegative, got {value}")
+        _require_count(flag, value, 0)
     scheme = assembly.SCHEMES[args.scheme]
     p = _params_from_args(args)
     pair = assembly.assemble(scheme, p, args.n_minus, args.n_plus)
@@ -205,8 +192,8 @@ def _bounds_values(d):
 
 def _cmd_bounds(args):
     for flag, value in (("--d", args.d), ("--d-lo", args.d_lo), ("--d-hi", args.d_hi)):
-        if value is not None and not 0.0 < value < np.inf:
-            raise ParameterDomainError(f"{flag} must be positive and finite, got {value!r}")
+        if value is not None:
+            _require_positive(flag, value)
     if args.points < 1 or args.d_lo > args.d_hi:
         raise ParameterDomainError("bounds needs --points >= 1 and --d-lo <= --d-hi")
     if args.d is not None:

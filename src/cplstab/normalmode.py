@@ -22,10 +22,10 @@ from .errors import (
     KappaPoleWarning,
     MarginalModeWarning,
     ParameterDomainError,
-    SchemeError,
     SingularityError,
     UnconfirmedRootWarning,
 )
+from .params import _require_nonnegative, _require_positive
 
 ADMISSIBLE_TOL = 1e-12
 
@@ -85,8 +85,7 @@ def kappa_root(A, d):
     on the unit circle the branch choice is ambiguous and a MarginalModeWarning
     is raised alongside the smaller root.
     """
-    if not (d > 0.0):
-        raise ParameterDomainError(f"d must be positive, got {d!r}")
+    _require_positive("d", d)
     A = complex(A)
     if A == 0j:
         raise ParameterDomainError("A must be nonzero")
@@ -151,8 +150,7 @@ def _residual(scheme, p):
     beta.  Both come from one evaluation of the spatial roots.
     """
     if scheme.direction == ONE_WAY_NEGATIVE:
-        if not (p.d_minus > 0.0):
-            raise ParameterDomainError("one-way analysis requires d_minus > 0")
+        _require_positive("one-way d_minus", p.d_minus)
         dm, theta = p.d_minus, scheme.theta
 
         # the interior residual has a pole where the boundary factor kappa
@@ -225,8 +223,7 @@ def dispersion_residual(scheme, p, A):
     if A == 0j or A == 1 + 0j:
         raise SingularityError(f"dispersion relation is singular at A = {A}")
     if scheme.direction == ONE_WAY_NEGATIVE:
-        if not (p.d_minus > 0.0):
-            raise ParameterDomainError("one-way analysis requires d_minus > 0")
+        _require_positive("one-way d_minus", p.d_minus)
         kappa = complex(_one_way_kappa(np.asarray(A, dtype=complex), p, scheme.theta))
         return (1.0 - 1.0 / A) - p.d_minus * (kappa - 2.0 + 1.0 / kappa)
     if (scheme.interface == BULK
@@ -396,10 +393,8 @@ def one_way_explicit_roots(beta, d):
     The discriminant (beta - d)^2 + 4 beta^2 d is nonnegative, so the roots
     are always real.
     """
-    if not (d > 0.0):
-        raise ParameterDomainError(f"d must be positive, got {d!r}")
-    if not (beta >= 0.0):
-        raise ParameterDomainError(f"beta must be nonnegative, got {beta!r}")
+    _require_positive("d", d)
+    _require_nonnegative("beta", beta)
     disc = (beta - d) ** 2 + 4.0 * beta * beta * d
     big = (beta + d + np.sqrt(disc)) / (2.0 * d)
     # the roots multiply to beta(1 - beta)/d; dividing by the large root
@@ -415,7 +410,7 @@ def _polish_quadratic_root(root, beta, d):
     divides by a nearly cancelling kappa, so each ulp of the small root moves
     it far; the exact step leaves the correctly rounded root.
     """
-    if not (np.isfinite(root) and np.isfinite(beta) and np.isfinite(d)):
+    if not np.isfinite(root):  # beta and d are finite: one_way_explicit_roots checks them
         return root
     a, b, dd = Fraction(float(root)), Fraction(float(beta)), Fraction(float(d))
     slope = 2 * dd * a - (b + dd)
@@ -427,15 +422,13 @@ def _polish_quadratic_root(root, beta, d):
 
 def one_way_explicit_bound(d):
     """Largest stable beta of the explicit-flux one-way scheme: 1 + sqrt(1 + 2d)."""
-    if not (d > 0.0):
-        raise ParameterDomainError(f"d must be positive, got {d!r}")
+    _require_positive("d", d)
     return 1.0 + np.sqrt(1.0 + 2.0 * d)
 
 
 def beljaars_bound(d):
     """Empirical stability margin 2 + sqrt(d)^1.1 used operationally."""
-    if not (d >= 0.0):
-        raise ParameterDomainError(f"d must be nonnegative, got {d!r}")
+    _require_nonnegative("d", d)
     return 2.0 + np.sqrt(d) ** 1.1
 
 
@@ -446,10 +439,8 @@ def one_way_implicit_mode(beta, d):
     the temporal root collapses to 0; the mode is admissible exactly when
     beta >= 2d, and an admissible root never grows.
     """
-    if not (d > 0.0):
-        raise ParameterDomainError(f"d must be positive, got {d!r}")
-    if not (beta >= 0.0):
-        raise ParameterDomainError(f"beta must be nonnegative, got {beta!r}")
+    _require_positive("d", d)
+    _require_nonnegative("beta", beta)
     if beta == d:
         warnings.warn("spatial factor has a pole at beta = d; temporal root is 0",
                       KappaPoleWarning)

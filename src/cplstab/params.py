@@ -10,22 +10,44 @@ result downstream depends only on the dimensionless groups
     r       = (rho_plus * c_plus * dz_plus) / (rho_minus * c_minus * dz_minus)
 
 so the physical layer exists only for configs written in physical units.
+
+Every input rule of the package is stated here once, and the other modules
+check through it: _require_positive and _require_nonnegative (finite
+values), _require_count (an int or numpy integer, not a bool, of at least
+k) and _require_groups (r positive, the other four nonnegative; in_domain
+is its array form).  Every config file is read by _read_config and every
+number in it parsed by _config_number.
 """
 
 import configparser
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
 
 
 def _require_positive(name, value):
-    if not (value > 0.0) or value != value or value == float("inf"):
+    if not 0.0 < value < float("inf"):
         raise ParameterDomainError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_nonnegative(name, value):
-    if not (value >= 0.0) or value == float("inf"):
+    if not 0.0 <= value < float("inf"):
         raise ParameterDomainError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+def _require_count(name, value, least=1):
+    """An int or numpy integer, not a bool, of at least `least`."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and value >= least):
+        rule = "nonnegative" if integer and least == 0 else f"an integer >= {least}"
+        raise ParameterDomainError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_groups(groups, prefix=""):
+    """DimensionlessParams' rule on a dict of groups: r positive, the others nonnegative."""
+    for name, value in groups.items():
+        (_require_positive if name == "r" else _require_nonnegative)(prefix + name, value)
 
 
 @dataclass(frozen=True)
@@ -86,10 +108,8 @@ class GridSpec:
         _require_positive("dz_plus", self.dz_plus)
         _require_positive("dz_minus", self.dz_minus)
         _require_positive("dt", self.dt)
-        for name in ("n_plus", "n_minus"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ParameterDomainError(f"{name} must be an integer >= 1, got {value!r}")
+        _require_count("n_plus", self.n_plus)
+        _require_count("n_minus", self.n_minus)
 
 
 @dataclass(frozen=True)
@@ -103,13 +123,11 @@ class DimensionlessParams:
     r: float
 
     def __post_init__(self):
-        for name in ("d_plus", "d_minus", "beta_plus", "beta_minus"):
-            _require_nonnegative(name, getattr(self, name))
-        _require_positive("r", self.r)
+        _require_groups(vars(self))
 
 
 def in_domain(d_plus, d_minus, beta_plus, beta_minus, r):
-    """Where DimensionlessParams accepts the groups, elementwise over arrays."""
+    """_require_groups elementwise over arrays: True where DimensionlessParams accepts the groups."""
     ok = (r > 0.0) & (r != float("inf"))
     for value in (d_plus, d_minus, beta_plus, beta_minus):
         ok = ok & (value >= 0.0) & (value != float("inf"))
@@ -146,6 +164,24 @@ _GRID_KEYS = ("dz_plus", "dz_minus", "n_plus", "n_minus", "dt")
 _DIMENSIONLESS_KEYS = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
 
 
+def _read_config(path):
+    """The INI file at path, keys case-sensitive."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    if not parser.read(path, encoding="utf-8"):
+        raise ParameterDomainError(f"config file not found: {path}")
+    return parser
+
+
+def _config_number(section, values, key, kind, default=None):
+    """values[key] (or the default) as `kind`; a malformed value is a usage error."""
+    text = values.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterDomainError(f"[{section}] {key} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def _section_values(parser, section, required, optional=()):
     present = dict(parser.items(section)) if parser.has_section(section) else {}
     unknown = set(present) - set(required) - set(optional)
@@ -164,27 +200,20 @@ def load_config(path):
     [physical] and a [grid] section; exactly one of the two forms.  Returns
     (DimensionlessParams, GridSpec or None).
     """
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    if not parser.read(path, encoding="utf-8"):
-        raise ParameterDomainError(f"config file not found: {path}")
+    parser = _read_config(path)
     dimless = parser.has_section("dimensionless")
     physical = parser.has_section("physical") or parser.has_section("grid")
     if dimless and physical:
         raise ParameterDomainError("config must use [dimensionless] or [physical]+[grid], not both")
     if dimless:
         values = _section_values(parser, "dimensionless", _DIMENSIONLESS_KEYS)
-        return DimensionlessParams(**{k: float(v) for k, v in values.items()}), None
+        return DimensionlessParams(**{k: _config_number("dimensionless", values, k, float)
+                                      for k in values}), None
     if not (parser.has_section("physical") and parser.has_section("grid")):
         raise ParameterDomainError("config needs a [dimensionless] section or both [physical] and [grid]")
     pvals = _section_values(parser, "physical", _PHYSICAL_KEYS, _PHYSICAL_OPTIONAL)
     gvals = _section_values(parser, "grid", _GRID_KEYS)
-    phys = PhysicalParams(**{k: float(v) for k, v in pvals.items()})
-    grid = GridSpec(
-        dz_plus=float(gvals["dz_plus"]),
-        dz_minus=float(gvals["dz_minus"]),
-        n_plus=int(gvals["n_plus"]),
-        n_minus=int(gvals["n_minus"]),
-        dt=float(gvals["dt"]),
-    )
+    phys = PhysicalParams(**{k: _config_number("physical", pvals, k, float) for k in pvals})
+    grid = GridSpec(**{k: _config_number("grid", gvals, k, int if k.startswith("n_") else float)
+                       for k in gvals})
     return derive_dimensionless(phys, grid), grid

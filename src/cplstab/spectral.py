@@ -474,9 +474,15 @@ def _batch_top_end(pencil, lo, margin, radius):
     quotient = (b[:n] / a[:n]).max(axis=0)
     lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
     hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
+    # as in _top_end, only a bracket lo < hi < inf is tested at hi
+    hi = np.where((lo < hi) & (hi < np.inf), hi, np.nan)
+    ends, k = (lo, hi), np.flatnonzero(hi == hi)  # the state is rebound, never written in place
+    if not k.size:
+        return ends
+    if k.size < lo.size:
+        lo, hi, pencil = lo[k], hi[k], _columns(pencil, k)
     f_hi, info = _batch_ldl(hi, pencil)
-    hi = np.where((info == 0) & (lo < hi) & (hi < np.inf), hi, np.nan)
-    ends, k = (lo, hi), np.arange(lo.size)  # the state is rebound, never written in place
+    hi = np.where(info == 0, hi, np.nan)
     f_lo, has_f_lo = np.full_like(lo, np.nan), np.zeros(lo.shape, bool)
     side, steps, halved = np.zeros(lo.shape, int), np.zeros(lo.shape, int), hi - lo
     while k.size:
@@ -565,7 +571,8 @@ def pencil_ends(bands, twist=None):
             # B + top A not definite: some eigenvalue lies at or below -top
             negated = (a, -b, None, None, q)
             p = np.flatnonzero(proved & ~lag_k)
-            p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
+            if p.size:
+                p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
             if p.size:
                 low, high = top_end(_columns(negated, p), hi[p], margin_k[:, p], radius_k[:, p])
                 found = proved[p] = high == high

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import assembly
 from .errors import DecayFloorWarning, ParameterDomainError, SingularMatrixError
+from .params import _require_count
 from .spectral import tridiagonal_solve
 from .assembly import DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
 
@@ -79,6 +80,7 @@ def state_norm(state):
 
 def random_state(layout, seed=0):
     """Unit-infinity-norm random initial state for growth experiments."""
+    _require_count("seed", seed, 0)
     rng = np.random.default_rng(seed=seed)
     vector = rng.standard_normal(layout.n)
     vector /= np.abs(vector).max()
@@ -250,8 +252,7 @@ def fit_growth(log_norms):
 
 
 def _check_window(burn_in, length, what):
-    if burn_in < 0:
-        raise ParameterDomainError(f"burn_in must be nonnegative, got {burn_in}")
+    _require_count("burn_in", burn_in, 0)
     if length < burn_in + 10:
         raise ParameterDomainError(f"need {what} >= burn_in + 10 = {burn_in + 10}, got {length}")
 
@@ -298,6 +299,7 @@ def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
     Log norms count from the initial state's 0.0 at step 0 and the fit runs over
     [burn_in:]: steps burn_in..steps, the window of growth_rate and `cplstab simulate`.
     """
+    _require_count("steps", steps, 0)
     _check_window(burn_in, steps, "steps")
     vector = pack_state(random_state(pair.layout, seed=seed), pair.layout)
     log_norms = [0.0, *renormalized_log_norms(

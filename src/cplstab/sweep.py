@@ -16,7 +16,8 @@ import numpy as np
 from . import __version__, assembly, spectral
 from .errors import (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
                      SpectrumError)
-from .params import DimensionlessParams, _require_nonnegative, _require_positive, in_domain
+from .params import (DimensionlessParams, _require_count, _require_groups, _require_positive,
+                     in_domain)
 
 AXIS_NAMES = ("d_plus", "d_minus", "beta_plus", "beta_minus", "r")
 
@@ -48,7 +49,7 @@ class Axis:
             raise ParameterDomainError(f"unknown axis {self.name!r}")
         if self.scale not in ("log", "linear"):
             raise ParameterDomainError(f"unknown axis scale {self.scale!r}")
-        assembly._check_count("axis points", self.points, 2)  # the assemblers' integer rule
+        _require_count("axis points", self.points, 2)
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ParameterDomainError(f"axis ends must be finite, got {self.lo!r}, {self.hi!r}")
         if not (0.0 < self.lo <= self.hi) and self.scale == "log":
@@ -88,11 +89,12 @@ class SweepSpec:
         for name, value in self.fixed.items():
             if not isinstance(value, numbers.Real):
                 raise ParameterDomainError(f"fixed {name} must be a real number, got {value!r}")
-            # DimensionlessParams' own rule; an axis value outside it fails its cell
-            (_require_positive if name == "r" else _require_nonnegative)(f"fixed {name}", value)
+        # DimensionlessParams' own rule; an axis value outside it fails its cell
+        _require_groups(self.fixed, "fixed ")
         # stored as floats, so every plane of real values takes the batch
         object.__setattr__(self, "fixed", {k: float(v) for k, v in self.fixed.items()})
-        assembly._check_sizes(self.n_minus, self.n_plus)  # the assemblers' own size rule
+        _require_count("n_minus", self.n_minus)
+        _require_count("n_plus", self.n_plus)
         _require_positive("tol", self.tol)  # spectral.classify's rule
 
 

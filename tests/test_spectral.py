@@ -473,10 +473,10 @@ def test_probe_that_overflows_proves_nothing():
     assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
 
 
-@pytest.mark.parametrize("a_diag, b_diag, calls", [(2.5, 1.7e308, 1), (3.0, 1e308, 4)])
+@pytest.mark.parametrize("a_diag, b_diag, calls", [(2.5, 1.7e308, 0), (3.0, 1e308, 4)])
 def test_masked_search_without_a_proved_column(a_diag, b_diag, calls):
-    # the first pair's Gershgorin bound overflows, so no column is proved
-    # after the test at hi; the second's fourth probe overflows to NaN and
+    # the first pair's Gershgorin bound overflows, so no column is tested at
+    # hi, as in the scalar kernel; the second's fourth probe overflows to NaN and
     # closes every column.  A loop that tested keep.all() on its empty state
     # never ended, and one that probed after the last column closed made a
     # call on zero columns
@@ -494,6 +494,17 @@ def test_masked_search_without_a_proved_column(a_diag, b_diag, calls):
     assert all(np.size(call.args[0]) == 3 for call in probes.call_args_list)
     assert np.isnan(hi).all() and np.isnan(column_hi).all()
     assert lo.tobytes() == column_lo.tobytes()
+
+
+def test_masked_kernel_never_probes_what_it_cannot_prove():
+    # the masked kernel tested every column at an infinite hi, and then ran
+    # the bottom-end test on zero columns: two probes where _top_end makes none
+    bands = stacked_bands([huge_pair(2, 2.5, 1.7e308)] * 3)
+    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as probes, \
+            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
+        assert np.isnan(spectral.pencil_ends(bands)).all()
+        assert np.isnan(spectral.pencil_ends(stacked_bands([huge_pair(2, 2.5, 1.7e308)]))).all()
+    assert probes.call_count == scalar.call_count == 0
 
 
 def pencil_ends(bands, twist):
