@@ -8,9 +8,16 @@ interface conditions, and eliminating the mode amplitudes leaves a scalar
 residual whose roots with |A| > 1 are the growing modes.  `gks_scan` locates
 those roots on an annulus grid and polishes them with a damped Newton
 iteration.
+
+Each residual is one implementation for two argument kinds.  The grid is a
+numpy array, evaluated in one pass.  The polish evaluates one point at a time
+on a Python complex with cmath, which costs a few microseconds where a numpy
+0-d array costs tens.  The two differ only in rounding; `_evaluate` maps
+Python's arithmetic errors to the non-finite residual that numpy would give.
 """
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,11 +72,15 @@ class ScanSettings:
 
 
 def _kappa_from_s(s):
-    """Smaller-modulus root of kappa^2 - 2(1+s)kappa + 1 = 0, vectorized.
+    """Smaller-modulus root of kappa^2 - 2(1+s)kappa + 1 = 0, for a number or an array.
 
     The roots multiply to one, so the small root is the reciprocal of the
     large one; forming it that way avoids the cancellation in 1 + s - sqrt.
     """
+    if isinstance(s, complex):
+        root = cmath.sqrt(s * s + 2.0 * s)
+        plus, minus = 1.0 + s + root, 1.0 + s - root
+        return 1.0 / (plus if abs(plus) >= abs(minus) else minus)
     s = np.asarray(s, dtype=complex)
     root = np.sqrt(s * s + 2.0 * s)
     center = 1.0 + s
@@ -93,16 +104,13 @@ def kappa_root(A, d):
         s = 1.0 / (2.0 * d) + 0j
     else:
         s = (1.0 - 1.0 / A) / (2.0 * d)
-    root = cmath.sqrt(s * s + 2.0 * s)
-    center = 1.0 + s
-    plus, minus = center + root, center - root
-    k_large = plus if abs(plus) >= abs(minus) else minus
-    k_small = 1.0 / k_large
-    if (abs(k_large) - abs(k_small) <= 1e-12 * max(1.0, abs(k_small))
-            and abs(k_small - k_large) > 1e-12
-            and abs(abs(k_small) - 1.0) <= 1e-12):
-        warnings.warn("both spatial roots lie on the unit circle; returning one of them",
-                      MarginalModeWarning)
+    k_small = _kappa_from_s(s)
+    if abs(abs(k_small) - 1.0) <= 1e-12:
+        k_large = 1.0 / k_small
+        if (abs(k_large) - abs(k_small) <= 1e-12 * max(1.0, abs(k_small))
+                and abs(k_small - k_large) > 1e-12):
+            warnings.warn("both spatial roots lie on the unit circle; returning one of them",
+                          MarginalModeWarning)
     return k_small
 
 
@@ -112,7 +120,8 @@ def kappa_root(A, d):
 def _decay_terms(A, d, backward):
     """(kappa, d*(1 - kappa)) for the decaying branch; zero stencil when d = 0."""
     if d == 0.0:
-        return np.zeros_like(A), np.zeros_like(A)
+        zero = 0j if isinstance(A, complex) else np.zeros_like(A)
+        return zero, zero
     s = (1.0 - 1.0 / A) / (2.0 * d) if backward else (A - 1.0) / (2.0 * d)
     kappa = _kappa_from_s(s)
     return kappa, d * (1.0 - kappa)
@@ -143,11 +152,13 @@ def _bulk_pair_residual(p, A):
 
 
 def _residual(scheme, p):
-    """Vectorized A -> (f, scale) used by the scan.
+    """A -> (f, scale) used by the scan, for a Python complex or an array.
 
     f is the interface residual; scale bounds the natural size of its terms
     so the polish criterion |f| <= tol * scale stays meaningful for large
-    beta.  Both come from one evaluation of the spatial roots.
+    beta.  Both come from one evaluation of the spatial roots.  The builtin
+    abs and x * x serve both argument kinds; a Python complex raises where an
+    array overflows or divides by zero, which `_evaluate` maps back.
     """
     if scheme.direction == ONE_WAY_NEGATIVE:
         _require_positive("one-way d_minus", p.d_minus)
@@ -158,8 +169,9 @@ def _residual(scheme, p):
         # multiplying through by kappa clears it without moving any root
         def residual(A):
             kappa = _one_way_kappa(A, p, theta)
-            f = kappa * (1.0 - 1.0 / A) - dm * (kappa - 1.0) ** 2
-            scale = np.abs(kappa) * np.abs(1.0 - 1.0 / A) + dm * (np.abs(kappa) + 1.0) ** 2 + 1.0
+            gap, size = kappa - 1.0, abs(kappa) + 1.0
+            f = kappa * (1.0 - 1.0 / A) - dm * (gap * gap)
+            scale = abs(kappa) * abs(1.0 - 1.0 / A) + dm * (size * size) + 1.0
             return f, scale
 
         return residual
@@ -171,7 +183,7 @@ def _residual(scheme, p):
             _, em = _decay_terms(A, dm, False)
             _, ep = _decay_terms(A, dp, False)
             f = (A - 1.0) * (1.0 + r) + 2.0 * em + 2.0 * r * ep
-            scale = np.abs((A - 1.0) * (1.0 + r)) + 2.0 * np.abs(em) + 2.0 * r * np.abs(ep) + 1.0
+            scale = abs((A - 1.0) * (1.0 + r)) + 2.0 * abs(em) + 2.0 * r * abs(ep) + 1.0
             return f, scale
 
         return residual
@@ -186,7 +198,7 @@ def _residual(scheme, p):
             left = w * (A - 1.0) + A * em
             bracket = A * (1.0 + ep) - (1.0 - dp)
             f = (left + dp * r) * bracket - dp * dp * r
-            scale = np.abs(left + dp * r) * np.abs(bracket) + dp * dp * r + 1.0
+            scale = abs(left + dp * r) * abs(bracket) + dp * dp * r + 1.0
             return f, scale
 
         return residual
@@ -205,7 +217,7 @@ def _residual(scheme, p):
         weight = (1.0 - gamma) + gamma * A
         cross = weight if sequential else weight * weight
         f = f_minus * f_plus - bm * bp * cross
-        scale = np.abs(f_minus) * np.abs(f_plus) + bm * bp * np.abs(cross) + 1.0
+        scale = abs(f_minus) * abs(f_plus) + bm * bp * abs(cross) + 1.0
         return f, scale
 
     return residual
@@ -217,22 +229,23 @@ def dispersion_residual(scheme, p, A):
     For the explicit-flux bulk scheme this returns the pair of coupled
     residuals (negative row, positive row); every other scheme eliminates the
     amplitudes into a single determinant residual.  A = 0 and A = 1 are
-    singular points of the reduction.
+    singular points of the reduction.  The arithmetic is Python's, so where a
+    term overflows or divides by zero its OverflowError or ZeroDivisionError
+    propagates.
     """
     A = complex(A)
     if A == 0j or A == 1 + 0j:
         raise SingularityError(f"dispersion relation is singular at A = {A}")
     if scheme.direction == ONE_WAY_NEGATIVE:
         _require_positive("one-way d_minus", p.d_minus)
-        kappa = complex(_one_way_kappa(np.asarray(A, dtype=complex), p, scheme.theta))
+        kappa = _one_way_kappa(A, p, scheme.theta)
         return (1.0 - 1.0 / A) - p.d_minus * (kappa - 2.0 + 1.0 / kappa)
     if (scheme.interface == BULK
             and scheme.theta == 0 and scheme.gamma == 0
             and scheme.formulation != SEQUENTIAL
             and p.d_minus > 0.0 and p.d_plus > 0.0):
-        r_minus, r_plus = _bulk_pair_residual(p, np.asarray(A, dtype=complex))
-        return complex(r_minus), complex(r_plus)
-    return complex(_residual(scheme, p)(np.asarray(A, dtype=complex))[0])
+        return _bulk_pair_residual(p, A)
+    return _residual(scheme, p)(A)[0]
 
 
 # --- root scan ---
@@ -240,12 +253,12 @@ def dispersion_residual(scheme, p, A):
 
 def _mode_from_root(scheme, p, A):
     if scheme.direction == ONE_WAY_NEGATIVE:
-        km_inv = complex(_one_way_kappa(np.asarray(A, dtype=complex), p, scheme.theta))
+        km_inv = _one_way_kappa(A, p, scheme.theta)
         kp = 0j
     else:
         backward = not (scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT)
-        km_inv = complex(_decay_terms(np.asarray(A, dtype=complex), p.d_minus, backward)[0])
-        kp = complex(_decay_terms(np.asarray(A, dtype=complex), p.d_plus, backward)[0])
+        km_inv = _decay_terms(A, p.d_minus, backward)[0]
+        kp = _decay_terms(A, p.d_plus, backward)[0]
     admissible = (abs(kp) <= 1.0 + ADMISSIBLE_TOL
                   and abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
     return ModeSolution(complex(A), kp, km_inv, admissible)
@@ -261,22 +274,34 @@ def _local_minima(values):
 
 
 def _evaluate(residual, z):
-    f, scale = residual(np.asarray(z, dtype=complex))
-    return complex(f), float(scale)
+    """(f, scale) at the Python complex z, with f = inf + inf j where |f| is not finite.
+
+    Where numpy gives inf or nan under errstate, Python raises ZeroDivisionError
+    or OverflowError (abs() too, once the modulus overflows); this is the one
+    place that maps them back.  The fixed f keeps later abs() calls off NaN
+    parts, for which CPython's complex abs can raise a stale OverflowError.
+    """
+    try:
+        f, scale = residual(z)
+        if math.isfinite(abs(f)):
+            return f, scale
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return complex(math.inf, math.inf), math.inf
 
 
 def _derivative(residual, z):
     """Central difference of f at z; None where it is 0 or not finite."""
     h = 1e-7 * max(1.0, abs(z))
     deriv = (_evaluate(residual, z + h)[0] - _evaluate(residual, z - h)[0]) / (2.0 * h)
-    return None if deriv == 0 or not np.isfinite(abs(deriv)) else deriv
+    return None if deriv == 0 or not cmath.isfinite(deriv) else deriv
 
 
 def _newton_polish(residual, z, tol):
     """Damped Newton from z, at most MAX_NEWTON_ITER steps, to |f| <= tol * scale."""
     for iteration in range(MAX_NEWTON_ITER + 1):
         fz, scale = _evaluate(residual, z)
-        if not np.isfinite(abs(fz)):
+        if not math.isfinite(abs(fz)):
             return None
         if abs(fz) <= tol * scale:
             break
@@ -286,7 +311,7 @@ def _newton_polish(residual, z, tol):
         damping = 1.0
         while damping > 1.0 / 64.0:
             ft = _evaluate(residual, z - damping * step)[0]
-            if np.isfinite(abs(ft)) and abs(ft) < abs(fz):
+            if math.isfinite(abs(ft)) and abs(ft) < abs(fz):
                 break
             damping /= 2.0
         else:
@@ -298,7 +323,7 @@ def _newton_polish(residual, z, tol):
         return z
     trial = z - fz / deriv
     ft = _evaluate(residual, trial)[0]
-    if np.isfinite(abs(ft)) and abs(ft) < abs(fz):
+    if math.isfinite(abs(ft)) and abs(ft) < abs(fz):
         return trial
     return z
 
@@ -346,12 +371,12 @@ def gks_scan(scheme, p, scan=None):
     minima = _local_minima(magnitude) & np.isfinite(magnitude)
     minima[-1, :] = False
     order = np.argsort(magnitude[minima], kind="stable")
-    candidates = list(_analytic_seeds(scheme, p)) + list(grid[minima][order])
+    candidates = _analytic_seeds(scheme, p) + grid[minima][order].tolist()
     roots = []
     unconfirmed = 0
     with np.errstate(all="ignore"):
         for z0 in candidates:
-            z = _newton_polish(residual, complex(z0), REFINE_TOL)
+            z = _newton_polish(residual, z0, REFINE_TOL)
             if z is None:
                 # minima hugging the unit circle are marginal-band artifacts,
                 # not missed growing roots
@@ -395,11 +420,14 @@ def one_way_explicit_roots(beta, d):
     """
     _require_positive("d", d)
     _require_nonnegative("beta", beta)
-    disc = (beta - d) ** 2 + 4.0 * beta * beta * d
-    big = (beta + d + np.sqrt(disc)) / (2.0 * d)
+    # d * big = (beta + d)/2 + sqrt(disc)/2, halved term by term and with the
+    # root taken by hypot, so that no square or sum overflows for large beta
+    half_sum = 0.5 * beta + 0.5 * d + math.hypot(0.5 * (beta - d), beta * math.sqrt(d))
+    big = half_sum / d
     # the roots multiply to beta(1 - beta)/d; dividing by the large root
-    # avoids the cancellation in (beta + d) - sqrt(disc) near beta = 0 or 1
-    small = beta * (1.0 - beta) / (d * big)
+    # avoids the cancellation in (beta + d) - sqrt(disc) near beta = 0 or 1,
+    # and dividing before the factor 1 - beta keeps the product finite
+    small = beta / half_sum * (1.0 - beta)
     return _polish_quadratic_root(big, beta, d), _polish_quadratic_root(small, beta, d)
 
 
@@ -423,7 +451,9 @@ def _polish_quadratic_root(root, beta, d):
 def one_way_explicit_bound(d):
     """Largest stable beta of the explicit-flux one-way scheme: 1 + sqrt(1 + 2d)."""
     _require_positive("d", d)
-    return 1.0 + np.sqrt(1.0 + 2.0 * d)
+    # sqrt(1 + 2d) as 2 sqrt(1/4 + d/2): the powers of two scale exactly, so
+    # the bits are the same, and the sum stays finite where 2d overflows
+    return 1.0 + 2.0 * np.sqrt(0.25 + 0.5 * d)
 
 
 def beljaars_bound(d):

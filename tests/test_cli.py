@@ -74,6 +74,9 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     (["bounds", "--d-lo", "-1"], "--d-lo must be positive and finite"),
     (["bounds", "--d-hi", "inf"], "--d-hi must be positive and finite"),
     (["bounds", "--d-lo", "10", "--d-hi", "1"], "--points >= 1 and --d-lo <= --d-hi"),
+    # the implicit bound 2d overflows past 8.99e307
+    (["bounds", "--d", "1e308"], "--d must be at most 8.988465674311579e+307"),
+    (["bounds", "--d-hi", "1e308"], "--d-hi must be at most 8.988465674311579e+307"),
     (["spectrum", "--scheme", "dn-implicit", "--tol", "0"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol=-1e-8"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol", "nan"], "--tol must be positive"),
@@ -394,6 +397,13 @@ def test_bounds_single_point(capsys):
     assert name == "beta_max_beljaars"
     assert float(value) == pytest.approx(beljaars_bound(1.5), rel=1e-12)
     assert lines[2] == "beta_min_implicit_admissible,3"
+
+
+def test_bounds_at_the_largest_d(capsys):
+    assert cli_main(["bounds", "--d", "8.988465674311579e+307"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "beta_max_explicit,1.3407807929942596e+154"
+    assert lines[2] == "beta_min_implicit_admissible,1.7976931348623157e+308"
 
 
 def test_bounds_curve(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -195,6 +197,140 @@ def test_verdict_uses_cfl_rule_for_shared_node_explicit():
         assert not normal_mode_verdict(scheme, params(dp=0.3, dm=0.7, r=r))
 
 
+# -------------------------------------------------------- evaluation modes
+#
+# The scan evaluates each residual on a numpy array (the annulus grid) and
+# the polish on one Python complex at a time; the two must compute one
+# function.  CPython divides complex numbers by another rounding sequence than
+# numpy (1/A differs by up to 2 ulps), and cancellation inside the residual
+# can amplify that past a few ulps of scale at isolated points.
+
+EPS = np.finfo(float).eps
+# sha256 of the grid |f|/scale arrays of test_scan_grid_bits_unchanged, recorded
+# from the residuals as they were written for numpy arrays alone
+GRID_DIGEST = "3b36341fef683684813014561198f27a54fc8984e53d1023e22385481eebf5fd"
+
+
+def seeded_points(seed, count=20, size=64):
+    """(params, A) pairs: groups log-uniform on [1e-2, 1e2], |A| - 1 on [1e-6, 20]."""
+    draw = np.random.default_rng(seed)
+    for _ in range(count):
+        groups = 10.0 ** draw.uniform(-2.0, 2.0, 5)
+        radius = 1.0 + 10.0 ** draw.uniform(-6.0, np.log10(20.0), size)
+        A = radius * np.exp(1j * draw.uniform(0.0, 2.0 * np.pi, size))
+        yield DimensionlessParams(*(float(g) for g in groups)), A
+
+
+def pair_scale(p, A):
+    """Size of the terms of the explicit-flux bulk pair, one row per residual."""
+    km_inv, _ = normalmode._decay_terms(A, p.d_minus, True)
+    kp, _ = normalmode._decay_terms(A, p.d_plus, True)
+    step = np.abs(1.0 - 1.0 / A)
+    return np.stack([
+        step + p.beta_minus / np.abs(A) * (np.abs(kp / km_inv) + 1.0)
+        + p.d_minus * (1.0 + np.abs(km_inv)),
+        step + p.d_plus * (np.abs(kp) + 1.0)
+        + p.beta_plus / np.abs(A) * (1.0 + np.abs(km_inv / kp)),
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES) + ["bulk-explicit-flux pair"])
+def test_scalar_and_array_residuals_agree(name):
+    ulps = []
+    for p, A in seeded_points(SEED):
+        if name.endswith(" pair"):
+            f_array = np.stack(normalmode._bulk_pair_residual(p, A))
+            scale_array = pair_scale(p, A)
+            f_scalar = np.array([normalmode._bulk_pair_residual(p, a) for a in A.tolist()]).T
+            scale_scalar = scale_array
+        else:
+            residual = normalmode._residual(SCHEMES[name], p)
+            f_array, scale_array = residual(A)
+            points = [normalmode._evaluate(residual, a) for a in A.tolist()]
+            f_scalar = np.array([f for f, _ in points])
+            scale_scalar = np.array([scale for _, scale in points])
+        assert np.all(np.isfinite(scale_array))
+        ulps.append(np.maximum(np.abs(f_scalar - f_array), np.abs(scale_scalar - scale_array))
+                    / (EPS * scale_array))
+    ulps = np.concatenate(ulps, axis=None)
+    # rounding apart, not a different formula: almost every point within
+    # 4 ulps of scale, and none far beyond
+    assert np.mean(ulps > 4.0) <= 0.01
+    assert ulps.max() <= 128.0
+
+
+def test_scan_grid_bits_unchanged(monkeypatch):
+    """The grid's |f|/scale arrays keep the bits of the numpy-only residuals."""
+    digest = hashlib.sha256()
+    real = normalmode._local_minima
+
+    def hashed(values):
+        digest.update(np.ascontiguousarray(values).tobytes())
+        return real(values)
+
+    monkeypatch.setattr(normalmode, "_local_minima", hashed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnconfirmedRootWarning)
+        for name in sorted(SCHEMES):
+            for p, _ in seeded_points(SEED, count=3, size=1):
+                gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
+    assert digest.hexdigest() == GRID_DIGEST
+
+
+EXTREMES = (1e-300, 1e-2, 1.0, 1.3e154, 1e300)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_evaluate_is_not_finite_where_the_grid_is_not(name):
+    radius = 1.0 + np.geomspace(1e-6, 20.0, 9)
+    A = (radius[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))).ravel()
+    for d, beta in itertools.product(EXTREMES, EXTREMES):
+        residual = normalmode._residual(SCHEMES[name], params(d, d, beta, beta))
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(np.abs(residual(A)[0]))
+        for a, ok in zip(A.tolist(), finite.tolist()):
+            f, _ = normalmode._evaluate(residual, a)
+            if not ok:
+                assert not np.isfinite(abs(f)), (d, beta, a)
+
+
+def test_evaluate_maps_python_arithmetic_errors():
+    # |f| overflows while both parts of f stay finite: Python's abs raises
+    residual = normalmode._residual(SCHEMES["bulk-partial-flux"], params(0.01, 0.01, 1.3e154, 1.3e154))
+    A = complex(0.8314704437721575, 0.5555707885898351)
+    f, _ = residual(A)
+    assert np.isfinite(f.real) and np.isfinite(f.imag)
+    with pytest.raises(OverflowError):
+        abs(f)
+    with np.errstate(over="ignore"):
+        assert np.abs(residual(np.array([A]))[0]) == np.inf
+    # A = 0 divides by zero
+    with pytest.raises(ZeroDivisionError):
+        residual(0j)
+    for point in (A, 0j):
+        f, scale = normalmode._evaluate(residual, point)
+        assert not np.isfinite(abs(f))
+
+
+# corners of the grid d, beta in {1e-2, 1, 1e100, 1e300} whose scans are
+# quick; elsewhere the grid is flat, nearly every point is a candidate and one
+# scan takes seconds
+EXTREME_SCANS = ((1e-2, 1e-2), (1e-2, 1e300), (1.0, 1e300), (1e300, 1e300))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_scan_of_extreme_groups_raises_only_package_errors(name):
+    for d, beta in EXTREME_SCANS:
+        if name == "dn-explicit" and d > 1.0:
+            continue  # about 16,000 candidates that all fail to converge
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnconfirmedRootWarning)
+                gks_scan(SCHEMES[name], params(d, d, beta, beta))
+        except Exception as err:  # noqa: BLE001 - the type is the assertion
+            assert type(err).__module__ == "cplstab.errors", (d, beta, err)
+
+
 # -------------------------------------------------------- one-way closed form
 
 def test_one_way_explicit_roots_examples():
@@ -218,7 +354,9 @@ def test_one_way_explicit_roots_real_and_consistent(beta, d):
 
 
 @pytest.mark.parametrize("beta, d", [(0.999, 0.01), (0.9998, 0.01), (1.0001, 0.02),
-                                     (4.0, 1.0), (1e-4, 0.01), (17.0, 93.0)])
+                                     (4.0, 1.0), (1e-4, 0.01), (17.0, 93.0),
+                                     # squares of beta used to overflow here
+                                     (1e160, 1.0), (1e200, 1.0), (1e308, 1.0)])
 def test_one_way_explicit_roots_correctly_rounded(beta, d):
     """No neighbouring float is closer to a root than the returned one."""
     b, dd = Fraction(beta), Fraction(d)
@@ -242,6 +380,15 @@ def test_one_way_explicit_bound_values():
     assert one_way_explicit_bound(1e-12) == pytest.approx(2.0)
     assert one_way_explicit_bound(1.5) == pytest.approx(3.0)
     assert one_way_explicit_bound(4.0) == pytest.approx(4.0)
+    # 2d overflows here, the bound does not
+    assert one_way_explicit_bound(1e308) == pytest.approx(np.sqrt(2.0) * 1e154, rel=1e-15)
+
+
+def test_one_way_explicit_bound_keeps_its_bits():
+    d = np.concatenate([np.geomspace(5e-324, 8.98e307, 20001),
+                        np.random.default_rng(SEED).uniform(0.0, 1e3, 20000)])
+    assert np.array_equal([one_way_explicit_bound(float(v)) for v in d[d > 0]],
+                          1.0 + np.sqrt(1.0 + 2.0 * d[d > 0]))
 
 
 def test_scan_brackets_explicit_bound():
