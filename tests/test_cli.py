@@ -74,14 +74,14 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     (["bounds", "--d-lo", "-1"], "--d-lo must be positive and finite"),
     (["bounds", "--d-hi", "inf"], "--d-hi must be positive and finite"),
     (["bounds", "--d-lo", "10", "--d-hi", "1"], "--points >= 1 and --d-lo <= --d-hi"),
-    # the implicit bound 2d overflows past 8.99e307
-    (["bounds", "--d", "1e308"], "--d must be at most 8.988465674311579e+307"),
-    (["bounds", "--d-hi", "1e308"], "--d-hi must be at most 8.988465674311579e+307"),
     (["spectrum", "--scheme", "dn-implicit", "--tol", "0"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol=-1e-8"], "--tol must be positive"),
     (["spectrum", "--scheme", "dn-implicit", "--tol", "nan"], "--tol must be positive"),
     # an infinite tolerance used to print "(marginal)"
     (["spectrum", "--scheme", "dn-implicit", "--tol", "inf"], "--tol must be positive and finite"),
+    # the implicit bound 2d overflows past 8.99e307
+    (["bounds", "--d", "1e308"], "--d must be at most 8.988465674311579e+307"),
+    (["bounds", "--d-hi", "1e308"], "--d-hi must be at most 8.988465674311579e+307"),
 ])
 def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
     assert cli_main(argv) == 2
