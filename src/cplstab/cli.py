@@ -186,6 +186,12 @@ def _cmd_simulate(args):
 _BOUNDS_D_MAX = float(np.finfo(float).max) / 2.0
 
 
+def _require_bounds_d(flag, d):
+    if d > _BOUNDS_D_MAX:
+        raise ParameterDomainError(f"{flag} must be at most {_BOUNDS_D_MAX!r}, above which "
+                                   f"beta_min_implicit_admissible = 2d overflows; got {d!r}")
+
+
 def _bounds_values(d):
     return (
         normalmode.one_way_explicit_bound(d),
@@ -201,18 +207,14 @@ def _cmd_bounds(args):
     if args.points < 1 or args.d_lo > args.d_hi:
         raise ParameterDomainError("bounds needs --points >= 1 and --d-lo <= --d-hi")
     if args.d is not None:
-        flag, values = "--d", [args.d]
-    else:
-        flag, values = "--d-hi", np.logspace(np.log10(args.d_lo), np.log10(args.d_hi), args.points)
-    if (largest := float(max(values))) > _BOUNDS_D_MAX:
-        raise ParameterDomainError(f"{flag} must be at most {_BOUNDS_D_MAX!r}, above which "
-                                   f"beta_min_implicit_admissible = 2d overflows; got {largest!r}")
-    if args.d is not None:
+        _require_bounds_d("--d", args.d)
         explicit, beljaars, admissible = _bounds_values(args.d)
         print(f"beta_max_explicit,{_fmt(explicit)}")
         print(f"beta_max_beljaars,{_fmt(beljaars)}")
         print(f"beta_min_implicit_admissible,{_fmt(admissible)}")
         return 0
+    values = np.logspace(np.log10(args.d_lo), np.log10(args.d_hi), args.points)
+    _require_bounds_d("--d-hi", float(values.max()))
     print("d,beta_max_explicit,beta_max_beljaars,beta_min_implicit_admissible")
     for d in values:
         explicit, beljaars, admissible = _bounds_values(float(d))

@@ -229,23 +229,26 @@ def dispersion_residual(scheme, p, A):
     For the explicit-flux bulk scheme this returns the pair of coupled
     residuals (negative row, positive row); every other scheme eliminates the
     amplitudes into a single determinant residual.  A = 0 and A = 1 are
-    singular points of the reduction.  The arithmetic is Python's, so where a
-    term overflows or divides by zero its OverflowError or ZeroDivisionError
-    propagates.
+    singular points of the reduction.  The point is evaluated as the scan's
+    grid is, on numpy under errstate, so where a term leaves the float range
+    the residual is inf or NaN rather than an exception.
     """
     A = complex(A)
     if A == 0j or A == 1 + 0j:
         raise SingularityError(f"dispersion relation is singular at A = {A}")
-    if scheme.direction == ONE_WAY_NEGATIVE:
-        _require_positive("one-way d_minus", p.d_minus)
-        kappa = _one_way_kappa(A, p, scheme.theta)
-        return (1.0 - 1.0 / A) - p.d_minus * (kappa - 2.0 + 1.0 / kappa)
-    if (scheme.interface == BULK
-            and scheme.theta == 0 and scheme.gamma == 0
-            and scheme.formulation != SEQUENTIAL
-            and p.d_minus > 0.0 and p.d_plus > 0.0):
-        return _bulk_pair_residual(p, A)
-    return _residual(scheme, p)(A)[0]
+    z = np.asarray(A, dtype=complex)
+    with np.errstate(all="ignore"):
+        if scheme.direction == ONE_WAY_NEGATIVE:
+            _require_positive("one-way d_minus", p.d_minus)
+            kappa = _one_way_kappa(z, p, scheme.theta)
+            return complex((1.0 - 1.0 / z) - p.d_minus * (kappa - 2.0 + 1.0 / kappa))
+        if (scheme.interface == BULK
+                and scheme.theta == 0 and scheme.gamma == 0
+                and scheme.formulation != SEQUENTIAL
+                and p.d_minus > 0.0 and p.d_plus > 0.0):
+            r_minus, r_plus = _bulk_pair_residual(p, z)
+            return complex(r_minus), complex(r_plus)
+        return complex(_residual(scheme, p)(z)[0])
 
 
 # --- root scan ---
@@ -420,14 +423,19 @@ def one_way_explicit_roots(beta, d):
     """
     _require_positive("d", d)
     _require_nonnegative("beta", beta)
-    # d * big = (beta + d)/2 + sqrt(disc)/2, halved term by term and with the
-    # root taken by hypot, so that no square or sum overflows for large beta
-    half_sum = 0.5 * beta + 0.5 * d + math.hypot(0.5 * (beta - d), beta * math.sqrt(d))
-    big = half_sum / d
-    # the roots multiply to beta(1 - beta)/d; dividing by the large root
-    # avoids the cancellation in (beta + d) - sqrt(disc) near beta = 0 or 1,
-    # and dividing before the factor 1 - beta keeps the product finite
-    small = beta / half_sum * (1.0 - beta)
+    # with b = beta/d, big = (b + 1)/2 + sqrt(((b - 1)/2)^2 + beta^2/d): every
+    # term is positive and at most big, so none overflows unless big does
+    b = beta / d
+    big = 0.5 * b + 0.5 + math.hypot(0.5 * b - 0.5, beta / math.sqrt(d))
+    # the roots multiply to b(1 - beta), so small = (1 - beta) / (big/b); the
+    # ratio, from c = d/beta, is at least 1 and finite wherever small is not
+    # below the normal range, and the quotient avoids the cancellation in
+    # (beta + d) - sqrt(disc) near beta = 0 or 1
+    if beta == 0.0:
+        small = 0.0
+    else:
+        c = d / beta
+        small = (1.0 - beta) / (0.5 * c + 0.5 + math.hypot(0.5 - 0.5 * c, math.sqrt(d)))
     return _polish_quadratic_root(big, beta, d), _polish_quadratic_root(small, beta, d)
 
 
@@ -451,9 +459,7 @@ def _polish_quadratic_root(root, beta, d):
 def one_way_explicit_bound(d):
     """Largest stable beta of the explicit-flux one-way scheme: 1 + sqrt(1 + 2d)."""
     _require_positive("d", d)
-    # sqrt(1 + 2d) as 2 sqrt(1/4 + d/2): the powers of two scale exactly, so
-    # the bits are the same, and the sum stays finite where 2d overflows
-    return 1.0 + 2.0 * np.sqrt(0.25 + 0.5 * d)
+    return 1.0 + np.sqrt(1.0 + 2.0 * d)
 
 
 def beljaars_bound(d):

@@ -82,6 +82,19 @@ def test_dispersion_residual_singular_points():
         dispersion_residual(ONE_WAY_EXPLICIT, params(dm=1.0, bm=4.0), 0.0)
 
 
+def test_dispersion_residual_is_not_finite_where_a_term_overflows():
+    # s * s overflows for d = 1e-160, so km_inv = 0 and kp / km_inv divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = dispersion_residual(SCHEMES["bulk-explicit-flux"],
+                                   params(1e-160, 1e-160, 1.0, 1.0), 2.0)
+        # the one-way boundary factor kappa vanishes at A = 1/3
+        single = dispersion_residual(SCHEMES["one-way-implicit-flux"],
+                                     params(1.0, 1.0, 1.0, 1.0), 1.0 / 3.0)
+    assert not any(np.isfinite(r) for r in pair)
+    assert not np.isfinite(single)
+
+
 @given(beta=st.floats(0.0, 20.0), d=st.floats(1e-2, 1e2))
 @settings(max_examples=100, deadline=None)
 def test_one_way_explicit_roots_satisfy_residual(beta, d):
@@ -242,7 +255,7 @@ def test_scalar_and_array_residuals_agree(name):
             f_array = np.stack(normalmode._bulk_pair_residual(p, A))
             scale_array = pair_scale(p, A)
             f_scalar = np.array([normalmode._bulk_pair_residual(p, a) for a in A.tolist()]).T
-            scale_scalar = scale_array
+            scale_scalar = np.array([pair_scale(p, a) for a in A.tolist()]).T
         else:
             residual = normalmode._residual(SCHEMES[name], p)
             f_array, scale_array = residual(A)
@@ -254,9 +267,10 @@ def test_scalar_and_array_residuals_agree(name):
                     / (EPS * scale_array))
     ulps = np.concatenate(ulps, axis=None)
     # rounding apart, not a different formula: almost every point within
-    # 4 ulps of scale, and none far beyond
+    # 4 ulps of scale, and none far beyond (this sample's worst is 11.8 ulps,
+    # on dn-explicit; larger samples reach a few tens at isolated points)
     assert np.mean(ulps > 4.0) <= 0.01
-    assert ulps.max() <= 128.0
+    assert ulps.max() <= 16.0
 
 
 def test_scan_grid_bits_unchanged(monkeypatch):
@@ -331,6 +345,14 @@ def test_scan_of_extreme_groups_raises_only_package_errors(name):
             assert type(err).__module__ == "cplstab.errors", (d, beta, err)
 
 
+@pytest.mark.parametrize("d", [1e100, 1e300])
+def test_scan_of_extreme_one_way_groups_finds_both_closed_form_roots(d):
+    # both roots are about -+1e300 / sqrt(d); a sum of the two terms of the
+    # large root used to overflow and seed a wrong small root
+    modes = gks_scan(ONE_WAY_EXPLICIT, params(dm=d, bm=1e300))
+    assert sorted(m.A.real for m in modes) == sorted(one_way_explicit_roots(1e300, d))
+
+
 # -------------------------------------------------------- one-way closed form
 
 def test_one_way_explicit_roots_examples():
@@ -356,7 +378,9 @@ def test_one_way_explicit_roots_real_and_consistent(beta, d):
 @pytest.mark.parametrize("beta, d", [(0.999, 0.01), (0.9998, 0.01), (1.0001, 0.02),
                                      (4.0, 1.0), (1e-4, 0.01), (17.0, 93.0),
                                      # squares of beta used to overflow here
-                                     (1e160, 1.0), (1e200, 1.0), (1e308, 1.0)])
+                                     (1e160, 1.0), (1e200, 1.0), (1e308, 1.0),
+                                     # and sums of terms as large as the root here
+                                     (1e308, 2.0), (1e300, 1e20), (1e308, 1.7e308)])
 def test_one_way_explicit_roots_correctly_rounded(beta, d):
     """No neighbouring float is closer to a root than the returned one."""
     b, dd = Fraction(beta), Fraction(d)
@@ -380,15 +404,6 @@ def test_one_way_explicit_bound_values():
     assert one_way_explicit_bound(1e-12) == pytest.approx(2.0)
     assert one_way_explicit_bound(1.5) == pytest.approx(3.0)
     assert one_way_explicit_bound(4.0) == pytest.approx(4.0)
-    # 2d overflows here, the bound does not
-    assert one_way_explicit_bound(1e308) == pytest.approx(np.sqrt(2.0) * 1e154, rel=1e-15)
-
-
-def test_one_way_explicit_bound_keeps_its_bits():
-    d = np.concatenate([np.geomspace(5e-324, 8.98e307, 20001),
-                        np.random.default_rng(SEED).uniform(0.0, 1e3, 20000)])
-    assert np.array_equal([one_way_explicit_bound(float(v)) for v in d[d > 0]],
-                          1.0 + np.sqrt(1.0 + 2.0 * d[d > 0]))
 
 
 def test_scan_brackets_explicit_bound():
