@@ -7,7 +7,11 @@ The two roots multiply to one; the decaying branch (modulus <= 1) enters the
 interface conditions, and eliminating the mode amplitudes leaves a scalar
 residual whose roots with |A| > 1 are the growing modes.  `gks_scan` locates
 those roots on an annulus grid and polishes them with a damped Newton
-iteration.
+iteration.  Every coefficient (d, beta, r, theta, gamma) is real, so
+f(conj A) = conj f(A): the scan evaluates the upper half of the grid and
+mirrors it.  The mirror is exact, not approximate, because each step of the
+residual (+, -, *, /, sqrt, abs and the branch choice) commutes with
+conjugation in IEEE arithmetic.
 
 Each residual is one implementation for two argument kinds.  The grid is a
 numpy array, evaluated in one pass.  The polish evaluates one point at a time
@@ -17,6 +21,7 @@ Python's arithmetic errors to the non-finite residual that numpy would give.
 """
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,10 +57,14 @@ class ModeSolution:
     admissible: bool
 
 
-# the annulus grid (rows, columns) and the polish tolerance and iteration cap
+# the annulus grid (rows, columns, offset of the first row from the unit
+# circle), the polish tolerance and iteration cap, and the distance within
+# which two polished roots are one
 N_RADIAL = 64
 N_ANGULAR = 256
+INNER_GAP = 1e-6
 REFINE_TOL = 1e-10
+DUPLICATE_TOL = 1e-6
 MAX_NEWTON_ITER = 60
 
 
@@ -66,9 +75,11 @@ class ScanSettings:
     radius_max: float = 10.0
 
     def __post_init__(self):
-        # an infinite radius leaves no finite grid row and so finds no root
-        if not (1.0 < self.radius_max < np.inf):
-            raise ParameterDomainError("radius_max must be finite and exceed 1")
+        # an infinite radius leaves no finite grid row and so finds no root;
+        # one at or inside the first row would run the rows inward
+        if not (1.0 + INNER_GAP < self.radius_max < np.inf):
+            raise ParameterDomainError(
+                f"radius_max must be finite and exceed 1 + {INNER_GAP:g}, the grid's first row")
 
 
 def _kappa_from_s(s):
@@ -331,6 +342,37 @@ def _newton_polish(residual, z, tol):
     return z
 
 
+def _cell(x):
+    """Index of x's cell of width 2**-18; the scaling by a power of two is exact.
+
+    Where the product overflows (|x| > 6.9e302) x itself is the key: floats
+    that large within DUPLICATE_TOL of each other are equal, and a key that
+    collides with another cell's costs only distance tests.
+    """
+    scaled = x * 262144.0
+    return math.floor(scaled) if math.isfinite(scaled) else x
+
+
+def _distinct(points):
+    """points in order, without any within DUPLICATE_TOL of one kept earlier.
+
+    The result is that of testing each point against every kept one, but the
+    kept points are bucketed in square cells wider than DUPLICATE_TOL, so only
+    the 3 x 3 cells around a point can hold its duplicates.
+    """
+    cells = {}
+    kept = []
+    for z in points:
+        i, j = _cell(z.real), _cell(z.imag)
+        if any(abs(z - known) <= DUPLICATE_TOL
+               for cell in itertools.product((i - 1, i, i + 1), (j - 1, j, j + 1))
+               for known in cells.get(cell, ())):
+            continue
+        cells.setdefault((i, j), []).append(z)
+        kept.append(z)
+    return kept
+
+
 def _analytic_seeds(scheme, p):
     # the one-way residuals are polynomial in A, so their roots are known in
     # closed form; seeding them guarantees the polish step sees roots that sit
@@ -346,6 +388,31 @@ def _analytic_seeds(scheme, p):
     return [complex(a) for a in seeds if abs(a) > 1.0 and np.isfinite(a)]
 
 
+def _scan_grid(residual, radius_max):
+    """The annulus grid of gks_scan and its |f| / scale, inf where not finite.
+
+    The residual is evaluated on the columns with angles 0 to pi only; the
+    columns below the real axis are their conjugates and take their values.
+    """
+    # geometric spacing packs rows near the unit circle, where growing modes
+    # first appear
+    inner = np.geomspace(INNER_GAP, radius_max - 1.0, N_RADIAL)
+    # one overshoot row beyond radius_max certifies minima on the outermost
+    # real row; without it, annulus truncation mints fake edge candidates
+    radii = 1.0 + np.append(inner, inner[-1] * (inner[-1] / inner[-2]))
+    half = N_ANGULAR // 2
+    angles = np.linspace(0.0, 2.0 * np.pi, N_ANGULAR, endpoint=False)[:half + 1]
+    upper = radii[:, None] * np.exp(1j * angles)[None, :]
+    with np.errstate(all="ignore"):
+        f, scale = residual(upper)
+        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
+    magnitude = np.where(np.isfinite(magnitude), magnitude, np.inf)
+    # columns half + 1 .. N_ANGULAR - 1 mirror columns half - 1 .. 1
+    mirror = slice(half - 1, 0, -1)
+    return (np.concatenate([upper, upper[:, mirror].conj()], axis=1),
+            np.concatenate([magnitude, magnitude[:, mirror]], axis=1))
+
+
 def gks_scan(scheme, p, scan=None):
     """Growing normal modes of a scheme: residual roots with |A| > 1.
 
@@ -355,27 +422,20 @@ def gks_scan(scheme, p, scan=None):
     distinct polished roots that grow and whose spatial factors decay into
     both domains.  Candidates that fail to converge are reported through
     UnconfirmedRootWarning rather than silently dropped.
+
+    The residual is evaluated on the upper half of the grid only.  Its
+    coefficients are real, so |f(conj A)| = |f(A)|, and the lower half is the
+    mirror image bit for bit, not an approximation of it.
     """
     if scan is None:
         scan = ScanSettings()
     residual = _residual(scheme, p)
-    # geometric spacing packs rows near the unit circle, where growing modes
-    # first appear
-    inner = np.geomspace(1e-6, scan.radius_max - 1.0, N_RADIAL)
-    # one overshoot row beyond radius_max certifies minima on the outermost
-    # real row; without it, annulus truncation mints fake edge candidates
-    radii = 1.0 + np.append(inner, inner[-1] * (inner[-1] / inner[-2]))
-    angles = np.linspace(0.0, 2.0 * np.pi, N_ANGULAR, endpoint=False)
-    grid = radii[:, None] * np.exp(1j * angles)[None, :]
-    with np.errstate(all="ignore"):
-        f, scale = residual(grid)
-        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
-    magnitude = np.where(np.isfinite(magnitude), magnitude, np.inf)
+    grid, magnitude = _scan_grid(residual, scan.radius_max)
     minima = _local_minima(magnitude) & np.isfinite(magnitude)
     minima[-1, :] = False
     order = np.argsort(magnitude[minima], kind="stable")
     candidates = _analytic_seeds(scheme, p) + grid[minima][order].tolist()
-    roots = []
+    growing = []
     unconfirmed = 0
     with np.errstate(all="ignore"):
         for z0 in candidates:
@@ -388,13 +448,11 @@ def gks_scan(scheme, p, scan=None):
                 continue
             if abs(z) <= 1.0 + 1e-7:
                 continue
-            if any(abs(z - known) <= 1e-6 for known in roots):
-                continue
-            roots.append(z)
+            growing.append(z)
     if unconfirmed:
         warnings.warn(f"{unconfirmed} scan candidate(s) did not converge under polishing",
                       UnconfirmedRootWarning)
-    modes = [_mode_from_root(scheme, p, z) for z in roots]
+    modes = [_mode_from_root(scheme, p, z) for z in _distinct(growing)]
     modes = [m for m in modes if m.admissible]
     modes.sort(key=lambda m: (-abs(m.A), m.A.real, m.A.imag))
     return modes

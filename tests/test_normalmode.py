@@ -1,5 +1,7 @@
+import cmath
 import hashlib
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -184,6 +186,11 @@ def test_scan_settings_validation():
     for radius in (np.inf, np.nan):
         with pytest.raises(ParameterDomainError):
             ScanSettings(radius_max=radius)
+    # at or inside the grid's first row (|A| = 1 + 1e-6) the rows would run
+    # inward, or all be one row
+    for radius in (1.0 + 5e-7, 1.0 + 1e-6):
+        with pytest.raises(ParameterDomainError):
+            ScanSettings(radius_max=radius)
 
 
 def test_scan_evaluates_grid_roots_once_per_domain(monkeypatch):
@@ -220,8 +227,8 @@ def test_verdict_uses_cfl_rule_for_shared_node_explicit():
 
 EPS = np.finfo(float).eps
 # sha256 of the grid |f|/scale arrays of test_scan_grid_bits_unchanged, recorded
-# from the residuals as they were written for numpy arrays alone
-GRID_DIGEST = "3b36341fef683684813014561198f27a54fc8984e53d1023e22385481eebf5fd"
+# from the upper half-grid evaluation and its mirror (normalmode._scan_grid)
+GRID_DIGEST = "49fcdcd55fdf632118ae62c5a2db8a06eab1d88f65222dd7f69e7abfe45e035f"
 
 
 def seeded_points(seed, count=20, size=64):
@@ -274,7 +281,7 @@ def test_scalar_and_array_residuals_agree(name):
 
 
 def test_scan_grid_bits_unchanged(monkeypatch):
-    """The grid's |f|/scale arrays keep the bits of the numpy-only residuals."""
+    """The grid's |f|/scale arrays keep their recorded bits."""
     digest = hashlib.sha256()
     real = normalmode._local_minima
 
@@ -292,6 +299,57 @@ def test_scan_grid_bits_unchanged(monkeypatch):
 
 
 EXTREMES = (1e-300, 1e-2, 1.0, 1.3e154, 1e300)
+
+
+def scan_groups():
+    """Seeded groups and the EXTREMES grid of d and beta, for grid-level checks."""
+    yield from (p for p, _ in seeded_points(SEED, count=20, size=1))
+    for d, beta in itertools.product(EXTREMES, EXTREMES):
+        yield params(d, d, beta, beta)
+
+
+def grid_magnitude(residual, A):
+    """|f| / scale at the points A, inf where not finite, as the scan forms it."""
+    with np.errstate(all="ignore"):
+        f, scale = residual(A)
+        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
+    return np.where(np.isfinite(magnitude), magnitude, np.inf)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_scan_grid_mirror_is_the_residual_at_the_conjugate_points(name):
+    # the residual's coefficients are real, so the lower half of the grid is
+    # the conjugate of the upper half bit for bit; the reference evaluates
+    # the conjugate points on an array of the half's shape, because numpy
+    # rounds some complex products differently in a larger array
+    half = normalmode.N_ANGULAR // 2
+    for p in scan_groups():
+        residual = normalmode._residual(SCHEMES[name], p)
+        grid, magnitude = normalmode._scan_grid(residual, 20.0)
+        conjugate = grid[:, :half + 1].conj()
+        direct = grid_magnitude(residual, conjugate)
+        assert np.array_equal(grid[:, half + 1:], conjugate[:, half - 1:0:-1])
+        assert (np.ascontiguousarray(magnitude[:, half + 1:]).tobytes()
+                == np.ascontiguousarray(direct[:, half - 1:0:-1]).tobytes()), p
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_half_grid_is_within_rounding_of_a_full_grid_evaluation(name):
+    # the same points evaluated as the whole (65, 256) grid round some
+    # complex products differently: the array's size decides, since a tiled
+    # copy of the half as large as the grid rounds like the grid (numpy
+    # reuses temporaries in place past 256 KiB; the grid is 266 KB, the half
+    # 134 KB).  A difference of k eps in |f| / scale is k ulps of scale; on
+    # these groups it is at most 4 eps (bulk-implicit and bulk-partial-flux)
+    half = normalmode.N_ANGULAR // 2
+    for p in scan_groups():
+        residual = normalmode._residual(SCHEMES[name], p)
+        grid, magnitude = normalmode._scan_grid(residual, 20.0)
+        upper = magnitude[:, :half + 1]
+        full = grid_magnitude(residual, grid)[:, :half + 1]
+        finite = np.isfinite(upper)
+        assert np.array_equal(finite, np.isfinite(full)), p
+        assert np.max(np.abs(upper[finite] - full[finite]), initial=0.0) <= 8.0 * EPS, p
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -351,6 +409,46 @@ def test_scan_of_extreme_one_way_groups_finds_both_closed_form_roots(d):
     # large root used to overflow and seed a wrong small root
     modes = gks_scan(ONE_WAY_EXPLICIT, params(dm=d, bm=1e300))
     assert sorted(m.A.real for m in modes) == sorted(one_way_explicit_roots(1e300, d))
+
+
+def pairwise_distinct(points):
+    """The duplicate rule as first written: each point against every kept one."""
+    kept = []
+    for z in points:
+        if not any(abs(z - known) <= 1e-6 for known in kept):
+            kept.append(z)
+    return kept
+
+
+# 1e307 is past 6.9e302, where a cell index would overflow; at 1e308 the
+# pairwise rule's own abs(z - known) overflows for points far apart
+@pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e9, 1e300, 1e307])
+def test_distinct_roots_match_the_pairwise_rule(magnitude):
+    draw = np.random.default_rng(SEED)
+    points = []
+    for z in (magnitude * np.exp(2j * np.pi * draw.uniform(size=30))).tolist():
+        points.append(z)
+        # partners at 1e-6 and one ulp either side of it, along both axes
+        # and at a random angle
+        for gap in (math.nextafter(1e-6, 0.0), 1e-6, math.nextafter(1e-6, 1.0)):
+            turn = cmath.exp(2j * np.pi * draw.uniform())
+            points += [z + gap, z + 1j * gap, z + gap * turn]
+    # a chain of steps under 1e-6 across several cells of width 2**-18
+    points += [complex(magnitude + 0.9e-6 * k, -magnitude) for k in range(20)]
+    points = [points[k] for k in draw.permutation(len(points))]
+    kept = normalmode._distinct(points)
+    assert kept == pairwise_distinct(points)
+    assert 30 <= len(kept) < len(points)
+
+
+def test_scan_of_a_flat_grid_keeps_every_distinct_root():
+    # |f| / scale is flat at beta = 1.3e154, so nearly every grid point is a
+    # candidate and polishes to a "root"; the bucketed duplicate test keeps
+    # as many as the quadratic pairwise rule did, in a fraction of its time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        modes = gks_scan(SCHEMES["bulk-explicit-flux"], params(0.01, 0.01, 1.3e154, 1.3e154))
+    assert len(modes) == 16375
 
 
 # -------------------------------------------------------- one-way closed form
