@@ -15,14 +15,7 @@ from .errors import (
     SpectrumError,
     UnconfirmedRootWarning,
 )
-from .params import (
-    DimensionlessParams,
-    GridSpec,
-    PhysicalParams,
-    bulk_coefficient,
-    derive_dimensionless,
-    load_config,
-)
+from .params import DimensionlessParams
 from .assembly import (
     SCHEMES,
     Layout,

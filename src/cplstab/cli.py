@@ -92,13 +92,19 @@ def _sweep_spec_from_config(path):
 
 
 def _cmd_sweep(args):
+    if args.config and args.preset:
+        raise ParameterDomainError("--config and --preset cannot be combined")
+    if not args.preset and (args.variant, args.r) != (None, None):
+        raise ParameterDomainError("--variant and --r apply only to --preset")
     if args.config:
         spec, output = _sweep_spec_from_config(args.config)
         if args.scheme:
             spec = replace(spec, scheme=assembly.SCHEMES[args.scheme])
     elif args.preset:
         scheme = args.scheme or "bulk-explicit-flux"
-        spec = sweep.preset_sweep(args.preset, scheme=scheme, variant=args.variant, r=args.r)
+        chosen = {key: value for key, value in (("variant", args.variant), ("r", args.r))
+                  if value is not None}
+        spec = sweep.preset_sweep(args.preset, scheme=scheme, **chosen)
         mapped = assembly.scheme_name(spec.scheme)
         if args.scheme and mapped != args.scheme:
             raise ParameterDomainError(f"preset {args.preset} maps {mapped}, not {args.scheme}")
@@ -399,8 +405,8 @@ def _build_parser():
     p_sweep.add_argument("--config", help="INI sweep description")
     p_sweep.add_argument("--preset", choices=sweep.PRESET_NAMES)
     p_sweep.add_argument("--scheme", choices=sorted(assembly.SCHEMES))
-    p_sweep.add_argument("--variant", type=int, default=0, help="variant index for fig4/fig6")
-    p_sweep.add_argument("--r", type=float, default=1.0, help="heat-content ratio for fig8/fig9")
+    p_sweep.add_argument("--variant", type=int, help="variant index for fig4/fig6")
+    p_sweep.add_argument("--r", type=float, help="heat-content ratio for fig8/fig9")
     p_sweep.add_argument("--csv", help="output CSV path (overrides config)")
     p_sweep.add_argument("--pgm", help="optional PGM rendering path")
     p_sweep.add_argument("--n-minus", type=int, default=None)

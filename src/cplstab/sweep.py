@@ -31,7 +31,7 @@ DEFAULT_N_PLUS = 10
 CHUNK_ENTRIES = 2 ** 20
 
 _NUMERICAL_ERRORS = (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
-                     SpectrumError, RuntimeError, np.linalg.LinAlgError)
+                     SpectrumError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,9 @@ def run_sweep(spec):
     The cells, row by row, go through _evaluate_chunk in chunks of at most
     CHUNK_ENTRIES / n cells, n the unknowns of a pair, so that a band of a
     chunk holds at most CHUNK_ENTRIES entries.  A cell fails on a numerical
-    error: one of the package's error types, RuntimeError or LinAlgError;
-    any other exception is a programming error and propagates.  A cell also
-    fails when its lambda_max is not a nonnegative number.
+    error: one of the package's error types or LinAlgError; any other
+    exception, RuntimeError included, is a programming error and propagates.
+    A cell also fails when its lambda_max is not a nonnegative number.
     """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()

@@ -106,10 +106,10 @@ def test_sweep_without_source_is_usage_error(capsys):
 
 
 def test_sweep_missing_config_file(tmp_path, capsys):
-    code = cli_main(["sweep", "--config", str(tmp_path / "absent.ini"),
-                     "--csv", str(tmp_path / "out.csv")])
+    path = tmp_path / "absent.ini"
+    code = cli_main(["sweep", "--config", str(path), "--csv", str(tmp_path / "out.csv")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: config file not found: {path}" in capsys.readouterr().err
 
 
 def test_sweep_incomplete_config(tmp_path, capsys):
@@ -134,6 +134,17 @@ def test_sweep_config_rejects_unknown_keys(tmp_path, capsys, section, key):
     captured = capsys.readouterr()
     assert f"unknown keys in [{section}]: ['{key}']" in captured.err
     assert captured.out == "" and not list(tmp_path.glob("field.*"))
+
+
+@pytest.mark.parametrize("section, key", [("scheme", "name"), ("axes", "x"), ("axes", "y")])
+def test_sweep_config_names_a_missing_key(tmp_path, capsys, section, key):
+    config = tmp_path / "sweep.ini"
+    lines = SWEEP_CONFIG.splitlines(keepends=True)
+    config.write_text("".join(line for line in lines if not line.startswith(f"{key} = ")),
+                      encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
+    assert f"error: missing keys in [{section}]: ['{key}']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("f.*"))
 
 
 @pytest.mark.parametrize("section, old, new", [
@@ -257,6 +268,11 @@ def test_sweep_preset(tmp_path, capsys):
     (["--preset", "fig8", "--scheme", "bulk-sequential"], "maps dn-explicit"),
     (["--preset", "fig9", "--scheme", "dn-explicit"], "maps dn-implicit"),
     (["--preset", "fig3", "--r", "5"], "fig3 fixes r = 1, got r = 5"),
+    # a config with these mapped the config's plane and exited 0
+    (["--config", "sweep.ini", "--preset", "fig8"], "--config and --preset cannot be combined"),
+    (["--config", "sweep.ini", "--r", "2000"], "--variant and --r apply only to --preset"),
+    (["--config", "sweep.ini", "--variant", "1"], "--variant and --r apply only to --preset"),
+    (["--r", "2000"], "--variant and --r apply only to --preset"),
 ])
 def test_sweep_preset_rejects_options_it_would_ignore(tmp_path, capsys, flags, message):
     csv_path = tmp_path / "field.csv"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cplstab
 import cplstab.sweep as sweep_mod
 from cplstab.assembly import SCHEMES, assemble, scheme_name
-from cplstab.errors import ParameterDomainError
+from cplstab.errors import ParameterDomainError, SpectrumError
 from cplstab.normalmode import one_way_explicit_bound
 from cplstab.params import DimensionlessParams
 from cplstab.spectral import classify, eigen_spectrum, update_matrix
@@ -308,7 +308,7 @@ def test_failed_cells_never_abort(monkeypatch):
     def flaky(spec_, values):
         # ... which fails there
         if values["d_minus"] == target:
-            raise RuntimeError("synthetic eigensolver failure")
+            raise SpectrumError("synthetic eigensolver failure")
         return real_point(spec_, values)
 
     monkeypatch.setattr(sweep_mod, "_batch_lambda_max", unproved)
@@ -324,23 +324,36 @@ def test_failed_cells_never_abort(monkeypatch):
     assert (field.classification[:, keep] == baseline.classification[:, keep]).all()
 
 
-def test_programming_errors_propagate(monkeypatch):
-    def broken(spec_, x, y):
-        raise TypeError("synthetic bug")
+def break_path(monkeypatch, path, error):
+    """Make the batch or the per-cell path raise `error`; returns a plane that takes that path."""
+    def broken(*args):
+        raise error("synthetic bug")
 
-    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", broken)
+    if path == "batch":
+        monkeypatch.setattr(sweep_mod, "_batch_lambda_max", broken)
+        return tiny_spec()
+    monkeypatch.setattr(sweep_mod, "_evaluate_point", broken)
+    # 9 cells and 10 unknowns: the plane goes cell by cell
+    return tiny_spec(n_minus=10)
+
+
+def test_programming_errors_propagate(monkeypatch):
     with pytest.raises(TypeError, match="synthetic bug"):
-        run_sweep(tiny_spec())
+        run_sweep(break_path(monkeypatch, "batch", TypeError))
 
 
 def test_programming_errors_propagate_from_the_per_cell_path(monkeypatch):
-    def broken(spec_, values):
-        raise TypeError("synthetic bug")
-
-    monkeypatch.setattr(sweep_mod, "_evaluate_point", broken)
-    # 9 cells and 10 unknowns: the plane goes cell by cell
     with pytest.raises(TypeError, match="synthetic bug"):
-        run_sweep(tiny_spec(n_minus=10))
+        run_sweep(break_path(monkeypatch, "per-cell", TypeError))
+
+
+# RuntimeError subclasses that are no numerical failure: they became failed
+# cells while the sweep caught every RuntimeError
+@pytest.mark.parametrize("error", [NotImplementedError, RecursionError])
+@pytest.mark.parametrize("path", ["batch", "per-cell"])
+def test_runtime_errors_that_are_bugs_propagate(monkeypatch, path, error):
+    with pytest.raises(error, match="synthetic bug"):
+        run_sweep(break_path(monkeypatch, path, error))
 
 
 def per_cell_field(spec):
