@@ -3,7 +3,8 @@
 Subcommands: sweep (stability maps), spectrum (eigenvalues of one scheme
 instance), simulate (time-stepping trajectories), bounds (one-way analytic
 curves), validate (cross-check battery), dump-matrices (assembled A and B).
-Exit codes: 0 success, 1 analysis or validation failure, 2 usage errors.
+Exit codes: 0 success, 1 a failed analysis or validation (CplstabError, OSError),
+2 usage errors (ParameterDomainError, SchemeError); any other error is a bug.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
-from .errors import ParameterDomainError, SchemeError, UnconfirmedRootWarning
+from .errors import CplstabError, ParameterDomainError, SchemeError, UnconfirmedRootWarning
 from .params import (DimensionlessParams, _config_number, _read_config, _require_count,
                      _require_positive, _section_values)
 
@@ -110,8 +111,7 @@ def _cmd_sweep(args):
             raise ParameterDomainError(f"preset {args.preset} maps {mapped}, not {args.scheme}")
         output = {}
     else:
-        print("error: sweep needs --config or --preset", file=sys.stderr)
-        return 2
+        raise ParameterDomainError("sweep needs --config or --preset")
     if args.n_minus is not None:
         spec = replace(spec, n_minus=args.n_minus)
     if args.n_plus is not None:
@@ -121,8 +121,7 @@ def _cmd_sweep(args):
     csv_path = args.csv or output.get("csv")
     pgm_path = args.pgm or output.get("pgm")
     if not csv_path:
-        print("error: no CSV output path (use --csv or [output] csv)", file=sys.stderr)
-        return 2
+        raise ParameterDomainError("no CSV output path (use --csv or [output] csv)")
     field = sweep.run_sweep(spec)
     sweep.write_csv(field, csv_path)
     if pgm_path:
@@ -464,7 +463,7 @@ def cli_main(argv=None):
     except (ParameterDomainError, SchemeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except Exception as err:  # analysis failures keep a distinct exit code
+    except (CplstabError, OSError) as err:
         print(f"failure: {err}", file=sys.stderr)
         return 1
 

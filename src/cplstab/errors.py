@@ -1,23 +1,27 @@
 """Exception and warning types shared across the package."""
 
 
-class ParameterDomainError(ValueError):
+class CplstabError(Exception):
+    """Base of the package's errors; a sweep and the CLI catch these and no other error."""
+
+
+class ParameterDomainError(CplstabError, ValueError):
     """An input lies outside the physical or numerical domain of a routine."""
 
 
-class SchemeError(ValueError):
+class SchemeError(CplstabError, ValueError):
     """A scheme description is internally inconsistent or unsupported."""
 
 
-class SingularMatrixError(ArithmeticError):
+class SingularMatrixError(CplstabError, ArithmeticError):
     """A linear solve hit a pivot too small to trust."""
 
 
-class SingularityError(ValueError):
+class SingularityError(CplstabError, ValueError):
     """A dispersion relation was evaluated at a removable singularity (A = 0 or 1)."""
 
 
-class SpectrumError(RuntimeError):
+class SpectrumError(CplstabError, RuntimeError):
     """Eigenvalue computation failed or did not meet its residual target.
 
     The partially computed spectrum, when available, is attached as the

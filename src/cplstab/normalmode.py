@@ -242,7 +242,7 @@ def dispersion_residual(scheme, p, A):
     amplitudes into a single determinant residual.  A = 0 and A = 1 are
     singular points of the reduction.  The point is evaluated as the scan's
     grid is, on numpy under errstate, so where a term leaves the float range
-    the residual is inf or NaN rather than an exception.
+    the residual is inf or NaN, and nothing is raised.
     """
     A = complex(A)
     if A == 0j or A == 1 + 0j:

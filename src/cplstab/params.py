@@ -78,10 +78,14 @@ def in_domain(d_plus, d_minus, beta_plus, beta_minus, r):
 
 
 def _read_config(path):
-    """The INI file at path, keys case-sensitive."""
-    parser = configparser.ConfigParser()
+    """The INI file at path, keys case-sensitive, values literal; a malformed file is a usage error."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    if not parser.read(path, encoding="utf-8"):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ParameterDomainError(f"config file {path} is malformed: {err}") from None
+    if not found:
         raise ParameterDomainError(f"config file not found: {path}")
     return parser
 

@@ -399,16 +399,15 @@ def _diagonal_form(a_diag, b_diag, b_off):
 def _diagonal_ends(a_diag, b_diag, b_off):
     """Top and bottom end of a pencil with diagonal A: dstebz on _diagonal_form.
 
-    A 1 x 1 pencil has only its top end, and NaN for the bottom.
+    A 1 x 1 pencil has only its top end, and NaN for the bottom.  Both are
+    NaN where dstebz fails, which leaves the pair to the dense path.
     """
     diag, off = _diagonal_form(a_diag, b_diag, b_off)
     if diag.shape[0] == 1:  # dstebz rejects an empty off-diagonal
         return diag[0], np.nan
     calls = [lapack.dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E") for k in (diag.shape[0], 1)]
     _, w, _, _, info = zip(*calls)
-    if any(info):
-        raise SpectrumError(f"dstebz failed with info {info}")
-    return w[0][0], w[1][0]
+    return (np.nan, np.nan) if any(info) else (w[0][0], w[1][0])
 
 
 # --- the masked kernel: the search on many columns at once ---
@@ -530,12 +529,12 @@ def pencil_ends(bands, twist=None):
     (_ldl); the default n - 1 is plain dpttrf, and a pair's k is its
     Layout.interface_row.  Returns (top, bottom, bound), each (cells,).
     bottom is NaN where it is not searched: a lagged pair, B + top A
-    definite, or n = 1.
-    All three are NaN where the pair is left to the dense path: non-finite
-    entries, no symmetric pencil or dominance margin, B0 not definite, or
-    a bracket not proved.  masked_kernel picks the kernel per call; both
-    take a column through the same probes and pivots, so its bits do not
-    depend on its batch.
+    definite, or n = 1.  No column raises: all three are NaN where the pair
+    is left to the dense path, for non-finite entries, no symmetric pencil
+    or dominance margin, B0 not definite, a failed dstebz call or a bracket
+    not proved.  masked_kernel picks the kernel per call; both take a column
+    through the same probes and pivots, so its bits do not depend on its
+    batch.
     """
     n, cells = np.shape(bands[1])
     twist = n - 1 if twist is None else operator.index(twist)

@@ -14,8 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, assembly, spectral
-from .errors import (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
-                     SpectrumError)
+from .errors import CplstabError, ParameterDomainError
 from .params import (DimensionlessParams, _require_count, _require_groups, _require_positive,
                      in_domain)
 
@@ -29,9 +28,6 @@ DEFAULT_N_PLUS = 10
 
 # a batch band holds at most this many entries, (n, cells)
 CHUNK_ENTRIES = 2 ** 20
-
-_NUMERICAL_ERRORS = (ParameterDomainError, SchemeError, SingularityError, SingularMatrixError,
-                     SpectrumError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -134,24 +130,21 @@ def _evaluate_chunk(spec, x, y, n):
     """lambda_max of the cells at axis values x, y, n unknowns each; NaN where a cell fails.
 
     A chunk that spectral.pencil_ends searches with its masked kernel is one
-    _batch_lambda_max call.  A smaller one would take the scalar kernel,
-    which eigen_spectrum(pair) runs alike, so it goes cell by cell through
-    it, as do the cells the batch does not prove.  There a numerical error
-    fails the cell.
+    _batch_lambda_max call, which raises for no cell.  A smaller one would
+    take the scalar kernel, which eigen_spectrum(pair) runs alike, so it goes
+    cell by cell through it, as do the cells the batch does not prove.  There
+    a CplstabError fails the cell.
     """
     lam = np.full(x.shape, np.nan)
     if spectral.masked_kernel(n, x.size):
-        try:
-            lam = _batch_lambda_max(spec, x, y)
-        except _NUMERICAL_ERRORS:
-            pass  # each cell meets the error again below
+        lam = _batch_lambda_max(spec, x, y)
     for k in np.flatnonzero(np.isnan(lam)):
         values = dict(spec.fixed)
         values[spec.axis_x.name] = float(x[k])
         values[spec.axis_y.name] = float(y[k])
         try:
             lam[k] = _evaluate_point(spec, values)
-        except _NUMERICAL_ERRORS:
+        except CplstabError:
             pass
     return lam
 
@@ -161,10 +154,9 @@ def run_sweep(spec):
 
     The cells, row by row, go through _evaluate_chunk in chunks of at most
     CHUNK_ENTRIES / n cells, n the unknowns of a pair, so that a band of a
-    chunk holds at most CHUNK_ENTRIES entries.  A cell fails on a numerical
-    error: one of the package's error types or LinAlgError; any other
-    exception, RuntimeError included, is a programming error and propagates.
-    A cell also fails when its lambda_max is not a nonnegative number.
+    chunk holds at most CHUNK_ENTRIES entries.  A cell fails on a
+    CplstabError, or when its lambda_max is not a nonnegative number; any
+    other error is a programming error and propagates.
     """
     xs = spec.axis_x.values()
     ys = spec.axis_y.values()

@@ -82,6 +82,7 @@ def config_spec(n_minus=5, n_plus=2, tol=1e-8):
     # the implicit bound 2d overflows past 8.99e307
     (["bounds", "--d", "1e308"], "--d must be at most 8.988465674311579e+307"),
     (["bounds", "--d-hi", "1e308"], "--d-hi must be at most 8.988465674311579e+307"),
+    (["sweep"], "error: sweep needs --config or --preset"),
 ])
 def test_negative_counts_and_ignored_options_are_usage_errors(argv, message, capsys):
     assert cli_main(argv) == 2
@@ -151,6 +152,8 @@ def test_sweep_config_names_a_missing_key(tmp_path, capsys, section, key):
     ("axes", "x_points = 3", "x_points = many"),
     ("grid", "n_minus = 5", "n_minus = 2.5"),
     ("fixed", "r = 1.0", "r = one"),
+    # values are literal: a % used to fail as a bad interpolation, with exit 1
+    ("fixed", "r = 1.0", "r = 1%"),
 ])
 def test_sweep_config_rejects_malformed_numbers(tmp_path, capsys, section, old, new):
     # a value that is not a number used to exit 1, the code of an analysis failure
@@ -160,6 +163,21 @@ def test_sweep_config_rejects_malformed_numbers(tmp_path, capsys, section, old, 
     key, value = new.split(" = ")
     assert f"error: [{section}] {key} = {value!r} is not a valid" in capsys.readouterr().err
     assert not list(tmp_path.glob("f.*"))
+
+
+@pytest.mark.parametrize("malformed", [
+    b"name = one-way-explicit-flux\n" + SWEEP_CONFIG.encode(),  # a key before any section
+    SWEEP_CONFIG.replace("x = d_minus", "x = d_minus\nx = r").encode(),  # a duplicate key
+    SWEEP_CONFIG.encode().replace(b"d_minus", b"d_\xffminus"),  # not UTF-8
+], ids=["no-section-header", "duplicate-key", "not-utf-8"])
+def test_sweep_config_that_does_not_parse_is_a_usage_error(tmp_path, capsys, malformed):
+    # these exited 1, the code of an analysis failure
+    config = tmp_path / "sweep.ini"
+    config.write_bytes(malformed)
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(config) in captured.err.splitlines()[0]
+    assert captured.out == "" and not list(tmp_path.glob("f.*"))
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -97,10 +97,20 @@ def test_dispersion_residual_is_not_finite_where_a_term_overflows():
     assert not np.isfinite(single)
 
 
-@given(beta=st.floats(0.0, 20.0), d=st.floats(1e-2, 1e2))
+@given(beta=st.floats(0.0, 20.0) | st.floats(-1e-3, 1e-3).map(lambda x: 1.0 + x),
+       d=st.floats(1e-2, 1e2) | st.floats(-2.0, -1.0).map(lambda e: 10.0 ** e))
 @settings(max_examples=100, deadline=None)
 def test_one_way_explicit_roots_satisfy_residual(beta, d):
-    """Closed-form temporal roots zero the one-way dispersion residual."""
+    """Closed-form temporal roots zero the one-way dispersion residual.
+
+    f(A) = (1 - 1/A) - d (kappa - 2 + 1/kappa) is evaluated to about eps
+    times the scale of its terms, and the rounding of a root A moves it by
+    about eps |A f'(A)|, with A f'(A) = (1 + (beta - 1)(1 - 1/kappa^2)) / A.
+    Near beta = 1 with small d, kappa is small at the small root and that
+    term dominates.  The largest |f| / (eps (scale + |A f'(A)|)) over about
+    900,000 seeded roots (beta on [0, 20], near 1 and near d; d on
+    [0.01, 100]) was 3.4, at beta near d = 0.011; the bound allows 8.
+    """
     p = params(dm=d, bm=beta)
     for root in one_way_explicit_roots(beta, d):
         if abs(root) < 1e-6 or abs(root - 1.0) < 1e-6:
@@ -110,7 +120,8 @@ def test_one_way_explicit_roots_satisfy_residual(beta, d):
             continue  # interior form has a removable pole there
         res = dispersion_residual(ONE_WAY_EXPLICIT, p, root)
         scale = abs(1.0 - 1.0 / root) + d * (abs(kappa) + 2.0 + 1.0 / abs(kappa))
-        assert abs(res) <= 1e-9 * max(1.0, scale)
+        slope = abs(1.0 + (beta - 1.0) * (1.0 - 1.0 / kappa ** 2)) / abs(root)
+        assert abs(res) <= 8.0 * np.finfo(float).eps * (scale + slope)
 
 
 def test_bulk_explicit_pair_vanishes_in_uncoupled_steady_limit():

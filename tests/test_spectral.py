@@ -385,6 +385,29 @@ def test_full_spectrum_falls_back_to_the_dense_path(case):
     assert spectrum.residual_bound == dense.residual_bound
 
 
+def test_failed_dstebz_leaves_its_column_to_the_dense_path():
+    # dn-explicit has a diagonal A, so dstebz finds both ends of each column
+    pairs = [assemble(SCHEMES["dn-explicit"], params(dp=dp, dm=0.45, r=3.0), 6, 5)
+             for dp in (0.3, 0.2)]
+    bands = stacked_bands(pairs)
+    expected = spectral.pencil_ends(bands, pairs[0].layout.interface_row)
+    failing = pairs[0].B.diag / pairs[0].A.diag  # the diagonal of the first column's form
+    real = spectral.lapack.dstebz
+
+    def dstebz(d, *args):
+        *out, info = real(d, *args)
+        return (*out, 1 if np.array_equal(d, failing) else info)
+
+    with mock.patch.object(spectral.lapack, "dstebz", dstebz):
+        ends = spectral.pencil_ends(bands, pairs[0].layout.interface_row)
+        spectrum = eigen_spectrum(pairs[0])
+    assert np.isnan([column[0] for column in ends]).all()
+    assert all(np.array_equal(got[1:], want[1:], equal_nan=True) for got, want in zip(ends, expected))
+    dense = eigen_spectrum(update_matrix(pairs[0]))
+    assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
+    assert spectrum.lambda_max == dense.lambda_max
+
+
 # ------------------------------------------------------------ batch of cells
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 30])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cplstab
 import cplstab.sweep as sweep_mod
 from cplstab.assembly import SCHEMES, assemble, scheme_name
-from cplstab.errors import ParameterDomainError, SpectrumError
+from cplstab.errors import CplstabError, ParameterDomainError, SpectrumError
 from cplstab.normalmode import one_way_explicit_bound
 from cplstab.params import DimensionlessParams
 from cplstab.spectral import classify, eigen_spectrum, update_matrix
@@ -369,7 +369,7 @@ def per_cell_field(spec):
             pair = assemble(spec.scheme, DimensionlessParams(**values), spec.n_minus, spec.n_plus)
             value = eigen_spectrum(pair).lambda_max
             label = classify(value, spec.tol).value
-        except sweep_mod._NUMERICAL_ERRORS:
+        except CplstabError:
             continue
         lam[iy, ix], cls[iy, ix] = value, label
     return lam, cls
