@@ -9,6 +9,7 @@ from .errors import (
     KappaPoleWarning,
     MarginalModeWarning,
     ParameterDomainError,
+    ScanError,
     SchemeError,
     SingularMatrixError,
     SingularityError,

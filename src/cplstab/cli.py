@@ -10,13 +10,12 @@ Exit codes: 0 success, 1 a failed analysis or validation (CplstabError, OSError)
 import argparse
 import contextlib
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
-from .errors import CplstabError, ParameterDomainError, SchemeError, UnconfirmedRootWarning
+from .errors import CplstabError, ParameterDomainError, SchemeError
 from .params import (DimensionlessParams, _config_number, _read_config, _require_count,
                      _require_positive, _section_values)
 
@@ -255,9 +254,7 @@ def _compare_verdicts(scheme, p, n, dense=False):
         lam = spectral.eigen_spectrum(spectral.update_matrix(pair)).lambda_max
     # the annulus must reach past the observed growth or the scan is blind
     scan = normalmode.ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnconfirmedRootWarning)
-        stable = normalmode.normal_mode_verdict(scheme, p, scan)
+    stable = normalmode.normal_mode_verdict(scheme, p, scan)
     return lam, stable == (lam <= 1.0), abs(fast - lam) <= 1e-10 * lam
 
 
@@ -470,3 +467,7 @@ def cli_main(argv=None):
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -22,15 +22,11 @@ class SingularityError(CplstabError, ValueError):
 
 
 class SpectrumError(CplstabError, RuntimeError):
-    """Eigenvalue computation failed or did not meet its residual target.
+    """Eigenvalue computation failed or did not meet its residual target."""
 
-    The partially computed spectrum, when available, is attached as the
-    `spectrum` attribute.
-    """
 
-    def __init__(self, message, spectrum=None):
-        super().__init__(message)
-        self.spectrum = spectrum
+class ScanError(CplstabError, ArithmeticError):
+    """The normal-mode scan could not prove its root count or polish a counted root."""
 
 
 class MarginalModeWarning(UserWarning):
@@ -42,7 +38,7 @@ class KappaPoleWarning(UserWarning):
 
 
 class UnconfirmedRootWarning(UserWarning):
-    """A scan candidate did not converge under Newton polishing and was dropped."""
+    """Kept as a public name; the scan raises ScanError where a root is not confirmed."""
 
 
 class DecayFloorWarning(UserWarning):

@@ -5,23 +5,29 @@ satisfies kappa^2 - 2(1+s)kappa + 1 = 0 with s = (1 - 1/A)/(2d) for the
 backward-Euler interior and s = (A - 1)/(2d) for the forward-Euler interior.
 The two roots multiply to one; the decaying branch (modulus <= 1) enters the
 interface conditions, and eliminating the mode amplitudes leaves a scalar
-residual whose roots with |A| > 1 are the growing modes.  `gks_scan` locates
-those roots on an annulus grid and polishes them with a damped Newton
-iteration.  Every coefficient (d, beta, r, theta, gamma) is real, so
-f(conj A) = conj f(A): the scan evaluates the upper half of the grid and
-mirrors it.  The mirror is exact, not approximate, because each step of the
-residual (+, -, *, /, sqrt, abs and the branch choice) commutes with
-conjugation in IEEE arithmetic.
+residual whose roots with |A| > 1 are the growing modes.
 
-Each residual is one implementation for two argument kinds.  The grid is a
-numpy array, evaluated in one pass.  The polish evaluates one point at a time
-on a Python complex with cmath, which costs a few microseconds where a numpy
-0-d array costs tens.  The two differ only in rounding; `_evaluate` maps
-Python's arithmetic errors to the non-finite residual that numpy would give.
+`gks_scan` counts the roots of a two-way residual in the annulus
+1 + INNER_GAP < |A| < radius_max by the argument principle and polishes
+starts taken from power sums of the roots.  The residual is analytic there:
+its only singular points, A = 0 and the branch cut where both spatial roots
+have modulus 1, lie inside the unit disk (for the forward-Euler interior
+only while d <= 1/2).  Every coefficient (d, beta, r, theta, gamma) is real,
+so f(conj A) = conj f(A), and the count needs the upper half of each circle
+only.  Each step of the residual (+, -, *, /, sqrt, abs and the branch
+choice) commutes with conjugation in IEEE arithmetic, so the mirror is exact.
+The one-way residuals are quadratic in A once cleared of kappa, and their
+roots are known in closed form.
+
+Each residual is one implementation for two argument kinds.  The scan
+evaluates one point at a time on a Python complex with cmath, which costs a
+few microseconds where a numpy 0-d array costs tens; `dispersion_residual`
+evaluates on numpy under errstate.  The two differ only in rounding;
+`_evaluate` maps Python's arithmetic errors to the non-finite residual that
+numpy would give.
 """
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,8 +40,8 @@ from .errors import (
     KappaPoleWarning,
     MarginalModeWarning,
     ParameterDomainError,
+    ScanError,
     SingularityError,
-    UnconfirmedRootWarning,
 )
 from .params import _require_nonnegative, _require_positive
 
@@ -57,12 +63,17 @@ class ModeSolution:
     admissible: bool
 
 
-# the annulus grid (rows, columns, offset of the first row from the unit
-# circle), the polish tolerance and iteration cap, and the distance within
-# which two polished roots are one
-N_RADIAL = 64
-N_ANGULAR = 256
+# the inner circle's gap to the unit circle; the count's starting samples
+# per half circle, largest phase turn of a step, sample cap per circle,
+# shortest step (in half circles) and tolerance of an integer winding number;
+# the polish tolerance and iteration cap, and the distance within which two
+# polished roots are one
 INNER_GAP = 1e-6
+START_SAMPLES = 129
+MAX_TURN = math.pi / 4.0
+MAX_SAMPLES = 2 ** 14
+MIN_STEP = 2.0 ** -52
+WINDING_TOL = 1e-6
 REFINE_TOL = 1e-10
 DUPLICATE_TOL = 1e-6
 MAX_NEWTON_ITER = 60
@@ -70,16 +81,16 @@ MAX_NEWTON_ITER = 60
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Outer radius of gks_scan's annulus; its grid and tolerance are constants."""
+    """Outer radius of gks_scan's annulus; every other scan constant is fixed."""
 
     radius_max: float = 10.0
 
     def __post_init__(self):
-        # an infinite radius leaves no finite grid row and so finds no root;
-        # one at or inside the first row would run the rows inward
+        # an infinite radius gives no outer circle to count on, and one at or
+        # inside the inner circle no annulus
         if not (1.0 + INNER_GAP < self.radius_max < np.inf):
             raise ParameterDomainError(
-                f"radius_max must be finite and exceed 1 + {INNER_GAP:g}, the grid's first row")
+                f"radius_max must be finite and exceed 1 + {INNER_GAP:g}, the inner circle")
 
 
 def _kappa_from_s(s):
@@ -163,7 +174,7 @@ def _bulk_pair_residual(p, A):
 
 
 def _residual(scheme, p):
-    """A -> (f, scale) used by the scan, for a Python complex or an array.
+    """A -> (f, scale) of a two-way scheme, for a Python complex or an array.
 
     f is the interface residual; scale bounds the natural size of its terms
     so the polish criterion |f| <= tol * scale stays meaningful for large
@@ -171,22 +182,6 @@ def _residual(scheme, p):
     abs and x * x serve both argument kinds; a Python complex raises where an
     array overflows or divides by zero, which `_evaluate` maps back.
     """
-    if scheme.direction == ONE_WAY_NEGATIVE:
-        _require_positive("one-way d_minus", p.d_minus)
-        dm, theta = p.d_minus, scheme.theta
-
-        # the interior residual has a pole where the boundary factor kappa
-        # vanishes, and that pole can sit within a grid cell of the root;
-        # multiplying through by kappa clears it without moving any root
-        def residual(A):
-            kappa = _one_way_kappa(A, p, theta)
-            gap, size = kappa - 1.0, abs(kappa) + 1.0
-            f = kappa * (1.0 - 1.0 / A) - dm * (gap * gap)
-            scale = abs(kappa) * abs(1.0 - 1.0 / A) + dm * (size * size) + 1.0
-            return f, scale
-
-        return residual
-
     if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
         dm, dp, r = p.d_minus, p.d_plus, p.r
 
@@ -240,9 +235,9 @@ def dispersion_residual(scheme, p, A):
     For the explicit-flux bulk scheme this returns the pair of coupled
     residuals (negative row, positive row); every other scheme eliminates the
     amplitudes into a single determinant residual.  A = 0 and A = 1 are
-    singular points of the reduction.  The point is evaluated as the scan's
-    grid is, on numpy under errstate, so where a term leaves the float range
-    the residual is inf or NaN, and nothing is raised.
+    singular points of the reduction.  The point is evaluated on a numpy 0-d
+    array under errstate, so where a term leaves the float range the residual
+    is inf or NaN, and nothing is raised.
     """
     A = complex(A)
     if A == 0j or A == 1 + 0j:
@@ -276,15 +271,6 @@ def _mode_from_root(scheme, p, A):
     admissible = (abs(kp) <= 1.0 + ADMISSIBLE_TOL
                   and abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
     return ModeSolution(complex(A), kp, km_inv, admissible)
-
-
-def _local_minima(values):
-    padded = np.pad(values, ((1, 1), (0, 0)), constant_values=np.inf)
-    down = values <= padded[:-2]
-    up = values <= padded[2:]
-    left = values <= np.roll(values, 1, axis=1)
-    right = values <= np.roll(values, -1, axis=1)
-    return down & up & left & right
 
 
 def _evaluate(residual, z):
@@ -342,117 +328,131 @@ def _newton_polish(residual, z, tol):
     return z
 
 
-def _cell(x):
-    """Index of x's cell of width 2**-18; the scaling by a power of two is exact.
+def _one_way_roots(scheme, p):
+    """The growing roots of a one-way residual, in closed form.
 
-    Where the product overflows (|x| > 6.9e302) x itself is the key: floats
-    that large within DUPLICATE_TOL of each other are equal, and a key that
-    collides with another cell's costs only distance tests.
+    Cleared of kappa, the explicit-flux residual is
+    d A^2 - (beta + d) A + beta(1 - beta) and the implicit-flux one
+    A((d - beta - beta^2) A + beta - d), so the closed forms are every root.
     """
-    scaled = x * 262144.0
-    return math.floor(scaled) if math.isfinite(scaled) else x
-
-
-def _distinct(points):
-    """points in order, without any within DUPLICATE_TOL of one kept earlier.
-
-    The result is that of testing each point against every kept one, but the
-    kept points are bucketed in square cells wider than DUPLICATE_TOL, so only
-    the 3 x 3 cells around a point can hold its duplicates.
-    """
-    cells = {}
-    kept = []
-    for z in points:
-        i, j = _cell(z.real), _cell(z.imag)
-        if any(abs(z - known) <= DUPLICATE_TOL
-               for cell in itertools.product((i - 1, i, i + 1), (j - 1, j, j + 1))
-               for known in cells.get(cell, ())):
-            continue
-        cells.setdefault((i, j), []).append(z)
-        kept.append(z)
-    return kept
-
-
-def _analytic_seeds(scheme, p):
-    # the one-way residuals are polynomial in A, so their roots are known in
-    # closed form; seeding them guarantees the polish step sees roots that sit
-    # too close to the unit circle for the grid to isolate
-    if scheme.direction != ONE_WAY_NEGATIVE or not (p.d_minus > 0.0):
-        return []
+    _require_positive("one-way d_minus", p.d_minus)
     beta, d = p.beta_minus, p.d_minus
     if scheme.theta == 0.0:
-        seeds = one_way_explicit_roots(beta, d)
+        roots = one_way_explicit_roots(beta, d)
     else:
         denom = beta - d + beta * beta
-        seeds = [] if denom == 0.0 else [(beta - d) / denom]
-    return [complex(a) for a in seeds if abs(a) > 1.0 and np.isfinite(a)]
+        roots = [] if denom == 0.0 else [(beta - d) / denom]
+    return [complex(a) for a in roots if abs(a) > 1.0 + 1e-7 and math.isfinite(a)]
 
 
-def _scan_grid(residual, radius_max):
-    """The annulus grid of gks_scan and its |f| / scale, inf where not finite.
+def _contour(residual, radius):
+    """(roots inside |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
 
-    The residual is evaluated on the columns with angles 0 to pi only; the
-    columns below the real axis are their conjugates and take their values.
+    The steps start from START_SAMPLES angles and are bisected, leftmost
+    first, until each turns the phase of f by less than MAX_TURN (the
+    adequacy rule of Ying and Katz); a zero or non-finite sample fails the
+    rule too.  The imaginary part of each increment is that turn, and the
+    turns of the upper half add up to pi times the winding number.
     """
-    # geometric spacing packs rows near the unit circle, where growing modes
-    # first appear
-    inner = np.geomspace(INNER_GAP, radius_max - 1.0, N_RADIAL)
-    # one overshoot row beyond radius_max certifies minima on the outermost
-    # real row; without it, annulus truncation mints fake edge candidates
-    radii = 1.0 + np.append(inner, inner[-1] * (inner[-1] / inner[-2]))
-    half = N_ANGULAR // 2
-    angles = np.linspace(0.0, 2.0 * np.pi, N_ANGULAR, endpoint=False)[:half + 1]
-    upper = radii[:, None] * np.exp(1j * angles)[None, :]
-    with np.errstate(all="ignore"):
-        f, scale = residual(upper)
-        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
-    magnitude = np.where(np.isfinite(magnitude), magnitude, np.inf)
-    # columns half + 1 .. N_ANGULAR - 1 mirror columns half - 1 .. 1
-    mirror = slice(half - 1, 0, -1)
-    return (np.concatenate([upper, upper[:, mirror].conj()], axis=1),
-            np.concatenate([magnitude, magnitude[:, mirror]], axis=1))
+    def sample(t):
+        # the point at angle pi t; the end t = 1 lies on the real axis exactly
+        z = complex(-radius, 0.0) if t == 1.0 else cmath.rect(radius, math.pi * t)
+        f = _evaluate(residual, z)[0]
+        return t, z, None if f == 0 or not math.isfinite(f.real) else cmath.log(f)
+
+    pending = [sample(t) for t in np.linspace(1.0, 0.0, START_SAMPLES).tolist()]
+    samples = len(pending)
+    t_a, a, log_a = pending.pop()
+    steps = []
+    while pending:
+        t_b, b, log_b = pending[-1]
+        if log_a is not None and log_b is not None:
+            turn = math.remainder((log_b - log_a).imag, 2.0 * math.pi)
+            if abs(turn) < MAX_TURN:
+                steps.append((a, b, complex((log_b - log_a).real, turn)))
+                t_a, a, log_a = pending.pop()
+                continue
+        if t_b - t_a <= MIN_STEP or samples == MAX_SAMPLES:
+            raise ScanError(f"the phase of the residual cannot be resolved between A = {a} "
+                            f"and A = {b} ({samples} samples on |A| = {radius!r})")
+        pending.append(sample(0.5 * (t_a + t_b)))
+        samples += 1
+    turns = math.fsum(dlog.imag for _, _, dlog in steps) / math.pi
+    if abs(turns - round(turns)) > WINDING_TOL:
+        raise ScanError(f"the winding number {turns!r} of the residual on |A| = {radius!r} "
+                        "is not an integer")
+    return round(turns), steps
+
+
+def _power_sums(steps, k):
+    """Sums of A^j, j = 1..k, over the roots inside the circle of `steps`.
+
+    Each is (sum A^j dlog f) / (2 pi i) over the whole circle; the lower half
+    adds the conjugate of the upper half's sum, which leaves Im / pi.  The
+    powers are products, which overflow to inf where ** would raise.
+    """
+    sums = [0j] * k
+    for a, b, dlog in steps:
+        term, mid = dlog, 0.5 * (a + b)
+        for j in range(k):
+            term *= mid
+            sums[j] += term
+    return [s.imag / math.pi for s in sums]
+
+
+def _two_way_roots(scheme, p, radius_max):
+    """The residual's roots in 1 + INNER_GAP < |A| < radius_max: counted, then polished.
+
+    The count is the difference of the winding numbers of the two circles.
+    The power sums s_j of the roots in the annulus, j <= count, give the
+    polynomial with those roots (Newton's identities, Delves and Lyness); its
+    roots start the polish, and each must polish to a distinct root in the
+    annulus.
+    """
+    if (scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
+            and max(p.d_minus, p.d_plus) > 0.5):
+        raise ScanError("the forward-Euler branch cut [1 - 4d, 1] crosses the annulus for "
+                        f"d > 1/2 (d_minus = {p.d_minus!r}, d_plus = {p.d_plus!r})")
+    residual = _residual(scheme, p)
+    outer_count, outer = _contour(residual, radius_max)
+    inner_count, inner = _contour(residual, 1.0 + INNER_GAP)
+    count = outer_count - inner_count
+    if count < 0:
+        raise ScanError(f"the residual winds {count} times around the annulus")
+    sums = [s - t for s, t in zip(_power_sums(outer, count), _power_sums(inner, count))]
+    coeffs = [1.0]
+    for m in range(1, count + 1):
+        coeffs.append(-sum(coeffs[m - i] * sums[i - 1] for i in range(1, m + 1)) / m)
+    if not all(map(math.isfinite, coeffs)):
+        raise ScanError(f"the power sums {sums} of {count} counted root(s) are not finite")
+    roots = []
+    for start in np.roots(coeffs).tolist():
+        z = _newton_polish(residual, complex(start), REFINE_TOL)
+        if (z is None or not 1.0 + INNER_GAP < abs(z) < radius_max
+                or any(abs(z - root) <= DUPLICATE_TOL for root in roots)):
+            raise ScanError(f"the start A = {start} of {count} counted root(s) does not "
+                            "polish to a new root in the annulus")
+        roots.append(z)
+    return roots
 
 
 def gks_scan(scheme, p, scan=None):
     """Growing normal modes of a scheme: residual roots with |A| > 1.
 
-    Scans |f| / scale, from one residual evaluation, on an N_RADIAL x
-    N_ANGULAR grid of the annulus 1 < |A| <= scan.radius_max, polishes every
-    local minimum by damped Newton to |f| <= REFINE_TOL * scale, and keeps the
-    distinct polished roots that grow and whose spatial factors decay into
-    both domains.  Candidates that fail to converge are reported through
-    UnconfirmedRootWarning rather than silently dropped.
-
-    The residual is evaluated on the upper half of the grid only.  Its
-    coefficients are real, so |f(conj A)| = |f(A)|, and the lower half is the
-    mirror image bit for bit, not an approximation of it.
+    A two-way residual's roots are counted in the annulus
+    1 + INNER_GAP < |A| < scan.radius_max and polished by damped Newton to
+    |f| <= REFINE_TOL * scale; a one-way residual's come in closed form, at
+    any modulus.  The modes are those whose spatial factors decay into both
+    domains.  ScanError is raised where the count or a polish fails, and for
+    the forward-Euler Dirichlet-Neumann scheme with d > 1/2.
     """
     if scan is None:
         scan = ScanSettings()
-    residual = _residual(scheme, p)
-    grid, magnitude = _scan_grid(residual, scan.radius_max)
-    minima = _local_minima(magnitude) & np.isfinite(magnitude)
-    minima[-1, :] = False
-    order = np.argsort(magnitude[minima], kind="stable")
-    candidates = _analytic_seeds(scheme, p) + grid[minima][order].tolist()
-    growing = []
-    unconfirmed = 0
-    with np.errstate(all="ignore"):
-        for z0 in candidates:
-            z = _newton_polish(residual, z0, REFINE_TOL)
-            if z is None:
-                # minima hugging the unit circle are marginal-band artifacts,
-                # not missed growing roots
-                if abs(z0) > 1.0 + 1e-4:
-                    unconfirmed += 1
-                continue
-            if abs(z) <= 1.0 + 1e-7:
-                continue
-            growing.append(z)
-    if unconfirmed:
-        warnings.warn(f"{unconfirmed} scan candidate(s) did not converge under polishing",
-                      UnconfirmedRootWarning)
-    modes = [_mode_from_root(scheme, p, z) for z in _distinct(growing)]
+    if scheme.direction == ONE_WAY_NEGATIVE:
+        roots = _one_way_roots(scheme, p)
+    else:
+        roots = _two_way_roots(scheme, p, scan.radius_max)
+    modes = [_mode_from_root(scheme, p, z) for z in roots]
     modes = [m for m in modes if m.admissible]
     modes.sort(key=lambda m: (-abs(m.A), m.A.real, m.A.imag))
     return modes
@@ -462,8 +462,9 @@ def normal_mode_verdict(scheme, p, scan=None):
     """True when the normal-mode analysis finds no growing admissible mode.
 
     The forward-Euler Dirichlet-Neumann scheme is judged by its interior von
-    Neumann condition d <= 1/2 on both sides (independent of r); its interface
-    scan adds no further restriction and serves only as a consistency check.
+    Neumann condition d <= 1/2 on both sides (independent of r), without a
+    scan: where d <= 1/2 its interface scan adds no further restriction, and
+    where d > 1/2 gks_scan raises ScanError.
     """
     if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
         return p.d_minus <= 0.5 and p.d_plus <= 0.5

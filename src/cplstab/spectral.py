@@ -649,13 +649,9 @@ def eigen_spectrum(M):
     residuals = np.abs(M @ vectors - vectors * values[None, :]).max(axis=0)
     residuals /= np.abs(vectors).max(axis=0)
     bound = float(residuals.max())
-    spectrum = _sorted_spectrum(values, bound)
     if bound > 1e-8 * max(norm, 1.0):
-        raise SpectrumError(
-            f"eigenpair residual {bound:.3e} above 1e-8 of ||M|| = {norm:.3e}",
-            spectrum=spectrum,
-        )
-    return spectrum
+        raise SpectrumError(f"eigenpair residual {bound:.3e} above 1e-8 of ||M|| = {norm:.3e}")
+    return _sorted_spectrum(values, bound)
 
 
 def full_spectrum(pair):

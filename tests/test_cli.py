@@ -526,3 +526,12 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "beta_max_explicit,3"
+
+
+def test_cli_module_runs_as_a_script():
+    result = subprocess.run([sys.executable, "-m", "cplstab.cli", "bounds", "--d", "1"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.splitlines() == ["beta_max_explicit,2.732050807568877",
+                                          "beta_max_beljaars,3",
+                                          "beta_min_implicit_admissible,2"]

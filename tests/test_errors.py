@@ -18,6 +18,7 @@ from cplstab.sweep import Axis, SweepSpec, run_sweep
 # the built-in base that each package error keeps
 BUILT_IN_BASES = {
     "ParameterDomainError": ValueError,
+    "ScanError": ArithmeticError,
     "SchemeError": ValueError,
     "SingularMatrixError": ArithmeticError,
     "SingularityError": ValueError,

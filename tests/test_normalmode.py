@@ -1,8 +1,8 @@
 import cmath
-import hashlib
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cplstab import normalmode
 from cplstab import (SCHEMES, DimensionlessParams, KappaPoleWarning,
-                     MarginalModeWarning, ParameterDomainError, ScanSettings,
-                     SingularityError, UnconfirmedRootWarning, beljaars_bound,
+                     MarginalModeWarning, ParameterDomainError, ScanError,
+                     ScanSettings, SingularityError, beljaars_bound,
                      dispersion_residual, gks_scan, kappa_root,
                      normal_mode_verdict, one_way_explicit_bound,
                      one_way_explicit_roots, one_way_implicit_mode)
@@ -22,6 +22,8 @@ rng = np.random.default_rng(seed=SEED)
 
 ONE_WAY_EXPLICIT = SCHEMES["one-way-explicit-flux"]
 ONE_WAY_IMPLICIT = SCHEMES["one-way-implicit-flux"]
+# the schemes whose residual gks_scan counts and polishes
+TWO_WAY = sorted(name for name in SCHEMES if not name.startswith("one-way"))
 
 
 def params(dp=0.0, dm=0.0, bp=0.0, bm=0.0, r=1.0):
@@ -180,44 +182,26 @@ def test_scan_deterministic():
     assert a == b
 
 
-def test_scan_unconfirmed_candidates_warn(monkeypatch):
-    # an impossible polish tolerance turns every candidate into a report
+def test_scan_raises_where_a_counted_root_does_not_polish(monkeypatch):
+    # an impossible polish tolerance leaves the counted root unconfirmed
+    p = params(dp=9.0, dm=0.5, r=1.0)
+    assert len(gks_scan(SCHEMES["dn-implicit"], p)) == 1
     monkeypatch.setattr(normalmode, "REFINE_TOL", 0.0)
-    p = params(dm=1.0, bm=4.0)
-    with pytest.warns(UnconfirmedRootWarning):
-        modes = gks_scan(ONE_WAY_EXPLICIT, p)
-    assert modes == []
+    with pytest.raises(ScanError):
+        gks_scan(SCHEMES["dn-implicit"], p)
 
 
 def test_scan_settings_validation():
     with pytest.raises(ParameterDomainError):
         ScanSettings(radius_max=1.0)
-    # an infinite annulus scans no finite row, so it would call an unstable
-    # bulk scheme stable
+    # an infinite annulus has no outer circle to count on
     for radius in (np.inf, np.nan):
         with pytest.raises(ParameterDomainError):
             ScanSettings(radius_max=radius)
-    # at or inside the grid's first row (|A| = 1 + 1e-6) the rows would run
-    # inward, or all be one row
+    # at or inside the inner circle (|A| = 1 + 1e-6) there is no annulus
     for radius in (1.0 + 5e-7, 1.0 + 1e-6):
         with pytest.raises(ParameterDomainError):
             ScanSettings(radius_max=radius)
-
-
-def test_scan_evaluates_grid_roots_once_per_domain(monkeypatch):
-    # f and scale come from one evaluation: one _decay_terms call per
-    # domain on the grid, none repeated for the scale
-    grid_calls = []
-    real = normalmode._decay_terms
-
-    def counted(A, d, backward):
-        if np.ndim(A) == 2:
-            grid_calls.append(d)
-        return real(A, d, backward)
-
-    monkeypatch.setattr(normalmode, "_decay_terms", counted)
-    gks_scan(SCHEMES["dn-implicit"], params(dp=9.0, dm=0.5, r=1.0))
-    assert sorted(grid_calls) == [0.5, 9.0]
 
 
 def test_verdict_uses_cfl_rule_for_shared_node_explicit():
@@ -228,18 +212,71 @@ def test_verdict_uses_cfl_rule_for_shared_node_explicit():
         assert not normal_mode_verdict(scheme, params(dp=0.3, dm=0.7, r=r))
 
 
+def test_forward_euler_scan_needs_d_at_most_one_half():
+    # for d > 1/2 the branch cut [1 - 4d, 1] of the forward-Euler spatial
+    # root crosses the annulus, where the residual is then not analytic
+    scheme = SCHEMES["dn-explicit"]
+    assert gks_scan(scheme, params(dp=0.5, dm=0.5)) == []
+    for dp, dm in ((0.51, 0.5), (0.3, 0.7), (1e300, 1e300)):
+        with pytest.raises(ScanError):
+            gks_scan(scheme, params(dp=dp, dm=dm))
+
+
+def full_circle(residual, radius):
+    """(winding number, power sums s_1..s_3) from the whole circle, for comparison.
+
+    The adequacy rule of the scan, applied independently on angles 0 to
+    2 pi, with the complex contour integral s_j = (sum A^j dlog f) / (2 pi i).
+    """
+    def log_f(t):
+        f = normalmode._evaluate(residual, cmath.rect(radius, math.pi * t))[0]
+        return cmath.log(f)
+
+    total = [0j] * 4
+    edges = [(k / 128.0, (k + 1) / 128.0) for k in range(256)]
+    while edges:
+        lo, hi = edges.pop()
+        dlog = log_f(hi) - log_f(lo)
+        turn = math.remainder(dlog.imag, 2.0 * math.pi)
+        if abs(turn) >= math.pi / 4.0:
+            edges += [(lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)]
+            continue
+        mid = 0.5 * (cmath.rect(radius, math.pi * lo) + cmath.rect(radius, math.pi * hi))
+        for j in range(4):
+            total[j] += mid ** j * complex(dlog.real, turn)
+    winding = total[0].imag / (2.0 * math.pi)
+    return winding, [s / (2j * math.pi) for s in total[1:]]
+
+
+@pytest.mark.parametrize("name", TWO_WAY)
+def test_half_circle_count_and_power_sums_match_the_full_circle(name):
+    # f(conj A) = conj f(A): the upper half's turns and Im sums are half of
+    # the whole circle's integrals, on both circles of the annulus
+    for p, _ in seeded_points(SEED, count=12, size=1):
+        if name == "dn-explicit":  # its residual is analytic in the annulus for d <= 1/2
+            p = replace(p, d_minus=p.d_minus / 200.0, d_plus=p.d_plus / 200.0)
+        residual = normalmode._residual(SCHEMES[name], p)
+        for radius in (20.0, 1.0 + normalmode.INNER_GAP):
+            count, steps = normalmode._contour(residual, radius)
+            for a, _, _ in steps:  # the mirror is exact, bit for bit
+                f = normalmode._evaluate(residual, a)[0]
+                assert normalmode._evaluate(residual, a.conjugate())[0] == f.conjugate()
+            winding, sums = full_circle(residual, radius)
+            assert count == round(winding) and abs(winding - count) <= 1e-9, (p, radius)
+            for j, (half, full) in enumerate(zip(normalmode._power_sums(steps, 3), sums), 1):
+                assert abs(full.imag) <= 1e-9 * radius ** j, (p, radius, j)
+                assert abs(half - full.real) <= 1e-9 * radius ** j, (p, radius, j)
+
+
 # -------------------------------------------------------- evaluation modes
 #
-# The scan evaluates each residual on a numpy array (the annulus grid) and
-# the polish on one Python complex at a time; the two must compute one
-# function.  CPython divides complex numbers by another rounding sequence than
-# numpy (1/A differs by up to 2 ulps), and cancellation inside the residual
-# can amplify that past a few ulps of scale at isolated points.
+# dispersion_residual evaluates each residual on a numpy array and the scan
+# on one Python complex at a time; the two must compute one function.
+# CPython divides complex numbers by another rounding sequence than numpy
+# (1/A differs by up to 2 ulps), and cancellation inside the residual can
+# amplify that past a few ulps of scale at isolated points.
 
 EPS = np.finfo(float).eps
-# sha256 of the grid |f|/scale arrays of test_scan_grid_bits_unchanged, recorded
-# from the upper half-grid evaluation and its mirror (normalmode._scan_grid)
-GRID_DIGEST = "49fcdcd55fdf632118ae62c5a2db8a06eab1d88f65222dd7f69e7abfe45e035f"
 
 
 def seeded_points(seed, count=20, size=64):
@@ -265,7 +302,7 @@ def pair_scale(p, A):
     ])
 
 
-@pytest.mark.parametrize("name", sorted(SCHEMES) + ["bulk-explicit-flux pair"])
+@pytest.mark.parametrize("name", TWO_WAY + ["bulk-explicit-flux pair"])
 def test_scalar_and_array_residuals_agree(name):
     ulps = []
     for p, A in seeded_points(SEED):
@@ -291,80 +328,12 @@ def test_scalar_and_array_residuals_agree(name):
     assert ulps.max() <= 16.0
 
 
-def test_scan_grid_bits_unchanged(monkeypatch):
-    """The grid's |f|/scale arrays keep their recorded bits."""
-    digest = hashlib.sha256()
-    real = normalmode._local_minima
-
-    def hashed(values):
-        digest.update(np.ascontiguousarray(values).tobytes())
-        return real(values)
-
-    monkeypatch.setattr(normalmode, "_local_minima", hashed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnconfirmedRootWarning)
-        for name in sorted(SCHEMES):
-            for p, _ in seeded_points(SEED, count=3, size=1):
-                gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
-    assert digest.hexdigest() == GRID_DIGEST
-
-
 EXTREMES = (1e-300, 1e-2, 1.0, 1.3e154, 1e300)
 
 
-def scan_groups():
-    """Seeded groups and the EXTREMES grid of d and beta, for grid-level checks."""
-    yield from (p for p, _ in seeded_points(SEED, count=20, size=1))
-    for d, beta in itertools.product(EXTREMES, EXTREMES):
-        yield params(d, d, beta, beta)
-
-
-def grid_magnitude(residual, A):
-    """|f| / scale at the points A, inf where not finite, as the scan forms it."""
-    with np.errstate(all="ignore"):
-        f, scale = residual(A)
-        magnitude = np.abs(f) / np.maximum(scale.real, 1e-300)
-    return np.where(np.isfinite(magnitude), magnitude, np.inf)
-
-
-@pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_scan_grid_mirror_is_the_residual_at_the_conjugate_points(name):
-    # the residual's coefficients are real, so the lower half of the grid is
-    # the conjugate of the upper half bit for bit; the reference evaluates
-    # the conjugate points on an array of the half's shape, because numpy
-    # rounds some complex products differently in a larger array
-    half = normalmode.N_ANGULAR // 2
-    for p in scan_groups():
-        residual = normalmode._residual(SCHEMES[name], p)
-        grid, magnitude = normalmode._scan_grid(residual, 20.0)
-        conjugate = grid[:, :half + 1].conj()
-        direct = grid_magnitude(residual, conjugate)
-        assert np.array_equal(grid[:, half + 1:], conjugate[:, half - 1:0:-1])
-        assert (np.ascontiguousarray(magnitude[:, half + 1:]).tobytes()
-                == np.ascontiguousarray(direct[:, half - 1:0:-1]).tobytes()), p
-
-
-@pytest.mark.parametrize("name", sorted(SCHEMES))
-def test_half_grid_is_within_rounding_of_a_full_grid_evaluation(name):
-    # the same points evaluated as the whole (65, 256) grid round some
-    # complex products differently: the array's size decides, since a tiled
-    # copy of the half as large as the grid rounds like the grid (numpy
-    # reuses temporaries in place past 256 KiB; the grid is 266 KB, the half
-    # 134 KB).  A difference of k eps in |f| / scale is k ulps of scale; on
-    # these groups it is at most 4 eps (bulk-implicit and bulk-partial-flux)
-    half = normalmode.N_ANGULAR // 2
-    for p in scan_groups():
-        residual = normalmode._residual(SCHEMES[name], p)
-        grid, magnitude = normalmode._scan_grid(residual, 20.0)
-        upper = magnitude[:, :half + 1]
-        full = grid_magnitude(residual, grid)[:, :half + 1]
-        finite = np.isfinite(upper)
-        assert np.array_equal(finite, np.isfinite(full)), p
-        assert np.max(np.abs(upper[finite] - full[finite]), initial=0.0) <= 8.0 * EPS, p
-
-
-@pytest.mark.parametrize("name", sorted(SCHEMES))
+@pytest.mark.parametrize("name", TWO_WAY)
 def test_evaluate_is_not_finite_where_the_grid_is_not(name):
+    # "the grid": the same points evaluated as one array
     radius = 1.0 + np.geomspace(1e-6, 20.0, 9)
     A = (radius[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))).ravel()
     for d, beta in itertools.product(EXTREMES, EXTREMES):
@@ -395,21 +364,11 @@ def test_evaluate_maps_python_arithmetic_errors():
         assert not np.isfinite(abs(f))
 
 
-# corners of the grid d, beta in {1e-2, 1, 1e100, 1e300} whose scans are
-# quick; elsewhere the grid is flat, nearly every point is a candidate and one
-# scan takes seconds
-EXTREME_SCANS = ((1e-2, 1e-2), (1e-2, 1e300), (1.0, 1e300), (1e300, 1e300))
-
-
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_scan_of_extreme_groups_raises_only_package_errors(name):
-    for d, beta in EXTREME_SCANS:
-        if name == "dn-explicit" and d > 1.0:
-            continue  # about 16,000 candidates that all fail to converge
+    for d, beta in itertools.product((1e-2, 1.0, 1e100, 1e300), repeat=2):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnconfirmedRootWarning)
-                gks_scan(SCHEMES[name], params(d, d, beta, beta))
+            gks_scan(SCHEMES[name], params(d, d, beta, beta))
         except Exception as err:  # noqa: BLE001 - the type is the assertion
             assert type(err).__module__ == "cplstab.errors", (d, beta, err)
 
@@ -422,44 +381,26 @@ def test_scan_of_extreme_one_way_groups_finds_both_closed_form_roots(d):
     assert sorted(m.A.real for m in modes) == sorted(one_way_explicit_roots(1e300, d))
 
 
-def pairwise_distinct(points):
-    """The duplicate rule as first written: each point against every kept one."""
-    kept = []
-    for z in points:
-        if not any(abs(z - known) <= 1e-6 for known in kept):
-            kept.append(z)
-    return kept
+@pytest.mark.parametrize("name, group", [("dn-explicit", params(1e300, 1e300)),
+                                         ("bulk-explicit-flux", params(0.01, 0.01, 1.3e154, 1.3e154))],
+                         ids=["dn-explicit", "bulk-explicit-flux"])
+def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
+    # where |f| / scale is flat the residual is rounding noise (or overflows)
+    # and its roots cannot be counted; the scan raises within a bounded
+    # number of evaluations instead of polishing noise
+    calls = []
+    real = normalmode._evaluate
 
+    def counted(residual, z):
+        calls.append(z)
+        return real(residual, z)
 
-# 1e307 is past 6.9e302, where a cell index would overflow; at 1e308 the
-# pairwise rule's own abs(z - known) overflows for points far apart
-@pytest.mark.parametrize("magnitude", [1.0, 1e6, 1e9, 1e300, 1e307])
-def test_distinct_roots_match_the_pairwise_rule(magnitude):
-    draw = np.random.default_rng(SEED)
-    points = []
-    for z in (magnitude * np.exp(2j * np.pi * draw.uniform(size=30))).tolist():
-        points.append(z)
-        # partners at 1e-6 and one ulp either side of it, along both axes
-        # and at a random angle
-        for gap in (math.nextafter(1e-6, 0.0), 1e-6, math.nextafter(1e-6, 1.0)):
-            turn = cmath.exp(2j * np.pi * draw.uniform())
-            points += [z + gap, z + 1j * gap, z + gap * turn]
-    # a chain of steps under 1e-6 across several cells of width 2**-18
-    points += [complex(magnitude + 0.9e-6 * k, -magnitude) for k in range(20)]
-    points = [points[k] for k in draw.permutation(len(points))]
-    kept = normalmode._distinct(points)
-    assert kept == pairwise_distinct(points)
-    assert 30 <= len(kept) < len(points)
-
-
-def test_scan_of_a_flat_grid_keeps_every_distinct_root():
-    # |f| / scale is flat at beta = 1.3e154, so nearly every grid point is a
-    # candidate and polishes to a "root"; the bucketed duplicate test keeps
-    # as many as the quadratic pairwise rule did, in a fraction of its time
+    monkeypatch.setattr(normalmode, "_evaluate", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        modes = gks_scan(SCHEMES["bulk-explicit-flux"], params(0.01, 0.01, 1.3e154, 1.3e154))
-    assert len(modes) == 16375
+        with pytest.raises(ScanError):
+            gks_scan(SCHEMES[name], group)
+    assert len(calls) <= 2 * normalmode.MAX_SAMPLES
 
 
 # -------------------------------------------------------- one-way closed form
