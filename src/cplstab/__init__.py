@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     CplstabError,
     DecayFloorWarning,
-    KappaPoleWarning,
-    MarginalModeWarning,
     ParameterDomainError,
     ScanError,
     SchemeError,
@@ -43,16 +41,13 @@ from .normalmode import (
     beljaars_bound,
     dispersion_residual,
     gks_scan,
-    kappa_root,
     normal_mode_verdict,
     one_way_explicit_bound,
     one_way_explicit_roots,
-    one_way_implicit_mode,
 )
 from .stepper import (
     State,
     Trajectory,
-    growth_rate,
     pack_state,
     power_growth_rate,
     random_state,

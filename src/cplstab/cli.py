@@ -170,13 +170,14 @@ def _cmd_simulate(args):
         return stepper.pack_state(state, layout)
 
     vector = stepper.pack_state(stepper.random_state(layout, seed=args.seed), layout)
-    log_norms = [0.0]
-    rows = ["step,norm,growth_estimate", f"0,{_fmt(1.0)},nan"]
-    for k, total in enumerate(stepper.renormalized_log_norms(step, vector, args.steps), 1):
-        log_norms.append(total)
-        # the window of stepper.power_growth_rate; NaN until it holds two points
-        estimate = stepper.fit_growth(log_norms[args.burn_in:])
-        rows.append(f"{k},{_fmt(np.exp(total))},{_fmt(estimate)}")
+    log_norms = [0.0, *stepper.renormalized_log_norms(step, vector, args.steps)]
+    # the window of stepper.power_growth_rate; NaN until it holds two points
+    estimates = stepper.prefix_growth(log_norms, args.burn_in)
+    with np.errstate(over="ignore"):  # a norm beyond the float range prints inf
+        norms = np.exp(log_norms)
+    rows = ["step,norm,growth_estimate"]
+    rows += [f"{k},{_fmt(norm)},{_fmt(estimate)}"
+             for k, (norm, estimate) in enumerate(zip(norms.tolist(), estimates.tolist()))]
     if len(log_norms) <= args.steps:
         rows.append(f"{len(log_norms)},0.0,nan")
     _emit(rows, args.out)

@@ -29,14 +29,6 @@ class ScanError(CplstabError, ArithmeticError):
     """The normal-mode scan could not prove its root count or polish a counted root."""
 
 
-class MarginalModeWarning(UserWarning):
-    """Both spatial roots lie on the unit circle; branch selection is ambiguous."""
-
-
-class KappaPoleWarning(UserWarning):
-    """A closed-form spatial root passed through a pole (e.g. beta = d)."""
-
-
 class UnconfirmedRootWarning(UserWarning):
     """Kept as a public name; the scan raises ScanError where a root is not confirmed."""
 

@@ -22,27 +22,21 @@ roots are known in closed form.
 Each residual is one implementation for two argument kinds.  The scan
 evaluates one point at a time on a Python complex with cmath, which costs a
 few microseconds where a numpy 0-d array costs tens; `dispersion_residual`
-evaluates on numpy under errstate.  The two differ only in rounding;
-`_evaluate` maps Python's arithmetic errors to the non-finite residual that
-numpy would give.
+evaluates on numpy under errstate.  The two differ only in rounding (CPython
+and numpy round complex products, quotients and moduli differently; 1/A is
+written out in real arithmetic, so it rounds alike); `_evaluate` maps Python's
+arithmetic errors to the non-finite residual that numpy would give.
 """
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .assembly import BULK, DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
-from .errors import (
-    KappaPoleWarning,
-    MarginalModeWarning,
-    ParameterDomainError,
-    ScanError,
-    SingularityError,
-)
+from .assembly import DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
+from .errors import ParameterDomainError, ScanError, SingularityError
 from .params import _require_nonnegative, _require_positive
 
 ADMISSIBLE_TOL = 1e-12
@@ -111,41 +105,27 @@ def _kappa_from_s(s):
     return 1.0 / big
 
 
-def kappa_root(A, d):
-    """Decaying spatial root for the backward-Euler interior at temporal root A.
+# --- residuals ---
 
-    A may be the infinity token (the s = 1/(2d) limit).  When both roots sit
-    on the unit circle the branch choice is ambiguous and a MarginalModeWarning
-    is raised alongside the smaller root.
+
+def _reciprocal(A):
+    """1/A as conj(A) / |A|^2 in real arithmetic, bit for bit alike for a Python complex
+    and an array; accurate to a few ulps while |A|^2 stays in the float range."""
+    x, y = A.real, A.imag
+    modulus2 = x * x + y * y
+    return x / modulus2 - 1j * (y / modulus2)
+
+
+def _decay_terms(step, d):
+    """(kappa, d*(1 - kappa)) for the decaying branch at s = step/(2d); zero stencil when d = 0.
+
+    step is 1 - 1/A for the backward-Euler interior and A - 1 for the
+    forward-Euler one; both domains of a residual share it.
     """
-    _require_positive("d", d)
-    A = complex(A)
-    if A == 0j:
-        raise ParameterDomainError("A must be nonzero")
-    if cmath.isinf(A):
-        s = 1.0 / (2.0 * d) + 0j
-    else:
-        s = (1.0 - 1.0 / A) / (2.0 * d)
-    k_small = _kappa_from_s(s)
-    if abs(abs(k_small) - 1.0) <= 1e-12:
-        k_large = 1.0 / k_small
-        if (abs(k_large) - abs(k_small) <= 1e-12 * max(1.0, abs(k_small))
-                and abs(k_small - k_large) > 1e-12):
-            warnings.warn("both spatial roots lie on the unit circle; returning one of them",
-                          MarginalModeWarning)
-    return k_small
-
-
-# --- scalar residuals ---
-
-
-def _decay_terms(A, d, backward):
-    """(kappa, d*(1 - kappa)) for the decaying branch; zero stencil when d = 0."""
     if d == 0.0:
-        zero = 0j if isinstance(A, complex) else np.zeros_like(A)
+        zero = 0j if isinstance(step, complex) else np.zeros_like(step)
         return zero, zero
-    s = (1.0 - 1.0 / A) / (2.0 * d) if backward else (A - 1.0) / (2.0 * d)
-    kappa = _kappa_from_s(s)
+    kappa = _kappa_from_s(step / (2.0 * d))
     return kappa, d * (1.0 - kappa)
 
 
@@ -158,19 +138,6 @@ def _one_way_kappa(A, p, theta):
     # 1 - bm, so A + (bm - 1) is exact (Sterbenz) and the rounding error of
     # 1 + dm no longer cancels against (bm - 1)/A
     return (dm + (A + (bm - 1.0)) / A) / dm
-
-
-def _bulk_pair_residual(p, A):
-    """The two coupled-interface residuals of the explicit-flux bulk scheme."""
-    km_inv, _ = _decay_terms(A, p.d_minus, True)
-    kp, _ = _decay_terms(A, p.d_plus, True)
-    r_minus = ((1.0 - 1.0 / A)
-               - (p.beta_minus / A) * (kp / km_inv - 1.0)
-               + p.d_minus * (1.0 - km_inv))
-    r_plus = ((1.0 - 1.0 / A)
-              - p.d_plus * (kp - 1.0)
-              + (p.beta_plus / A) * (1.0 - km_inv / kp))
-    return r_minus, r_plus
 
 
 def _residual(scheme, p):
@@ -186,10 +153,11 @@ def _residual(scheme, p):
         dm, dp, r = p.d_minus, p.d_plus, p.r
 
         def residual(A):
-            _, em = _decay_terms(A, dm, False)
-            _, ep = _decay_terms(A, dp, False)
-            f = (A - 1.0) * (1.0 + r) + 2.0 * em + 2.0 * r * ep
-            scale = abs((A - 1.0) * (1.0 + r)) + 2.0 * abs(em) + 2.0 * r * abs(ep) + 1.0
+            step = A - 1.0
+            _, em = _decay_terms(step, dm)
+            _, ep = _decay_terms(step, dp)
+            f = step * (1.0 + r) + 2.0 * em + 2.0 * r * ep
+            scale = abs(step * (1.0 + r)) + 2.0 * abs(em) + 2.0 * r * abs(ep) + 1.0
             return f, scale
 
         return residual
@@ -199,8 +167,9 @@ def _residual(scheme, p):
         w = (1.0 + r) / 2.0
 
         def residual(A):
-            _, ep = _decay_terms(A, dp, True)
-            _, em = _decay_terms(A, dm, True)
+            step = 1.0 - _reciprocal(A)
+            _, ep = _decay_terms(step, dp)
+            _, em = _decay_terms(step, dm)
             left = w * (A - 1.0) + A * em
             bracket = A * (1.0 + ep) - (1.0 - dp)
             f = (left + dp * r) * bracket - dp * dp * r
@@ -216,8 +185,9 @@ def _residual(scheme, p):
     sequential = scheme.formulation == SEQUENTIAL
 
     def residual(A):
-        _, em = _decay_terms(A, dm, True)
-        _, ep = _decay_terms(A, dp, True)
+        step = 1.0 - _reciprocal(A)
+        _, em = _decay_terms(step, dm)
+        _, ep = _decay_terms(step, dp)
         f_minus = A * (1.0 + theta * bm + em) - 1.0 + (1.0 - theta) * bm
         f_plus = A * (1.0 + theta * bp + ep) - 1.0 + (1.0 - theta) * bp
         weight = (1.0 - gamma) + gamma * A
@@ -230,14 +200,14 @@ def _residual(scheme, p):
 
 
 def dispersion_residual(scheme, p, A):
-    """Interface residual(s) of the normal-mode ansatz at temporal root A.
+    """Interface residual of the normal-mode ansatz at temporal root A: one complex.
 
-    For the explicit-flux bulk scheme this returns the pair of coupled
-    residuals (negative row, positive row); every other scheme eliminates the
-    amplitudes into a single determinant residual.  A = 0 and A = 1 are
-    singular points of the reduction.  The point is evaluated on a numpy 0-d
-    array under errstate, so where a term leaves the float range the residual
-    is inf or NaN, and nothing is raised.
+    Every scheme eliminates the mode amplitudes into one residual: the
+    one-way boundary row, or the determinant that gks_scan counts for a
+    two-way scheme.  A = 0 and A = 1 are singular points of the reduction.
+    The point is evaluated on a numpy 0-d array under errstate, so where a
+    term leaves the float range the residual is inf or NaN, and nothing is
+    raised.
     """
     A = complex(A)
     if A == 0j or A == 1 + 0j:
@@ -248,12 +218,6 @@ def dispersion_residual(scheme, p, A):
             _require_positive("one-way d_minus", p.d_minus)
             kappa = _one_way_kappa(z, p, scheme.theta)
             return complex((1.0 - 1.0 / z) - p.d_minus * (kappa - 2.0 + 1.0 / kappa))
-        if (scheme.interface == BULK
-                and scheme.theta == 0 and scheme.gamma == 0
-                and scheme.formulation != SEQUENTIAL
-                and p.d_minus > 0.0 and p.d_plus > 0.0):
-            r_minus, r_plus = _bulk_pair_residual(p, z)
-            return complex(r_minus), complex(r_plus)
         return complex(_residual(scheme, p)(z)[0])
 
 
@@ -265,9 +229,10 @@ def _mode_from_root(scheme, p, A):
         km_inv = _one_way_kappa(A, p, scheme.theta)
         kp = 0j
     else:
-        backward = not (scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT)
-        km_inv = _decay_terms(A, p.d_minus, backward)[0]
-        kp = _decay_terms(A, p.d_plus, backward)[0]
+        forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
+        step = A - 1.0 if forward else 1.0 - _reciprocal(A)
+        km_inv = _decay_terms(step, p.d_minus)[0]
+        kp = _decay_terms(step, p.d_plus)[0]
     admissible = (abs(kp) <= 1.0 + ADMISSIBLE_TOL
                   and abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
     return ModeSolution(complex(A), kp, km_inv, admissible)
@@ -525,26 +490,3 @@ def beljaars_bound(d):
     """Empirical stability margin 2 + sqrt(d)^1.1 used operationally."""
     _require_nonnegative("d", d)
     return 2.0 + np.sqrt(d) ** 1.1
-
-
-def one_way_implicit_mode(beta, d):
-    """Closed-form boundary mode of the implicit-flux one-way scheme.
-
-    The spatial factor d/(d - beta) passes through a pole at beta = d, where
-    the temporal root collapses to 0; the mode is admissible exactly when
-    beta >= 2d, and an admissible root never grows.
-    """
-    _require_positive("d", d)
-    _require_nonnegative("beta", beta)
-    if beta == d:
-        warnings.warn("spatial factor has a pole at beta = d; temporal root is 0",
-                      KappaPoleWarning)
-        return ModeSolution(0j, 0j, complex(np.inf), False)
-    km_inv = d / (d - beta)
-    denom = beta - d + beta * beta
-    if denom == 0.0:
-        a = complex(np.inf)
-    else:
-        a = complex((beta - d) / denom)
-    admissible = abs(km_inv) <= 1.0 + ADMISSIBLE_TOL
-    return ModeSolution(a, 0j, complex(km_inv), admissible)

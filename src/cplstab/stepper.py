@@ -14,8 +14,8 @@ system whose elimination pivot falls below 1e-14 of the matrix scale is
 singular.  The matrices do not change during a run, so each is factored once
 (LAPACK dgttrf) and each step's solve runs dgttrs.
 
-Growth rates come from least-squares fits of log norms over one window rule;
-long runs renormalize each step and accumulate the log so that unstable
+Growth rates come from one least-squares fit of log norms over one window
+rule; long runs renormalize each step and accumulate the log so that unstable
 schemes cannot overflow."""
 
 import functools
@@ -89,15 +89,9 @@ def random_state(layout, seed=0):
 
 @dataclass
 class Trajectory:
-    """Raw states of a run; norms[k] is the infinity norm of states[k]."""
+    """Raw states of a run; states[k] is the state after k steps."""
 
     states: list = field(default_factory=list)
-    norms: np.ndarray = None
-
-    @classmethod
-    def from_states(cls, states):
-        return cls(states=list(states),
-                   norms=np.array([state_norm(s) for s in states]))
 
 
 # --- monolithic stepping ---
@@ -119,7 +113,7 @@ def _run(step, state, steps):
     for _ in range(steps):
         state = step(state)
         states.append(state)
-    return Trajectory.from_states(states)
+    return Trajectory(states)
 
 
 def run_monolithic(pair, state, steps):
@@ -240,44 +234,25 @@ def run_partitioned(scheme, p, n_minus, n_plus, state, steps):
 # --- growth rates ---
 
 
-def fit_growth(log_norms):
-    """Per-step amplification exp(slope) of a least-squares line through log norms.
+def prefix_growth(log_norms, burn_in):
+    """exp(slope) of the least-squares line through log_norms[burn_in:k + 1], for every k.
 
-    A line needs two points: with fewer the amplification is NaN.
+    log_norms[0] is the initial state (step 0), so entry k is the fit of the
+    window from step burn_in to step k; it is NaN until the window holds two
+    points.  Every prefix comes from cumulative sums of the window, centred
+    on its first value, so all of them cost one pass.
     """
-    if len(log_norms) < 2:
-        return np.nan
-    slope = np.polyfit(np.arange(len(log_norms)), log_norms, 1)[0]
-    return float(np.exp(slope))
-
-
-def _check_window(burn_in, length, what):
     _require_count("burn_in", burn_in, 0)
-    if length < burn_in + 10:
-        raise ParameterDomainError(f"need {what} >= burn_in + 10 = {burn_in + 10}, got {length}")
-
-
-def _fit_window(log_norms, burn_in, collapsed):
-    """exp(slope) over log_norms[burn_in:], log_norms[0] being the initial state (step 0).
-
-    A collapsed run, fitted on its surviving prefix, warns once; under two points give 0.0."""
-    if collapsed:
-        warnings.warn("the run collapsed to zero; fitting the surviving prefix",
-                      DecayFloorWarning)
-    rate = fit_growth(log_norms[burn_in:])
-    return 0.0 if np.isnan(rate) else rate
-
-
-def growth_rate(trajectory, burn_in=50):
-    """Per-step amplification exp(slope) fitted to log norms[burn_in:].
-
-    norms[0] is the initial state, so the window starts at step burn_in.
-    Norms that reach exact zero end the run's surviving prefix.
-    """
-    norms = np.asarray(trajectory.norms, dtype=float)
-    _check_window(burn_in, norms.shape[0], "recorded norms")
-    zero = np.flatnonzero(norms == 0.0)
-    return _fit_window(np.log(norms[:zero[0]] if zero.size else norms), burn_in, zero.size > 0)
+    window = np.asarray(log_norms[burn_in:], dtype=float)
+    i = np.arange(window.size, dtype=float)  # the last index of each prefix
+    rates = np.full(len(log_norms), np.nan)
+    with np.errstate(all="ignore"):  # a non-finite log norm gives a NaN or inf rate
+        window = window - window[:1]
+        # sum (i - mean i)(y - mean y) over sum (i - mean i)^2, with mean i = i_last / 2
+        slope = ((np.cumsum(i * window) - 0.5 * i * np.cumsum(window))
+                 / ((i + 1.0) * i * (i + 2.0) / 12.0))
+        rates[burn_in + 1:] = np.exp(slope[1:])
+    return rates
 
 
 def renormalized_log_norms(step, vector, steps):
@@ -297,11 +272,19 @@ def power_growth_rate(pair, steps=250, burn_in=50, seed=0):
     """Growth rate from a renormalized monolithic run; safe for strongly unstable pairs.
 
     Log norms count from the initial state's 0.0 at step 0 and the fit runs over
-    [burn_in:]: steps burn_in..steps, the window of growth_rate and `cplstab simulate`.
+    [burn_in:]: steps burn_in..steps, the last row of `cplstab simulate`.  A run
+    that collapses to zero is fitted on its surviving prefix with a warning;
+    under two points give 0.0.
     """
     _require_count("steps", steps, 0)
-    _check_window(burn_in, steps, "steps")
+    _require_count("burn_in", burn_in, 0)
+    if steps < burn_in + 10:
+        raise ParameterDomainError(f"need steps >= burn_in + 10 = {burn_in + 10}, got {steps}")
     vector = pack_state(random_state(pair.layout, seed=seed), pair.layout)
     log_norms = [0.0, *renormalized_log_norms(
         lambda v: tridiagonal_solve(pair.A, pair.B @ v), vector, steps)]
-    return _fit_window(log_norms, burn_in, len(log_norms) <= steps)
+    if len(log_norms) <= steps:
+        warnings.warn("the run collapsed to zero; fitting the surviving prefix",
+                      DecayFloorWarning)
+    rate = float(prefix_growth(log_norms, burn_in)[-1])
+    return 0.0 if np.isnan(rate) else rate

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -418,6 +419,18 @@ def test_simulate_zero_gain_ends_the_run(capsys):
     assert cli_main(["simulate", "--scheme", "one-way-explicit-flux", "--d-minus", "1",
                      "--beta-minus", "1", "--n-minus", "1", "--steps", "5"]) == 0
     assert capsys.readouterr().out == "step,norm,growth_estimate\n0,1,nan\n1,0.0,nan\n"
+
+
+def test_simulate_prints_inf_for_a_norm_beyond_the_float_range(capsys):
+    # the run grows about 11.6x a step, so its norm passes 1.8e308 near step
+    # 290; the renormalized fit goes on, and the norm column warns no more
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["simulate", "--scheme", "one-way-explicit-flux", "--d-minus", "1",
+                         "--beta-minus", "20", "--n-minus", "10", "--steps", "300"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[:2] == ["300", "inf"]
+    assert float(last[2]) == pytest.approx(11.64, rel=1e-3)
 
 
 # ------------------------------------------------------------- bounds

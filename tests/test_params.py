@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cplstab import (SCHEMES, Axis, DimensionlessParams, ParameterDomainError, SweepSpec,
-                     assemble, beljaars_bound, growth_rate, kappa_root, one_way_explicit_bound,
-                     one_way_explicit_roots, one_way_implicit_mode, power_growth_rate,
-                     random_state, run_monolithic)
+                     assemble, beljaars_bound, one_way_explicit_bound, one_way_explicit_roots,
+                     power_growth_rate, random_state)
 from cplstab.assembly import assemble_bands
+from cplstab.stepper import prefix_growth
 from cplstab.params import in_domain
-
-SEED = 0
 
 
 # ---------------------------------------------------------------- validation
@@ -31,7 +29,6 @@ def test_dimensionless_rejects_bad_values():
 GROUPS = DimensionlessParams(0.4, 0.9, 0.3, 0.7, 1.0)
 BULK = SCHEMES["bulk-implicit-flux"]
 PAIR = assemble(BULK, GROUPS, 6, 5)
-TRAJECTORY = run_monolithic(PAIR, random_state(PAIR.layout, seed=SEED), 20)
 
 # every entry point that takes a count: (the count's name, a call taking it)
 COUNT_ENTRY_POINTS = {
@@ -46,15 +43,15 @@ COUNT_ENTRY_POINTS = {
     "power_growth_rate.steps": ("steps", lambda k: power_growth_rate(PAIR, steps=k, burn_in=0)),
     "power_growth_rate.burn_in": ("burn_in", lambda k: power_growth_rate(PAIR, steps=20,
                                                                          burn_in=k)),
-    "growth_rate": ("burn_in", lambda k: growth_rate(TRAJECTORY, burn_in=k)),
+    "prefix_growth": ("burn_in", lambda k: prefix_growth(np.arange(20.0), burn_in=k)),
 }
 
 
 @pytest.mark.parametrize("value", [-1, 2.5, True])
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
 def test_every_count_takes_the_one_count_rule(entry, value):
-    # the assemblers took True for 1, and random_state, power_growth_rate
-    # and growth_rate raised numpy's bare ValueError or a TypeError
+    # the assemblers took True for 1, and random_state and power_growth_rate
+    # raised numpy's bare ValueError or a TypeError
     name, call = COUNT_ENTRY_POINTS[entry]
     with pytest.raises(ParameterDomainError, match=f"^{name} must be "):
         call(value)
@@ -73,15 +70,11 @@ def test_a_count_that_is_not_an_integer_says_so():
 
 # the closed forms, each with a call taking one group
 CLOSED_FORMS = {
-    "kappa_root": ("d", "positive", lambda v: kappa_root(2.0, v)),
     "one_way_explicit_roots.d": ("d", "positive", lambda v: one_way_explicit_roots(1.0, v)),
     "one_way_explicit_roots.beta": ("beta", "nonnegative",
                                     lambda v: one_way_explicit_roots(v, 1.0)),
     "one_way_explicit_bound": ("d", "positive", one_way_explicit_bound),
     "beljaars_bound": ("d", "nonnegative", beljaars_bound),
-    "one_way_implicit_mode.d": ("d", "positive", lambda v: one_way_implicit_mode(1.0, v)),
-    "one_way_implicit_mode.beta": ("beta", "nonnegative",
-                                   lambda v: one_way_implicit_mode(v, 1.0)),
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      ParameterDomainError, SingularMatrixError, State,
-                     Trajectory, Tridiagonal, UpdatePair, assemble, eigen_spectrum, growth_rate,
+                     Tridiagonal, UpdatePair, assemble, eigen_spectrum,
                      pack_state, power_growth_rate, random_state,
                      run_monolithic, run_partitioned, state_norm,
                      step_monolithic, step_partitioned, tridiagonal_solve,
@@ -152,8 +152,11 @@ def test_power_growth_rate_is_bit_identical_to_a_solve_banded_loop():
             total += np.log(gain)
             log_norms.append(total)
             vector = vector / gain
-        expected = np.exp(np.polyfit(np.arange(61), log_norms[20:], 1)[0])
+        # the stepping is bit for bit; the fit is the one fit of the package
+        expected = stepper.prefix_growth(log_norms, 20)[-1]
         assert power_growth_rate(pair, steps=80, burn_in=20, seed=3) == expected
+        assert expected == pytest.approx(np.exp(np.polyfit(np.arange(61), log_norms[20:], 1)[0]),
+                                         rel=1e-14)
 
 
 def test_tridiagonal_solve_factors_each_matrix_once():
@@ -249,14 +252,18 @@ def test_state_norm_includes_shared_node():
 
 
 def test_trajectory_norms_match_states():
+    # the renormalized run of simulate and power_growth_rate keeps the log
+    # of the norms that the raw states of a trajectory have
     layout = Layout("bulk", 3, 3)
     pair = assemble(SCHEMES["bulk-partial-flux"], params(dp=0.5, dm=0.5, bp=0.2, bm=0.2), 3, 3)
-    traj = run_monolithic(pair, random_state(layout, seed=SEED), 10)
+    state = random_state(layout, seed=SEED)
+    traj = run_monolithic(pair, state, 10)
     assert len(traj.states) == 11
-    for state, norm in zip(traj.states, traj.norms):
-        assert norm == state_norm(state)
-    steps = [s.step_index for s in traj.states]
-    assert steps == sorted(steps)
+    assert [s.step_index for s in traj.states] == list(range(11))
+    log_norms = stepper.renormalized_log_norms(
+        lambda v: tridiagonal_solve(pair.A, pair.B @ v), pack_state(state, layout), 10)
+    for s, total in zip(traj.states[1:], log_norms, strict=True):
+        assert np.log(state_norm(s)) == pytest.approx(total, rel=1e-13, abs=1e-13)
 
 
 # -------------------------------------------------- partitioned = monolithic
@@ -300,40 +307,55 @@ def test_unstable_scheme_norms_blow_up():
     pair = assemble(SCHEMES["one-way-explicit-flux"], p, 10, 1)
     lam = eigen_spectrum(update_matrix(pair)).lambda_max
     assert lam > 1.0
-    traj = run_monolithic(pair, random_state(pair.layout, seed=SEED), 60)
-    assert traj.norms.max() > 1e3 * traj.norms[0]
+    norms = [state_norm(s) for s in run_monolithic(pair, random_state(pair.layout, seed=SEED),
+                                                   60).states]
+    assert max(norms) > 1e3 * norms[0]
 
 
 def test_growth_rate_scalar_contraction():
     layout = Layout(ONE_WAY_NEGATIVE, 3, 0)
     pair = dense_pair(np.eye(3), 0.5 * np.eye(3), layout)
-    traj = run_monolithic(pair, random_state(layout, seed=SEED), 100)
-    assert growth_rate(traj) == pytest.approx(0.5, rel=1e-12)
+    assert power_growth_rate(pair, steps=100, seed=SEED) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_growth_rate_picks_dominant_mode():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
     pair = dense_pair(np.eye(2), np.diag([0.9, 0.2]), layout)
-    traj = run_monolithic(pair, random_state(layout, seed=SEED), 120)
-    assert growth_rate(traj) == pytest.approx(0.9, rel=1e-9)
+    assert power_growth_rate(pair, steps=120, seed=SEED) == pytest.approx(0.9, rel=1e-9)
 
 
 def test_growth_rate_needs_enough_norms():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
     pair = dense_pair(np.eye(2), 0.5 * np.eye(2), layout)
-    traj = run_monolithic(pair, random_state(layout, seed=SEED), 20)
     with pytest.raises(ParameterDomainError):
-        growth_rate(traj)
+        power_growth_rate(pair, steps=20, seed=SEED)  # the window needs burn_in + 10 steps
 
 
 def test_growth_rate_zero_floor_warns():
     layout = Layout(ONE_WAY_NEGATIVE, 2, 0)
     pair = dense_pair(np.eye(2), np.zeros((2, 2)), layout)
-    traj = run_monolithic(pair, random_state(layout, seed=SEED), 80)
     with pytest.warns(DecayFloorWarning):
-        growth_rate(traj)
+        assert power_growth_rate(pair, steps=80) == 0.0
     with pytest.warns(DecayFloorWarning):
         assert power_growth_rate(pair, steps=20, burn_in=0) == 0.0
+
+
+@pytest.mark.parametrize("steps", [120, 2000])
+def test_prefix_growth_is_the_least_squares_fit_of_every_prefix(steps):
+    # an unstable pair, whose log norms grow to about 1.5e3 at 2,000 steps
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dp=0.5, dm=0.5, bp=2.5, bm=2.5, r=2.0),
+                    20, 10)
+    vector = pack_state(random_state(pair.layout, seed=SEED), pair.layout)
+    log_norms = [0.0, *stepper.renormalized_log_norms(
+        lambda v: tridiagonal_solve(pair.A, pair.B @ v), vector, steps)]
+    burn_in = 50
+    rates = stepper.prefix_growth(log_norms, burn_in)
+    assert rates.shape == (steps + 1,)
+    assert np.isnan(rates[:burn_in + 1]).all()
+    for k in range(burn_in + 1, steps + 1, 7):
+        window = log_norms[burn_in:k + 1]
+        expected = np.exp(np.polyfit(np.arange(len(window)), window, 1)[0])
+        assert rates[k] == pytest.approx(expected, rel=1e-13), k
 
 
 @pytest.mark.parametrize("name", ["bulk-explicit-flux", "bulk-sequential", "dn-implicit",
@@ -352,8 +374,10 @@ def test_power_growth_rate_has_the_window_of_simulate_and_growth_rate(name, caps
     pair = assemble(SCHEMES[name], params(dp=0.5, dm=0.5, bp=2.5, bm=2.5, r=2.0), 20, 10)
     rate = power_growth_rate(pair, steps, burn_in, seed)
     assert float(last[2]) == rate  # the CSV holds the shortest round-trip repr
-    stepped = growth_rate(run_monolithic(pair, random_state(pair.layout, seed=seed), steps),
-                          burn_in)
+    # the raw states' norms, fitted over the same window by np.polyfit
+    states = run_monolithic(pair, random_state(pair.layout, seed=seed), steps).states
+    log_norms = np.log([state_norm(s) for s in states])[burn_in:]
+    stepped = np.exp(np.polyfit(np.arange(len(log_norms)), log_norms, 1)[0])
     assert stepped == pytest.approx(rate, rel=1e-12)
 
 
@@ -373,8 +397,6 @@ def test_power_growth_rate_rejects_negative_burn_in():
 
 
 def test_growth_rate_rejects_negative_burn_in():
-    # a negative burn-in used to fit the last |burn_in| norms
-    pair = assemble(SCHEMES["bulk-implicit-flux"], params(dp=0.4, dm=0.9, bp=0.3, bm=0.7), 6, 5)
-    traj = run_monolithic(pair, random_state(pair.layout, seed=SEED), 20)
+    # a negative burn-in would fit the last |burn_in| log norms into the wrong rows
     with pytest.raises(ParameterDomainError, match="burn_in must be nonnegative"):
-        growth_rate(traj, burn_in=-5)
+        stepper.prefix_growth([0.0, 1.0, 2.0], burn_in=-5)
