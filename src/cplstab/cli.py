@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import assembly, normalmode, spectral, stepper, sweep
-from .errors import CplstabError, ParameterDomainError, SchemeError
+from .errors import CplstabError, ParameterDomainError, ScanError, SchemeError
 from .params import (DimensionlessParams, _config_number, _read_config, _require_count,
                      _require_positive, _section_values)
 
@@ -244,7 +244,9 @@ def _compare_verdicts(scheme, p, n, dense=False):
     """(lambda_max, verdicts agree, dense agrees) at n cells per domain, None if marginal.
 
     The pencil path picks the draws to skip; with dense=True the dense oracle
-    decides the verdict and must match the pencil to 1e-10 relative.
+    decides the verdict and must match the pencil to 1e-10 relative.  A draw
+    whose scan raises ScanError is printed with its scheme and groups, and its
+    verdicts disagree.
     """
     pair = assembly.assemble(scheme, p, n, n)
     lam = spectral.eigen_spectrum(pair).lambda_max
@@ -255,8 +257,12 @@ def _compare_verdicts(scheme, p, n, dense=False):
         lam = spectral.eigen_spectrum(spectral.update_matrix(pair)).lambda_max
     # the annulus must reach past the observed growth or the scan is blind
     scan = normalmode.ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
-    stable = normalmode.normal_mode_verdict(scheme, p, scan)
-    return lam, stable == (lam <= 1.0), abs(fast - lam) <= 1e-10 * lam
+    try:
+        agree = normalmode.normal_mode_verdict(scheme, p, scan) == (lam <= 1.0)
+    except ScanError as err:
+        print(f"  {assembly.scheme_name(scheme)} at {p}: ScanError: {err}")
+        agree = False
+    return lam, agree, abs(fast - lam) <= 1e-10 * lam
 
 
 def _draw(rng, name):

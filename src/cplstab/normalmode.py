@@ -19,13 +19,15 @@ choice) commutes with conjugation in IEEE arithmetic, so the mirror is exact.
 The one-way residuals are quadratic in A once cleared of kappa, and their
 roots are known in closed form.
 
-Each residual is one implementation for two argument kinds.  The scan
-evaluates one point at a time on a Python complex with cmath, which costs a
-few microseconds where a numpy 0-d array costs tens; `dispersion_residual`
-evaluates on numpy under errstate.  The two differ only in rounding (CPython
-and numpy round complex products, quotients and moduli differently; 1/A is
-written out in real arithmetic, so it rounds alike); `_evaluate` maps Python's
-arithmetic errors to the non-finite residual that numpy would give.
+Each residual is one implementation for two argument kinds.  The count
+evaluates the start samples of both circles in one numpy call under errstate;
+the bisection of the steps that fail the adequacy rule and the Newton polish
+evaluate one point at a time on a Python complex with cmath, which costs a few
+microseconds where a numpy 0-d array costs tens.  `dispersion_residual`
+evaluates on numpy under errstate too.  The two kinds differ only in rounding
+(CPython and numpy round complex products, quotients and moduli differently;
+1/A is written out in real arithmetic, so it rounds alike); `_evaluate` maps
+Python's arithmetic errors to the non-finite residual that numpy would give.
 """
 
 import cmath
@@ -310,39 +312,71 @@ def _one_way_roots(scheme, p):
     return [complex(a) for a in roots if abs(a) > 1.0 + 1e-7 and math.isfinite(a)]
 
 
-def _contour(residual, radius):
+def _start_points(radii):
+    """The start samples of the count, one row of START_SAMPLES points per circle |A| = radius.
+
+    The points lie at angles pi t, t = j / (START_SAMPLES - 1) from 0 to 1,
+    placed as cmath.rect places them; t = 1 gives -radius exactly.
+    """
+    angle = math.pi * (np.arange(START_SAMPLES) / (START_SAMPLES - 1))
+    radii = np.asarray(radii, dtype=float)[:, None]
+    z = np.empty((radii.shape[0], START_SAMPLES), dtype=complex)
+    z.real = radii * np.cos(angle)
+    z.imag = radii * np.sin(angle)
+    z[:, -1] = -radii[:, 0]
+    return z
+
+
+def _contour(residual, radius, z, f):
     """(roots inside |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
 
-    The steps start from START_SAMPLES angles and are bisected, leftmost
-    first, until each turns the phase of f by less than MAX_TURN (the
-    adequacy rule of Ying and Katz); a zero or non-finite sample fails the
-    rule too.  The imaginary part of each increment is that turn, and the
-    turns of the upper half add up to pi times the winding number.
+    z holds the circle's row of `_start_points` and f the residual there, as
+    arrays.  The steps between neighbouring start samples are judged at once:
+    one passes where it turns the phase of f by less than MAX_TURN (the
+    adequacy rule of Ying and Katz) and f is nonzero and finite at both ends.
+    The others are bisected one point at a time, leftmost first, until every
+    piece passes.  The imaginary part of each increment is its turn, and the
+    turns of the upper half add up to pi times the winding number.  The steps
+    come back as three arrays.
     """
-    def sample(t):
-        # the point at angle pi t; the end t = 1 lies on the real axis exactly
-        z = complex(-radius, 0.0) if t == 1.0 else cmath.rect(radius, math.pi * t)
-        f = _evaluate(residual, z)[0]
-        return t, z, None if f == 0 or not math.isfinite(f.real) else cmath.log(f)
+    ok = (f != 0) & np.isfinite(np.abs(f))
+    log_f = np.log(np.where(ok, f, 1.0))
+    dlog = log_f[1:] - log_f[:-1]
+    # the remainder of the turn modulo 2 pi, exact like math.remainder: the
+    # turn lies within 2 pi, so the multiple subtracted is -1, 0 or 1
+    dlog.imag -= 2.0 * math.pi * np.rint(dlog.imag / (2.0 * math.pi))
+    adequate = ok[:-1] & ok[1:] & (np.abs(dlog.imag) < MAX_TURN)
+    samples = START_SAMPLES
 
-    pending = [sample(t) for t in np.linspace(1.0, 0.0, START_SAMPLES).tolist()]
-    samples = len(pending)
-    t_a, a, log_a = pending.pop()
-    steps = []
-    while pending:
-        t_b, b, log_b = pending[-1]
-        if log_a is not None and log_b is not None:
-            turn = math.remainder((log_b - log_a).imag, 2.0 * math.pi)
-            if abs(turn) < MAX_TURN:
-                steps.append((a, b, complex((log_b - log_a).real, turn)))
-                t_a, a, log_a = pending.pop()
-                continue
-        if t_b - t_a <= MIN_STEP or samples == MAX_SAMPLES:
-            raise ScanError(f"the phase of the residual cannot be resolved between A = {a} "
-                            f"and A = {b} ({samples} samples on |A| = {radius!r})")
-        pending.append(sample(0.5 * (t_a + t_b)))
-        samples += 1
-    turns = math.fsum(dlog.imag for _, _, dlog in steps) / math.pi
+    def sample(t):
+        point = cmath.rect(radius, math.pi * t)
+        value = _evaluate(residual, point)[0]
+        return t, point, None if value == 0 or not math.isfinite(value.real) else cmath.log(value)
+
+    def start(j):
+        return j / (START_SAMPLES - 1), complex(z[j]), complex(log_f[j]) if ok[j] else None
+
+    refined = []
+    for j in np.flatnonzero(~adequate).tolist():
+        t_a, a, log_a = start(j)
+        pending = [start(j + 1)]
+        while pending:
+            t_b, b, log_b = pending[-1]
+            if log_a is not None and log_b is not None:
+                turn = math.remainder((log_b - log_a).imag, 2.0 * math.pi)
+                if abs(turn) < MAX_TURN:
+                    refined.append((a, b, complex((log_b - log_a).real, turn)))
+                    t_a, a, log_a = pending.pop()
+                    continue
+            if t_b - t_a <= MIN_STEP or samples == MAX_SAMPLES:
+                raise ScanError(f"the phase of the residual cannot be resolved between A = {a} "
+                                f"and A = {b} ({samples} samples on |A| = {radius!r})")
+            pending.append(sample(0.5 * (t_a + t_b)))
+            samples += 1
+    steps = z[:-1][adequate], z[1:][adequate], dlog[adequate]
+    if refined:
+        steps = tuple(np.concatenate([whole, part]) for whole, part in zip(steps, np.array(refined).T))
+    turns = math.fsum(steps[2].imag.tolist()) / math.pi
     if abs(turns - round(turns)) > WINDING_TOL:
         raise ScanError(f"the winding number {turns!r} of the residual on |A| = {radius!r} "
                         "is not an integer")
@@ -354,15 +388,16 @@ def _power_sums(steps, k):
 
     Each is (sum A^j dlog f) / (2 pi i) over the whole circle; the lower half
     adds the conjugate of the upper half's sum, which leaves Im / pi.  The
-    powers are products, which overflow to inf where ** would raise.
+    steps are the arrays of `_contour`, and the powers of their midpoints are
+    products, which overflow to inf (under errstate) where ** would raise.
     """
-    sums = [0j] * k
-    for a, b, dlog in steps:
-        term, mid = dlog, 0.5 * (a + b)
-        for j in range(k):
-            term *= mid
-            sums[j] += term
-    return [s.imag / math.pi for s in sums]
+    a, b, term = steps
+    mid = 0.5 * (a + b)
+    sums = []
+    for _ in range(k):
+        term = term * mid
+        sums.append(float(term.sum().imag) / math.pi)
+    return sums
 
 
 def _two_way_roots(scheme, p, radius_max):
@@ -379,12 +414,15 @@ def _two_way_roots(scheme, p, radius_max):
         raise ScanError("the forward-Euler branch cut [1 - 4d, 1] crosses the annulus for "
                         f"d > 1/2 (d_minus = {p.d_minus!r}, d_plus = {p.d_plus!r})")
     residual = _residual(scheme, p)
-    outer_count, outer = _contour(residual, radius_max)
-    inner_count, inner = _contour(residual, 1.0 + INNER_GAP)
-    count = outer_count - inner_count
-    if count < 0:
-        raise ScanError(f"the residual winds {count} times around the annulus")
-    sums = [s - t for s, t in zip(_power_sums(outer, count), _power_sums(inner, count))]
+    points = _start_points((radius_max, 1.0 + INNER_GAP))
+    with np.errstate(all="ignore"):
+        f = residual(points)[0]
+        outer_count, outer = _contour(residual, radius_max, points[0], f[0])
+        inner_count, inner = _contour(residual, 1.0 + INNER_GAP, points[1], f[1])
+        count = outer_count - inner_count
+        if count < 0:
+            raise ScanError(f"the residual winds {count} times around the annulus")
+        sums = [s - t for s, t in zip(_power_sums(outer, count), _power_sums(inner, count))]
     coeffs = [1.0]
     for m in range(1, count + 1):
         coeffs.append(-sum(coeffs[m - i] * sums[i - 1] for i in range(1, m + 1)) / m)

@@ -11,6 +11,7 @@ import cplstab.normalmode as normalmode_mod
 import cplstab.spectral as spectral_mod
 from cplstab.assembly import SCHEMES, assemble
 from cplstab.cli import cli_main
+from cplstab.errors import ScanError
 from cplstab.normalmode import beljaars_bound, one_way_explicit_bound
 from cplstab.params import DimensionlessParams
 from cplstab.sweep import Axis, SweepSpec, run_sweep, write_csv
@@ -496,6 +497,29 @@ def test_validate_scan_prints_each_failing_point(monkeypatch, capsys, module, na
     assert [line.split(" at DimensionlessParams(")[0] for line in lines if flag in line] == [
         f"  {scheme}" for scheme in SCHEMES]
     assert lines[-1] == f"0 passed, {len(SCHEMES)} failed"
+
+
+def test_validate_scan_prints_a_draw_whose_scan_raises(monkeypatch, capsys):
+    # a ScanError on one draw fails that scheme's check; the audit goes on
+    real = normalmode_mod.normal_mode_verdict
+    failing = SCHEMES["bulk-partial-flux"]
+
+    def verdict(scheme, p, scan=None):
+        if scheme == failing:
+            raise ScanError("the residual winds -1 times around the annulus")
+        return real(scheme, p, scan)
+
+    monkeypatch.setattr(normalmode_mod, "normal_mode_verdict", verdict)
+    assert cli_main(["validate", "--suite", "scan", "--points", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("  bulk-partial-flux at DimensionlessParams(d_plus=")
+    assert lines[0].endswith(": ScanError: the residual winds -1 times around the annulus")
+    checks = [line for line in lines if line.startswith(("ok  ", "FAIL"))]
+    assert [line.split()[1] for line in checks] == list(SCHEMES)
+    assert [line for line in checks if line.startswith("FAIL")] == [
+        "FAIL bulk-partial-flux scan verdicts match the matrix on 1 draws "
+        "(1 disagree, 0 pencil/dense mismatches)"]
+    assert lines[-1] == f"{len(SCHEMES) - 1} passed, 1 failed"
 
 
 def test_validate_failure_exit_code(monkeypatch, capsys):

@@ -268,8 +268,12 @@ def test_half_circle_count_and_power_sums_match_the_full_circle(name):
             p = replace(p, d_minus=p.d_minus / 200.0, d_plus=p.d_plus / 200.0)
         residual = normalmode._residual(SCHEMES[name], p)
         for radius in (20.0, 1.0 + normalmode.INNER_GAP):
-            count, steps = normalmode._contour(residual, radius)
-            for a, _, _ in steps:  # the mirror is exact, bit for bit
+            z = normalmode._start_points([radius])[0]
+            # the start samples lie where the scalar path's cmath.rect puts them
+            t = [j / (normalmode.START_SAMPLES - 1) for j in range(normalmode.START_SAMPLES)]
+            assert z.tolist() == [cmath.rect(radius, math.pi * x) for x in t[:-1]] + [-radius]
+            count, steps = normalmode._contour(residual, radius, z, residual(z)[0])
+            for a in steps[0].tolist():  # the mirror is exact, bit for bit
                 f = normalmode._evaluate(residual, a)[0]
                 assert normalmode._evaluate(residual, a.conjugate())[0] == f.conjugate()
             winding, sums = full_circle(residual, radius)
@@ -369,11 +373,14 @@ def test_evaluate_maps_python_arithmetic_errors():
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
 def test_scan_of_extreme_groups_raises_only_package_errors(name):
-    for d, beta in itertools.product((1e-2, 1.0, 1e100, 1e300), repeat=2):
-        try:
-            gks_scan(SCHEMES[name], params(d, d, beta, beta))
-        except Exception as err:  # noqa: BLE001 - the type is the assertion
-            assert type(err).__module__ == "cplstab.errors", (d, beta, err)
+    # and no floating-point warning escapes the array evaluation of the count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, beta in itertools.product((1e-2, 1.0, 1e100, 1e300), repeat=2):
+            try:
+                gks_scan(SCHEMES[name], params(d, d, beta, beta))
+            except Exception as err:  # noqa: BLE001 - the type is the assertion
+                assert type(err).__module__ == "cplstab.errors", (d, beta, err)
 
 
 @pytest.mark.parametrize("d", [1e100, 1e300])
@@ -384,26 +391,63 @@ def test_scan_of_extreme_one_way_groups_finds_both_closed_form_roots(d):
     assert sorted(m.A.real for m in modes) == sorted(one_way_explicit_roots(1e300, d))
 
 
+def counting_residual(points):
+    """A stand-in for normalmode._residual whose closures append np.size(A) per call."""
+    real = normalmode._residual
+
+    def make(scheme, p):
+        residual = real(scheme, p)
+
+        def counted(A):
+            points.append(np.size(A))
+            return residual(A)
+
+        return counted
+
+    return make
+
+
 @pytest.mark.parametrize("name, group", [("dn-explicit", params(1e300, 1e300)),
                                          ("bulk-explicit-flux", params(0.01, 0.01, 1.3e154, 1.3e154))],
                          ids=["dn-explicit", "bulk-explicit-flux"])
 def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
     # where |f| / scale is flat the residual is rounding noise (or overflows)
     # and its roots cannot be counted; the scan raises within a bounded
-    # number of evaluations instead of polishing noise
-    calls = []
-    real = normalmode._evaluate
-
-    def counted(residual, z):
-        calls.append(z)
-        return real(residual, z)
-
-    monkeypatch.setattr(normalmode, "_evaluate", counted)
+    # number of residual points, array samples included, instead of polishing noise
+    points = []
+    monkeypatch.setattr(normalmode, "_residual", counting_residual(points))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ScanError):
             gks_scan(SCHEMES[name], group)
-    assert len(calls) <= 2 * normalmode.MAX_SAMPLES
+    assert sum(points) <= 2 * normalmode.MAX_SAMPLES
+
+
+# the schemes whose verdict comes from a scan (dn-explicit's is its CFL rule)
+SCANNED = [name for name in TWO_WAY if name != "dn-explicit"]
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_scan_cost_per_draw(monkeypatch, name):
+    # one array call samples both circles; only the steps that fail the
+    # adequacy rule and the Newton polish evaluate point by point.  Measured
+    # on these 40 draws per scheme: means of 8.6 to 13.9 scalar evaluations
+    # per scan and a max of 23 (at most 14.2 and 26 on seeds 0-3), where
+    # sampling each start point on its own took about 270 a scan
+    sizes = []
+    monkeypatch.setattr(normalmode, "_residual", counting_residual(sizes))
+    evaluations = []
+    for p, _ in seeded_points(SEED, count=40, size=1):
+        sizes.clear()
+        try:
+            gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
+        except ScanError:
+            pass
+        assert sizes[0] == 2 * normalmode.START_SAMPLES
+        assert sizes[1:] == [1] * (len(sizes) - 1)
+        evaluations.append(len(sizes) - 1)
+    assert np.mean(evaluations) <= 16.0
+    assert max(evaluations) <= 30
 
 
 # -------------------------------------------------------- one-way closed form
