@@ -244,9 +244,10 @@ def _compare_verdicts(scheme, p, n, dense=False):
     """(lambda_max, verdicts agree, dense agrees) at n cells per domain, None if marginal.
 
     The pencil path picks the draws to skip; with dense=True the dense oracle
-    decides the verdict and must match the pencil to 1e-10 relative.  A draw
-    whose scan raises ScanError is printed with its scheme and groups, and its
-    verdicts disagree.
+    decides the verdict and must match the pencil to 1e-10 relative.  The
+    normal-mode verdict counts growing modes at any modulus, so it takes
+    nothing from the matrix it checks.  A draw whose scan raises ScanError is
+    printed with its scheme and groups, and its verdicts disagree.
     """
     pair = assembly.assemble(scheme, p, n, n)
     lam = spectral.eigen_spectrum(pair).lambda_max
@@ -255,10 +256,8 @@ def _compare_verdicts(scheme, p, n, dense=False):
     fast = lam
     if dense:
         lam = spectral.eigen_spectrum(spectral.update_matrix(pair)).lambda_max
-    # the annulus must reach past the observed growth or the scan is blind
-    scan = normalmode.ScanSettings(radius_max=max(10.0, 1.5 * lam + 1.0))
     try:
-        agree = normalmode.normal_mode_verdict(scheme, p, scan) == (lam <= 1.0)
+        agree = normalmode.normal_mode_verdict(scheme, p) == (lam <= 1.0)
     except ScanError as err:
         print(f"  {assembly.scheme_name(scheme)} at {p}: ScanError: {err}")
         agree = False

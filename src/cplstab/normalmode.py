@@ -7,12 +7,15 @@ The two roots multiply to one; the decaying branch (modulus <= 1) enters the
 interface conditions, and eliminating the mode amplitudes leaves a scalar
 residual whose roots with |A| > 1 are the growing modes.
 
-`gks_scan` counts the roots of a two-way residual in the annulus
-1 + INNER_GAP < |A| < radius_max by the argument principle and polishes
-starts taken from power sums of the roots.  The residual is analytic there:
-its only singular points, A = 0 and the branch cut where both spatial roots
-have modulus 1, lie inside the unit disk (for the forward-Euler interior
-only while d <= 1/2).  Every coefficient (d, beta, r, theta, gamma) is real,
+`gks_scan` counts the roots of a two-way residual with |A| > 1 + INNER_GAP by
+the argument principle and polishes starts taken from power sums of the
+roots; `normal_mode_verdict` needs the count only.  The residual is analytic
+there: its only singular points, A = 0 and the branch cut where both spatial
+roots have modulus 1, lie inside the unit disk (for the forward-Euler interior
+only while d <= 1/2).  It is analytic at infinity too, where f(A) / A^m tends
+to a nonzero constant (`_two_way_count`), so f winds m times on every large
+enough circle, and m less the winding number on the inner circle counts the
+roots at any modulus.  Every coefficient (d, beta, r, theta, gamma) is real,
 so f(conj A) = conj f(A), and the count needs the upper half of each circle
 only.  Each step of the residual (+, -, *, /, sqrt, abs and the branch
 choice) commutes with conjugation in IEEE arithmetic, so the mirror is exact.
@@ -20,14 +23,15 @@ The one-way residuals are quadratic in A once cleared of kappa, and their
 roots are known in closed form.
 
 Each residual is one implementation for two argument kinds.  The count
-evaluates the start samples of both circles in one numpy call under errstate;
-the bisection of the steps that fail the adequacy rule and the Newton polish
-evaluate one point at a time on a Python complex with cmath, which costs a few
-microseconds where a numpy 0-d array costs tens.  `dispersion_residual`
-evaluates on numpy under errstate too.  The two kinds differ only in rounding
-(CPython and numpy round complex products, quotients and moduli differently;
-1/A is written out in real arithmetic, so it rounds alike); `_evaluate` maps
-Python's arithmetic errors to the non-finite residual that numpy would give.
+evaluates the start samples of its circles in one numpy call under errstate;
+the bisection of the rare steps that fail the adequacy rule and the Newton
+polish evaluate one point at a time on a Python complex with cmath, which
+costs a few microseconds where a numpy 0-d array costs tens.
+`dispersion_residual` evaluates on numpy under errstate too.  The two kinds
+differ only in rounding (CPython and numpy round complex products, quotients
+and moduli differently; 1/A is written out in real arithmetic, so it rounds
+alike); `_evaluate` maps Python's arithmetic errors to the non-finite
+residual that numpy would give.
 """
 
 import cmath
@@ -59,12 +63,14 @@ class ModeSolution:
     admissible: bool
 
 
-# the inner circle's gap to the unit circle; the count's starting samples
-# per half circle, largest phase turn of a step, sample cap per circle,
+# the inner circle's gap to the unit circle, and its radius; the count's
+# uniform starting samples per half circle, largest phase turn of a step,
+# sample cap per circle,
 # shortest step (in half circles) and tolerance of an integer winding number;
 # the polish tolerance and iteration cap, and the distance within which two
 # polished roots are one
 INNER_GAP = 1e-6
+INNER_RADIUS = 1.0 + INNER_GAP
 START_SAMPLES = 129
 MAX_TURN = math.pi / 4.0
 MAX_SAMPLES = 2 ** 14
@@ -77,14 +83,14 @@ MAX_NEWTON_ITER = 60
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Outer radius of gks_scan's annulus; every other scan constant is fixed."""
+    """An outer radius for gks_scan and the verdict, which count at any modulus without one."""
 
     radius_max: float = 10.0
 
     def __post_init__(self):
         # an infinite radius gives no outer circle to count on, and one at or
         # inside the inner circle no annulus
-        if not (1.0 + INNER_GAP < self.radius_max < np.inf):
+        if not (INNER_RADIUS < self.radius_max < np.inf):
             raise ParameterDomainError(
                 f"radius_max must be finite and exceed 1 + {INNER_GAP:g}, the inner circle")
 
@@ -312,25 +318,40 @@ def _one_way_roots(scheme, p):
     return [complex(a) for a in roots if abs(a) > 1.0 + 1e-7 and math.isfinite(a)]
 
 
-def _start_points(radii):
-    """The start samples of the count, one row of START_SAMPLES points per circle |A| = radius.
+def _grid(t):
+    """(t, cos pi t, sin pi t) of start angles pi t on the upper half circle."""
+    angle = math.pi * t
+    return t, np.cos(angle), np.sin(angle)
 
-    The points lie at angles pi t, t = j / (START_SAMPLES - 1) from 0 to 1,
-    placed as cmath.rect places them; t = 1 gives -radius exactly.
+
+# the uniform start grid, t = j / (START_SAMPLES - 1) from 0 to 1, and the
+# inner circle's, which adds t = 2^-k, k = 8..49, to the first step
+UNIFORM_GRID = _grid(np.arange(START_SAMPLES) / (START_SAMPLES - 1))
+GRADED_GRID = _grid(np.insert(UNIFORM_GRID[0], 1, 2.0 ** -np.arange(49.0, 7.0, -1.0)))
+
+
+def _start_points(radius):
+    """(t, z): the count's start samples on the upper half of |A| = radius, at angles pi t.
+
+    The inner circle passes INNER_GAP from the branch point A = 1, where the
+    phase of f turns within an angle of about INNER_GAP; its graded grid
+    resolves that without bisection, with 171 samples.  Other circles keep
+    the uniform grid, around which the midpoint errors of `_power_sums`
+    cancel (graded, they lose roots at large radius).  The points are placed
+    as cmath.rect places them; t = 1 gives -radius exactly.
     """
-    angle = math.pi * (np.arange(START_SAMPLES) / (START_SAMPLES - 1))
-    radii = np.asarray(radii, dtype=float)[:, None]
-    z = np.empty((radii.shape[0], START_SAMPLES), dtype=complex)
-    z.real = radii * np.cos(angle)
-    z.imag = radii * np.sin(angle)
-    z[:, -1] = -radii[:, 0]
-    return z
+    t, cos, sin = GRADED_GRID if radius == INNER_RADIUS else UNIFORM_GRID
+    z = np.empty(t.size, dtype=complex)
+    z.real = radius * cos
+    z.imag = radius * sin
+    z[-1] = -radius
+    return t, z
 
 
-def _contour(residual, radius, z, f):
-    """(roots inside |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
+def _contour(residual, radius, t, z, f):
+    """(winding number of f on |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
 
-    z holds the circle's row of `_start_points` and f the residual there, as
+    t and z hold the circle's `_start_points` and f the residual there, as
     arrays.  The steps between neighbouring start samples are judged at once:
     one passes where it turns the phase of f by less than MAX_TURN (the
     adequacy rule of Ying and Katz) and f is nonzero and finite at both ends.
@@ -346,7 +367,7 @@ def _contour(residual, radius, z, f):
     # turn lies within 2 pi, so the multiple subtracted is -1, 0 or 1
     dlog.imag -= 2.0 * math.pi * np.rint(dlog.imag / (2.0 * math.pi))
     adequate = ok[:-1] & ok[1:] & (np.abs(dlog.imag) < MAX_TURN)
-    samples = START_SAMPLES
+    samples = t.size
 
     def sample(t):
         point = cmath.rect(radius, math.pi * t)
@@ -354,7 +375,7 @@ def _contour(residual, radius, z, f):
         return t, point, None if value == 0 or not math.isfinite(value.real) else cmath.log(value)
 
     def start(j):
-        return j / (START_SAMPLES - 1), complex(z[j]), complex(log_f[j]) if ok[j] else None
+        return float(t[j]), complex(z[j]), complex(log_f[j]) if ok[j] else None
 
     refined = []
     for j in np.flatnonzero(~adequate).tolist():
@@ -383,6 +404,23 @@ def _contour(residual, radius, z, f):
     return round(turns), steps
 
 
+def _circles(residual, radii):
+    """[(winding number, steps)] of `_contour` on each circle |A| = radius.
+
+    The start samples of all the circles are one flat array, evaluated in
+    one residual call; the circles' sizes differ, since only the inner one
+    is graded.
+    """
+    grids = [_start_points(radius) for radius in radii]
+    with np.errstate(all="ignore"):
+        f = residual(np.concatenate([z for _, z in grids]))[0]
+        circles, start = [], 0
+        for radius, (t, z) in zip(radii, grids):
+            circles.append(_contour(residual, radius, t, z, f[start:start + z.size]))
+            start += z.size
+        return circles
+
+
 def _power_sums(steps, k):
     """Sums of A^j, j = 1..k, over the roots inside the circle of `steps`.
 
@@ -400,38 +438,93 @@ def _power_sums(steps, k):
     return sums
 
 
-def _two_way_roots(scheme, p, radius_max):
-    """The residual's roots in 1 + INNER_GAP < |A| < radius_max: counted, then polished.
+def _scanned_residual(scheme, p):
+    """(f, m) of a two-way scheme, m the winding number of f at infinity (`_two_way_count`)."""
+    forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
+    if forward and max(p.d_minus, p.d_plus) > 0.5:
+        raise ScanError("the forward-Euler branch cut [1 - 4d, 1] crosses the annulus for "
+                        f"d > 1/2 (d_minus = {p.d_minus!r}, d_plus = {p.d_plus!r})")
+    return _residual(scheme, p), 1 if forward else 2
 
-    The count is the difference of the winding numbers of the two circles.
-    The power sums s_j of the roots in the annulus, j <= count, give the
+
+def _two_way_count(scheme, p, radius_max=None):
+    """Number of roots of a two-way residual with |A| > 1 + INNER_GAP (and < radius_max if given).
+
+    With radius_max the count is the winding number of f on |A| = radius_max
+    less that on the inner circle, from one residual call on both circles.
+    Without, it is m less the inner winding number, from one call on the
+    inner circle alone: f(A) / A^m tends to a nonzero constant c as
+    A -> infinity, so f winds m times on every large enough circle, and the
+    argument principle on the annulus out to such a circle counts every root.
+
+    - Backward-Euler interiors: the step 1 - 1/A tends to 1, so each decay
+      term d(1 - kappa) tends to e = d(1 - kappa(1/(2d))) >= 0, since kappa
+      lies in (0, 1) for real s > 0 (e = 0 where d = 0).  Then m = 2, with
+      c = (1 + theta beta_- + e_-)(1 + theta beta_+ + e_+) - beta_- beta_+ gamma^2
+      for the bulk interface (no gamma^2 term in the sequential formulation,
+      whose cross term is linear in A) and c = (w + e_-)(1 + e_+), with
+      w = (1 + r)/2, for dn-implicit.  c > 0 for every named scheme; the
+      unnamed bulk scheme with theta = 0 and gamma = 1 has c = 0 on one curve
+      of groups, where a root leaves through infinity.
+    - The forward-Euler interior (dn-explicit, d <= 1/2): the step A - 1 grows
+      without bound, kappa tends to 0 and each decay term to d, so m = 1 and
+      c = 1 + r.
+
+    Every root counted is a growing admissible mode, since `_decay_terms`
+    takes the decaying spatial branch.  No power sum is formed and nothing is
+    polished.  ScanError is raised where a winding number cannot be proved,
+    or the count is negative.
+    """
+    residual, m = _scanned_residual(scheme, p)
+    return _count(residual, m, radius_max)[0]
+
+
+def _count(residual, m, radius_max):
+    """(count, inner steps, outer steps) of `_two_way_count`; no outer steps without radius_max."""
+    if radius_max is None:
+        (inner_wind, inner), = _circles(residual, [INNER_RADIUS])
+        outer_wind, outer = m, None
+    else:
+        (inner_wind, inner), (outer_wind, outer) = _circles(residual, [INNER_RADIUS, radius_max])
+    count = outer_wind - inner_wind
+    if count < 0:
+        raise ScanError(f"the residual winds {count} times around the annulus")
+    return count, inner, outer
+
+
+def _two_way_roots(scheme, p, radius_max=None):
+    """The roots with |A| > 1 + INNER_GAP (and < radius_max if given): counted, then polished.
+
+    The count is the difference of the winding numbers of the two circles of
+    the annulus.  Without radius_max the outer radius doubles from 2 until f
+    winds m times there (`_two_way_count`); no root then lies beyond it.  The
+    power sums s_j of the roots in the annulus, j <= count, give the
     polynomial with those roots (Newton's identities, Delves and Lyness); its
     roots start the polish, and each must polish to a distinct root in the
     annulus.
     """
-    if (scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
-            and max(p.d_minus, p.d_plus) > 0.5):
-        raise ScanError("the forward-Euler branch cut [1 - 4d, 1] crosses the annulus for "
-                        f"d > 1/2 (d_minus = {p.d_minus!r}, d_plus = {p.d_plus!r})")
-    residual = _residual(scheme, p)
-    points = _start_points((radius_max, 1.0 + INNER_GAP))
+    residual, m = _scanned_residual(scheme, p)
+    count, inner, outer = _count(residual, m, radius_max)
+    if count == 0:
+        return []
+    if radius_max is None:
+        radius_max, wind = 1.0, None
+        while wind != m:
+            radius_max *= 2.0
+            if radius_max == math.inf:
+                raise ScanError(f"the residual winds {m} times on no circle")
+            (wind, outer), = _circles(residual, [radius_max])
     with np.errstate(all="ignore"):
-        f = residual(points)[0]
-        outer_count, outer = _contour(residual, radius_max, points[0], f[0])
-        inner_count, inner = _contour(residual, 1.0 + INNER_GAP, points[1], f[1])
-        count = outer_count - inner_count
-        if count < 0:
-            raise ScanError(f"the residual winds {count} times around the annulus")
         sums = [s - t for s, t in zip(_power_sums(outer, count), _power_sums(inner, count))]
     coeffs = [1.0]
-    for m in range(1, count + 1):
-        coeffs.append(-sum(coeffs[m - i] * sums[i - 1] for i in range(1, m + 1)) / m)
+    for k in range(1, count + 1):
+        coeffs.append(-sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
     if not all(map(math.isfinite, coeffs)):
         raise ScanError(f"the power sums {sums} of {count} counted root(s) are not finite")
     roots = []
     for start in np.roots(coeffs).tolist():
         z = _newton_polish(residual, complex(start), REFINE_TOL)
-        if (z is None or not 1.0 + INNER_GAP < abs(z) < radius_max
+        if (z is None or not INNER_RADIUS < abs(z) < radius_max
                 or any(abs(z - root) <= DUPLICATE_TOL for root in roots)):
             raise ScanError(f"the start A = {start} of {count} counted root(s) does not "
                             "polish to a new root in the annulus")
@@ -442,19 +535,17 @@ def _two_way_roots(scheme, p, radius_max):
 def gks_scan(scheme, p, scan=None):
     """Growing normal modes of a scheme: residual roots with |A| > 1.
 
-    A two-way residual's roots are counted in the annulus
-    1 + INNER_GAP < |A| < scan.radius_max and polished by damped Newton to
-    |f| <= REFINE_TOL * scale; a one-way residual's come in closed form, at
-    any modulus.  The modes are those whose spatial factors decay into both
-    domains.  ScanError is raised where the count or a polish fails, and for
-    the forward-Euler Dirichlet-Neumann scheme with d > 1/2.
+    A two-way residual's roots with |A| > 1 + INNER_GAP are counted, at any
+    modulus or, given scan, below scan.radius_max, and polished by damped
+    Newton to |f| <= REFINE_TOL * scale; a one-way residual's come in closed
+    form, at any modulus.  The modes are those whose spatial factors decay
+    into both domains.  ScanError is raised where the count or a polish
+    fails, and for the forward-Euler Dirichlet-Neumann scheme with d > 1/2.
     """
-    if scan is None:
-        scan = ScanSettings()
     if scheme.direction == ONE_WAY_NEGATIVE:
         roots = _one_way_roots(scheme, p)
     else:
-        roots = _two_way_roots(scheme, p, scan.radius_max)
+        roots = _two_way_roots(scheme, p, None if scan is None else scan.radius_max)
     modes = [_mode_from_root(scheme, p, z) for z in roots]
     modes = [m for m in modes if m.admissible]
     modes.sort(key=lambda m: (-abs(m.A), m.A.real, m.A.imag))
@@ -464,14 +555,19 @@ def gks_scan(scheme, p, scan=None):
 def normal_mode_verdict(scheme, p, scan=None):
     """True when the normal-mode analysis finds no growing admissible mode.
 
-    The forward-Euler Dirichlet-Neumann scheme is judged by its interior von
+    For the four bulk schemes and dn-implicit that is a root count of 0
+    (`_two_way_count`, at any modulus or, given scan, below scan.radius_max),
+    with no polish.  The one-way schemes use their closed-form roots.  The
+    forward-Euler Dirichlet-Neumann scheme is judged by its interior von
     Neumann condition d <= 1/2 on both sides (independent of r), without a
     scan: where d <= 1/2 its interface scan adds no further restriction, and
     where d > 1/2 gks_scan raises ScanError.
     """
     if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
         return p.d_minus <= 0.5 and p.d_plus <= 0.5
-    return len(gks_scan(scheme, p, scan)) == 0
+    if scheme.direction == ONE_WAY_NEGATIVE:
+        return len(gks_scan(scheme, p, scan)) == 0
+    return _two_way_count(scheme, p, None if scan is None else scan.radius_max) == 0
 
 
 # --- closed forms for the one-way schemes ---

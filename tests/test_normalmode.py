@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cplstab import normalmode
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError, ScanError,
-                     ScanSettings, SingularityError, beljaars_bound,
-                     dispersion_residual, gks_scan, normal_mode_verdict,
+                     ScanSettings, SingularityError, assemble, beljaars_bound,
+                     dispersion_residual, eigen_spectrum, gks_scan, normal_mode_verdict,
                      one_way_explicit_bound, one_way_explicit_roots)
 
 SEED = 0
@@ -233,18 +233,22 @@ def test_forward_euler_scan_needs_d_at_most_one_half():
             gks_scan(scheme, params(dp=dp, dm=dm))
 
 
-def full_circle(residual, radius):
+def full_circle(residual, radius, t):
     """(winding number, power sums s_1..s_3) from the whole circle, for comparison.
 
     The adequacy rule of the scan, applied independently on angles 0 to
     2 pi, with the complex contour integral s_j = (sum A^j dlog f) / (2 pi i).
+    It starts from the half circle's angles pi t and their mirror images: on
+    the inner circle the midpoint rule is accurate to about 1e-3 only, and
+    its error depends on the partition near A = 1.
     """
     def log_f(t):
         f = normalmode._evaluate(residual, cmath.rect(radius, math.pi * t))[0]
         return cmath.log(f)
 
     total = [0j] * 4
-    edges = [(k / 128.0, (k + 1) / 128.0) for k in range(256)]
+    angles = list(t) + [2.0 - x for x in reversed(t[:-1])]
+    edges = list(zip(angles[:-1], angles[1:]))
     while edges:
         lo, hi = edges.pop()
         dlog = log_f(hi) - log_f(lo)
@@ -267,16 +271,19 @@ def test_half_circle_count_and_power_sums_match_the_full_circle(name):
         if name == "dn-explicit":  # its residual is analytic in the annulus for d <= 1/2
             p = replace(p, d_minus=p.d_minus / 200.0, d_plus=p.d_plus / 200.0)
         residual = normalmode._residual(SCHEMES[name], p)
-        for radius in (20.0, 1.0 + normalmode.INNER_GAP):
-            z = normalmode._start_points([radius])[0]
-            # the start samples lie where the scalar path's cmath.rect puts them
-            t = [j / (normalmode.START_SAMPLES - 1) for j in range(normalmode.START_SAMPLES)]
+        for radius in (20.0, normalmode.INNER_RADIUS):
+            t, z = normalmode._start_points(radius)
+            # the start samples lie where the scalar path's cmath.rect puts
+            # them; the inner circle grades its first step toward A = 1
+            uniform = [j / (normalmode.START_SAMPLES - 1) for j in range(normalmode.START_SAMPLES)]
+            graded = [2.0 ** -k for k in range(49, 7, -1)] if radius < 2.0 else []
+            assert t.tolist() == uniform[:1] + graded + uniform[1:]
             assert z.tolist() == [cmath.rect(radius, math.pi * x) for x in t[:-1]] + [-radius]
-            count, steps = normalmode._contour(residual, radius, z, residual(z)[0])
+            count, steps = normalmode._contour(residual, radius, t, z, residual(z)[0])
             for a in steps[0].tolist():  # the mirror is exact, bit for bit
                 f = normalmode._evaluate(residual, a)[0]
                 assert normalmode._evaluate(residual, a.conjugate())[0] == f.conjugate()
-            winding, sums = full_circle(residual, radius)
+            winding, sums = full_circle(residual, radius, t.tolist())
             assert count == round(winding) and abs(winding - count) <= 1e-9, (p, radius)
             for j, (half, full) in enumerate(zip(normalmode._power_sums(steps, 3), sums), 1):
                 assert abs(full.imag) <= 1e-9 * radius ** j, (p, radius, j)
@@ -427,13 +434,20 @@ def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
 SCANNED = [name for name in TWO_WAY if name != "dn-explicit"]
 
 
+def scalar_evaluations(sizes, first):
+    """Scalar evaluations of one scan or verdict, after a first array call of `first` points."""
+    assert sizes[0] == first
+    return sizes[1:].count(1)
+
+
 @pytest.mark.parametrize("name", SCANNED)
 def test_scan_cost_per_draw(monkeypatch, name):
-    # one array call samples both circles; only the steps that fail the
-    # adequacy rule and the Newton polish evaluate point by point.  Measured
-    # on these 40 draws per scheme: means of 8.6 to 13.9 scalar evaluations
-    # per scan and a max of 23 (at most 14.2 and 26 on seeds 0-3), where
-    # sampling each start point on its own took about 270 a scan
+    # one array call samples both circles, the inner one graded toward
+    # A = 1; only the steps that fail the adequacy rule and the Newton
+    # polish evaluate point by point.  Measured on these 40 draws per
+    # scheme: means of 0 to 5.3 scalar evaluations per scan and a max of 15
+    # (at most 5.5 and 16 on seeds 0-3), where the uniform inner circle took
+    # 8.6 to 13.9 and 23
     sizes = []
     monkeypatch.setattr(normalmode, "_residual", counting_residual(sizes))
     evaluations = []
@@ -443,11 +457,56 @@ def test_scan_cost_per_draw(monkeypatch, name):
             gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
         except ScanError:
             pass
-        assert sizes[0] == 2 * normalmode.START_SAMPLES
+        evaluations.append(scalar_evaluations(sizes, 171 + normalmode.START_SAMPLES))
         assert sizes[1:] == [1] * (len(sizes) - 1)
-        evaluations.append(len(sizes) - 1)
-    assert np.mean(evaluations) <= 16.0
-    assert max(evaluations) <= 30
+    assert np.mean(evaluations) <= 8.0
+    assert max(evaluations) <= 20
+
+
+@pytest.mark.parametrize("radius", [None, 20.0])
+@pytest.mark.parametrize("name", SCANNED)
+def test_verdict_cost_per_draw(monkeypatch, name, radius):
+    # the verdict is a count: one array call on the graded inner circle (171
+    # points), or on both circles given a radius (300), with no power sum
+    # and no polish.  Measured on these 40 draws per scheme: no scalar
+    # evaluation on 39 or 40 of them by default and on 37 to 40 at radius
+    # 20 (seeds 0-3), and at most 4 on any draw
+    sizes = []
+    monkeypatch.setattr(normalmode, "_residual", counting_residual(sizes))
+    scan = None if radius is None else ScanSettings(radius_max=radius)
+    evaluations = []
+    for p, _ in seeded_points(SEED, count=40, size=1):
+        sizes.clear()
+        normal_mode_verdict(SCHEMES[name], p, scan)
+        first = 171 if radius is None else 171 + normalmode.START_SAMPLES
+        evaluations.append(scalar_evaluations(sizes, first))
+        assert sizes[1:] == [1] * (len(sizes) - 1)
+    assert evaluations.count(0) >= (38 if radius is None else 36)
+    assert max(evaluations) <= 8
+
+
+def test_default_scan_counts_roots_at_any_modulus():
+    # f(A) / A^2 tends to a positive constant, so 2 less the inner circle's
+    # winding number counts every growing root; the old default annulus
+    # (|A| < 10) missed this one and called the draw stable
+    scheme = SCHEMES["bulk-explicit-flux"]
+    p = params(dp=95.94, dm=14.81, bp=3.081, bm=90.33)
+    assert normal_mode_verdict(scheme, p) is False
+    lam = eigen_spectrum(assemble(scheme, p, 200, 200)).lambda_max
+    (mode,) = gks_scan(scheme, p)
+    assert abs(mode.A) > 20.0
+    assert abs(abs(mode.A) - lam) <= 1e-8 * lam
+
+
+def test_outer_circle_keeps_the_uniform_grid():
+    # graded like the inner circle, the outer circle at |A| = 1e6 spoils the
+    # power sums (the midpoint errors no longer cancel around it) and this
+    # root's polish fails
+    p = params(dp=3.7432416146416414, dm=27.617626796352006, r=0.1309076795644689)
+    scheme = SCHEMES["dn-implicit"]
+    for scan in (ScanSettings(radius_max=1e6), None):
+        (mode,) = gks_scan(scheme, p, scan)
+        assert mode.A == pytest.approx(-1.0311192727568692, rel=1e-14)
 
 
 # -------------------------------------------------------- one-way closed form
