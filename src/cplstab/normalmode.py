@@ -22,19 +22,14 @@ choice) commutes with conjugation in IEEE arithmetic, so the mirror is exact.
 The one-way residuals are quadratic in A once cleared of kappa, and their
 roots are known in closed form.
 
-Each residual is one implementation for two argument kinds.  The count
-evaluates the start samples of its circles in one numpy call under errstate;
-the bisection of the rare steps that fail the adequacy rule and the Newton
-polish evaluate one point at a time on a Python complex with cmath, which
-costs a few microseconds where a numpy 0-d array costs tens.
-`dispersion_residual` evaluates on numpy under errstate too.  The two kinds
-differ only in rounding (CPython and numpy round complex products, quotients
-and moduli differently; 1/A is written out in real arithmetic, so it rounds
-alike); `_evaluate` maps Python's arithmetic errors to the non-finite
-residual that numpy would give.
+Each residual is one numpy function A -> f, elementwise on an array.  The
+count evaluates the start samples of its circles in one call and each round
+of bisection in one more, the Newton polish takes two calls an iteration,
+and `dispersion_residual` evaluates one point on a 0-d array.  All of them
+run under errstate, so where a term leaves the float range the residual is
+inf or NaN, and nothing is raised.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,17 +91,16 @@ class ScanSettings:
 
 
 def _kappa_from_s(s):
-    """Smaller-modulus root of kappa^2 - 2(1+s)kappa + 1 = 0, for a number or an array.
+    """Smaller-modulus root of kappa^2 - 2(1+s)kappa + 1 = 0, elementwise.
 
     The roots multiply to one, so the small root is the reciprocal of the
     large one; forming it that way avoids the cancellation in 1 + s - sqrt.
+    The square root of s^2 + 2s is taken as sqrt(s) sqrt(s + 2), which stays
+    finite where s^2 overflows (|s| above about 1.3e154, which d below about
+    1e-160 gives next to A = 1).  Its sign may differ from the principal
+    root's, which does not matter: the end of larger modulus is taken.
     """
-    if isinstance(s, complex):
-        root = cmath.sqrt(s * s + 2.0 * s)
-        plus, minus = 1.0 + s + root, 1.0 + s - root
-        return 1.0 / (plus if abs(plus) >= abs(minus) else minus)
-    s = np.asarray(s, dtype=complex)
-    root = np.sqrt(s * s + 2.0 * s)
+    root = np.sqrt(s) * np.sqrt(s + 2.0)
     center = 1.0 + s
     plus, minus = center + root, center - root
     big = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
@@ -116,14 +110,6 @@ def _kappa_from_s(s):
 # --- residuals ---
 
 
-def _reciprocal(A):
-    """1/A as conj(A) / |A|^2 in real arithmetic, bit for bit alike for a Python complex
-    and an array; accurate to a few ulps while |A|^2 stays in the float range."""
-    x, y = A.real, A.imag
-    modulus2 = x * x + y * y
-    return x / modulus2 - 1j * (y / modulus2)
-
-
 def _decay_terms(step, d):
     """(kappa, d*(1 - kappa)) for the decaying branch at s = step/(2d); zero stencil when d = 0.
 
@@ -131,7 +117,7 @@ def _decay_terms(step, d):
     forward-Euler one; both domains of a residual share it.
     """
     if d == 0.0:
-        zero = 0j if isinstance(step, complex) else np.zeros_like(step)
+        zero = np.zeros_like(step)
         return zero, zero
     kappa = _kappa_from_s(step / (2.0 * d))
     return kappa, d * (1.0 - kappa)
@@ -149,13 +135,10 @@ def _one_way_kappa(A, p, theta):
 
 
 def _residual(scheme, p):
-    """A -> (f, scale) of a two-way scheme, for a Python complex or an array.
+    """A -> f, the interface residual of a two-way scheme, elementwise on an array.
 
-    f is the interface residual; scale bounds the natural size of its terms
-    so the polish criterion |f| <= tol * scale stays meaningful for large
-    beta.  Both come from one evaluation of the spatial roots.  The builtin
-    abs and x * x serve both argument kinds; a Python complex raises where an
-    array overflows or divides by zero, which `_evaluate` maps back.
+    Each call evaluates the spatial roots once.  Callers evaluate under
+    errstate: where a term leaves the float range, f is inf or NaN.
     """
     if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
         dm, dp, r = p.d_minus, p.d_plus, p.r
@@ -164,9 +147,7 @@ def _residual(scheme, p):
             step = A - 1.0
             _, em = _decay_terms(step, dm)
             _, ep = _decay_terms(step, dp)
-            f = step * (1.0 + r) + 2.0 * em + 2.0 * r * ep
-            scale = abs(step * (1.0 + r)) + 2.0 * abs(em) + 2.0 * r * abs(ep) + 1.0
-            return f, scale
+            return step * (1.0 + r) + 2.0 * em + 2.0 * r * ep
 
         return residual
 
@@ -175,14 +156,12 @@ def _residual(scheme, p):
         w = (1.0 + r) / 2.0
 
         def residual(A):
-            step = 1.0 - _reciprocal(A)
+            step = 1.0 - 1.0 / A
             _, ep = _decay_terms(step, dp)
             _, em = _decay_terms(step, dm)
             left = w * (A - 1.0) + A * em
             bracket = A * (1.0 + ep) - (1.0 - dp)
-            f = (left + dp * r) * bracket - dp * dp * r
-            scale = abs(left + dp * r) * abs(bracket) + dp * dp * r + 1.0
-            return f, scale
+            return (left + dp * r) * bracket - dp * dp * r
 
         return residual
 
@@ -193,16 +172,14 @@ def _residual(scheme, p):
     sequential = scheme.formulation == SEQUENTIAL
 
     def residual(A):
-        step = 1.0 - _reciprocal(A)
+        step = 1.0 - 1.0 / A
         _, em = _decay_terms(step, dm)
         _, ep = _decay_terms(step, dp)
         f_minus = A * (1.0 + theta * bm + em) - 1.0 + (1.0 - theta) * bm
         f_plus = A * (1.0 + theta * bp + ep) - 1.0 + (1.0 - theta) * bp
         weight = (1.0 - gamma) + gamma * A
         cross = weight if sequential else weight * weight
-        f = f_minus * f_plus - bm * bp * cross
-        scale = abs(f_minus) * abs(f_plus) + bm * bp * abs(cross) + 1.0
-        return f, scale
+        return f_minus * f_plus - bm * bp * cross
 
     return residual
 
@@ -226,79 +203,54 @@ def dispersion_residual(scheme, p, A):
             _require_positive("one-way d_minus", p.d_minus)
             kappa = _one_way_kappa(z, p, scheme.theta)
             return complex((1.0 - 1.0 / z) - p.d_minus * (kappa - 2.0 + 1.0 / kappa))
-        return complex(_residual(scheme, p)(z)[0])
+        return complex(_residual(scheme, p)(z))
 
 
 # --- root scan ---
 
 
 def _mode_from_root(scheme, p, A):
-    if scheme.direction == ONE_WAY_NEGATIVE:
-        km_inv = _one_way_kappa(A, p, scheme.theta)
-        kp = 0j
-    else:
-        forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
-        step = A - 1.0 if forward else 1.0 - _reciprocal(A)
-        km_inv = _decay_terms(step, p.d_minus)[0]
-        kp = _decay_terms(step, p.d_plus)[0]
-    admissible = (abs(kp) <= 1.0 + ADMISSIBLE_TOL
-                  and abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
-    return ModeSolution(complex(A), kp, km_inv, admissible)
-
-
-def _evaluate(residual, z):
-    """(f, scale) at the Python complex z, with f = inf + inf j where |f| is not finite.
-
-    Where numpy gives inf or nan under errstate, Python raises ZeroDivisionError
-    or OverflowError (abs() too, once the modulus overflows); this is the one
-    place that maps them back.  The fixed f keeps later abs() calls off NaN
-    parts, for which CPython's complex abs can raise a stale OverflowError.
-    """
-    try:
-        f, scale = residual(z)
-        if math.isfinite(abs(f)):
-            return f, scale
-    except (ZeroDivisionError, OverflowError):
-        pass
-    return complex(math.inf, math.inf), math.inf
-
-
-def _derivative(residual, z):
-    """Central difference of f at z; None where it is 0 or not finite."""
-    h = 1e-7 * max(1.0, abs(z))
-    deriv = (_evaluate(residual, z + h)[0] - _evaluate(residual, z - h)[0]) / (2.0 * h)
-    return None if deriv == 0 or not cmath.isfinite(deriv) else deriv
-
-
-def _newton_polish(residual, z, tol):
-    """Damped Newton from z, at most MAX_NEWTON_ITER steps, to |f| <= tol * scale."""
-    for iteration in range(MAX_NEWTON_ITER + 1):
-        fz, scale = _evaluate(residual, z)
-        if not math.isfinite(abs(fz)):
-            return None
-        if abs(fz) <= tol * scale:
-            break
-        if iteration == MAX_NEWTON_ITER or (deriv := _derivative(residual, z)) is None:
-            return None
-        step = fz / deriv
-        damping = 1.0
-        while damping > 1.0 / 64.0:
-            ft = _evaluate(residual, z - damping * step)[0]
-            if math.isfinite(abs(ft)) and abs(ft) < abs(fz):
-                break
-            damping /= 2.0
+    z = np.asarray(A, dtype=complex)
+    with np.errstate(all="ignore"):
+        if scheme.direction == ONE_WAY_NEGATIVE:
+            km_inv, kp = _one_way_kappa(z, p, scheme.theta), 0j
         else:
+            forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
+            step = z - 1.0 if forward else 1.0 - 1.0 / z
+            km_inv, kp = _decay_terms(step, p.d_minus)[0], _decay_terms(step, p.d_plus)[0]
+    admissible = (np.abs(kp) <= 1.0 + ADMISSIBLE_TOL) & (np.abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
+    return ModeSolution(complex(A), complex(kp), complex(km_inv), bool(admissible))
+
+
+def _newton_polish(residual, z):
+    """Damped Newton from z to a step |f/f'| <= REFINE_TOL * max(1, |z|); None where it fails.
+
+    Each iteration takes f and its central difference from one residual call
+    on [z, z + h, z - h], and tries the damping factors 1, 1/2, ..., 1/32 in
+    one more, taking the largest that lowers |f|.  The polish fails where f
+    or the step is not finite, no factor lowers |f|, or MAX_NEWTON_ITER
+    steps do not reach the tolerance.  The caller evaluates under errstate.
+    """
+    damping = 0.5 ** np.arange(6.0)
+    for iteration in range(MAX_NEWTON_ITER + 1):
+        h = 1e-7 * max(1.0, abs(z))
+        fz, f_plus, f_minus = residual(np.array([z, z + h, z - h]))
+        step = fz / ((f_plus - f_minus) / (2.0 * h))
+        if not np.isfinite(step):
             return None
-        z = z - damping * step
+        if abs(step) <= REFINE_TOL * max(1.0, abs(z)):
+            break
+        if iteration == MAX_NEWTON_ITER:
+            return None
+        trials = z - damping * step
+        lower = np.abs(residual(trials)) < abs(fz)
+        if not lower.any():
+            return None
+        z = complex(trials[lower.argmax()])
     # one undamped step after acceptance drives the residual from the
     # acceptance band down to roundoff (quadratic convergence)
-    if fz == 0 or (deriv := _derivative(residual, z)) is None:
-        return z
-    trial = z - fz / deriv
-    ft = _evaluate(residual, trial)[0]
-    if math.isfinite(abs(ft)) and abs(ft) < abs(fz):
-        return trial
-    return z
+    trial = z - step
+    return complex(trial) if abs(residual(np.array([trial]))[0]) < abs(fz) else z
 
 
 def _one_way_roots(scheme, p):
@@ -319,9 +271,9 @@ def _one_way_roots(scheme, p):
 
 
 def _grid(t):
-    """(t, cos pi t, sin pi t) of start angles pi t on the upper half circle."""
+    """(t, cos pi t + i sin pi t): the points at angles pi t on the upper half unit circle."""
     angle = math.pi * t
-    return t, np.cos(angle), np.sin(angle)
+    return t, np.cos(angle) + 1j * np.sin(angle)
 
 
 # the uniform start grid, t = j / (START_SAMPLES - 1) from 0 to 1, and the
@@ -340,10 +292,8 @@ def _start_points(radius):
     cancel (graded, they lose roots at large radius).  The points are placed
     as cmath.rect places them; t = 1 gives -radius exactly.
     """
-    t, cos, sin = GRADED_GRID if radius == INNER_RADIUS else UNIFORM_GRID
-    z = np.empty(t.size, dtype=complex)
-    z.real = radius * cos
-    z.imag = radius * sin
+    t, unit = GRADED_GRID if radius == INNER_RADIUS else UNIFORM_GRID
+    z = radius * unit
     z[-1] = -radius
     return t, z
 
@@ -352,56 +302,42 @@ def _contour(residual, radius, t, z, f):
     """(winding number of f on |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
 
     t and z hold the circle's `_start_points` and f the residual there, as
-    arrays.  The steps between neighbouring start samples are judged at once:
-    one passes where it turns the phase of f by less than MAX_TURN (the
-    adequacy rule of Ying and Katz) and f is nonzero and finite at both ends.
-    The others are bisected one point at a time, leftmost first, until every
-    piece passes.  The imaginary part of each increment is its turn, and the
-    turns of the upper half add up to pi times the winding number.  The steps
-    come back as three arrays.
+    arrays.  A step between neighbouring samples passes where it turns the
+    phase of f by less than MAX_TURN (the adequacy rule of Ying and Katz) and
+    f is nonzero and finite at both ends.  Each round bisects every failing
+    step, with one residual call on their midpoints, until all pass; a step's
+    split depends on its two ends only, so the partition is the one that
+    bisecting each step on its own gives.  The imaginary part of each
+    increment is its turn, and the turns of the upper half add up to pi times
+    the winding number.  The steps come back as three arrays.
     """
-    ok = (f != 0) & np.isfinite(np.abs(f))
-    log_f = np.log(np.where(ok, f, 1.0))
-    dlog = log_f[1:] - log_f[:-1]
-    # the remainder of the turn modulo 2 pi, exact like math.remainder: the
-    # turn lies within 2 pi, so the multiple subtracted is -1, 0 or 1
-    dlog.imag -= 2.0 * math.pi * np.rint(dlog.imag / (2.0 * math.pi))
-    adequate = ok[:-1] & ok[1:] & (np.abs(dlog.imag) < MAX_TURN)
-    samples = t.size
-
-    def sample(t):
-        point = cmath.rect(radius, math.pi * t)
-        value = _evaluate(residual, point)[0]
-        return t, point, None if value == 0 or not math.isfinite(value.real) else cmath.log(value)
-
-    def start(j):
-        return float(t[j]), complex(z[j]), complex(log_f[j]) if ok[j] else None
-
-    refined = []
-    for j in np.flatnonzero(~adequate).tolist():
-        t_a, a, log_a = start(j)
-        pending = [start(j + 1)]
-        while pending:
-            t_b, b, log_b = pending[-1]
-            if log_a is not None and log_b is not None:
-                turn = math.remainder((log_b - log_a).imag, 2.0 * math.pi)
-                if abs(turn) < MAX_TURN:
-                    refined.append((a, b, complex((log_b - log_a).real, turn)))
-                    t_a, a, log_a = pending.pop()
-                    continue
-            if t_b - t_a <= MIN_STEP or samples == MAX_SAMPLES:
-                raise ScanError(f"the phase of the residual cannot be resolved between A = {a} "
-                                f"and A = {b} ({samples} samples on |A| = {radius!r})")
-            pending.append(sample(0.5 * (t_a + t_b)))
-            samples += 1
-    steps = z[:-1][adequate], z[1:][adequate], dlog[adequate]
-    if refined:
-        steps = tuple(np.concatenate([whole, part]) for whole, part in zip(steps, np.array(refined).T))
-    turns = math.fsum(steps[2].imag.tolist()) / math.pi
+    while True:
+        ok = (f != 0) & np.isfinite(np.abs(f))
+        log_f = np.log(np.where(ok, f, 1.0))
+        dlog = log_f[1:] - log_f[:-1]
+        # the remainder of the turn modulo 2 pi, exact like math.remainder: the
+        # turn lies within 2 pi, so the multiple subtracted is -1, 0 or 1
+        dlog.imag -= 2.0 * math.pi * np.rint(dlog.imag / (2.0 * math.pi))
+        failing = np.flatnonzero(~(ok[:-1] & ok[1:] & (np.abs(dlog.imag) < MAX_TURN)))
+        if failing.size == 0:
+            break
+        # the leftmost step that cannot be split, or the leftmost failing one
+        # once the splits would pass the sample cap
+        short = failing[t[failing + 1] - t[failing] <= MIN_STEP]
+        if short.size or t.size + failing.size > MAX_SAMPLES:
+            j = short[0] if short.size else failing[0]
+            raise ScanError(f"the phase of the residual cannot be resolved between "
+                            f"A = {complex(z[j])} and A = {complex(z[j + 1])} "
+                            f"({t.size} samples on |A| = {radius!r})")
+        mid, unit = _grid(0.5 * (t[failing] + t[failing + 1]))
+        points = radius * unit
+        t, z = np.insert(t, failing + 1, mid), np.insert(z, failing + 1, points)
+        f = np.insert(f, failing + 1, residual(points))
+    turns = math.fsum(dlog.imag.tolist()) / math.pi
     if abs(turns - round(turns)) > WINDING_TOL:
         raise ScanError(f"the winding number {turns!r} of the residual on |A| = {radius!r} "
                         "is not an integer")
-    return round(turns), steps
+    return round(turns), (z[:-1], z[1:], dlog)
 
 
 def _circles(residual, radii):
@@ -413,7 +349,7 @@ def _circles(residual, radii):
     """
     grids = [_start_points(radius) for radius in radii]
     with np.errstate(all="ignore"):
-        f = residual(np.concatenate([z for _, z in grids]))[0]
+        f = residual(np.concatenate([z for _, z in grids]))
         circles, start = [], 0
         for radius, (t, z) in zip(radii, grids):
             circles.append(_contour(residual, radius, t, z, f[start:start + z.size]))
@@ -523,7 +459,8 @@ def _two_way_roots(scheme, p, radius_max=None):
         raise ScanError(f"the power sums {sums} of {count} counted root(s) are not finite")
     roots = []
     for start in np.roots(coeffs).tolist():
-        z = _newton_polish(residual, complex(start), REFINE_TOL)
+        with np.errstate(all="ignore"):
+            z = _newton_polish(residual, complex(start))
         if (z is None or not INNER_RADIUS < abs(z) < radius_max
                 or any(abs(z - root) <= DUPLICATE_TOL for root in roots)):
             raise ScanError(f"the start A = {start} of {count} counted root(s) does not "
@@ -537,7 +474,7 @@ def gks_scan(scheme, p, scan=None):
 
     A two-way residual's roots with |A| > 1 + INNER_GAP are counted, at any
     modulus or, given scan, below scan.radius_max, and polished by damped
-    Newton to |f| <= REFINE_TOL * scale; a one-way residual's come in closed
+    Newton to a step |f/f'| <= REFINE_TOL * max(1, |A|); a one-way residual's come in closed
     form, at any modulus.  The modes are those whose spatial factors decay
     into both domains.  ScanError is raised where the count or a polish
     fails, and for the forward-Euler Dirichlet-Neumann scheme with d > 1/2.

@@ -22,6 +22,9 @@ ONE_WAY_EXPLICIT = SCHEMES["one-way-explicit-flux"]
 ONE_WAY_IMPLICIT = SCHEMES["one-way-implicit-flux"]
 # the schemes whose residual gks_scan counts and polishes
 TWO_WAY = sorted(name for name in SCHEMES if not name.startswith("one-way"))
+# the schemes whose verdict comes from a scan (dn-explicit's is its CFL
+# rule); their interiors are backward Euler
+SCANNED = [name for name in TWO_WAY if name != "dn-explicit"]
 
 
 def params(dp=0.0, dm=0.0, bp=0.0, bm=0.0, r=1.0):
@@ -35,7 +38,8 @@ def params(dp=0.0, dm=0.0, bp=0.0, bm=0.0, r=1.0):
 
 
 def kappa(A, d):
-    return normalmode._decay_terms(1.0 - normalmode._reciprocal(complex(A)), d)[0]
+    with np.errstate(all="ignore"):
+        return normalmode._decay_terms(1.0 - 1.0 / np.asarray(A, dtype=complex), d)[0]
 
 
 def test_kappa_steady_mode():
@@ -58,22 +62,23 @@ def test_kappa_rejects_zero_amplification():
     for name in sorted(SCHEMES):
         with pytest.raises(SingularityError):
             dispersion_residual(SCHEMES[name], params(0.5, 0.5, 1.0, 1.0), 0.0)
-    # the scan's Python arithmetic raises, and _evaluate maps it to inf
-    with pytest.raises(ZeroDivisionError):
-        kappa(0.0, 1.0)
+    # the count's array evaluation gives a non-finite residual there instead
+    assert not np.isfinite(kappa(0.0, 1.0))
+    for name in SCANNED:
+        residual = normalmode._residual(SCHEMES[name], params(0.5, 0.5, 1.0, 1.0))
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(residual(np.array([0j]))).any(), name
 
 
 @given(re=st.floats(-5.0, 5.0), im=st.floats(-5.0, 5.0),
        d=st.floats(1e-2, 1e2))
 @settings(max_examples=120, deadline=None)
 def test_kappa_quadratic_and_pairing(re, im, d):
-    """kappa and 1/kappa both satisfy the interior quadratic, in both argument kinds."""
+    """kappa and 1/kappa both satisfy the interior quadratic."""
     A = complex(re, im)
     if abs(A) < 1e-3 or abs(A - 1.0) < 1e-3:
         return
     k = kappa(A, d)
-    array_k = normalmode._decay_terms(1.0 - normalmode._reciprocal(np.array([A])), d)[0][0]
-    assert abs(array_k - k) <= 1e-14 * max(1.0, abs(k))
     lhs = 1.0 - 1.0 / A
     for root in (k, 1.0 / k):
         resid = lhs - d * (root - 2.0 + 1.0 / root)
@@ -109,7 +114,7 @@ def test_dispersion_residual_is_one_complex_for_every_scheme(name):
     res = dispersion_residual(SCHEMES[name], p, 1.7 + 0.4j)
     assert isinstance(res, complex) and np.isfinite(res)
     if not name.startswith("one-way"):  # the determinant that the scan counts
-        assert res == normalmode._residual(SCHEMES[name], p)(np.array(1.7 + 0.4j))[0]
+        assert res == normalmode._residual(SCHEMES[name], p)(np.array(1.7 + 0.4j))
 
 
 @given(beta=st.floats(0.0, 20.0) | st.floats(-1e-3, 1e-3).map(lambda x: 1.0 + x),
@@ -233,21 +238,36 @@ def test_forward_euler_scan_needs_d_at_most_one_half():
             gks_scan(scheme, params(dp=dp, dm=dm))
 
 
+def seeded_groups(seed, count):
+    """count parameter sets, each of the five groups log-uniform on [1e-2, 1e2]."""
+    for groups in 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, (count, 5)):
+        yield DimensionlessParams(*groups.tolist())
+
+
 def full_circle(residual, radius, t):
     """(winding number, power sums s_1..s_3) from the whole circle, for comparison.
 
     The adequacy rule of the scan, applied independently on angles 0 to
-    2 pi, with the complex contour integral s_j = (sum A^j dlog f) / (2 pi i).
-    It starts from the half circle's angles pi t and their mirror images: on
-    the inner circle the midpoint rule is accurate to about 1e-3 only, and
-    its error depends on the partition near A = 1.
+    2 pi and bisecting one step at a time, with the complex contour integral
+    s_j = (sum A^j dlog f) / (2 pi i).  It starts from the half circle's
+    angles pi t and their mirror images: on the inner circle the midpoint
+    rule is accurate to about 1e-3 only, and its error depends on the
+    partition near A = 1.
     """
-    def log_f(t):
-        f = normalmode._evaluate(residual, cmath.rect(radius, math.pi * t))[0]
-        return cmath.log(f)
+    def evaluate(angles):
+        with np.errstate(all="ignore"):
+            f = residual(np.array([cmath.rect(radius, math.pi * x) for x in angles]))
+        logs.update(zip(angles, map(cmath.log, f.tolist())))
 
-    total = [0j] * 4
+    def log_f(t):
+        if t not in logs:
+            evaluate([t])
+        return logs[t]
+
+    logs = {}
     angles = list(t) + [2.0 - x for x in reversed(t[:-1])]
+    evaluate(angles)
+    total = [0j] * 4
     edges = list(zip(angles[:-1], angles[1:]))
     while edges:
         lo, hi = edges.pop()
@@ -267,115 +287,27 @@ def full_circle(residual, radius, t):
 def test_half_circle_count_and_power_sums_match_the_full_circle(name):
     # f(conj A) = conj f(A): the upper half's turns and Im sums are half of
     # the whole circle's integrals, on both circles of the annulus
-    for p, _ in seeded_points(SEED, count=12, size=1):
+    for p in seeded_groups(SEED, 12):
         if name == "dn-explicit":  # its residual is analytic in the annulus for d <= 1/2
             p = replace(p, d_minus=p.d_minus / 200.0, d_plus=p.d_plus / 200.0)
         residual = normalmode._residual(SCHEMES[name], p)
         for radius in (20.0, normalmode.INNER_RADIUS):
             t, z = normalmode._start_points(radius)
-            # the start samples lie where the scalar path's cmath.rect puts
-            # them; the inner circle grades its first step toward A = 1
+            # the start samples lie where cmath.rect puts them; the inner
+            # circle grades its first step toward A = 1
             uniform = [j / (normalmode.START_SAMPLES - 1) for j in range(normalmode.START_SAMPLES)]
             graded = [2.0 ** -k for k in range(49, 7, -1)] if radius < 2.0 else []
             assert t.tolist() == uniform[:1] + graded + uniform[1:]
             assert z.tolist() == [cmath.rect(radius, math.pi * x) for x in t[:-1]] + [-radius]
-            count, steps = normalmode._contour(residual, radius, t, z, residual(z)[0])
-            for a in steps[0].tolist():  # the mirror is exact, bit for bit
-                f = normalmode._evaluate(residual, a)[0]
-                assert normalmode._evaluate(residual, a.conjugate())[0] == f.conjugate()
+            with np.errstate(all="ignore"):
+                count, steps = normalmode._contour(residual, radius, t, z, residual(z))
+                # the mirror is exact, bit for bit
+                assert np.array_equal(residual(steps[0].conj()), residual(steps[0]).conj())
             winding, sums = full_circle(residual, radius, t.tolist())
             assert count == round(winding) and abs(winding - count) <= 1e-9, (p, radius)
             for j, (half, full) in enumerate(zip(normalmode._power_sums(steps, 3), sums), 1):
                 assert abs(full.imag) <= 1e-9 * radius ** j, (p, radius, j)
                 assert abs(half - full.real) <= 1e-9 * radius ** j, (p, radius, j)
-
-
-# -------------------------------------------------------- evaluation modes
-#
-# dispersion_residual evaluates each residual on a numpy array and the scan
-# on one Python complex at a time; the two must compute one function.
-# _reciprocal forms 1/A alike for both, bit for bit, but CPython and numpy
-# still multiply complex numbers, take their modulus and divide the spatial
-# root by different rounding sequences (about 30% of products differ in the
-# last bit), and cancellation inside the residual can amplify that past a
-# few ulps of scale at isolated points.
-
-EPS = np.finfo(float).eps
-
-
-def seeded_points(seed, count=20, size=64):
-    """(params, A) pairs: groups log-uniform on [1e-2, 1e2], |A| - 1 on [1e-6, 20]."""
-    draw = np.random.default_rng(seed)
-    for _ in range(count):
-        groups = 10.0 ** draw.uniform(-2.0, 2.0, 5)
-        radius = 1.0 + 10.0 ** draw.uniform(-6.0, np.log10(20.0), size)
-        A = radius * np.exp(1j * draw.uniform(0.0, 2.0 * np.pi, size))
-        yield DimensionlessParams(*(float(g) for g in groups)), A
-
-
-def test_reciprocal_is_one_formula_for_both_argument_kinds():
-    A = np.concatenate([A for _, A in seeded_points(SEED)])
-    array = normalmode._reciprocal(A)
-    scalar = np.array([normalmode._reciprocal(a) for a in A.tolist()])
-    assert array.tobytes() == scalar.tobytes()
-    assert np.max(np.abs(array * A - 1.0)) <= 4.0 * EPS
-
-
-@pytest.mark.parametrize("name", TWO_WAY)
-def test_scalar_and_array_residuals_agree(name):
-    ulps = []
-    for p, A in seeded_points(SEED, count=500):
-        residual = normalmode._residual(SCHEMES[name], p)
-        f_array, scale_array = residual(A)
-        points = [normalmode._evaluate(residual, a) for a in A.tolist()]
-        f_scalar = np.array([f for f, _ in points])
-        scale_scalar = np.array([scale for _, scale in points])
-        assert np.all(np.isfinite(scale_array))
-        ulps.append(np.maximum(np.abs(f_scalar - f_array), np.abs(scale_scalar - scale_array))
-                    / (EPS * scale_array))
-    ulps = np.concatenate(ulps)
-    # rounding apart, not a different formula: almost every one of these
-    # 32,000 points lies within 4 ulps of scale (at most 0.24% beyond, on
-    # four seeds), and none far beyond (the worst of 128,000 points per
-    # scheme on seeds 0-3 was 40.1 ulps, on dn-explicit)
-    assert np.mean(ulps > 4.0) <= 0.01
-    assert ulps.max() <= 48.0
-
-
-EXTREMES = (1e-300, 1e-2, 1.0, 1.3e154, 1e300)
-
-
-@pytest.mark.parametrize("name", TWO_WAY)
-def test_evaluate_is_not_finite_where_the_grid_is_not(name):
-    # "the grid": the same points evaluated as one array
-    radius = 1.0 + np.geomspace(1e-6, 20.0, 9)
-    A = (radius[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False))).ravel()
-    for d, beta in itertools.product(EXTREMES, EXTREMES):
-        residual = normalmode._residual(SCHEMES[name], params(d, d, beta, beta))
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(np.abs(residual(A)[0]))
-        for a, ok in zip(A.tolist(), finite.tolist()):
-            f, _ = normalmode._evaluate(residual, a)
-            if not ok:
-                assert not np.isfinite(abs(f)), (d, beta, a)
-
-
-def test_evaluate_maps_python_arithmetic_errors():
-    # |f| overflows while both parts of f stay finite: Python's abs raises
-    residual = normalmode._residual(SCHEMES["bulk-partial-flux"], params(0.01, 0.01, 1.3e154, 1.3e154))
-    A = complex(0.8314704437721575, 0.5555707885898351)
-    f, _ = residual(A)
-    assert np.isfinite(f.real) and np.isfinite(f.imag)
-    with pytest.raises(OverflowError):
-        abs(f)
-    with np.errstate(over="ignore"):
-        assert np.abs(residual(np.array([A]))[0]) == np.inf
-    # A = 0 divides by zero
-    with pytest.raises(ZeroDivisionError):
-        residual(0j)
-    for point in (A, 0j):
-        f, scale = normalmode._evaluate(residual, point)
-        assert not np.isfinite(abs(f))
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -418,9 +350,9 @@ def counting_residual(points):
                                          ("bulk-explicit-flux", params(0.01, 0.01, 1.3e154, 1.3e154))],
                          ids=["dn-explicit", "bulk-explicit-flux"])
 def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
-    # where |f| / scale is flat the residual is rounding noise (or overflows)
-    # and its roots cannot be counted; the scan raises within a bounded
-    # number of residual points, array samples included, instead of polishing noise
+    # where the residual is rounding noise (or overflows) its roots cannot
+    # be counted; the scan raises within a bounded number of residual
+    # points instead of polishing noise
     points = []
     monkeypatch.setattr(normalmode, "_residual", counting_residual(points))
     with warnings.catch_warnings():
@@ -430,59 +362,99 @@ def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
     assert sum(points) <= 2 * normalmode.MAX_SAMPLES
 
 
-# the schemes whose verdict comes from a scan (dn-explicit's is its CFL rule)
-SCANNED = [name for name in TWO_WAY if name != "dn-explicit"]
-
-
-def scalar_evaluations(sizes, first):
-    """Scalar evaluations of one scan or verdict, after a first array call of `first` points."""
-    assert sizes[0] == first
-    return sizes[1:].count(1)
-
-
 @pytest.mark.parametrize("name", SCANNED)
 def test_scan_cost_per_draw(monkeypatch, name):
-    # one array call samples both circles, the inner one graded toward
-    # A = 1; only the steps that fail the adequacy rule and the Newton
-    # polish evaluate point by point.  Measured on these 40 draws per
-    # scheme: means of 0 to 5.3 scalar evaluations per scan and a max of 15
-    # (at most 5.5 and 16 on seeds 0-3), where the uniform inner circle took
-    # 8.6 to 13.9 and 23
+    # residual calls: one on the start samples of both circles, one per
+    # bisection round, and for each root two per Newton iteration (f with
+    # its central difference, then the damping factors) and one for the
+    # final step.  Measured on 40 draws per scheme on seeds 0-3: means of
+    # 1 to 4.3 calls per scan and at most 7 (a root polished in three
+    # iterations)
     sizes = []
     monkeypatch.setattr(normalmode, "_residual", counting_residual(sizes))
-    evaluations = []
-    for p, _ in seeded_points(SEED, count=40, size=1):
+    calls = []
+    for p in seeded_groups(SEED, 40):
         sizes.clear()
-        try:
-            gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
-        except ScanError:
-            pass
-        evaluations.append(scalar_evaluations(sizes, 171 + normalmode.START_SAMPLES))
-        assert sizes[1:] == [1] * (len(sizes) - 1)
-    assert np.mean(evaluations) <= 8.0
-    assert max(evaluations) <= 20
+        gks_scan(SCHEMES[name], p, ScanSettings(radius_max=20.0))
+        assert sizes[0] == 171 + normalmode.START_SAMPLES
+        calls.append(len(sizes))
+    assert np.mean(calls) <= 5.0
+    assert max(calls) <= 12
 
 
 @pytest.mark.parametrize("radius", [None, 20.0])
 @pytest.mark.parametrize("name", SCANNED)
 def test_verdict_cost_per_draw(monkeypatch, name, radius):
-    # the verdict is a count: one array call on the graded inner circle (171
-    # points), or on both circles given a radius (300), with no power sum
-    # and no polish.  Measured on these 40 draws per scheme: no scalar
-    # evaluation on 39 or 40 of them by default and on 37 to 40 at radius
-    # 20 (seeds 0-3), and at most 4 on any draw
+    # the verdict is a count: one residual call on the graded inner circle
+    # (171 points), or on both circles given a radius (300), and one per
+    # bisection round, with no power sum and no polish.  Measured on 40
+    # draws per scheme on seeds 0-3: one call on 39 or 40 of them, and at
+    # most 4 on any draw (3 rounds)
     sizes = []
     monkeypatch.setattr(normalmode, "_residual", counting_residual(sizes))
     scan = None if radius is None else ScanSettings(radius_max=radius)
-    evaluations = []
-    for p, _ in seeded_points(SEED, count=40, size=1):
+    calls = []
+    for p in seeded_groups(SEED, 40):
         sizes.clear()
         normal_mode_verdict(SCHEMES[name], p, scan)
-        first = 171 if radius is None else 171 + normalmode.START_SAMPLES
-        evaluations.append(scalar_evaluations(sizes, first))
-        assert sizes[1:] == [1] * (len(sizes) - 1)
-    assert evaluations.count(0) >= (38 if radius is None else 36)
-    assert max(evaluations) <= 8
+        assert sizes[0] == (171 if radius is None else 171 + normalmode.START_SAMPLES)
+        calls.append(len(sizes))
+    assert calls.count(1) >= 38
+    assert max(calls) <= 6
+
+
+@pytest.mark.parametrize("name, p", [
+    ("bulk-explicit-flux", DimensionlessParams(0.04448009689444239, 0.5359666497901329,
+                                               0.3279491350049726, 2.051509541497588,
+                                               3.549009573218647)),
+    ("dn-implicit", DimensionlessParams(1.4026233238728967, 0.030669067559586035,
+                                        7.4389935918981775, 4.914244672894397,
+                                        0.6125985965018482))], ids=["bulk-explicit-flux", "dn-implicit"])
+def test_bisected_inner_circle_passes_the_adequacy_rule(name, p):
+    # draws 1210 and 388 of seeded_groups(0, 2000): of these 2,000 draws on
+    # each scanned scheme, the only ones whose inner circle takes four
+    # bisection rounds (one midpoint each); 10 others take one or two
+    residual = normalmode._residual(SCHEMES[name], p)
+    (_, (a, b, dlog)), = normalmode._circles(residual, [normalmode.INNER_RADIUS])
+    assert a.size == 170 + 4
+    assert a[0] == normalmode.INNER_RADIUS and b[-1] == -normalmode.INNER_RADIUS
+    assert np.array_equal(a[1:], b[:-1])
+    with np.errstate(all="ignore"):
+        f_a, f_b = residual(a), residual(b)
+    assert np.all(np.isfinite(f_a) & np.isfinite(f_b) & (f_a != 0) & (f_b != 0))
+    turn = np.angle(f_b / f_a)
+    assert np.all(np.abs(turn) < normalmode.MAX_TURN)
+    assert np.allclose(dlog, np.log(np.abs(f_b / f_a)) + 1j * turn, rtol=0.0, atol=1e-12)
+    count = normalmode._two_way_count(SCHEMES[name], p)
+    assert count == normalmode._two_way_count(SCHEMES[name], p, 1e6)
+    assert normal_mode_verdict(SCHEMES[name], p) == (count == 0)
+    assert normal_mode_verdict(SCHEMES[name], p, ScanSettings(1e6)) == (count == 0)
+
+
+@pytest.mark.parametrize("name", SCANNED)
+@pytest.mark.parametrize("d", [1e-200, 1e-300])
+def test_verdict_at_tiny_d_is_the_uncoupled_limit(name, d):
+    # s = (1 - 1/A)/(2d) passes 1e154 next to A = 1, where s^2 overflows;
+    # the spatial root is formed without it, so the verdict tends to d = 0's
+    for group in (0.5, 1.5, 3.0, 100.0):
+        if name.startswith("dn"):
+            small, zero = params(d, d, r=group), params(0.0, 0.0, r=group)
+        else:
+            small, zero = params(d, d, group, group), params(0.0, 0.0, group, group)
+        assert normal_mode_verdict(SCHEMES[name], small) == normal_mode_verdict(SCHEMES[name], zero)
+
+
+@pytest.mark.parametrize("scheme, p", [(ONE_WAY_EXPLICIT, params(dm=1.0, bm=4.0)),
+                                       (SCHEMES["dn-implicit"], params(dp=9.0, dm=0.5, r=1.0)),
+                                       (SCHEMES["bulk-explicit-flux"],
+                                        params(dp=95.94, dm=14.81, bp=3.081, bm=90.33))],
+                         ids=["one-way-explicit-flux", "dn-implicit", "bulk-explicit-flux"])
+def test_modes_hold_python_numbers(scheme, p):
+    # the array evaluation leaks no numpy scalar into the public result
+    (mode,) = gks_scan(scheme, p)
+    for value in (mode.A, mode.kappa_plus, mode.kappa_minus_inv):
+        assert type(value) is complex
+    assert type(mode.admissible) is bool
 
 
 def test_default_scan_counts_roots_at_any_modulus():
