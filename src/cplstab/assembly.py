@@ -18,8 +18,12 @@ Dirichlet-Neumann schemes carry a shared interface node at index n_minus with
 weight (1+r)/2; the one-way scheme keeps only the negative domain with the
 interface flux folded into its last row.
 
-assemble(scheme, p, n_minus, n_plus) is the one constructor of a pair, and
-assemble_bands its batch form: every scheme of the family is a SchemeSpec.
+The family is the eight schemes that SCHEMES names, and nothing else: a
+SchemeSpec is one key (coupling, theta, gamma) of their table.  Every
+per-scheme branch of the package reads the coupling tag: "bulk"
+(simultaneous) or "bulk-sequential", "one-way", "dn-explicit" or
+"dn-implicit".  assemble(scheme, p, n_minus, n_plus) is the one constructor
+of a pair, and assemble_bands its batch form.
 """
 
 from dataclasses import dataclass
@@ -29,73 +33,51 @@ import numpy as np
 from .errors import ParameterDomainError, SchemeError
 from .params import _require_count
 
+# the kinds of Layout
 BULK = "bulk"
 DIRICHLET_NEUMANN = "dirichlet_neumann"
-EXPLICIT = "explicit"
-IMPLICIT = "implicit"
-SIMULTANEOUS = "simultaneous"
-SEQUENTIAL = "sequential"
-TWO_WAY = "two_way"
 ONE_WAY_NEGATIVE = "one_way_negative"
+
+# name -> (coupling, theta, gamma) of the eight schemes.  theta and gamma
+# pick the time levels of the bulk flux in the local and the other domain's
+# unknown; one-way reads theta only, and Dirichlet-Neumann neither
+_TABLE = {
+    "bulk-explicit-flux": ("bulk", 0, 0),
+    "bulk-partial-flux": ("bulk", 1, 0),
+    "bulk-implicit-flux": ("bulk", 1, 1),
+    "bulk-sequential": ("bulk-sequential", 1, 1),
+    "dn-explicit": ("dn-explicit", 0, 0),
+    "dn-implicit": ("dn-implicit", 0, 0),
+    "one-way-explicit-flux": ("one-way", 0, 0),
+    "one-way-implicit-flux": ("one-way", 1, 0),
+}
+_NAMES = {key: name for name, key in _TABLE.items()}
 
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A point in the scheme family; invalid combinations are rejected."""
+    """A scheme of the family: a key (coupling, theta, gamma) of the table; any other raises."""
 
-    interface: str
-    integrator: str
-    theta: int = 0
-    gamma: int = 0
-    formulation: str = SIMULTANEOUS
-    direction: str = TWO_WAY
+    coupling: str
+    theta: int
+    gamma: int
 
     def __post_init__(self):
-        if self.interface not in (BULK, DIRICHLET_NEUMANN):
-            raise SchemeError(f"unknown interface {self.interface!r}")
-        if self.integrator not in (EXPLICIT, IMPLICIT):
-            raise SchemeError(f"unknown integrator {self.integrator!r}")
-        if self.theta not in (0, 1) or self.gamma not in (0, 1):
-            raise SchemeError("theta and gamma must be 0 or 1")
-        if self.formulation not in (SIMULTANEOUS, SEQUENTIAL):
-            raise SchemeError(f"unknown formulation {self.formulation!r}")
-        if self.direction not in (TWO_WAY, ONE_WAY_NEGATIVE):
-            raise SchemeError(f"unknown direction {self.direction!r}")
-        if self.interface == BULK and self.integrator != IMPLICIT:
-            raise SchemeError("bulk interface requires the implicit integrator")
-        if self.interface == DIRICHLET_NEUMANN:
-            if self.theta != 0 or self.gamma != 0:
-                raise SchemeError("Dirichlet-Neumann schemes have no theta/gamma freedom")
-            if self.formulation != SIMULTANEOUS or self.direction != TWO_WAY:
-                raise SchemeError("Dirichlet-Neumann schemes are simultaneous and two-way")
-        if self.formulation == SEQUENTIAL:
-            if self.interface != BULK or self.direction != TWO_WAY:
-                raise SchemeError("sequential formulation is defined for two-way bulk coupling")
-        if self.direction == ONE_WAY_NEGATIVE:
-            if self.interface != BULK or self.gamma != 0:
-                raise SchemeError("one-way coupling is a bulk scheme with gamma = 0")
+        try:
+            named = (self.coupling, self.theta, self.gamma) in _NAMES
+        except TypeError:  # an unhashable field is no key either
+            named = False
+        if not named:
+            raise SchemeError(f"no scheme has coupling {self.coupling!r}, theta {self.theta!r} "
+                              f"and gamma {self.gamma!r}")
 
 
-# Canonical named variants (theta, gamma select the interface flux levels;
-# one-way theta selects explicit vs implicit flux in the boundary row).
-SCHEMES = {
-    "bulk-explicit-flux": SchemeSpec(BULK, IMPLICIT, theta=0, gamma=0),
-    "bulk-partial-flux": SchemeSpec(BULK, IMPLICIT, theta=1, gamma=0),
-    "bulk-implicit-flux": SchemeSpec(BULK, IMPLICIT, theta=1, gamma=1),
-    "bulk-sequential": SchemeSpec(BULK, IMPLICIT, theta=1, gamma=1, formulation=SEQUENTIAL),
-    "dn-explicit": SchemeSpec(DIRICHLET_NEUMANN, EXPLICIT),
-    "dn-implicit": SchemeSpec(DIRICHLET_NEUMANN, IMPLICIT),
-    "one-way-explicit-flux": SchemeSpec(BULK, IMPLICIT, theta=0, direction=ONE_WAY_NEGATIVE),
-    "one-way-implicit-flux": SchemeSpec(BULK, IMPLICIT, theta=1, direction=ONE_WAY_NEGATIVE),
-}
+SCHEMES = {name: SchemeSpec(*key) for name, key in _TABLE.items()}
 
 
 def scheme_name(scheme):
-    """Canonical name of a scheme, or its repr when unnamed."""
-    for name, spec in SCHEMES.items():
-        if spec == scheme:
-            return name
-    return repr(scheme)
+    """Name of a scheme in SCHEMES."""
+    return _NAMES[scheme.coupling, scheme.theta, scheme.gamma]
 
 
 @dataclass(frozen=True)
@@ -230,7 +212,7 @@ def _bulk_bands(scheme, p, n_minus, n_plus):
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
     shape = np.shape(dm)
-    sequential = scheme.formulation == SEQUENTIAL
+    sequential = scheme.coupling == "bulk-sequential"
     # rows: negative interior, interface rows n_minus-1 and n_minus, positive interior
     runs = (n_minus - 1, 1, 1, n_plus - 1)
     off_runs = (n_minus - 1, 1, n_plus - 1)
@@ -292,11 +274,20 @@ def _dn_implicit_bands(scheme, p, n_minus, n_plus):
             _runs([0.0, dp * r, 0.0], off_runs, shape))
 
 
+# each coupling's band builder and Layout kind
+_COUPLINGS = {
+    "bulk": (_bulk_bands, BULK),
+    "bulk-sequential": (_bulk_bands, BULK),
+    "one-way": (_one_way_bands, ONE_WAY_NEGATIVE),
+    "dn-explicit": (_dn_explicit_bands, DIRICHLET_NEUMANN),
+    "dn-implicit": (_dn_implicit_bands, DIRICHLET_NEUMANN),
+}
+
+
 def scheme_layout(scheme, n_minus, n_plus):
     """The Layout of the pairs that assemble builds for a SchemeSpec."""
-    if scheme.direction == ONE_WAY_NEGATIVE:
-        return Layout(ONE_WAY_NEGATIVE, n_minus, 0)
-    return Layout(scheme.interface, n_minus, n_plus)
+    kind = _COUPLINGS[scheme.coupling][1]
+    return Layout(kind, n_minus, 0 if kind == ONE_WAY_NEGATIVE else n_plus)
 
 
 def assemble_bands(scheme, p, n_minus, n_plus):
@@ -307,16 +298,10 @@ def assemble_bands(scheme, p, n_minus, n_plus):
     column j is the band of the groups' entries j, bit for bit.  The bands
     are not checked: a column may hold non-finite entries.
     """
-    one_way = scheme.direction == ONE_WAY_NEGATIVE
     _require_count("n_minus", n_minus)
-    _require_count("n_plus", 1 if one_way else n_plus)  # a one-way pair has no positive rows
-    if one_way:
-        build = _one_way_bands
-    elif scheme.interface == DIRICHLET_NEUMANN:
-        build = _dn_explicit_bands if scheme.integrator == EXPLICIT else _dn_implicit_bands
-    else:
-        build = _bulk_bands
-    return build(scheme, p, n_minus, n_plus)
+    # a one-way pair has no positive rows
+    _require_count("n_plus", 1 if scheme.coupling == "one-way" else n_plus)
+    return _COUPLINGS[scheme.coupling][0](scheme, p, n_minus, n_plus)
 
 
 def assemble(scheme, p, n_minus, n_plus):

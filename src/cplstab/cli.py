@@ -265,11 +265,12 @@ def _compare_verdicts(scheme, p, n, dense=False):
 
 
 def _draw(rng, name):
-    """Groups log-uniform on [1e-2, 1e2], as many as the scheme family uses."""
-    if name.startswith("one-way"):
+    """Groups log-uniform on [1e-2, 1e2], as many as the named scheme's coupling uses."""
+    coupling = assembly.SCHEMES[name].coupling
+    if coupling == "one-way":
         d, beta = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
         return DimensionlessParams(0.0, float(d), 0.0, float(beta), 1.0)
-    if name.startswith("dn"):
+    if coupling in ("dn-explicit", "dn-implicit"):
         dp, dm, r = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
         return DimensionlessParams(float(dp), float(dm), 0.0, 0.0, float(r))
     dp, dm, bp, bm = 10.0 ** rng.uniform(-2.0, 2.0, size=4)

@@ -36,7 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
 from .errors import ParameterDomainError, ScanError, SingularityError
 from .params import _require_nonnegative, _require_positive
 
@@ -140,7 +139,7 @@ def _residual(scheme, p):
     Each call evaluates the spatial roots once.  Callers evaluate under
     errstate: where a term leaves the float range, f is inf or NaN.
     """
-    if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
+    if scheme.coupling == "dn-explicit":
         dm, dp, r = p.d_minus, p.d_plus, p.r
 
         def residual(A):
@@ -151,7 +150,7 @@ def _residual(scheme, p):
 
         return residual
 
-    if scheme.interface == DIRICHLET_NEUMANN:
+    if scheme.coupling == "dn-implicit":
         dm, dp, r = p.d_minus, p.d_plus, p.r
         w = (1.0 + r) / 2.0
 
@@ -165,11 +164,11 @@ def _residual(scheme, p):
 
         return residual
 
-    # bulk interface, backward-Euler interiors
+    # bulk and bulk-sequential, backward-Euler interiors
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
     theta, gamma = scheme.theta, scheme.gamma
-    sequential = scheme.formulation == SEQUENTIAL
+    sequential = scheme.coupling == "bulk-sequential"
 
     def residual(A):
         step = 1.0 - 1.0 / A
@@ -199,7 +198,7 @@ def dispersion_residual(scheme, p, A):
         raise SingularityError(f"dispersion relation is singular at A = {A}")
     z = np.asarray(A, dtype=complex)
     with np.errstate(all="ignore"):
-        if scheme.direction == ONE_WAY_NEGATIVE:
+        if scheme.coupling == "one-way":
             _require_positive("one-way d_minus", p.d_minus)
             kappa = _one_way_kappa(z, p, scheme.theta)
             return complex((1.0 - 1.0 / z) - p.d_minus * (kappa - 2.0 + 1.0 / kappa))
@@ -212,11 +211,10 @@ def dispersion_residual(scheme, p, A):
 def _mode_from_root(scheme, p, A):
     z = np.asarray(A, dtype=complex)
     with np.errstate(all="ignore"):
-        if scheme.direction == ONE_WAY_NEGATIVE:
+        if scheme.coupling == "one-way":
             km_inv, kp = _one_way_kappa(z, p, scheme.theta), 0j
         else:
-            forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
-            step = z - 1.0 if forward else 1.0 - 1.0 / z
+            step = z - 1.0 if scheme.coupling == "dn-explicit" else 1.0 - 1.0 / z
             km_inv, kp = _decay_terms(step, p.d_minus)[0], _decay_terms(step, p.d_plus)[0]
     admissible = (np.abs(kp) <= 1.0 + ADMISSIBLE_TOL) & (np.abs(km_inv) <= 1.0 + ADMISSIBLE_TOL)
     return ModeSolution(complex(A), complex(kp), complex(km_inv), bool(admissible))
@@ -302,23 +300,28 @@ def _contour(residual, radius, t, z, f):
     """(winding number of f on |A| = radius, steps (a, b, log f(b) - log f(a)) of its upper half).
 
     t and z hold the circle's `_start_points` and f the residual there, as
-    arrays.  A step between neighbouring samples passes where it turns the
-    phase of f by less than MAX_TURN (the adequacy rule of Ying and Katz) and
-    f is nonzero and finite at both ends.  Each round bisects every failing
-    step, with one residual call on their midpoints, until all pass; a step's
-    split depends on its two ends only, so the partition is the one that
-    bisecting each step on its own gives.  The imaginary part of each
-    increment is its turn, and the turns of the upper half add up to pi times
-    the winding number.  The steps come back as three arrays.
+    arrays.  A sample where f is zero or |f| is not finite has no usable
+    phase, so no step that ends there can pass: ScanError names the first
+    such sample at once.  A step between neighbouring samples passes where it
+    turns the phase of f by less than MAX_TURN (the adequacy rule of Ying and
+    Katz).  Each round bisects every failing step, with one residual call on
+    their midpoints, until all pass; a step's split depends on its two ends
+    only, so the partition is the one that bisecting each step on its own
+    gives.  The imaginary part of each increment is its turn, and the turns
+    of the upper half add up to pi times the winding number.  The steps come
+    back as three arrays.
     """
     while True:
-        ok = (f != 0) & np.isfinite(np.abs(f))
-        log_f = np.log(np.where(ok, f, 1.0))
+        bad = np.flatnonzero((f == 0) | ~np.isfinite(np.abs(f)))
+        if bad.size:
+            raise ScanError(f"the residual {complex(f[bad[0]])} at A = {complex(z[bad[0]])} "
+                            f"on |A| = {radius!r} is zero or of no finite modulus")
+        log_f = np.log(f)
         dlog = log_f[1:] - log_f[:-1]
         # the remainder of the turn modulo 2 pi, exact like math.remainder: the
         # turn lies within 2 pi, so the multiple subtracted is -1, 0 or 1
         dlog.imag -= 2.0 * math.pi * np.rint(dlog.imag / (2.0 * math.pi))
-        failing = np.flatnonzero(~(ok[:-1] & ok[1:] & (np.abs(dlog.imag) < MAX_TURN)))
+        failing = np.flatnonzero(np.abs(dlog.imag) >= MAX_TURN)
         if failing.size == 0:
             break
         # the leftmost step that cannot be split, or the leftmost failing one
@@ -376,7 +379,7 @@ def _power_sums(steps, k):
 
 def _scanned_residual(scheme, p):
     """(f, m) of a two-way scheme, m the winding number of f at infinity (`_two_way_count`)."""
-    forward = scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT
+    forward = scheme.coupling == "dn-explicit"
     if forward and max(p.d_minus, p.d_plus) > 0.5:
         raise ScanError("the forward-Euler branch cut [1 - 4d, 1] crosses the annulus for "
                         f"d > 1/2 (d_minus = {p.d_minus!r}, d_plus = {p.d_plus!r})")
@@ -399,9 +402,7 @@ def _two_way_count(scheme, p, radius_max=None):
       c = (1 + theta beta_- + e_-)(1 + theta beta_+ + e_+) - beta_- beta_+ gamma^2
       for the bulk interface (no gamma^2 term in the sequential formulation,
       whose cross term is linear in A) and c = (w + e_-)(1 + e_+), with
-      w = (1 + r)/2, for dn-implicit.  c > 0 for every named scheme; the
-      unnamed bulk scheme with theta = 0 and gamma = 1 has c = 0 on one curve
-      of groups, where a root leaves through infinity.
+      w = (1 + r)/2, for dn-implicit.  c > 0 for every scheme.
     - The forward-Euler interior (dn-explicit, d <= 1/2): the step A - 1 grows
       without bound, kappa tends to 0 and each decay term to d, so m = 1 and
       c = 1 + r.
@@ -479,7 +480,7 @@ def gks_scan(scheme, p, scan=None):
     into both domains.  ScanError is raised where the count or a polish
     fails, and for the forward-Euler Dirichlet-Neumann scheme with d > 1/2.
     """
-    if scheme.direction == ONE_WAY_NEGATIVE:
+    if scheme.coupling == "one-way":
         roots = _one_way_roots(scheme, p)
     else:
         roots = _two_way_roots(scheme, p, None if scan is None else scan.radius_max)
@@ -500,9 +501,9 @@ def normal_mode_verdict(scheme, p, scan=None):
     scan: where d <= 1/2 its interface scan adds no further restriction, and
     where d > 1/2 gks_scan raises ScanError.
     """
-    if scheme.interface == DIRICHLET_NEUMANN and scheme.integrator == EXPLICIT:
+    if scheme.coupling == "dn-explicit":
         return p.d_minus <= 0.5 and p.d_plus <= 0.5
-    if scheme.direction == ONE_WAY_NEGATIVE:
+    if scheme.coupling == "one-way":
         return len(gks_scan(scheme, p, scan)) == 0
     return _two_way_count(scheme, p, None if scan is None else scan.radius_max) == 0
 

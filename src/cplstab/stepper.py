@@ -28,7 +28,7 @@ from . import assembly
 from .errors import DecayFloorWarning, ParameterDomainError, SingularMatrixError
 from .params import _require_count
 from .spectral import tridiagonal_solve
-from .assembly import DIRICHLET_NEUMANN, EXPLICIT, ONE_WAY_NEGATIVE, SEQUENTIAL
+from .assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _partitioned_step(scheme, p, n_minus, n_plus):
     """
     dm, dp, bm, bp, r = p.d_minus, p.d_plus, p.beta_minus, p.beta_plus, p.r
     theta, gamma, w = scheme.theta, scheme.gamma, (1.0 + r) / 2.0
-    if scheme.direction == ONE_WAY_NEGATIVE:
+    if scheme.coupling == "one-way":
         bands_m = _be_bands(n_minus, dm, 1.0 + dm + bm if theta == 1 else 1.0 + dm, True)
 
         def one_way(tm, tp, ts):
@@ -153,7 +153,7 @@ def _partitioned_step(scheme, p, n_minus, n_plus):
                 rhs[-1] = (1.0 - bm) * tm[-1]
             return tridiagonal_solve(bands_m, rhs), np.empty(0), None
         return one_way
-    if scheme.integrator == EXPLICIT:  # dn-explicit, the one explicit scheme: no matrix
+    if scheme.coupling == "dn-explicit":  # the one explicit scheme: no matrix
         def dn_explicit(tm, tp, ts):
             # positive domain sees the old interface value as a Dirichlet condition
             padded_p = np.concatenate([[ts], tp, [0.0]])
@@ -163,7 +163,7 @@ def _partitioned_step(scheme, p, n_minus, n_plus):
             new_s = ((w - dm - dp * r) * ts + dm * tm[-1] + dp * r * tp[0]) / w
             return new_m, new_p, float(new_s)
         return dn_explicit
-    if scheme.interface == DIRICHLET_NEUMANN:
+    if scheme.coupling == "dn-implicit":
         # negative domain plus interface node; the positive flux enters lagged
         bands_m = _be_bands(n_minus + 1, dm, w + dm, True)
         bands_p = _be_bands(n_plus, dp, 1.0 + dp, False)
@@ -178,7 +178,7 @@ def _partitioned_step(scheme, p, n_minus, n_plus):
         return dn_implicit
     bands_m = _be_bands(n_minus, dm, 1.0 + dm + theta * bm, True)
     bands_p = _be_bands(n_plus, dp, 1.0 + dp + theta * bp, False)
-    if scheme.formulation == SEQUENTIAL:
+    if scheme.coupling == "bulk-sequential":
         def sequential(tm, tp, ts):
             # negative domain first against the lagged positive interface value
             rhs_m = tm.copy()
@@ -214,12 +214,12 @@ def _partitioned_step(scheme, p, n_minus, n_plus):
 
 def step_partitioned(scheme, p, n_minus, n_plus, state):
     """One step through per-domain solves and explicit interface exchanges."""
-    if scheme.direction == ONE_WAY_NEGATIVE:
+    if scheme.coupling == "one-way":
         if state.t_minus.shape[0] != n_minus:
             raise ParameterDomainError("state size does not match n_minus")
     elif state.t_minus.shape[0] != n_minus or state.t_plus.shape[0] != n_plus:
         raise ParameterDomainError("state sizes do not match the domain sizes")
-    elif scheme.interface == DIRICHLET_NEUMANN and state.shared_node is None:
+    elif scheme.coupling in ("dn-explicit", "dn-implicit") and state.shared_node is None:
         raise ParameterDomainError("Dirichlet-Neumann state needs a shared node value")
     t_minus, t_plus, shared = _partitioned_step(scheme, p, n_minus, n_plus)(
         state.t_minus, state.t_plus, state.shared_node)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      SchemeError, SchemeSpec, Tridiagonal, assemble, scheme_name,
                      write_dense_csv)
-from cplstab.assembly import (BULK, DIRICHLET_NEUMANN, EXPLICIT, IMPLICIT,
-                              ONE_WAY_NEGATIVE, SEQUENTIAL, assemble_bands, scheme_layout)
+from cplstab.assembly import BULK, DIRICHLET_NEUMANN, assemble_bands, scheme_layout
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -23,25 +22,35 @@ def params(dp=0.0, dm=0.0, bp=0.0, bm=0.0, r=1.0):
 
 # ------------------------------------------------------------- scheme specs
 
+# keys (coupling, theta, gamma) that name no scheme
+UNNAMED_KEYS = [
+    ("bulk", 0, 1),                 # flux levels that no bulk scheme takes
+    ("bulk-sequential", 0, 0),
+    ("bulk-sequential", 1, 0),
+    ("bulk-sequential", 0, 1),
+    ("bulk", 2, 0),                 # a flux level outside {0, 1}
+    ("dn-implicit", 1, 0),          # Dirichlet-Neumann has no flux levels
+    ("dn-explicit", 1, 0),
+    ("one-way", 0, 1),              # one-way has no gamma
+    ("dirichlet_neumann", 0, 0),    # a Layout kind, not a coupling
+    (["bulk"], 0, 0),               # not a string, and unhashable
+]
+
+
 def test_scheme_spec_rejects_bad_combinations():
-    with pytest.raises(SchemeError):
-        SchemeSpec(BULK, EXPLICIT)
-    with pytest.raises(SchemeError):
-        SchemeSpec(BULK, IMPLICIT, theta=2)
-    with pytest.raises(SchemeError):
-        SchemeSpec(DIRICHLET_NEUMANN, IMPLICIT, theta=1)
-    with pytest.raises(SchemeError):
-        SchemeSpec(DIRICHLET_NEUMANN, IMPLICIT, formulation=SEQUENTIAL)
-    with pytest.raises(SchemeError):
-        SchemeSpec(BULK, IMPLICIT, gamma=1, direction=ONE_WAY_NEGATIVE)
-    with pytest.raises(SchemeError):
-        SchemeSpec(BULK, IMPLICIT, formulation=SEQUENTIAL,
-                   direction=ONE_WAY_NEGATIVE)
+    for key in UNNAMED_KEYS:
+        with pytest.raises(SchemeError, match="no scheme has coupling"):
+            SchemeSpec(*key)
 
 
 def test_scheme_names_round_trip():
+    # validate --suite scan and perfbench iterate SCHEMES in this order
+    assert list(SCHEMES) == [
+        "bulk-explicit-flux", "bulk-partial-flux", "bulk-implicit-flux", "bulk-sequential",
+        "dn-explicit", "dn-implicit", "one-way-explicit-flux", "one-way-implicit-flux"]
     for name, scheme in SCHEMES.items():
         assert scheme_name(scheme) == name
+        assert SchemeSpec(scheme.coupling, scheme.theta, scheme.gamma) == scheme
 
 
 # --------------------------------------------------------------------- bulk
@@ -147,7 +156,7 @@ def test_heat_is_conserved_across_the_interface(name):
 def test_implicit_rows_diagonally_dominant(dm, dp, bm, bp, levels, nm, np_):
     """Assembled A rows stay strictly diagonally dominant for positive d."""
     theta, gamma = levels
-    pair = assemble(SchemeSpec(BULK, IMPLICIT, theta, gamma), params(dp, dm, bp, bm), nm, np_)
+    pair = assemble(SchemeSpec("bulk", theta, gamma), params(dp, dm, bp, bm), nm, np_)
     diag = np.abs(np.diag(pair.A.toarray()))
     off = np.abs(pair.A.toarray()).sum(axis=1) - diag
     assert np.all(diag > off)
@@ -179,8 +188,8 @@ def test_one_way_unforced_variants_match():
 def test_one_way_equals_bulk_upper_left_block(dm, dp, bm, bp, nm, theta):
     """One-way matrices are the negative bulk blocks minus the coupling."""
     p = params(dp, dm, bp, bm)
-    one = assemble(SchemeSpec(BULK, IMPLICIT, theta, direction=ONE_WAY_NEGATIVE), p, nm, 1)
-    bulk = assemble(SchemeSpec(BULK, IMPLICIT, theta), p, nm, 3)
+    one = assemble(SchemeSpec("one-way", theta, 0), p, nm, 1)
+    bulk = assemble(SchemeSpec("bulk", theta, 0), p, nm, 3)
     a_block = bulk.A.toarray()[:nm, :nm].copy()
     b_block = bulk.B.toarray()[:nm, :nm].copy()
     assert np.array_equal(one.A.toarray(), a_block)

@@ -362,6 +362,19 @@ def test_scan_of_a_flat_residual_raises(monkeypatch, name, group):
     assert sum(points) <= 2 * normalmode.MAX_SAMPLES
 
 
+@pytest.mark.parametrize("name", ["bulk-partial-flux", "bulk-implicit-flux"])
+def test_verdict_raises_at_a_start_sample_where_the_residual_overflows(monkeypatch, name):
+    # at beta = 1.3e154 the product of the bulk factors overflows on arcs of
+    # the inner circle: a sample with no phase fails every step that ends
+    # there, so the count raises on the start samples instead of bisecting
+    points = []
+    monkeypatch.setattr(normalmode, "_residual", counting_residual(points))
+    with pytest.raises(ScanError) as raised:
+        normal_mode_verdict(SCHEMES[name], params(0.01, 0.01, 1.3e154, 1.3e154))
+    assert points == [171]
+    assert "on |A| = 1.000001" in str(raised.value)
+
+
 @pytest.mark.parametrize("name", SCANNED)
 def test_scan_cost_per_draw(monkeypatch, name):
     # residual calls: one on the start samples of both circles, one per

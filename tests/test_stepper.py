@@ -16,7 +16,7 @@ from cplstab import (SCHEMES, DecayFloorWarning, DimensionlessParams, Layout,
                      unpack_state, update_matrix)
 from cplstab import spectral, stepper
 from cplstab.cli import cli_main
-from cplstab.assembly import DIRICHLET_NEUMANN, ONE_WAY_NEGATIVE
+from cplstab.assembly import ONE_WAY_NEGATIVE
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -106,8 +106,8 @@ def seeded_scheme_pairs():
     pairs = []
     for n in range(1, 121):
         for name, scheme in sorted(SCHEMES.items()):
-            shared = scheme.interface == DIRICHLET_NEUMANN
-            if scheme.direction == ONE_WAY_NEGATIVE:
+            shared = scheme.coupling in ("dn-explicit", "dn-implicit")
+            if scheme.coupling == "one-way":
                 nm, np_ = n, 1
             elif n >= 3 or (n == 2 and not shared):
                 nm = int(local.integers(1, n - shared))
