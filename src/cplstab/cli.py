@@ -316,6 +316,24 @@ def _validate_bulk(failures, messages):
            all(result is None or result[1] for result in results), failures, messages)
 
 
+def _golden_minimum(f, lo, hi, tol):
+    """Minimiser of f, unimodal on [lo, hi], to within tol: golden-section search
+    (Kiefer 1953), one evaluation per step, each step shrinking the bracket by 0.618."""
+    ratio = (5.0 ** 0.5 - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
 def _validate_dn(failures, messages):
     explicit = assembly.SCHEMES["dn-explicit"]
     results = [_compare_verdicts(explicit, DimensionlessParams(dp, dm, 0.0, 0.0, r), 100)
@@ -324,18 +342,13 @@ def _validate_dn(failures, messages):
     _check("dn-explicit verdict rule matches matrix classification",
            all(result is None or result[1] for result in results), failures, messages)
     implicit = assembly.SCHEMES["dn-implicit"]
-    from scipy.optimize import minimize_scalar
-
     ok = True
     for dm in (0.1, 1.0):
         p = DimensionlessParams(1.0, dm, 0.0, 0.0, 1e-10)
         target = 1.0 / (1.0 + 4.0 * dm)
-        result = minimize_scalar(
-            lambda a: abs(normalmode.dispersion_residual(implicit, p, a)),
-            bounds=(0.5 * target, min(1.5 * target, 0.999)), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if abs(result.x - target) > 1e-6:
+        root = _golden_minimum(lambda a: abs(normalmode.dispersion_residual(implicit, p, a)),
+                               0.5 * target, min(1.5 * target, 0.999), 1e-12)
+        if abs(root - target) > 1e-6:
             ok = False
     _check("dn-implicit small-ratio root sits at 1/(1+4d)", ok, failures, messages)
 
@@ -443,7 +456,7 @@ def _build_parser():
     p_validate = commands.add_parser("validate", help="cross-check battery")
     p_validate.add_argument("--suite", choices=("one-way", "bulk", "dn", "scan", "all"),
                             default="all", help="all is one-way, bulk and dn, well under a "
-                            "second; scan, the 6-8 s scan-versus-matrix audit, runs alone")
+                            "second; scan, the 3.5-6 s scan-versus-matrix audit, runs alone")
     p_validate.add_argument("--points", type=int, help="scan draws per scheme (default 50)")
     p_validate.add_argument("--seed", type=int, help="seed of the scan draws (default 0)")
     p_validate.set_defaults(func=_cmd_validate)

@@ -33,7 +33,7 @@ from cplstab import (
     update_matrix,
 )
 from cplstab.assembly import ONE_WAY_NEGATIVE
-from cplstab.cli import cli_main
+from cplstab.cli import _golden_minimum, cli_main
 from cplstab.sweep import Axis, SweepSpec, default_axis, preset_sweep
 
 SEED = 0
@@ -277,6 +277,11 @@ def test_small_ratio_root_location():
             options={"xatol": 1e-12},
         )
         assert abs(result.x - target) <= 1e-6
+        # validate's golden-section search finds the same root, without scipy.optimize
+        golden = _golden_minimum(lambda a: abs(dispersion_residual(implicit, p, a)),
+                                 0.5 * target, min(1.5 * target, 0.999), 1e-12)
+        assert abs(golden - target) <= 1e-9
+        assert abs(golden - result.x) <= 1e-6
     assert time.monotonic() - start < 5.0
 
 

@@ -522,6 +522,29 @@ def test_validate_scan_prints_a_draw_whose_scan_raises(monkeypatch, capsys):
     assert lines[-1] == f"{len(SCHEMES) - 1} passed, 1 failed"
 
 
+def test_validate_dn_fails_on_a_shifted_root(monkeypatch, capsys):
+    # a residual evaluated at A (1 + 1e-5) moves the root 2e-6 to 7e-6 off 1/(1+4d)
+    real = normalmode_mod.dispersion_residual
+    monkeypatch.setattr(normalmode_mod, "dispersion_residual",
+                        lambda scheme, p, A: real(scheme, p, A * (1.0 + 1e-5)))
+    assert cli_main(["validate", "--suite", "dn"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL dn-implicit small-ratio root sits at 1/(1+4d)" in lines
+    assert lines[-1] == "1 passed, 1 failed"
+
+
+def test_validate_does_not_import_scipy_optimize():
+    # scipy.optimize alone costs about a quarter of the wall time of validate --suite all
+    code = ("import contextlib, io, sys\n"
+            "from cplstab.cli import cli_main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli_main(['validate', '--suite', 'all'])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False"]
+
+
 def test_validate_failure_exit_code(monkeypatch, capsys):
     # a broken scan must surface as exit 1, not crash and not pass
     monkeypatch.setattr(normalmode_mod, "gks_scan", lambda scheme, p, scan=None: [])
