@@ -13,10 +13,13 @@ Sylvester's law of inertia sigma A - B is definite exactly when the pivots
 of rows 0..k-1 from the top, of rows n-1..k+1 from the bottom, and the
 twisted pivot gamma_k are all positive (Fernando 1997; Dhillon & Parlett
 2004).  pencil_ends is the one front end of that search, for a batch of
-pairs of one size, and picks its kernel per call; eigen_spectrum(pair) calls
-it on one pair.  full_spectrum gives every eigenvalue from the same pencil.
-The dense path, plain eig of M with a residual check, is the oracle and
-serves the pairs that fit no case of the pencil.
+pairs of one size; eigen_spectrum(pair) calls it on one pair.  Each step of
+the search (a top-end search at entry and before each of its rounds, the
+B + top A check, the bottom-end search on its columns, the B0 check of
+lagged pairs) picks its kernel by masked_kernel from the columns it has.
+full_spectrum gives every eigenvalue from the same pencil.  The dense path,
+plain eig of M with a residual check, is the oracle and serves the pairs
+that fit no case of the pencil.
 """
 
 import contextlib
@@ -335,7 +338,7 @@ def _top_end(pencil, lo, margin, radius):
     """
     a, b = pencil[:2]
     n = margin.shape[0]
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    tiny = np.finfo(float).tiny
     quotient = (b[:n] / a[:n]).max()
     lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
     hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
@@ -344,8 +347,18 @@ def _top_end(pencil, lo, margin, radius):
     f_hi, info = _ldl(hi, pencil)
     if info:
         return lo, np.nan
-    f_lo, side = None, 0
-    steps, halved = 0, hi - lo
+    return _close_top_end(pencil, lo, hi, None, f_hi, 0, 0, hi - lo)
+
+
+def _close_top_end(pencil, lo, hi, f_lo, f_hi, side, steps, halved):
+    """The loop of _top_end, resumed from one column's state: (lo, hi).
+
+    f_lo is None until a probe fails at gamma_k only; side is the sign of the
+    last probe's end (1 hi, -1 lo, 0 none yet); steps counts the steps since
+    the bracket last halved to width halved.
+    """
+    n = pencil[0].shape[0] // 2
+    eps = np.finfo(float).eps
     while hi - lo > 4.0 * eps * max(abs(lo), abs(hi)):
         x = 0.5 * (lo + hi)
         if f_lo is not None and steps < 3:
@@ -386,8 +399,16 @@ def _column_top_end(pencil, lo, margin, radius):
 
 
 def _column_ldl(sigma, pencil):
-    """The info of _batch_ldl by _ldl, one column at a time, and no pivots."""
-    return None, np.array([_ldl(s, _columns(pencil, j))[1] for j, s in enumerate(sigma)], int)
+    """_batch_ldl by _ldl, one column at a time: (gamma_k, info), gamma_k NaN
+    where _ldl gives None."""
+    tests = [_ldl(s, _columns(pencil, j)) for j, s in enumerate(sigma)]
+    return (np.array([np.nan if g is None else g for g, _ in tests]),
+            np.array([info for _, info in tests], int))
+
+
+def _ldl_kernel(n, columns):
+    """The probe of masked_kernel(n, columns): _batch_ldl, or _ldl column by column."""
+    return _batch_ldl if masked_kernel(n, columns) else _column_ldl
 
 
 def _diagonal_form(a_diag, b_diag, b_off):
@@ -463,11 +484,20 @@ def _batch_ldl(sigma, pencil):
 def _batch_top_end(pencil, lo, margin, radius):
     """_top_end for every column: (lo, hi), hi NaN where the bracket is not proved.
 
-    The state is one array per quantity over the open columns, k their index
-    in the call.  Where a column closes, as _top_end's loop ends, its bracket
-    is written back and one mask compacts the state and the pencil.
+    masked_kernel picks the kernel from the columns still open at every
+    step: at entry, for the test at hi and before each round.  Fewer columns
+    than rows at entry take _column_top_end, whose scalar start skips the
+    masked start's numpy calls: one-column pencil_ends calls of the eight
+    schemes at n = 400 took 326-346 us with that entry and 376-386 us
+    without it (best of 15 batches, 5 alternating runs, 2-core host).  The
+    state is one array per quantity over the open columns, k their index in
+    the call.  Where a column closes, as _top_end's loop ends, its bracket is
+    written back and one mask compacts the state and the pencil.  Once fewer
+    columns than rows are open, each goes on from its state in _close_top_end.
     """
     n = margin.shape[0]
+    if not masked_kernel(n, lo.size):
+        return _column_top_end(pencil, lo, margin, radius)
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     a, b = pencil[:2]
     quotient = (b[:n] / a[:n]).max(axis=0)
@@ -480,7 +510,7 @@ def _batch_top_end(pencil, lo, margin, radius):
         return ends
     if k.size < lo.size:
         lo, hi, pencil = lo[k], hi[k], _columns(pencil, k)
-    f_hi, info = _batch_ldl(hi, pencil)
+    f_hi, info = _ldl_kernel(n, k.size)(hi, pencil)
     hi = np.where(info == 0, hi, np.nan)
     f_lo, has_f_lo = np.full_like(lo, np.nan), np.zeros(lo.shape, bool)
     side, steps, halved = np.zeros(lo.shape, int), np.zeros(lo.shape, int), hi - lo
@@ -497,6 +527,12 @@ def _batch_top_end(pencil, lo, margin, radius):
             if not k.size:
                 break
             pencil = _columns(pencil, keep)
+        if not masked_kernel(n, k.size):
+            state = zip(lo.tolist(), hi.tolist(), np.where(has_f_lo, f_lo, None).tolist(),
+                        f_hi.tolist(), side.tolist(), steps.tolist(), halved.tolist())
+            for j, column in enumerate(state):
+                ends[0][k[j]], ends[1][k[j]] = _close_top_end(_columns(pencil, j), *column)
+            break
         gamma, info = _batch_ldl(x, pencil)
         up, down = info == 0, info == n
         f_lo = np.where(up & (side == 1), 0.5 * f_lo, np.where(down, gamma, f_lo))
@@ -512,10 +548,13 @@ def _batch_top_end(pencil, lo, margin, radius):
 
 
 def masked_kernel(rows, columns):
-    """Whether pencil_ends runs the masked kernel, not the scalar one, on rows x columns.
+    """Whether a search step runs the masked kernel, not the scalar one, on rows x columns.
 
     The scalar _top_end makes one dpttrf call per column and probe, the
     masked _batch_top_end about 3n numpy calls per probe for all open columns.
+    It is applied at every step, to the columns that step has: a top-end
+    search at entry and before each masked round, the B + top A check, the
+    bottom-end search on its subset and the B0 check of lagged pairs.
     """
     return columns >= rows
 
@@ -532,9 +571,9 @@ def pencil_ends(bands, twist=None):
     definite, or n = 1.  No column raises: all three are NaN where the pair
     is left to the dense path, for non-finite entries, no symmetric pencil
     or dominance margin, B0 not definite, a failed dstebz call or a bracket
-    not proved.  masked_kernel picks the kernel per call; both take a column
-    through the same probes and pivots, so its bits do not depend on its
-    batch.
+    not proved.  masked_kernel picks the kernel at every step from the
+    columns still open; both take a column through the same probes and
+    pivots, so its bits do not depend on its batch.
     """
     n, cells = np.shape(bands[1])
     twist = n - 1 if twist is None else operator.index(twist)
@@ -544,11 +583,10 @@ def pencil_ends(bands, twist=None):
     with np.errstate(all="ignore"):
         (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
         ok &= np.isfinite(np.concatenate(bands)).all(axis=0)
-        batch = masked_kernel(n, cells)
         has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
         lag = np.flatnonzero(ok & has_lag)
         if lag.size:  # lagged indices need B0 > 0
-            info = (_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] if batch
+            info = (_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] if masked_kernel(n, lag.size)
                     else [lapack.dpttrf(b_diag[:, k], b_off[:, k])[2] for k in lag])
             ok[lag[np.asarray(info) != 0]] = False
         top, bottom, width = np.full(cells, np.nan), np.full(cells, np.nan), np.zeros(cells)
@@ -562,18 +600,17 @@ def pencil_ends(bands, twist=None):
                 (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, twist, k)
             a, b, *_, q = pencil
             lag_k = has_lag[k]
-            top_end, ldl = ((_batch_top_end, _batch_ldl) if batch
-                            else (_column_top_end, _column_ldl))
-            lo, hi = top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
+            lo, hi = _batch_top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
             proved = hi == hi
             width[k] = hi - lo
             # B + top A not definite: some eigenvalue lies at or below -top
             negated = (a, -b, None, None, q)
             p = np.flatnonzero(proved & ~lag_k)
             if p.size:
-                p = p[ldl(hi[p], _columns(negated, p))[1] != 0]
+                p = p[_ldl_kernel(n, p.size)(hi[p], _columns(negated, p))[1] != 0]
             if p.size:
-                low, high = top_end(_columns(negated, p), hi[p], margin_k[:, p], radius_k[:, p])
+                low, high = _batch_top_end(_columns(negated, p), hi[p], margin_k[:, p],
+                                           radius_k[:, p])
                 found = proved[p] = high == high
                 p, low, high = p[found], low[found], high[found]
                 bottom[k[p]] = -high

@@ -13,6 +13,7 @@ from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      UpdatePair, assemble, classify, eigen_spectrum, full_spectrum,
                      power_growth_rate, tridiagonal_solve, update_matrix)
 from cplstab import spectral
+from cplstab.assembly import scheme_layout
 from cplstab.sweep import Axis, preset_sweep, run_sweep
 
 SEED = 0
@@ -531,11 +532,34 @@ def test_masked_kernel_never_probes_what_it_cannot_prove():
 
 
 def pencil_ends(bands, twist):
-    """spectral.pencil_ends, and which kernels it ran: (ends, scalar, masked)."""
-    with mock.patch.object(spectral, "_top_end", wraps=spectral._top_end) as scalar, \
-            mock.patch.object(spectral, "_batch_top_end", wraps=spectral._batch_top_end) as masked:
+    """spectral.pencil_ends and its probes: (ends, masked, searches, unhanded).
+
+    masked is whether a masked probe ran, searches holds the (scalar, masked)
+    probes of each top-end search, and unhanded counts the scalar probes made
+    outside a hand-off to _close_top_end.  No masked probe runs on fewer
+    columns than rows."""
+    def search(*args):
+        before = scalar.call_count, masked.call_count
+        ends = top_end(*args)
+        searches.append((scalar.call_count - before[0], masked.call_count - before[1]))
+        return ends
+
+    def hand_off(*args):
+        before = scalar.call_count
+        ends = close_top_end(*args)
+        handed.append(scalar.call_count - before)
+        return ends
+
+    top_end, close_top_end = spectral._batch_top_end, spectral._close_top_end
+    searches, handed = [], []
+    with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar, \
+            mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked, \
+            mock.patch.object(spectral, "_batch_top_end", search), \
+            mock.patch.object(spectral, "_close_top_end", hand_off):
         ends = spectral.pencil_ends(bands, twist)
-    return ends, scalar.called, masked.called
+    rows = np.shape(bands[1])[0]
+    assert all(np.size(call.args[0]) >= rows for call in masked.call_args_list)
+    return ends, masked.called, searches, scalar.call_count - sum(handed)
 
 
 def twist_row(pair):
@@ -558,18 +582,22 @@ def test_both_kernels_give_the_same_bits(name, n_minus, n_plus, cells):
     bands[4][0, -1] = np.inf
     # every pair twisted at the assembled pair's interface row and at n - 1
     for twist in {twist_row(pairs[0]), n - 1}:
-        # tiled past n columns, the call runs the masked kernel
-        tiled, scalar, _ = pencil_ends([np.tile(band, n // len(pairs) + 1) for band in bands],
-                                       twist)
-        assert not scalar
+        # tiled n + 1 times, every column set that the call searches or tests
+        # has more columns than rows: each search that probes (the top end,
+        # the bottom end) starts on the masked kernel, and scalar probes run
+        # only on the last open columns handed to the scalar loop
+        tiled, _, searches, unhanded = pencil_ends([np.tile(band, n + 1) for band in bands],
+                                                   twist)
+        assert unhanded == 0
+        assert all(masked for scalar, masked in searches if scalar or masked)
         columns = bands[0].shape[1]
-        for j in range(tiled[0].size):
-            one, _, masked = pencil_ends([band[:, j % columns, None] for band in bands], twist)
+        for j in range(columns):
+            one, masked, _, _ = pencil_ends([band[:, j, None] for band in bands], twist)
             assert not masked
             for batch, single in zip(tiled, one):
-                assert batch[j].tobytes() == single.tobytes()
+                assert batch[j::columns].tobytes() == np.repeat(single, n + 1).tobytes()
         if columns < n:  # the scalar kernel on several columns at once
-            untiled, _, masked = pencil_ends(bands, twist)
+            untiled, masked, _, _ = pencil_ends(bands, twist)
             assert not masked
             assert all(u.tobytes() == t[:columns].tobytes() for u, t in zip(untiled, tiled))
         top, bottom, bound = (end[:columns] for end in tiled)
@@ -643,20 +671,26 @@ def test_probes_per_cell(preset, r):
     spec = preset_sweep(preset, r=r)
     spec = dataclasses.replace(spec, axis_x=dataclasses.replace(spec.axis_x, points=9),
                                axis_y=dataclasses.replace(spec.axis_y, points=9))
-    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked:
+    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked, \
+            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as handed_off:
         field = run_sweep(spec)
     assert masked.called and not np.isnan(field.lambda_max).any()
+    per_cell = []
     with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
         for y in spec.axis_y.values():
             for x in spec.axis_x.values():
                 groups = dict(spec.fixed, **{spec.axis_x.name: x, spec.axis_y.name: y})
-                eigen_spectrum(assemble(spec.scheme, DimensionlessParams(**groups),
-                                        spec.n_minus, spec.n_plus))
-    probes = [np.size(call.args[0]) for call in masked.call_args_list]
-    # the masked search probes no column that has closed, and never none
-    assert min(probes) >= 1
-    probes = sum(probes)
+                pair = assemble(spec.scheme, DimensionlessParams(**groups), spec.n_minus,
+                                spec.n_plus)
+                per_cell.append(eigen_spectrum(pair).lambda_max)
+    assert field.lambda_max.tobytes() == np.array(per_cell).tobytes()
+    columns = [np.size(call.args[0]) for call in masked.call_args_list]
+    # the masked search probes no fewer columns than rows: the last open
+    # columns go on in the scalar loop
+    rows = scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n
+    assert min(columns) >= rows
     # both kernels take every cell through the same probes
+    probes = sum(columns) + handed_off.call_count
     assert probes == scalar.call_count
     assert probes / field.lambda_max.size <= PROBE_CEILINGS[preset, r]
 
