@@ -23,7 +23,9 @@ SchemeSpec is one key (coupling, theta, gamma) of their table.  Every
 per-scheme branch of the package reads the coupling tag: "bulk"
 (simultaneous) or "bulk-sequential", "one-way", "dn-explicit" or
 "dn-implicit".  assemble(scheme, p, n_minus, n_plus) is the one constructor
-of a pair, and assemble_bands its batch form.
+of a pair.  assemble_runs gives its bands as runs of equal entries, the
+form that every pair has, and assemble_bands expands them, for one pair or
+for a batch.
 """
 
 from dataclasses import dataclass
@@ -182,32 +184,23 @@ class UpdatePair:
 
 
 def _runs(values, counts, shape):
-    """A band from runs of equal entries: values[k] repeated counts[k] times.
-
-    Each value is a float or an array of the groups' shape; the band holds
-    its rows first, so row i of a batch band is entry i of every cell.
-    """
+    """A band as runs (rows, counts): rows[k], a float or an array of the groups' shape,
+    repeated counts[k] times, so row k of a batch band's rows is run k of every cell."""
     rows = np.empty((len(values),) + shape)
     for k, value in enumerate(values):
         rows[k] = value
-    return np.repeat(rows, counts, axis=0)
+    return rows, tuple(counts)
 
 
-def _zero_off(diag):
-    """All-zero off-diagonal band that fits diag."""
-    return np.zeros((diag.shape[0] - 1,) + diag.shape[1:])
+# Each *_runs function takes (scheme, p, n_minus, n_plus) and returns the
+# runs of the six bands (A sub, A diag, A sup, B sub, B diag, B sup) of one
+# pair.  The groups of p are floats or arrays of one shape: every entry
+# formula is written once and evaluates either way, so a one-cell pair and a
+# column of a batch share their entries bit for bit.  Away from the
+# interface the backward-Euler rows carry the stencil [-d, 1+2d, -d].
 
 
-# Each *_bands function takes (scheme, p, n_minus, n_plus) and returns the
-# six bands (A sub, A diag, A sup, B sub, B diag, B sup) of one pair.  The
-# groups of p are floats or arrays of one shape: every entry formula is
-# written once and evaluates either way, so a one-cell pair and a column of
-# a batch share their entries bit for bit.  The bands are built row by row
-# from runs of equal entries.  Away from the interface the backward-Euler
-# rows carry the stencil [-d, 1+2d, -d].
-
-
-def _bulk_bands(scheme, p, n_minus, n_plus):
+def _bulk_runs(scheme, p, n_minus, n_plus):
     theta, gamma = scheme.theta, scheme.gamma
     dm, dp = p.d_minus, p.d_plus
     bm, bp = p.beta_minus, p.beta_plus
@@ -227,7 +220,7 @@ def _bulk_bands(scheme, p, n_minus, n_plus):
             _runs([0.0, bm if sequential else (1.0 - gamma) * bm, 0.0], off_runs, shape))
 
 
-def _one_way_bands(scheme, p, n_minus, n_plus):
+def _one_way_runs(scheme, p, n_minus, n_plus):
     # the positive side acts as forcing only; theta picks the time level of
     # the interface flux in the last row
     dm, bm = p.d_minus, p.beta_minus
@@ -238,10 +231,11 @@ def _one_way_bands(scheme, p, n_minus, n_plus):
                  shape)
     off = _runs([-dm], (n_minus - 1,), shape)
     b_diag = _runs([1.0, 1.0 - bm if explicit else 1.0], (n_minus - 1, 1), shape)
-    return off, diag, off, _zero_off(b_diag), b_diag, _zero_off(b_diag)
+    zero = _runs([0.0], (n_minus - 1,), shape)
+    return off, diag, off, zero, b_diag, zero
 
 
-def _dn_explicit_bands(scheme, p, n_minus, n_plus):
+def _dn_explicit_runs(scheme, p, n_minus, n_plus):
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
     w = (1.0 + r) / 2.0
@@ -249,14 +243,14 @@ def _dn_explicit_bands(scheme, p, n_minus, n_plus):
     # identity apart from the interface weight; B carries the forward-Euler
     # stencils and the flux-balance interface row
     runs = (n_minus, 1, n_plus)
-    a_diag = _runs([1.0, w, 1.0], runs, shape)
-    return (_zero_off(a_diag), a_diag, _zero_off(a_diag),
+    zero = _runs([0.0], (n_minus + n_plus,), shape)
+    return (zero, _runs([1.0, w, 1.0], runs, shape), zero,
             _runs([dm, dp], (n_minus, n_plus), shape),
             _runs([1.0 - 2.0 * dm, w - dm - dp * r, 1.0 - 2.0 * dp], runs, shape),
             _runs([dm, dp * r, dp], (n_minus, 1, n_plus - 1), shape))
 
 
-def _dn_implicit_bands(scheme, p, n_minus, n_plus):
+def _dn_implicit_runs(scheme, p, n_minus, n_plus):
     dm, dp, r = p.d_minus, p.d_plus, p.r
     shape = np.shape(dm)
     w = (1.0 + r) / 2.0
@@ -274,13 +268,13 @@ def _dn_implicit_bands(scheme, p, n_minus, n_plus):
             _runs([0.0, dp * r, 0.0], off_runs, shape))
 
 
-# each coupling's band builder and Layout kind
+# each coupling's run builder and Layout kind
 _COUPLINGS = {
-    "bulk": (_bulk_bands, BULK),
-    "bulk-sequential": (_bulk_bands, BULK),
-    "one-way": (_one_way_bands, ONE_WAY_NEGATIVE),
-    "dn-explicit": (_dn_explicit_bands, DIRICHLET_NEUMANN),
-    "dn-implicit": (_dn_implicit_bands, DIRICHLET_NEUMANN),
+    "bulk": (_bulk_runs, BULK),
+    "bulk-sequential": (_bulk_runs, BULK),
+    "one-way": (_one_way_runs, ONE_WAY_NEGATIVE),
+    "dn-explicit": (_dn_explicit_runs, DIRICHLET_NEUMANN),
+    "dn-implicit": (_dn_implicit_runs, DIRICHLET_NEUMANN),
 }
 
 
@@ -290,18 +284,27 @@ def scheme_layout(scheme, n_minus, n_plus):
     return Layout(kind, n_minus, 0 if kind == ONE_WAY_NEGATIVE else n_plus)
 
 
-def assemble_bands(scheme, p, n_minus, n_plus):
-    """The six bands (A sub, A diag, A sup, B sub, B diag, B sup) of assemble's pair.
+def assemble_runs(scheme, p, n_minus, n_plus):
+    """The six bands of assemble's pair as runs of equal entries: (rows, counts) each.
 
-    p has the five groups as attributes.  With floats each band is 1-d; with
-    arrays of one shape (cells,) band k has shape (length, cells) and its
-    column j is the band of the groups' entries j, bit for bit.  The bands
-    are not checked: a column may hold non-finite entries.
+    p has the five groups as attributes.  With floats rows has shape (runs,);
+    with arrays of one shape (cells,) it has shape (runs, cells), and its
+    column j holds the runs of the groups' entries j.  Band k is row i of
+    rows repeated counts[i] times, in order; a count may be 0.  The entries
+    are not checked: a run may hold non-finite entries.
     """
     _require_count("n_minus", n_minus)
     # a one-way pair has no positive rows
     _require_count("n_plus", 1 if scheme.coupling == "one-way" else n_plus)
     return _COUPLINGS[scheme.coupling][0](scheme, p, n_minus, n_plus)
+
+
+def assemble_bands(scheme, p, n_minus, n_plus):
+    """The six bands (A sub, A diag, A sup, B sub, B diag, B sup) of assemble's pair:
+    assemble_runs expanded, each band 1-d with floats, or (length, cells) with
+    arrays of one shape (cells,), column j the band of the groups' entries j."""
+    return tuple(np.repeat(rows, counts, axis=0)
+                 for rows, counts in assemble_runs(scheme, p, n_minus, n_plus))
 
 
 def assemble(scheme, p, n_minus, n_plus):

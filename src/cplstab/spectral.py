@@ -4,22 +4,15 @@ The scheme A T^{n+1} = B T^n is stable exactly when every eigenvalue of M
 lies inside the closed unit disk; classification uses a tolerance band around
 |lambda| = 1 so that marginal schemes (the interesting boundary cases) are
 reported as such instead of flapping between verdicts.  Every assembled pair
-(A, B) has a real spectrum whose ends come from O(n) definiteness tests of a
-symmetric tridiagonal sigma A - B, or from LAPACK dstebz when A is diagonal,
-and M is never formed.  Each test is an LDL^T factorization twisted at the
-pair's interface row k (Layout.interface_row: the shared node of a
-Dirichlet-Neumann pair, else the last row of the negative domain): by
-Sylvester's law of inertia sigma A - B is definite exactly when the pivots
-of rows 0..k-1 from the top, of rows n-1..k+1 from the bottom, and the
-twisted pivot gamma_k are all positive (Fernando 1997; Dhillon & Parlett
-2004).  pencil_ends is the one front end of that search, for a batch of
-pairs of one size; eigen_spectrum(pair) calls it on one pair.  Each step of
-the search (a top-end search at entry and before each of its rounds, the
-B + top A check, the bottom-end search on its columns, the B0 check of
-lagged pairs) picks its kernel by masked_kernel from the columns it has.
-full_spectrum gives every eigenvalue from the same pencil.  The dense path,
-plain eig of M with a residual check, is the oracle and serves the pairs
-that fit no case of the pencil.
+(A, B) has a real spectrum whose ends come from definiteness tests of a
+symmetric tridiagonal sigma A - B twisted at the pair's interface row, and
+M is never formed (eigen_spectrum states the search).  pencil_ends searches
+one pair of any form, one dpttrf call per test, or dstebz when A is
+diagonal.  run_ends searches a batch of pairs given by runs of equal rows
+(assembly.assemble_runs), one closed form per run, so a test costs the same
+few numpy calls at any n.  full_spectrum gives every eigenvalue from the
+same pencil.  The dense path, plain eig of M with a residual check, is the
+oracle and serves the pairs that fit no case of the pencil.
 """
 
 import contextlib
@@ -39,6 +32,7 @@ from .errors import ParameterDomainError, SingularMatrixError, SolveResidualWarn
 from .params import _require_positive
 
 MAX_DENSE_N = 2048
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 class StabilityClass(str, enum.Enum):
@@ -244,65 +238,45 @@ def _symmetric_pencil(a_sub, a_diag, a_sup, b_sub, b_diag, b_sup):
     return (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok
 
 
-@functools.lru_cache(maxsize=64)
-def _twist_order(n, twist):
-    """The row order of a pencil twisted at row k = twist.
+def _twisted_pencil(pencil, lagged, c, twist):
+    """One pair's pencil twisted at row k = twist: (a, b, lagged, c, q).
 
-    A twisted pencil is a (2n, cells) stack of diagonal over off-diagonal.
-    Its diagonal takes rows n-1 down to k+1, then rows 0 up to k; its
-    off-diagonal couples them in that order, with 0 where the two runs meet,
-    and ends with the coupling of row k to row k+1 (0 when k = n-1).
-    Returns the order of the diagonal, in rows; the order of the stack, in
-    the rows of [diagonal; off-diagonal; 0]; and the position q of row k+1 in
-    the order, or 0 when k = n-1.  The arrays are cached and read-only.
+    The arguments are _symmetric_pencil's.  a and b stack the diagonal, in
+    the order rows n-1 down to k+1, then 0 up to k, over the couplings in
+    that order, with 0 where the two runs meet and last the coupling of row
+    k to row k+1 (0 when k = n-1).  q is the position of row k+1, or 0 when
+    k = n-1.  lagged and c (None when no index is lagged) take the
+    couplings' order; see _ldl.
     """
-    down = np.arange(n - 1, twist, -1)  # rows k+1..n-1, factored from the bottom
-    up = np.arange(twist + 1)
-    rows = np.concatenate((down, up))
-    # the off-diagonal, 2n - 1 the 0
-    stack = np.concatenate((rows, n + down[1:], np.full(min(down.size, 1), 2 * n - 1), n + up))
-    for index in (rows, stack):
-        index.setflags(write=False)
-    return rows, stack, max(down.size - 1, 0)
+    n = pencil[0].shape[0]
 
+    def order(values, pad=0.0):
+        if values.shape[0] == n:
+            return np.concatenate((values[:twist:-1], values[:twist + 1]))
+        tail = np.append(values, pad)  # the coupling past row n - 1
+        return np.concatenate((values[n - 2:twist:-1], tail[n - 1:n - (twist == n - 1)], tail[:twist + 1]))
 
-def _twisted_pencil(pencil, lagged, c, margin, radius, twist, k):
-    """Columns k of a pencil twisted at row twist, and its margin and radius in its order.
-
-    The arguments are _symmetric_pencil's, and one gather builds all of it.
-    Returns ((a, b, lagged, c, q), margin, radius), lagged and c None when
-    no column is lagged; see _twist_order and _ldl.
-    """
-    a_diag, a_off, b_diag, b_off = pencil
-    n, cells = a_diag.shape
-    rows, order, q = _twist_order(n, twist)
-    zero = np.zeros((1, cells))
-    stack = np.concatenate((a_diag, a_off, zero, b_diag, b_off, zero, margin, radius))
-    twisted = stack[np.concatenate((order, 2 * n + order, 4 * n + rows, 5 * n + rows))][:, k]
-    lags = None, None
-    if lagged is not None and lagged[:, k].any():
-        off = order[n:] - n  # n - 1 the 0
-        lags = (np.concatenate((v, np.zeros_like(v[:1])))[off][:, k] for v in (lagged, c))
-    pencil = twisted[:2 * n], twisted[2 * n:4 * n], *lags, q
-    return pencil, twisted[4 * n:5 * n], twisted[5 * n:]
+    a, b = [np.concatenate((order(d), order(e))) for d, e in (pencil[:2], pencil[2:])]
+    lags = (None, None) if lagged is None else (order(lagged, False), order(c))
+    return a, b, *lags, max(n - 2 - twist, 0)
 
 
 def _ldl(sigma, pencil):
     """Twisted LDL^T test of sigma A - B at row k: (gamma_k, info).
 
-    pencil is one column (a, b, lagged, c, q) of a pencil twisted at row k,
-    see _twist_order and _columns.  The two runs are decoupled, so one
-    dpttrf call factors rows n-1..k+1 from the bottom and rows 0..k from the
-    top; its last pivot is p_k = d_k - (e_k-1 / p_k-1) e_k-1.  Then gamma_k =
-    p_k - (e_k / q_k+1) e_k, q_k+1 the pivot of row k+1.  A twisted
-    factorization is a congruence, so by Sylvester's law sigma A - B is
-    positive definite exactly when its n - 1 other pivots and gamma_k are
-    positive (Fernando 1997).  info is 0 then; n when only gamma_k fails,
-    or p_k, which bounds gamma_k from above; and otherwise dpttrf's first
-    failed pivot (from 1), with gamma_k None.  At k = n - 1 the test is plain
-    dpttrf on sigma A - B, and gamma_k its last pivot bit for bit.  Lagged
-    indices (see _symmetric_pencil) take the off-diagonal sqrt(c sigma),
-    which needs sigma >= 0.  The pencil has n >= 2 rows.
+    pencil (a, b, lagged, c, q) is a pencil twisted at row k, see
+    _twisted_pencil.  The two sides are decoupled, so one dpttrf call factors
+    rows n-1..k+1 from the bottom and rows 0..k from the top; its last pivot
+    is p_k = d_k - (e_k-1 / p_k-1) e_k-1.  Then gamma_k = p_k - (e_k / q_k+1)
+    e_k, q_k+1 the pivot of row k+1.  A twisted factorization is a
+    congruence, so by Sylvester's law sigma A - B is positive definite
+    exactly when its n - 1 other pivots and gamma_k are positive (Fernando
+    1997).  info is 0 then; n when only gamma_k fails, or p_k, which bounds
+    gamma_k from above; and otherwise dpttrf's first failed pivot (from 1),
+    with gamma_k None.  At k = n - 1 the test is plain dpttrf on sigma A - B,
+    and gamma_k its last pivot bit for bit.  Lagged indices (see
+    _symmetric_pencil) take the off-diagonal sqrt(c sigma), which needs
+    sigma >= 0.  The pencil has n >= 2 rows.
     """
     a, b, lagged, c, q = pencil
     n = a.shape[0] // 2
@@ -318,47 +292,37 @@ def _ldl(sigma, pencil):
     return gamma, n if info or gamma <= 0.0 else 0
 
 
-def _top_end(pencil, lo, margin, radius):
+def _top_end(pencil, lo, quotient, gershgorin):
     """Bracket lo < top <= hi a few ulps wide, where top = inf{sigma : sigma A - B > 0}.
 
-    pencil is one column of a twisted pencil, with margin and radius in its
-    row order.  sigma A - B is not definite at lo, which the caller proves
-    (or -inf).  lo is raised to the largest Rayleigh quotient B_ii / A_ii
-    less 2^-26 of it, where a diagonal entry of sigma A - B is negative.  hi
-    starts at twice the Gershgorin bound: sigma A - B is similar to the
-    pair's sigma A - B, whose rows dominate once sigma margin_i > B_ii +
-    radius_i; the test at hi proves it if hi is finite, or hi is returned
-    NaN.  Bisection then finds a lo where only gamma_k of the twisted test
-    (_ldl) fails.  gamma_k is continuous in sigma and vanishes at top, so
-    from then on the steps are regula falsi with the Illinois halving of a
-    stale end, clamped a few ulps inside the bracket so that both ends close
-    in.  Three steps that do not halve the bracket are followed by a
-    bisection step.  A probe of entries near overflow can overflow and leave
-    hi NaN, which proves nothing.
+    pencil is a twisted pencil.  sigma A - B is not definite at lo, which
+    the caller proves (or -inf).  lo is raised to quotient, the largest
+    Rayleigh quotient B_ii / A_ii, less 2^-26 of it, where a diagonal entry
+    of sigma A - B is negative.  hi starts at twice the Gershgorin bound
+    gershgorin, the largest (B_ii + radius_i) / margin_i: sigma A - B is
+    similar to the pair's, whose rows dominate from there on; the test at
+    hi proves it if hi is finite, or hi is returned NaN.
+    Bisection then finds a lo where only gamma_k of the twisted test (_ldl)
+    fails.  gamma_k is continuous in sigma and vanishes at top, so from then
+    on the steps are regula falsi with the Illinois halving of a stale end,
+    clamped a few ulps inside the bracket so that both ends close in.  Three
+    steps that do not halve the bracket are followed by a bisection step.  A
+    probe of entries near overflow can overflow and leave hi NaN, which
+    proves nothing.
     """
-    a, b = pencil[:2]
-    n = margin.shape[0]
-    tiny = np.finfo(float).tiny
-    quotient = (b[:n] / a[:n]).max()
+    n = pencil[0].shape[0] // 2
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     lo = max(lo, quotient - abs(quotient) * 2.0 ** -26 - tiny)
-    hi = 2.0 * max(((b[:n] + radius) / margin).max(), 0.0) + tiny
+    hi = 2.0 * max(gershgorin, 0.0) + tiny
     if not lo < hi < np.inf:
         return lo, np.nan
     f_hi, info = _ldl(hi, pencil)
     if info:
         return lo, np.nan
-    return _close_top_end(pencil, lo, hi, None, f_hi, 0, 0, hi - lo)
-
-
-def _close_top_end(pencil, lo, hi, f_lo, f_hi, side, steps, halved):
-    """The loop of _top_end, resumed from one column's state: (lo, hi).
-
-    f_lo is None until a probe fails at gamma_k only; side is the sign of the
-    last probe's end (1 hi, -1 lo, 0 none yet); steps counts the steps since
-    the bracket last halved to width halved.
-    """
-    n = pencil[0].shape[0] // 2
-    eps = np.finfo(float).eps
+    # f_lo is None until a probe fails at gamma_k only; side is the sign of
+    # the last probe's end (1 hi, -1 lo, 0 none yet); steps counts the steps
+    # since the bracket last halved to width halved
+    f_lo, side, steps, halved = None, 0, 0, hi - lo
     while hi - lo > 4.0 * eps * max(abs(lo), abs(hi)):
         x = 0.5 * (lo + hi)
         if f_lo is not None and steps < 3:
@@ -385,32 +349,6 @@ def _close_top_end(pencil, lo, hi, f_lo, f_hi, side, steps, halved):
     return lo, hi
 
 
-def _columns(pencil, k):
-    """Columns k of a twisted pencil (a, b, lagged, c, q): (2n, cells) stacks of
-    diagonal over off-diagonal, the mask of lagged off-diagonal entries and
-    their c, or None twice, and the position q of _twist_order."""
-    return (*(None if v is None else v[:, k] for v in pencil[:4]), pencil[4])
-
-
-def _column_top_end(pencil, lo, margin, radius):
-    """_batch_top_end by _top_end, one column at a time."""
-    return np.array([_top_end(_columns(pencil, j), lo[j], margin[:, j], radius[:, j])
-                     for j in range(lo.size)]).T
-
-
-def _column_ldl(sigma, pencil):
-    """_batch_ldl by _ldl, one column at a time: (gamma_k, info), gamma_k NaN
-    where _ldl gives None."""
-    tests = [_ldl(s, _columns(pencil, j)) for j, s in enumerate(sigma)]
-    return (np.array([np.nan if g is None else g for g, _ in tests]),
-            np.array([info for _, info in tests], int))
-
-
-def _ldl_kernel(n, columns):
-    """The probe of masked_kernel(n, columns): _batch_ldl, or _ldl column by column."""
-    return _batch_ldl if masked_kernel(n, columns) else _column_ldl
-
-
 def _diagonal_form(a_diag, b_diag, b_off):
     """Diagonal and off-diagonal of D^-1/2 B D^-1/2, for a pencil with diagonal A = D."""
     scale = 1.0 / np.sqrt(a_diag)
@@ -431,194 +369,268 @@ def _diagonal_ends(a_diag, b_diag, b_off):
     return (np.nan, np.nan) if any(info) else (w[0][0], w[1][0])
 
 
-# --- the masked kernel: the search on many columns at once ---
-#
-# Every band is an (n, cells) array, and the search keeps its state and
-# pencil for the open columns only.  Every column takes the operations of
-# _top_end in the same order, with Python's max and min where it uses them,
-# so every column sees the same probes and pivots and ends with the same bits.
-
-
-def _py_max(x, y):
-    """Python's max(x, y) elementwise: y only where y > x."""
-    return np.where(y > x, y, x)
-
-
-def _py_min(x, y):
-    """Python's min(x, y) elementwise: y only where y < x."""
-    return np.where(y < x, y, x)
-
-
-def _batch_pivots(d, e):
-    """LAPACK dpttrf on every column of d (n, cells) and e (n - 1, cells).
-
-    The recurrence keeps dpttrf's operation order, t = e_i / d_i and then
-    d_i+1 - t e_i, so the pivots up to the first that is not positive, and
-    info, are dpttrf's bit for bit; the pivots after that one are not
-    meaningful.  d is overwritten with the pivots.  Returns (pivots, info).
-    """
-    t = np.empty(d.shape[1:])
-    for e_i, d_i, d_next in zip(e, d, d[1:]):  # row views: no indexing per step
-        np.divide(e_i, d_i, out=t)
-        t *= e_i
-        d_next -= t
-    failed = d <= 0.0
-    return d, np.where(failed.any(axis=0), failed.argmax(axis=0) + 1, 0)
-
-
-def _batch_ldl(sigma, pencil):
-    """_ldl for every column, at its own sigma: (gamma_k, info), gamma_k not
-    meaningful where info is not 0 or n."""
-    a, b, lagged, c, q = pencil
-    n = a.shape[0] // 2
-    x = sigma * a - b
-    if lagged is not None:
-        x[n:] = np.where(lagged, np.sqrt(c * sigma), x[n:])
-    e = x[-1]
-    pivots, info = _batch_pivots(x[:n], x[n:-1])
-    gamma = pivots[-1] - (e / pivots[q]) * e
-    info[(info == 0) & (gamma <= 0.0)] = n
-    return gamma, info
-
-
-def _batch_top_end(pencil, lo, margin, radius):
-    """_top_end for every column: (lo, hi), hi NaN where the bracket is not proved.
-
-    masked_kernel picks the kernel from the columns still open at every
-    step: at entry, for the test at hi and before each round.  Fewer columns
-    than rows at entry take _column_top_end, whose scalar start skips the
-    masked start's numpy calls: one-column pencil_ends calls of the eight
-    schemes at n = 400 took 326-346 us with that entry and 376-386 us
-    without it (best of 15 batches, 5 alternating runs, 2-core host).  The
-    state is one array per quantity over the open columns, k their index in
-    the call.  Where a column closes, as _top_end's loop ends, its bracket is
-    written back and one mask compacts the state and the pencil.  Once fewer
-    columns than rows are open, each goes on from its state in _close_top_end.
-    """
-    n = margin.shape[0]
-    if not masked_kernel(n, lo.size):
-        return _column_top_end(pencil, lo, margin, radius)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    a, b = pencil[:2]
-    quotient = (b[:n] / a[:n]).max(axis=0)
-    lo = _py_max(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
-    hi = 2.0 * _py_max(((b[:n] + radius) / margin).max(axis=0), 0.0) + tiny
-    # as in _top_end, only a bracket lo < hi < inf is tested at hi
-    hi = np.where((lo < hi) & (hi < np.inf), hi, np.nan)
-    ends, k = (lo, hi), np.flatnonzero(hi == hi)  # the state is rebound, never written in place
-    if not k.size:
-        return ends
-    if k.size < lo.size:
-        lo, hi, pencil = lo[k], hi[k], _columns(pencil, k)
-    f_hi, info = _ldl_kernel(n, k.size)(hi, pencil)
-    hi = np.where(info == 0, hi, np.nan)
-    f_lo, has_f_lo = np.full_like(lo, np.nan), np.zeros(lo.shape, bool)
-    side, steps, halved = np.zeros(lo.shape, int), np.zeros(lo.shape, int), hi - lo
-    while k.size:
-        falsi, scale = has_f_lo & (steps < 3), _py_max(np.abs(lo), np.abs(hi))
-        gap = 2.0 * eps * scale
-        x = np.where(falsi, _py_min(_py_max(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo + gap),
-                                    hi - gap), 0.5 * (lo + hi))
-        keep = (hi - lo > 4.0 * eps * scale) & (falsi | ((lo < x) & (x < hi)))
-        if not keep.all():
-            ends[0][k], ends[1][k] = lo, hi
-            k, lo, hi, f_lo, f_hi, has_f_lo, side, steps, halved, x = (
-                v[keep] for v in (k, lo, hi, f_lo, f_hi, has_f_lo, side, steps, halved, x))
-            if not k.size:
-                break
-            pencil = _columns(pencil, keep)
-        if not masked_kernel(n, k.size):
-            state = zip(lo.tolist(), hi.tolist(), np.where(has_f_lo, f_lo, None).tolist(),
-                        f_hi.tolist(), side.tolist(), steps.tolist(), halved.tolist())
-            for j, column in enumerate(state):
-                ends[0][k[j]], ends[1][k[j]] = _close_top_end(_columns(pencil, j), *column)
-            break
-        gamma, info = _batch_ldl(x, pencil)
-        up, down = info == 0, info == n
-        f_lo = np.where(up & (side == 1), 0.5 * f_lo, np.where(down, gamma, f_lo))
-        f_hi = np.where(up, gamma, np.where(down & (side == -1), 0.5 * f_hi, f_hi))
-        lo, hi = np.where(up, lo, x), np.where(up, x, hi)
-        has_f_lo, side = has_f_lo | down, np.where(up, 1, np.where(down, -1, side))
-        steps = np.where(hi - lo <= 0.5 * halved, 0, steps + 1)
-        halved = np.where(steps == 0, hi - lo, halved)
-    return ends
-
-
-# --- the front end ---
-
-
-def masked_kernel(rows, columns):
-    """Whether a search step runs the masked kernel, not the scalar one, on rows x columns.
-
-    The scalar _top_end makes one dpttrf call per column and probe, the
-    masked _batch_top_end about 3n numpy calls per probe for all open columns.
-    It is applied at every step, to the columns that step has: a top-end
-    search at entry and before each masked round, the B + top A check, the
-    bottom-end search on its subset and the B0 check of lagged pairs.
-    """
-    return columns >= rows
+def _bound(width, n, b_diag, margin, radius):
+    """The bracket width plus 8 n eps max(g, 1), g the Gershgorin bound of the pencil."""
+    g = ((np.abs(b_diag) + radius) / margin).max(axis=0)
+    return width + 8.0 * n * np.finfo(float).eps * np.where(1.0 > g, 1.0, g)
 
 
 def pencil_ends(bands, twist=None):
-    """Top and bottom end of the real spectrum of each pair of a batch, and their bound.
+    """Top and bottom end of the real spectrum of one pair, and their bound.
 
-    bands are six (n, cells) arrays, A's sub, diag and sup, then B's, one
-    pair per column (assembly.assemble_bands); eigen_spectrum states the
-    search.  twist is the row k at which every definiteness test is twisted
-    (_ldl); the default n - 1 is plain dpttrf, and a pair's k is its
-    Layout.interface_row.  Returns (top, bottom, bound), each (cells,).
-    bottom is NaN where it is not searched: a lagged pair, B + top A
-    definite, or n = 1.  No column raises: all three are NaN where the pair
-    is left to the dense path, for non-finite entries, no symmetric pencil
-    or dominance margin, B0 not definite, a failed dstebz call or a bracket
-    not proved.  masked_kernel picks the kernel at every step from the
-    columns still open; both take a column through the same probes and
-    pivots, so its bits do not depend on its batch.
+    bands are the pair's six bands, A's sub, diag and sup, then B's;
+    eigen_spectrum states the search.  twist is the row k at which every
+    definiteness test is twisted (_ldl); the default n - 1 is plain dpttrf,
+    and a pair's k is its Layout.interface_row.  Returns (top, bottom,
+    bound).  bottom is NaN where it is not searched: a lagged pair, B + top A
+    definite, or n = 1.  Nothing raises: all three are NaN where the pair is
+    left to the dense path, for non-finite entries, no symmetric pencil or
+    dominance margin, B0 not definite, a failed dstebz call or a bracket not
+    proved.
     """
-    n, cells = np.shape(bands[1])
+    n = np.shape(bands[1])[0]
     twist = n - 1 if twist is None else operator.index(twist)
     if not 0 <= twist < n:
         raise ParameterDomainError(f"twist row {twist} outside 0..{n - 1}")
+    top = bottom = np.nan
     # overflow: _symmetric_pencil judges the entries, and a NaN hi proves nothing
     with np.errstate(all="ignore"):
-        (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
-        ok &= np.isfinite(np.concatenate(bands)).all(axis=0)
-        has_lag = np.zeros_like(ok) if lagged is None else lagged.any(axis=0)
-        lag = np.flatnonzero(ok & has_lag)
-        if lag.size:  # lagged indices need B0 > 0
-            info = (_batch_pivots(b_diag[:, lag], b_off[:, lag])[1] if masked_kernel(n, lag.size)
-                    else [lapack.dpttrf(b_diag[:, k], b_off[:, k])[2] for k in lag])
-            ok[lag[np.asarray(info) != 0]] = False
-        top, bottom, width = np.full(cells, np.nan), np.full(cells, np.nan), np.zeros(cells)
-        diagonal = ok & ~has_lag & ~a_off.any(axis=0)
-        for k in np.flatnonzero(diagonal):
-            top[k], bottom[k] = _diagonal_ends(a_diag[:, k], b_diag[:, k], b_off[:, k])
-        k = np.flatnonzero(ok & ~diagonal)
-        if k.size:
+        pencil, lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
+        a_diag, a_off, b_diag, b_off = pencil
+        ok = ok and np.isfinite(np.concatenate(bands)).all()
+        if ok and lagged is not None:  # lagged indices need B0 > 0
+            ok = lapack.dpttrf(b_diag, b_off)[2] == 0
+        width = 0.0
+        if ok and lagged is None and not a_off.any():
+            top, bottom = _diagonal_ends(a_diag, b_diag, b_off)
+        elif ok:
             # twisted once; every probe of both ends tests it
-            pencil, margin_k, radius_k = _twisted_pencil(
-                (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, twist, k)
+            pencil = _twisted_pencil(pencil, lagged, c, twist)
             a, b, *_, q = pencil
-            lag_k = has_lag[k]
-            lo, hi = _batch_top_end(pencil, np.where(lag_k, 0.0, -np.inf), margin_k, radius_k)
-            proved = hi == hi
-            width[k] = hi - lo
+            lo, hi = _top_end(pencil, -np.inf if lagged is None else 0.0, (b_diag / a_diag).max(),
+                              ((b_diag + radius) / margin).max())
+            width = hi - lo
             # B + top A not definite: some eigenvalue lies at or below -top
             negated = (a, -b, None, None, q)
-            p = np.flatnonzero(proved & ~lag_k)
-            if p.size:
-                p = p[_ldl_kernel(n, p.size)(hi[p], _columns(negated, p))[1] != 0]
-            if p.size:
-                low, high = _batch_top_end(_columns(negated, p), hi[p], margin_k[:, p],
-                                           radius_k[:, p])
-                found = proved[p] = high == high
-                p, low, high = p[found], low[found], high[found]
-                bottom[k[p]] = -high
-                width[k[p]] = _py_max(width[k[p]], high - low)
-            top[k[proved]] = hi[proved]
-        g = ((np.abs(b_diag) + radius) / margin).max(axis=0)
-        bound = width + 8.0 * n * np.finfo(float).eps * _py_max(g, 1.0)
-    bound[np.isnan(top)] = np.nan
+            if hi == hi and lagged is None and _ldl(hi, negated)[1] != 0:
+                low, high = _top_end(negated, hi, (-b_diag / a_diag).max(),
+                                     ((-b_diag + radius) / margin).max())
+                bottom = -high
+                hi = hi if high == high else np.nan
+                width = max(width, high - low)
+            top = hi
+        bound = _bound(width, n, b_diag, margin, radius)
+    return top, bottom, (np.nan if top != top else float(bound))
+
+
+# --- the run search: a batch of pairs given by runs of equal rows ---
+
+
+@functools.lru_cache(maxsize=64)
+def _run_plan(counts, twist):
+    """The rows that the twisted test at row k = twist reads, for pairs with these run counts.
+
+    counts holds each band's run counts.  A side of row k is its end run,
+    rows 0..m-1 from the top or n-m..n-1 from the bottom, within the side
+    and with one diagonal and one coupling, then its other rows up to k.
+    The rows kept are those between the end runs, the last of each end run
+    and the two at each end.  A row left out equals a kept row next to it,
+    entries and couplings, so the kept rows, each coupled as in the pair to
+    the row after it, hold every row of the pair.  Returns them and the
+    cached plan (position of k, sides), a side being (m, cos(pi/(m+1)) - 1,
+    first row, run coupling, ((row, coupling to the row before), ...),
+    coupling to k) in positions among the kept rows and their couplings.
+    """
+    n = sum(counts[1])
+    # a cut b starts a run: at row b, or at the coupling of rows b and b + 1
+    cuts = [(np.cumsum(c)[:-1], i % 3 != 1) for i, c in enumerate(counts)]
+    cuts = [(c[(c > 0) & (c < n - off)], off) for c, off in cuts]
+    top = min([twist] + [int(c.min()) + off for c, off in cuts if c.size])
+    bottom = min([n - 1 - twist] + [n - int(c.max()) for c, _ in cuts if c.size])
+    rows = tuple(sorted({i for i in (0, 1, n - 2, n - 1, *range(top - 1, n - bottom + 1))
+                         if 0 <= i < n}))
+    at = {row: j for j, row in enumerate(rows)}
+    sides = [(top, 0, 0, tuple((at[i], at[i - 1]) for i in range(top, twist)), at.get(twist - 1)),
+             (bottom, len(rows) - 1, len(rows) - 2,
+              tuple((at[i], at[i]) for i in range(n - 1 - bottom, twist, -1)), at.get(twist))]
+    return rows, (at[twist], tuple((m, -2.0 * np.sin(np.pi / (2 * m + 2)) ** 2, *side)
+                                   for m, *side in sides if m))
+
+
+def _run_pivot(alpha, beta, excess, m, low):
+    """Last pivot of LDL^T of an m x m run tridiag(beta, alpha, beta), m >= 2, and
+    whether all m pivots are positive.
+
+    The leading minors of a Toeplitz run are |beta|^i U_i(x), x = alpha /
+    2|beta| and U_i the Chebyshev polynomials of the second kind.  So the
+    pivots are positive exactly when x > cos(pi/(m+1)), or x - 1 > low, and
+    the last is |beta| U_m(x) / U_m-1(x) = |beta| (x + sin(theta) / tan(m
+    theta)) at x = cos(theta), with sinh and tanh of t at x = cosh(t).
+    excess is alpha - 2|beta| formed without cancellation, so x - 1 keeps
+    its digits, and asin and asinh of sqrt(|x - 1| / 2) give theta / 2 and
+    t / 2.  Where the pivot is not finite (beta 0 or negligible), all are alpha.
+    """
+    size = np.abs(beta)
+    delta = excess / (size + size)  # x - 1
+    elliptic = delta < 0.0
+    half = np.sqrt(np.abs(0.5 * delta))
+    turn = (2 * m) * np.where(elliptic, np.arcsin(half), np.arcsinh(half))
+    tail = np.sqrt(np.abs(delta * (delta + 2.0))) / np.where(elliptic, np.tan(turn), np.tanh(turn))
+    pivot = size * (1.0 + delta + tail)
+    finite = np.isfinite(pivot)
+    return np.where(finite, pivot, alpha), np.where(finite, delta > low, alpha > 0.0)
+
+
+def _run_pencil(runs, twist):
+    """The pencil (A, B, C, plan) of _run_test for a batch given by runs.
+
+    A and B hold each cell's entries of the symmetric pencil on the kept
+    rows of _run_plan, then on their couplings; C holds c at lagged
+    couplings and 0 elsewhere, or is None where none is lagged.  Also
+    returns _symmetric_pencil's margin, radius and ok on the kept rows."""
+    rows, plan = _run_plan(tuple(tuple(int(c) for c in counts) for _, counts in runs), twist)
+    bands = [values[np.searchsorted(np.cumsum(counts), rows[:len(rows) - (i % 3 != 1)], "right")]
+             for i, (values, counts) in enumerate(runs)]
+    (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
+    ok &= np.isfinite(np.concatenate(bands)).all(axis=0)
+    A, B = np.concatenate((a_diag, a_off)), np.concatenate((b_diag, b_off))
+    return (A, B, None if lagged is None else np.where(lagged, c, 0.0), plan), margin, radius, ok
+
+
+def _run_test(sigma, pencil):
+    """The twisted test of _ldl at sigma for every cell, one closed form per end run.
+
+    pencil is _run_pencil's.  An end run takes _run_pivot, with alpha -
+    2|beta| = sigma (a - 2 s a_off) - (b - 2 s b_off), s the sign of beta
+    (exact on the backward-Euler rows [-d, 1 + 2d, -d] with d >= 1/2, by
+    Sterbenz's lemma), and the other rows the LDL^T recurrence.  Returns
+    (value, ok): sigma A - B is positive definite exactly where ok, every
+    pivot before gamma_k positive, and value > 0, value being gamma_k times
+    each side's last pivot, so without its poles.  Lagged couplings take
+    sqrt(c sigma), which needs sigma >= 0; an end run has none.
+    """
+    A, B, C, (k, sides) = pencil
+    x = sigma * A - B
+    d, e = x[:(A.shape[0] + 1) // 2], x[(A.shape[0] + 1) // 2:]
+    if C is not None:
+        e = np.where(C > 0.0, np.sqrt(C * sigma), e)
+    gamma, scale, ok = d[k], 1.0, np.ones(d.shape[1:], bool)
+    for m, low, first, run, rest, link in sides:
+        p, positive = d[first], d[first] > 0.0
+        if m > 1:
+            step = np.where(e[run] > 0.0, 2.0, -2.0)
+            off = d.shape[0] + run
+            excess = sigma * (A[first] - step * A[off]) - (B[first] - step * B[off])
+            p, positive = _run_pivot(p, e[run], excess, m, low)
+        ok = ok & positive
+        for row, at in rest:
+            p = d[row] - (e[at] / p) * e[at]
+            ok = ok & (p > 0.0)
+        gamma, scale = gamma - (e[link] / p) * e[link], scale * p
+    return gamma * scale, ok
+
+
+def _cells(pencil, k):
+    """The cells k of a pencil of _run_test."""
+    A, B, C, plan = pencil
+    return A[:, k], B[:, k], None if C is None else C[:, k], plan
+
+
+def _run_top_end(pencil, lo, quotient, gershgorin):
+    """_top_end on every cell of a pencil of _run_test: (lo, hi), hi NaN where not proved.
+
+    The start, the test at hi, the bisection and the Illinois steps are
+    _top_end's, with _run_test's value for gamma_k, over one array per
+    quantity of the open cells.  Where a bracket closes, it is written back
+    and one mask drops its cell.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    lo = np.maximum(lo, quotient - np.abs(quotient) * 2.0 ** -26 - tiny)
+    hi = 2.0 * np.maximum(gershgorin, 0.0) + tiny
+    k = np.flatnonzero((lo < hi) & (hi - lo < np.inf))
+    ends = lo, np.full_like(lo, np.nan)
+    if not k.size:  # no cell to test
+        return ends
+    pencil, lo, hi = _cells(pencil, k), lo[k], hi[k]
+    f_hi, ok = _run_test(hi, pencil)
+    hi[~(ok & (f_hi > 0.0) & (f_hi < np.inf))] = np.nan
+    # f_lo is NaN until a probe fails at gamma_k only; side, steps and halved
+    # as in _top_end.  A bracket wider than 2 gap holds x strictly inside
+    f_lo = np.full_like(lo, np.nan)
+    side, steps, width = 0 * k, 0 * k, hi - lo
+    halved = width
+    while True:
+        gap = 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + 2.0 * _SUBNORMAL
+        falsi = (f_lo == f_lo) & (steps < 3)
+        x = np.where(falsi, np.clip(hi - f_hi * width / (f_hi - f_lo), lo + gap, hi - gap),
+                     lo + 0.5 * width)
+        keep = width > gap + gap
+        if not keep.all():
+            ends[0][k], ends[1][k] = lo, hi
+            k, lo, hi, f_lo, f_hi, side, steps, halved, x = (
+                v[keep] for v in (k, lo, hi, f_lo, f_hi, side, steps, halved, x))
+            if not k.size:
+                return ends
+            pencil = _cells(pencil, keep)
+        value, ok = _run_test(x, pencil)
+        finite = np.isfinite(value)
+        up = ok & finite & (value > 0.0)
+        down = ok & finite & ~up
+        f_lo = np.where(up & (side == 1), 0.5 * f_lo, np.where(down, value, f_lo))
+        f_hi = np.where(up, value, np.where(down & (side == -1), 0.5 * f_hi, f_hi))
+        # positive pivots before gamma_k and an overflowing value: unproved
+        lo, hi = np.where(up, lo, x), np.where(up, x, np.where(ok & ~finite, np.nan, hi))
+        side = np.where(up, 1, np.where(down, -1, side))
+        width = hi - lo
+        steps = np.where(width <= 0.5 * halved, 0, steps + 1)
+        halved = np.where(steps == 0, width, halved)
+
+
+def run_ends(runs, twist):
+    """Top and bottom end of the real spectrum of each pair of a batch, and their bound.
+
+    runs are the six bands' runs (assembly.assemble_runs): (rows, counts),
+    rows of shape (runs, cells), one pair per cell; twist is the row k of
+    every test, the pairs' Layout.interface_row.  Each cell takes
+    pencil_ends's search with _run_test for _ldl; a diagonal A is runs with
+    couplings 0.  The bottom end, the top end of (A, -B), is searched in the
+    same loop, where no coupling is lagged and B + q A is not definite, q =
+    max B_ii / A_ii <= top.  The test is exact for entries within a few ulps
+    of the pair's, so the bound is pencil_ends's, and the ends agree with
+    its ends to the two bounds.  Returns (top, bottom, bound), each
+    (cells,), all NaN where not proved, as in pencil_ends.
+    """
+    n = sum(runs[1][1])
+    if not 0 <= twist < n:
+        raise ParameterDomainError(f"twist row {twist} outside 0..{n - 1}")
+    with np.errstate(all="ignore"):  # as in pencil_ends
+        pencil, margin, radius, ok = _run_pencil(runs, twist)
+        A, B, C, plan = pencil
+        a_diag, b_diag = A[:margin.shape[0]], B[:margin.shape[0]]
+        lag = np.zeros(ok.shape, bool) if C is None else (C > 0.0).any(axis=0)
+        if C is not None:  # a lagged cell needs B0 > 0, the negated test at 0, and no lagged end run
+            value, fits = _run_test(0.0, (A, -B, C, plan))
+            ended = (C[[side[3] for side in plan[1] if side[0] > 1]] > 0.0).any(axis=0)
+            ok &= ~lag | fits & (value > 0.0) & ~ended
+        k = np.flatnonzero(ok)
+        p = k[~lag[k]]
+        if p.size:  # every eigenvalue lies above -q where B + q A is definite
+            value, fits = _run_test((b_diag[:, p] / a_diag[:, p]).max(axis=0),
+                                    _cells((A, -B, C, plan), p))
+            p = p[~(fits & (value > 0.0))]
+        # one search: the top end of (A, B) at the cells k and of (A, -B) at the cells p
+        cells, sign = np.concatenate((k, p)), np.repeat([1.0, -1.0], (k.size, p.size))
+        A, B, C, _ = _cells(pencil, cells)
+        b = sign * b_diag[:, cells]
+        lo, hi = _run_top_end((A, sign * B, C, plan), np.where(lag[cells], 0.0, -np.inf),
+                              (b / a_diag[:, cells]).max(axis=0),
+                              ((b + radius[:, cells]) / margin[:, cells]).max(axis=0))
+        top, bottom, width = np.full(ok.size, np.nan), np.full(ok.size, np.nan), np.zeros(ok.size)
+        top[k], bottom[p] = hi[:k.size], -hi[k.size:]
+        np.maximum.at(width, cells, hi - lo)  # NaN where an end is not proved
+        bound = _bound(width, n, b_diag, margin, radius)
+    failed = np.isnan(top) | np.isnan(bound)
+    top[failed] = bottom[failed] = bound[failed] = np.nan
     return top, bottom, bound
 
 
@@ -637,35 +649,30 @@ def eigen_spectrum(M):
     when B + top A is not positive definite, is the largest sigma at which
     B - sigma A is.  A pair with a lagged coupling (bulk-sequential) has a
     nonnegative spectrum, so only its top end is searched, from sigma = 0.
-    Each definiteness test is one LDL^T factorization twisted at row k, the
-    pair's Layout.interface_row (the shared node n_minus of a
-    Dirichlet-Neumann pair, else n_minus - 1, the last row of a one-way
-    pair), or k = n - 1 for a pair without a layout: one LAPACK dpttrf call,
-    O(n), factors rows 0..k-1 from the top and rows n-1..k+1 from the
-    bottom, and the twisted pivot gamma_k completes it; by Sylvester's law
-    all n pivots are positive exactly when sigma A - B is definite (Fernando
-    1997).  Bisection closes a bracket proved by these tests to a few ulps
-    (Barth, Martin & Wilkinson 1967), with regula falsi on gamma_k once only
-    gamma_k fails.  The end modes are localized at the interface, so the
-    poles of gamma_k, the eigenvalues of the pencil without row k, lie far
-    from the ends (Dhillon & Parlett 2004 on the choice of twist); at k =
-    n - 1, plain dpttrf, the last pivot has a pole next to the bottom end of
-    a two-way pair.  A diagonal A reduces the
-    pencil to a standard tridiagonal problem whose ends come from LAPACK
-    dstebz.  The returned eigenvalues are the ends found, the top end and,
-    when needed, the bottom end, sorted by decreasing modulus, and
-    lambda_max is their larger modulus.  The LDL^T test is backward stable:
-    its verdict is exact for a pencil within O(n eps) of the given one
-    (Kahan 1966), so residual_bound is the bracket width plus 8 n eps
-    max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.  The
-    pencil path holds only bands, so a pair of any size takes it; a pair
-    that fits no case or is not proved takes the dense path on
-    M = update_matrix(pair), which bounds n by MAX_DENSE_N.
+    Each definiteness test is one LDL^T factorization twisted at row k
+    (_ldl), the pair's Layout.interface_row (the shared node n_minus of a
+    Dirichlet-Neumann pair, else n_minus - 1), or n - 1 without a layout:
+    one dpttrf call, O(n).  Bisection closes a bracket proved by these tests
+    to a few ulps (Barth, Martin & Wilkinson 1967), with regula falsi on
+    gamma_k once only gamma_k fails.  The end modes are localized at the
+    interface, so the poles of gamma_k, the eigenvalues of the pencil
+    without row k, lie far from the ends (Dhillon & Parlett 2004 on the
+    choice of twist); at k = n - 1 the last pivot has a pole next to the
+    bottom end of a two-way pair.  A diagonal A reduces the pencil to a
+    standard tridiagonal problem whose ends come from LAPACK dstebz.  The
+    returned eigenvalues are the ends found, sorted by decreasing modulus,
+    and lambda_max is their larger modulus.  The LDL^T test is backward
+    stable: its verdict is exact for a pencil within O(n eps) of the given
+    one (Kahan 1966), so residual_bound is the bracket width plus 8 n eps
+    max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.  A pair
+    of any size takes the pencil path; one that fits no case or is not
+    proved takes the dense path on M = update_matrix(pair), which bounds n
+    by MAX_DENSE_N.
     """
     if isinstance(M, UpdatePair):
         bands = (M.A.sub, M.A.diag, M.A.sup, M.B.sub, M.B.diag, M.B.sup)
         twist = None if M.layout is None else M.layout.interface_row
-        (top,), (bottom,), (bound,) = pencil_ends([band[:, None] for band in bands], twist)
+        top, bottom, bound = pencil_ends(bands, twist)
         if top == top:  # not NaN: proved
             return _sorted_spectrum([top] if bottom != bottom else [top, bottom], bound)
         M = update_matrix(M)

@@ -1,9 +1,10 @@
 """Stability maps over two dimensionless parameters.
 
 A sweep fixes three of the five groups, varies the remaining two on a grid,
-and records the spectral radius and its classification per cell.  Output is
-a flat CSV (x fastest, y ascending) and optionally a plain PGM rendering of
-the spectral radius with 2.0 mapped to full scale.
+and records the spectral radius, its bound and its classification per cell:
+a plane of many cells in one spectral.run_ends call, a few cells one by one.
+Output is a flat CSV (x fastest, y ascending) and optionally a plain PGM
+rendering of the spectral radius with 2.0 mapped to full scale.
 """
 
 import numbers
@@ -25,9 +26,6 @@ DEFAULT_HI = 1e3
 DEFAULT_POINTS = 101
 DEFAULT_N_MINUS = 20
 DEFAULT_N_PLUS = 10
-
-# a batch band holds at most this many entries, (n, cells)
-CHUNK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,11 @@ class SweepSpec:
 
 @dataclass
 class StabilityField:
-    """Sweep result: lambda_max and class per cell, row-major in y."""
+    """Sweep result: lambda_max, class and bound per cell, row-major in y.
+
+    bound holds each lambda_max's error bound, NaN where the cell failed, or
+    is None where none was given; the writers do not read it.
+    """
 
     x_values: np.ndarray
     y_values: np.ndarray
@@ -104,70 +106,56 @@ class StabilityField:
     classification: np.ndarray  # same shape, strings
     warning_count: int
     metadata: dict = field(default_factory=dict)
+    bound: np.ndarray = None  # same shape
 
 
 def _evaluate_point(spec, values):
     p = DimensionlessParams(**values)
     pair = assembly.assemble(spec.scheme, p, spec.n_minus, spec.n_plus)
-    return spectral.eigen_spectrum(pair).lambda_max
+    return spectral.eigen_spectrum(pair)
 
 
 def _batch_lambda_max(spec, x, y):
-    """lambda_max by spectral.pencil_ends; NaN where not proved or DimensionlessParams fails."""
+    """lambda_max and its bound by spectral.run_ends; NaN where not proved or out of the domain."""
     groups = {name: np.full(x.shape, value) for name, value in spec.fixed.items()}
     groups[spec.axis_x.name], groups[spec.axis_y.name] = x, y
     p = SimpleNamespace(**groups)
     with np.errstate(all="ignore"):  # an overflow leaves its cell to the per-cell path
-        bands = assembly.assemble_bands(spec.scheme, p, spec.n_minus, spec.n_plus)
+        runs = assembly.assemble_runs(spec.scheme, p, spec.n_minus, spec.n_plus)
     layout = assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus)
-    top, bottom, _ = spectral.pencil_ends(bands, layout.interface_row)
+    top, bottom, bound = spectral.run_ends(runs, layout.interface_row)
     lam = np.fmax(np.abs(top), np.abs(bottom))
     lam[~in_domain(p.d_plus, p.d_minus, p.beta_plus, p.beta_minus, p.r)] = np.nan
-    return lam
-
-
-def _evaluate_chunk(spec, x, y, n):
-    """lambda_max of the cells at axis values x, y, n unknowns each; NaN where a cell fails.
-
-    A chunk that spectral.pencil_ends searches with its masked kernel is one
-    _batch_lambda_max call, which raises for no cell.  A smaller one would
-    take the scalar kernel, which eigen_spectrum(pair) runs alike, so it goes
-    cell by cell through it, as do the cells the batch does not prove.  There
-    a CplstabError fails the cell.
-    """
-    lam = np.full(x.shape, np.nan)
-    if spectral.masked_kernel(n, x.size):
-        lam = _batch_lambda_max(spec, x, y)
-    for k in np.flatnonzero(np.isnan(lam)):
-        values = dict(spec.fixed)
-        values[spec.axis_x.name] = float(x[k])
-        values[spec.axis_y.name] = float(y[k])
-        try:
-            lam[k] = _evaluate_point(spec, values)
-        except CplstabError:
-            pass
-    return lam
+    return lam, bound
 
 
 def run_sweep(spec):
     """Evaluate the grid; failed cells become NaN with class 'failed'.
 
-    The cells, row by row, go through _evaluate_chunk in chunks of at most
-    CHUNK_ENTRIES / n cells, n the unknowns of a pair, so that a band of a
-    chunk holds at most CHUNK_ENTRIES entries.  A cell fails on a
-    CplstabError, or when its lambda_max is not a nonnegative number; any
-    other error is a programming error and propagates.
+    A plane with at least as many cells as a pair has rows is one
+    _batch_lambda_max call, which raises for no cell.  A smaller plane goes
+    cell by cell through eigen_spectrum(pair), as do the cells the batch
+    does not prove.  A cell fails on a CplstabError, or when its lambda_max
+    is not a nonnegative number; any other error is a programming error and
+    propagates.
     """
-    xs = spec.axis_x.values()
-    ys = spec.axis_y.values()
-    ny, nx = ys.shape[0], xs.shape[0]
-    x, y = np.tile(xs, ny), np.repeat(ys, nx)
-    n = assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n
-    size = max(1, int(CHUNK_ENTRIES // n))
-    lam = np.concatenate([_evaluate_chunk(spec, x[k:k + size], y[k:k + size], n)
-                          for k in range(0, x.size, size)]).reshape(ny, nx)
+    xs, ys = spec.axis_x.values(), spec.axis_y.values()
+    x, y = np.tile(xs, ys.size), np.repeat(ys, xs.size)
+    lam, bound = np.full(x.size, np.nan), np.full(x.size, np.nan)
+    if x.size >= assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n:
+        lam, bound = _batch_lambda_max(spec, x, y)
+    for k in np.flatnonzero(np.isnan(lam)):
+        values = dict(spec.fixed)
+        values[spec.axis_x.name] = float(x[k])
+        values[spec.axis_y.name] = float(y[k])
+        try:
+            spectrum = _evaluate_point(spec, values)
+        except CplstabError:
+            continue
+        lam[k], bound[k] = spectrum.lambda_max, spectrum.residual_bound
+    lam, bound = lam.reshape(ys.size, xs.size), bound.reshape(ys.size, xs.size)
     failed = ~(lam >= 0.0)
-    lam[failed] = np.nan
+    lam[failed] = bound[failed] = np.nan
     # spectral.classify, cell by cell
     cls = np.full(lam.shape, "unstable", dtype="<U8")
     cls[lam <= 1.0 + spec.tol] = "marginal"
@@ -183,7 +171,7 @@ def run_sweep(spec):
         "tol": spec.tol,
         "version": __version__,
     }
-    return StabilityField(xs, ys, lam, cls, int(failed.sum()), metadata)
+    return StabilityField(xs, ys, lam, cls, int(failed.sum()), metadata, bound)
 
 
 # --- writers ---

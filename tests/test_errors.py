@@ -97,9 +97,11 @@ ENTRY_POINTS = {
 
 # each layer, and the entry points whose work reaches it
 LAYERS = {
-    (assembly_mod, "assemble_bands"): list(ENTRY_POINTS),
-    (spectral_mod, "pencil_ends"): ["run_sweep-batch", "run_sweep-per-cell", "cli-sweep",
-                                    "cli-validate"],
+    (assembly_mod, "assemble_runs"): list(ENTRY_POINTS),
+    # the batch assembles runs and never expands them
+    (assembly_mod, "assemble_bands"): [entry for entry in ENTRY_POINTS if entry != "run_sweep-batch"],
+    (spectral_mod, "run_ends"): ["run_sweep-batch"],
+    (spectral_mod, "pencil_ends"): ["run_sweep-per-cell", "cli-sweep", "cli-validate"],
     (spectral_mod, "eigen_spectrum"): ["run_sweep-per-cell", "cli-sweep", "cli-validate",
                                        "cli-spectrum"],
     (normalmode_mod, "gks_scan"): ["cli-validate"],

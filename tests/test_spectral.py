@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,8 @@ from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
                      UpdatePair, assemble, classify, eigen_spectrum, full_spectrum,
                      power_growth_rate, tridiagonal_solve, update_matrix)
 from cplstab import spectral
-from cplstab.assembly import scheme_layout
-from cplstab.sweep import Axis, preset_sweep, run_sweep
+from cplstab.assembly import assemble_runs, scheme_layout
+from cplstab.sweep import AXIS_NAMES, Axis, preset_sweep, run_sweep
 
 SEED = 0
 rng = np.random.default_rng(seed=SEED)
@@ -387,12 +388,12 @@ def test_full_spectrum_falls_back_to_the_dense_path(case):
 
 
 def test_failed_dstebz_leaves_its_column_to_the_dense_path():
-    # dn-explicit has a diagonal A, so dstebz finds both ends of each column
+    # dn-explicit has a diagonal A, so dstebz finds both ends of each pair
     pairs = [assemble(SCHEMES["dn-explicit"], params(dp=dp, dm=0.45, r=3.0), 6, 5)
              for dp in (0.3, 0.2)]
-    bands = stacked_bands(pairs)
-    expected = spectral.pencil_ends(bands, pairs[0].layout.interface_row)
-    failing = pairs[0].B.diag / pairs[0].A.diag  # the diagonal of the first column's form
+    twist = pairs[0].layout.interface_row
+    expected = spectral.pencil_ends(pair_bands(pairs[1]), twist)
+    failing = pairs[0].B.diag / pairs[0].A.diag  # the diagonal of the first pair's form
     real = spectral.lapack.dstebz
 
     def dstebz(d, *args):
@@ -400,10 +401,10 @@ def test_failed_dstebz_leaves_its_column_to_the_dense_path():
         return (*out, 1 if np.array_equal(d, failing) else info)
 
     with mock.patch.object(spectral.lapack, "dstebz", dstebz):
-        ends = spectral.pencil_ends(bands, pairs[0].layout.interface_row)
+        ends = [spectral.pencil_ends(pair_bands(pair), twist) for pair in pairs]
         spectrum = eigen_spectrum(pairs[0])
-    assert np.isnan([column[0] for column in ends]).all()
-    assert all(np.array_equal(got[1:], want[1:], equal_nan=True) for got, want in zip(ends, expected))
+    assert np.isnan(ends[0]).all()
+    assert np.array_equal(ends[1], expected, equal_nan=True)
     dense = eigen_spectrum(update_matrix(pairs[0]))
     assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
     assert spectrum.lambda_max == dense.lambda_max
@@ -413,22 +414,34 @@ def test_failed_dstebz_leaves_its_column_to_the_dense_path():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 30])
 def test_batch_pivots_match_dpttrf(n):
-    # diagonally dominant columns are definite; the rest fail at random rows
+    # the run test's closed form (_run_pivot) for the last pivot of n x n
+    # Toeplitz runs tridiag(beta, alpha, beta), a batch of them at once,
+    # against dpttrf on each run: the verdict where no pivot is within
+    # rounding of 0, and the last pivot of a definite run
     gen = np.random.default_rng(SEED + n)
     cells = 4000
-    e = gen.normal(size=(n - 1, cells)) * 10.0 ** gen.uniform(-3, 3, size=(n - 1, cells))
-    d = gen.normal(size=(n, cells)) * 10.0 ** gen.uniform(-3, 3, size=(n, cells))
-    definite = gen.random(cells) < 0.5
-    d[:, definite] = np.abs(d[:, definite])
-    d[1:, definite] += np.abs(e[:, definite])
-    d[:-1, definite] += np.abs(e[:, definite])
-    pivots, info = spectral._batch_pivots(d.copy(), e)
+    beta = gen.choice([-1.0, 1.0], cells) * 10.0 ** gen.uniform(-3, 3, cells)
+    # x = alpha / 2|beta| on both sides of cos(pi/(n+1)), and far past 1
+    x = np.cos(np.pi / (n + 1)) + gen.choice([-1.0, 1.0], cells) * 10.0 ** gen.uniform(-6, 1, cells)
+    x[::7] = 10.0 ** gen.uniform(1, 12, x[::7].size)
+    alpha = 2.0 * np.abs(beta) * x
+    m = np.array([[n]])
+    low = -2.0 * np.sin(np.pi / (2 * n + 2)) ** 2
+    with np.errstate(all="ignore"):
+        pivot, positive = spectral._run_pivot(alpha[None], beta[None], (alpha - 2.0 * np.abs(beta))[None],
+                                              m, low)
+    checked = 0
     for j in range(cells):
-        expected, _, expected_info = spectral.lapack.dpttrf(d[:, j], e[:, j])
-        assert info[j] == expected_info
-        upto = expected_info or n
-        assert pivots[:upto, j].tobytes() == expected[:upto].tobytes()
-    assert 0 < np.count_nonzero(info) < cells
+        d = np.full(n, alpha[j])
+        expected, _, info = spectral.lapack.dpttrf(d, np.full(n - 1, beta[j]))
+        upto = info or n
+        if np.abs(expected[:upto]).min() <= 1e-9 * abs(beta[j]):
+            continue  # a pivot within rounding of 0
+        checked += 1
+        assert positive[0, j] == (info == 0)
+        if info == 0:
+            assert pivot[0, j] == pytest.approx(expected[-1], rel=1e-9)
+    assert checked > 0.9 * cells and 0 < np.count_nonzero(positive) < cells
 
 
 def hand_built_pairs(name, groups, n_minus, n_plus):
@@ -445,6 +458,16 @@ def pair_bands(pair):
 def stacked_bands(pairs):
     """The bands of pairs of one size as (length, cells) arrays, one pair per column."""
     return [np.stack(bands, axis=1) for bands in zip(*map(pair_bands, pairs))]
+
+
+def pair_runs(pairs):
+    """The bands of pairs of one size as runs for spectral.run_ends: every entry a run."""
+    return [(band, (1,) * band.shape[0]) for band in stacked_bands(pairs)]
+
+
+def twist_row(pair):
+    """The row at which eigen_spectrum(pair) twists its definiteness tests."""
+    return pair.n - 1 if pair.layout is None else pair.layout.interface_row
 
 
 BATCH_CELLS = st.lists(st.tuples(st.tuples(*[log_group] * 5), ONE_SIDED), min_size=1, max_size=6)
@@ -492,123 +515,61 @@ def test_probe_that_overflows_proves_nothing():
     pair = huge_pair(2, 3.0, 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
-        assert np.isnan(spectral.pencil_ends(stacked_bands([pair] * 2))).all()
+        assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
+        assert np.isnan(spectral.run_ends(pair_runs([pair] * 2), 1)).all()
     assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
 
 
-@pytest.mark.parametrize("a_diag, b_diag, calls", [(2.5, 1.7e308, 0), (3.0, 1e308, 4)])
-def test_masked_search_without_a_proved_column(a_diag, b_diag, calls):
-    # the first pair's Gershgorin bound overflows, so no column is tested at
-    # hi, as in the scalar kernel; the second's fourth probe overflows to NaN and
-    # closes every column.  A loop that tested keep.all() on its empty state
-    # never ended, and one that probed after the last column closed made a
-    # call on zero columns
-    bands = stacked_bands([huge_pair(2, a_diag, b_diag)] * 3)  # past n columns
-    with np.errstate(all="ignore"):
-        pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*bands)
-        assert ok.all()
-        twisted, margin, radius = spectral._twisted_pencil(pencil, lagged, c, margin, radius, 1,
-                                                          np.arange(3))
-        start = np.full(3, -np.inf)
-        with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as probes:
-            lo, hi = spectral._batch_top_end(twisted, start, margin, radius)
-        column_lo, column_hi = spectral._column_top_end(twisted, start, margin, radius)
-    assert probes.call_count == calls
-    assert all(np.size(call.args[0]) == 3 for call in probes.call_args_list)
-    assert np.isnan(hi).all() and np.isnan(column_hi).all()
-    assert lo.tobytes() == column_lo.tobytes()
+def run_probes(runs, twist):
+    """spectral.run_ends and the sigma of each of its probes, one per cell."""
+    def probe(sigma, pencil):
+        sigmas.append(np.broadcast_to(sigma, pencil[0].shape[1:]).copy())
+        return real(sigma, pencil)
+
+    real, sigmas = spectral._run_test, []
+    with mock.patch.object(spectral, "_run_test", probe):
+        ends = spectral.run_ends(runs, twist)
+    return ends, sigmas
 
 
-def test_masked_kernel_never_probes_what_it_cannot_prove():
-    # the masked kernel tested every column at an infinite hi, and then ran
-    # the bottom-end test on zero columns: two probes where _top_end makes none
-    bands = stacked_bands([huge_pair(2, 2.5, 1.7e308)] * 3)
-    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as probes, \
-            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
-        assert np.isnan(spectral.pencil_ends(bands)).all()
-        assert np.isnan(spectral.pencil_ends(stacked_bands([huge_pair(2, 2.5, 1.7e308)]))).all()
-    assert probes.call_count == scalar.call_count == 0
-
-
-def pencil_ends(bands, twist):
-    """spectral.pencil_ends and its probes: (ends, masked, searches, unhanded).
-
-    masked is whether a masked probe ran, searches holds the (scalar, masked)
-    probes of each top-end search, and unhanded counts the scalar probes made
-    outside a hand-off to _close_top_end.  No masked probe runs on fewer
-    columns than rows."""
-    def search(*args):
-        before = scalar.call_count, masked.call_count
-        ends = top_end(*args)
-        searches.append((scalar.call_count - before[0], masked.call_count - before[1]))
-        return ends
-
-    def hand_off(*args):
-        before = scalar.call_count
-        ends = close_top_end(*args)
-        handed.append(scalar.call_count - before)
-        return ends
-
-    top_end, close_top_end = spectral._batch_top_end, spectral._close_top_end
-    searches, handed = [], []
-    with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar, \
-            mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked, \
-            mock.patch.object(spectral, "_batch_top_end", search), \
-            mock.patch.object(spectral, "_close_top_end", hand_off):
-        ends = spectral.pencil_ends(bands, twist)
-    rows = np.shape(bands[1])[0]
-    assert all(np.size(call.args[0]) >= rows for call in masked.call_args_list)
-    return ends, masked.called, searches, scalar.call_count - sum(handed)
-
-
-def twist_row(pair):
-    """The row at which eigen_spectrum(pair) twists its definiteness tests."""
-    return pair.n - 1 if pair.layout is None else pair.layout.interface_row
+@pytest.mark.parametrize("a_diag, b_diag", [(2.5, 1.7e308), (3.0, 1e308)])
+def test_run_search_never_probes_what_it_cannot_prove(a_diag, b_diag):
+    # the first pair's Gershgorin bound overflows, so no cell is tested at
+    # hi; the second's probes overflow to NaN and close every cell.  A loop
+    # that tested keep.all() on its empty state would never end, and none
+    # probes zero cells or a sigma that is not finite
+    ends, sigmas = run_probes(pair_runs([huge_pair(2, a_diag, b_diag)] * 3), 1)
+    assert np.isnan(ends).all()
+    assert all(sigma.size and np.isfinite(sigma).all() for sigma in sigmas)
 
 
 @given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
        cells=BATCH_CELLS)
 @settings(max_examples=150, deadline=None)
-def test_both_kernels_give_the_same_bits(name, n_minus, n_plus, cells):
+def test_run_ends_match_pencil_ends_within_their_bounds(name, n_minus, n_plus, cells):
     # assembled, mirrored and no-case pairs, one-sided and lagged among them,
     # then a pencil, a Gershgorin bound and a probe that overflow, and an
-    # infinite entry
+    # infinite entry, as runs of one row each and at the assembled pair's
+    # interface row and at n - 1
     pairs = batch_pairs(name, n_minus, n_plus, cells)
     n = pairs[0].n
     if n > 1:
         pairs += [overflowing_pencil_pair(n), huge_pair(n, 2.5, 1.7e308), huge_pair(n, 3.0, 1e308)]
-    bands = stacked_bands(pairs + pairs[:1])
-    bands[4][0, -1] = np.inf
-    # every pair twisted at the assembled pair's interface row and at n - 1
+    runs = pair_runs(pairs + pairs[:1])
+    runs[4][0][0, -1] = np.inf
     for twist in {twist_row(pairs[0]), n - 1}:
-        # tiled n + 1 times, every column set that the call searches or tests
-        # has more columns than rows: each search that probes (the top end,
-        # the bottom end) starts on the masked kernel, and scalar probes run
-        # only on the last open columns handed to the scalar loop
-        tiled, _, searches, unhanded = pencil_ends([np.tile(band, n + 1) for band in bands],
-                                                   twist)
-        assert unhanded == 0
-        assert all(masked for scalar, masked in searches if scalar or masked)
-        columns = bands[0].shape[1]
-        for j in range(columns):
-            one, masked, _, _ = pencil_ends([band[:, j, None] for band in bands], twist)
-            assert not masked
-            for batch, single in zip(tiled, one):
-                assert batch[j::columns].tobytes() == np.repeat(single, n + 1).tobytes()
-        if columns < n:  # the scalar kernel on several columns at once
-            untiled, masked, _, _ = pencil_ends(bands, twist)
-            assert not masked
-            assert all(u.tobytes() == t[:columns].tobytes() for u, t in zip(untiled, tiled))
-        top, bottom, bound = (end[:columns] for end in tiled)
+        top, bottom, bound = spectral.run_ends(runs, twist)
         assert np.isnan(top[-1]) and (n == 1 or np.isnan(top[-4:]).all())
         for pair, t, b, r in zip(pairs, top, bottom, bound):
-            if np.isnan(t) or twist_row(pair) != twist:
+            ends = spectral.pencil_ends(pair_bands(pair), twist)
+            if pair.layout is not None:  # an assembled pair is always proved
+                assert t == t and ends[0] == ends[0]
+            if t != t or ends[0] != ends[0]:
                 continue
-            spectrum = eigen_spectrum(pair)
-            assert spectrum.residual_bound == r
-            ends = [t] if np.isnan(b) else [t, b]
-            assert sorted(spectrum.eigenvalues.real) == sorted(ends)
+            lam = max(abs(t), abs(b)) if b == b else abs(t)
+            reference = max(abs(ends[0]), abs(ends[1])) if ends[1] == ends[1] else abs(ends[0])
+            assert abs(lam - reference) <= r + ends[2]
+            assert abs(t - ends[0]) <= r + ends[2]
 
 
 def dense_symmetric(diag, off):
@@ -628,40 +589,53 @@ def test_twisted_test_is_sylvesters_verdict(name, n_minus, n_plus, groups, zero,
     n = pair.n
     assume(n >= 2)  # a 1 x 1 pencil has a diagonal A: dstebz finds its end
     k = {"first": 0, "last": n - 1, "interior": min(1 + int(t * (n - 2)), n - 1)}[where]
-    bands = stacked_bands([pair])
     with np.errstate(all="ignore"):
-        pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*bands)
-    assert ok.all()
-    a_diag, a_off, b_diag, b_off = (v[:, 0] for v in pencil)
+        pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*pair_bands(pair))
+    assert ok
+    a_diag, a_off, b_diag, b_off = pencil
     if lagged is None:
         eigenvalues = scipy.linalg.eigvalsh(dense_symmetric(b_diag, b_off),
                                             dense_symmetric(a_diag, a_off))
         sigma = u * np.abs(eigenvalues).max()
         gaps = eigenvalues - sigma
     else:  # the pair's eigenvalues are nonnegative; sigma >= 0 only
-        sigma = abs(u) * ((np.abs(b_diag) + radius[:, 0]) / margin[:, 0]).max()
+        sigma = abs(u) * ((np.abs(b_diag) + radius) / margin).max()
     d, e = sigma * a_diag - b_diag, sigma * a_off - b_off
     if lagged is not None:
-        e[lagged[:, 0]] = np.sqrt(c[lagged[:, 0], 0] * sigma)
+        e[lagged] = np.sqrt(c[lagged] * sigma)
         # the negative eigenvalues of sigma A - B, lagged entries and all,
         # count the pair's eigenvalues above sigma (see _symmetric_pencil)
         gaps = -scipy.linalg.eigvalsh(dense_symmetric(d, e))
+    # the blocks above and below row k: the pivots before gamma_k
+    blocks = np.delete(np.delete(dense_symmetric(d, e), k, axis=0), k, axis=1)
+    sides = scipy.linalg.eigvalsh(blocks)
     # no verdict is exact within rounding of an eigenvalue
     assume(np.abs(gaps).min() > 1e-9 * np.abs(gaps).max())
+    assume(np.abs(sides).min() > 1e-9 * np.abs(gaps).max())
     above = np.count_nonzero(gaps > 0.0)
     pivots, _, info = spectral.lapack.dpttrf(d, e)
-    twisted, _, _ = spectral._twisted_pencil(pencil, lagged, c, margin, radius, k, [0])
-    gamma, twisted_info = spectral._ldl(sigma, spectral._columns(twisted, 0))
+    twisted = spectral._twisted_pencil(pencil, lagged, c, k)
+    gamma, twisted_info = spectral._ldl(sigma, twisted)
     assert (twisted_info == 0) == (info == 0) == (above == 0)
     if k == n - 1 and info in (0, n):
         # plain dpttrf: gamma_k is its last pivot, bit for bit
         assert twisted_info == info
         assert np.float64(gamma).tobytes() == pivots[-1].tobytes()
+    # the run test of the pair's runs, on its kept rows, gives Sylvester's verdict
+    groups = scheme_params(name, groups)
+    runs = assemble_runs(SCHEMES[name], SimpleNamespace(
+        **{group: np.array([getattr(groups, group)]) for group in AXIS_NAMES}), n_minus, n_plus)
+    with np.errstate(all="ignore"):  # as run_ends holds it
+        value, fits = spectral._run_test(np.array([sigma]), spectral._run_pencil(runs, k)[0])
+    assert bool(fits[0] and value[0] > 0.0) == (above == 0)
+    assert bool(fits[0]) == (sides.min() > 0.0)
 
 
 # mean definiteness tests per cell on 9 x 9 subgrids of the preset planes,
 # 3% above the counts of the search twisted at the interface row (29.96,
-# 35.54, 20.41 and 27.81); it took 43.68, 46.85, 24.30 and 42.54 at row n - 1
+# 35.54, 20.41 and 27.81); it took 43.68, 46.85, 24.30 and 42.54 at row n - 1.
+# The run search of a plane, both ends in one loop, took 29.09, 30.89, 20.59
+# and 26.88
 PROBE_CEILINGS = {("fig3", 1.0): 30.9, ("fig5", 1.0): 36.6, ("fig9", 1.0): 21.0,
                   ("fig9", 2000.0): 28.6}
 
@@ -671,27 +645,19 @@ def test_probes_per_cell(preset, r):
     spec = preset_sweep(preset, r=r)
     spec = dataclasses.replace(spec, axis_x=dataclasses.replace(spec.axis_x, points=9),
                                axis_y=dataclasses.replace(spec.axis_y, points=9))
-    with mock.patch.object(spectral, "_batch_ldl", wraps=spectral._batch_ldl) as masked, \
-            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as handed_off:
+    with mock.patch.object(spectral, "_run_test", wraps=spectral._run_test) as probe, \
+            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
         field = run_sweep(spec)
-    assert masked.called and not np.isnan(field.lambda_max).any()
-    per_cell = []
-    with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
-        for y in spec.axis_y.values():
-            for x in spec.axis_x.values():
-                groups = dict(spec.fixed, **{spec.axis_x.name: x, spec.axis_y.name: y})
-                pair = assemble(spec.scheme, DimensionlessParams(**groups), spec.n_minus,
-                                spec.n_plus)
-                per_cell.append(eigen_spectrum(pair).lambda_max)
-    assert field.lambda_max.tobytes() == np.array(per_cell).tobytes()
-    columns = [np.size(call.args[0]) for call in masked.call_args_list]
-    # the masked search probes no fewer columns than rows: the last open
-    # columns go on in the scalar loop
-    rows = scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n
-    assert min(columns) >= rows
-    # both kernels take every cell through the same probes
-    probes = sum(columns) + handed_off.call_count
-    assert probes == scalar.call_count
+    assert not scalar.called and not np.isnan(field.lambda_max).any()
+    # the labels of eigen_spectrum(pair), and lambda_max within both bounds
+    for (iy, ix), lam in np.ndenumerate(field.lambda_max):
+        groups = dict(spec.fixed, **{spec.axis_x.name: spec.axis_x.values()[ix],
+                                     spec.axis_y.name: spec.axis_y.values()[iy]})
+        pair = assemble(spec.scheme, DimensionlessParams(**groups), spec.n_minus, spec.n_plus)
+        spectrum = eigen_spectrum(pair)
+        assert field.classification[iy, ix] == classify(spectrum.lambda_max, spec.tol).value
+        assert abs(lam - spectrum.lambda_max) <= field.bound[iy, ix] + spectrum.residual_bound
+    probes = sum(call.args[1][0].shape[1] for call in probe.call_args_list)
     assert probes / field.lambda_max.size <= PROBE_CEILINGS[preset, r]
 
 
@@ -713,8 +679,8 @@ def test_overflowing_gershgorin_bound_proves_nothing():
     # twice the Gershgorin bound overflows; a definiteness test at an
     # infinite hi proved an infinite end for a pair with finite entries
     pair = assemble(SCHEMES["one-way-explicit-flux"], params(dm=0.01, bm=1e308), 5, 2)
-    assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
-    assert np.isnan(spectral.pencil_ends(stacked_bands([pair] * pair.n))).all()
+    assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
+    assert np.isnan(spectral.run_ends(pair_runs([pair] * pair.n), twist_row(pair))).all()
     # the dense fallback's M reaches 9.9e307 and fails its residual check
     with np.errstate(all="ignore"), pytest.raises(SpectrumError):
         eigen_spectrum(pair)
@@ -725,8 +691,8 @@ def test_pencil_paths_raise_no_floating_point_warning():
     assert len(pairs) > 10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        single = [spectral.pencil_ends(stacked_bands([pair]))[0][0] for pair in pairs]
-        top = spectral.pencil_ends(stacked_bands(pairs))[0]
+        single = [spectral.pencil_ends(pair_bands(pair))[0] for pair in pairs]
+        top = spectral.run_ends(pair_runs(pairs), twist_row(pairs[0]))[0]
     assert np.isnan(top).tolist() == np.isnan(single).tolist()
 
 
@@ -736,7 +702,7 @@ def test_non_finite_pencil_leaves_the_pair_path():
     pair = overflowing_pencil_pair()
     with np.errstate(all="ignore"):  # as its callers hold it
         assert not spectral._symmetric_pencil(*pair_bands(pair))[5]
-    assert np.isnan(spectral.pencil_ends(stacked_bands([pair]))).all()
+    assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
     spectrum = eigen_spectrum(pair)
     assert spectrum.lambda_max == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert spectrum.eigenvalues[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -747,10 +713,11 @@ def test_non_finite_pencil_leaves_the_batch():
     # finite one beside it
     finite = UpdatePair(A=Tridiagonal([-1.0], [3.0, 3.0], [-1.0]),
                         B=Tridiagonal([0.5], [1.0, 2.0], [0.5]), layout=None)
-    top, bottom, _ = spectral.pencil_ends(stacked_bands([overflowing_pencil_pair(), finite]))
+    top, bottom, bound = spectral.run_ends(pair_runs([overflowing_pencil_pair(), finite]), 1)
     assert np.isnan(top[0]) and np.isnan(bottom[0])
-    lam = max(abs(top[1]), abs(bottom[1]))
-    assert lam.tobytes() == np.float64(eigen_spectrum(finite).lambda_max).tobytes()
+    lam = np.fmax(abs(top[1]), abs(bottom[1]))
+    spectrum = eigen_spectrum(finite)
+    assert abs(lam - spectrum.lambda_max) <= bound[1] + spectrum.residual_bound
 
 
 # 50,000 cells per domain: a dense A alone would take 80 GB
@@ -797,6 +764,98 @@ def test_sequential_pair_beyond_the_dense_limit_matches_arpack():
                         dtype=float)
     (top,) = eigs(op, k=1, which="LM", v0=np.ones(n), return_eigenvectors=False)
     assert eigen_spectrum(pair).lambda_max == pytest.approx(abs(top), rel=1e-12)
+
+
+def dirichlet_runs(m, d):
+    """Runs of A = tridiag(-d, 1 + 2d, -d) and B = I on m rows, one cell per d."""
+    cells = np.asarray(d, float)[None, :]
+    zero = np.zeros_like(cells)
+    return [(-cells, (m - 1,)), (1.0 + 2.0 * cells, (m,)), (-cells, (m - 1,)),
+            (zero, (m - 1,)), (zero + 1.0, (m,)), (zero, (m - 1,))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 1000, 10 ** 6, 10 ** 9])
+def test_dirichlet_run_matches_its_closed_form(m):
+    # one Toeplitz run of m rows: lambda_max = 1 / (1 + 4 d sin^2(pi / 2(m + 1))),
+    # twisted at the first, a middle and the last row
+    d = np.array([0.01, 0.3, 0.5, 0.75, 4.0, 300.0])
+    exact = 1.0 / (1.0 + 4.0 * d * np.sin(np.pi / (2 * (m + 1))) ** 2)
+    for twist in sorted({0, m // 2, m - 1}):
+        top, bottom, bound = spectral.run_ends(dirichlet_runs(m, d), twist)
+        assert np.abs(top - exact).max() <= 8.0 * np.finfo(float).eps
+        assert (np.abs(top - exact) <= bound).all()
+        assert (bound <= 8.0 * m * np.finfo(float).eps * 4.0).all()
+        assert np.isnan(bottom).all()  # B + q A = (1 + q) I + q d L is definite
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_run_test_is_the_inertia_of_the_dense_pencil(name):
+    # seeded assembled pairs, a domain of one row among them (an empty run)
+    # and a coupling group 0 in every third cell, each tested across its
+    # spectrum at three twists: the run test calls sigma A - B definite
+    # exactly where eigvalsh finds no eigenvalue <= 0, and every pivot
+    # before gamma_k positive exactly where the blocks beside row k are definite
+    gen = np.random.default_rng(SEED)
+    checked = 0
+    for n_minus, n_plus in [(1, 1), (1, 6), (6, 1), (5, 7), (40, 30)]:
+        groups = 10.0 ** gen.uniform(-2.0, 2.0, size=(5, 12))
+        groups[2, ::3] = groups[3, 1::3] = 0.0  # beta_plus, beta_minus
+        cells = [scheme_params(name, column) for column in groups.T]
+        p = SimpleNamespace(**{g: np.array([getattr(c, g) for c in cells]) for g in AXIS_NAMES})
+        runs = assemble_runs(SCHEMES[name], p, n_minus, n_plus)
+        dense, sigmas = [], []
+        for u, groups_j in zip(gen.uniform(-1.25, 1.25, size=(7, len(cells), 1)).transpose(1, 0, 2),
+                               cells):
+            pair = assemble(SCHEMES[name], groups_j, n_minus, n_plus)
+            (a_diag, a_off, b_diag, b_off), lagged, c, margin, radius, ok = \
+                spectral._symmetric_pencil(*pair_bands(pair))
+            assert ok
+            if lagged is None:
+                scale = np.abs(scipy.linalg.eigvalsh(dense_symmetric(b_diag, b_off),
+                                                     dense_symmetric(a_diag, a_off))).max()
+            else:  # sigma >= 0 only
+                u, scale = np.abs(u), ((np.abs(b_diag) + radius) / margin).max()
+            sigmas.append(u[:, 0] * scale)
+            for sigma in sigmas[-1]:
+                e = sigma * a_off - b_off
+                if lagged is not None:
+                    e[lagged] = np.sqrt(c[lagged] * sigma)
+                dense.append(dense_symmetric(sigma * a_diag - b_diag, e))
+        sigmas = np.array(sigmas)  # (cells, 7)
+        n = dense[0].shape[0]
+        for k in sorted({0, scheme_layout(SCHEMES[name], n_minus, n_plus).interface_row, n - 1}):
+            with np.errstate(all="ignore"):  # as run_ends holds it
+                pencil = spectral._run_pencil(runs, k)[0]
+                tests = [spectral._run_test(sigmas[:, i], pencil) for i in range(sigmas.shape[1])]
+            for i, (value, fits) in enumerate(tests):
+                for j in range(len(cells)):
+                    full = scipy.linalg.eigvalsh(dense[7 * j + i])
+                    sides = scipy.linalg.eigvalsh(np.delete(np.delete(dense[7 * j + i], k, 0), k, 1))
+                    if min(np.abs(full).min(), np.abs(sides).min(initial=1.0)) <= 1e-9 * np.abs(full).max():
+                        continue  # no verdict is exact within rounding of an eigenvalue
+                    checked += 1
+                    assert bool(fits[j] and value[j] > 0.0) == (full.min() > 0.0)
+                    assert bool(fits[j]) == (sides.min(initial=1.0) > 0.0)
+    assert checked > 500
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_run_ends_match_pencil_ends_at_large_n(name):
+    # assembled batches at 15,000 rows a domain, against pencil_ends on each
+    # cell, within both bounds
+    n_minus = n_plus = 15_000
+    gen = np.random.default_rng(SEED)
+    groups = 10.0 ** gen.uniform(-2.0, 2.0, size=(5, 4))
+    groups[4] = gen.choice([5e-4, 1.0, 2000.0], 4)
+    p = SimpleNamespace(**dict(zip(AXIS_NAMES, groups)))
+    twist = scheme_layout(SCHEMES[name], n_minus, n_plus).interface_row
+    top, bottom, bound = spectral.run_ends(assemble_runs(SCHEMES[name], p, n_minus, n_plus), twist)
+    for k in range(4):
+        pair = assemble(SCHEMES[name], DimensionlessParams(*groups[:, k]), n_minus, n_plus)
+        ends = spectral.pencil_ends(pair_bands(pair), twist)
+        assert abs(top[k] - ends[0]) <= bound[k] + ends[2]
+        lam = np.fmax(abs(top[k]), abs(bottom[k]))
+        assert abs(lam - eigen_spectrum(pair).lambda_max) <= bound[k] + ends[2]
 
 
 def test_dense_path_keeps_the_dense_limit():

@@ -45,10 +45,10 @@ def tiny_spec(**overrides):
 
 
 def lambda_direct(scheme, values, n_minus, n_plus):
-    """lambda_max by the sweep's path and by the dense oracle on M."""
+    """The spectrum of eigen_spectrum(pair), and lambda_max by the dense oracle on M."""
     p = DimensionlessParams(**values)
     pair = assemble(scheme, p, n_minus, n_plus)
-    return eigen_spectrum(pair).lambda_max, eigen_spectrum(update_matrix(pair)).lambda_max
+    return eigen_spectrum(pair), eigen_spectrum(update_matrix(pair)).lambda_max
 
 
 # ------------------------------------------------------------- axes
@@ -215,8 +215,10 @@ def test_sweep_matches_pointwise_evaluation():
             values = dict(spec.fixed)
             values["d_minus"] = float(xv)
             values["beta_minus"] = float(yv)
-            lam, dense = lambda_direct(spec.scheme, values, spec.n_minus, spec.n_plus)
-            assert field.lambda_max[iy, ix] == lam
+            spectrum, dense = lambda_direct(spec.scheme, values, spec.n_minus, spec.n_plus)
+            lam = spectrum.lambda_max
+            # the batch's search, within its bound and the pair's
+            assert abs(field.lambda_max[iy, ix] - lam) <= field.bound[iy, ix] + spectrum.residual_bound
             assert abs(lam - dense) <= 1e-10 * dense
             assert field.classification[iy, ix] == classify(lam, spec.tol).value
 
@@ -301,9 +303,9 @@ def test_failed_cells_never_abort(monkeypatch):
 
     def unproved(spec_, x, y):
         # the batch leaves the target column to the per-cell path ...
-        lam = real_batch(spec_, x, y)
+        lam, bound = real_batch(spec_, x, y)
         lam[x == target] = np.nan
-        return lam
+        return lam, bound
 
     def flaky(spec_, values):
         # ... which fails there
@@ -357,9 +359,10 @@ def test_runtime_errors_that_are_bugs_propagate(monkeypatch, path, error):
 
 
 def per_cell_field(spec):
-    """lambda_max and labels of a plane, cell by cell through eigen_spectrum(pair)."""
+    """lambda_max, labels and bounds of a plane, cell by cell through eigen_spectrum(pair)."""
     xs, ys = spec.axis_x.values(), spec.axis_y.values()
     lam = np.full((ys.size, xs.size), np.nan)
+    bound = np.full(lam.shape, np.nan)
     cls = np.full(lam.shape, "failed", dtype="<U8")
     for iy, ix in np.ndindex(lam.shape):
         values = dict(spec.fixed)
@@ -367,19 +370,22 @@ def per_cell_field(spec):
         values[spec.axis_y.name] = float(ys[iy])
         try:
             pair = assemble(spec.scheme, DimensionlessParams(**values), spec.n_minus, spec.n_plus)
-            value = eigen_spectrum(pair).lambda_max
-            label = classify(value, spec.tol).value
+            spectrum = eigen_spectrum(pair)
+            label = classify(spectrum.lambda_max, spec.tol).value
         except CplstabError:
             continue
-        lam[iy, ix], cls[iy, ix] = value, label
-    return lam, cls
+        lam[iy, ix], bound[iy, ix], cls[iy, ix] = spectrum.lambda_max, spectrum.residual_bound, label
+    return lam, bound, cls
 
 
 def assert_matches_per_cell(field, spec):
-    lam, cls = per_cell_field(spec)
-    # bit for bit, NaN where a cell failed
-    assert field.lambda_max.tobytes() == lam.tobytes()
+    lam, bound, cls = per_cell_field(spec)
+    # the same labels and failed cells, and lambda_max within both bounds
     assert (field.classification == cls).all()
+    assert (np.isnan(field.lambda_max) == np.isnan(lam)).all()
+    assert (np.isnan(field.bound) == np.isnan(lam)).all()
+    ok = ~np.isnan(lam)
+    assert (np.abs(field.lambda_max - lam)[ok] <= (field.bound + bound)[ok]).all()
     assert field.warning_count == int(np.isnan(lam).sum())
 
 
@@ -442,28 +448,6 @@ def test_plane_smaller_than_its_pairs_goes_cell_by_cell(monkeypatch):
     assert_matches_per_cell(field, spec)
 
 
-def test_chunks_bound_the_batch(monkeypatch):
-    # 5 unknowns and 40 entries: chunks of 8 cells, 8 + 1 for 9 cells, and
-    # the last chunk, smaller than 5 cells, goes cell by cell
-    spec = tiny_spec()
-    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", 40)
-    sizes = []
-    real = sweep_mod._batch_lambda_max
-
-    def counted(spec_, x, y):
-        sizes.append(x.size)
-        return real(spec_, x, y)
-
-    monkeypatch.setattr(sweep_mod, "_batch_lambda_max", counted)
-    calls = count_point_calls(monkeypatch)
-    field = run_sweep(spec)
-    assert sizes == [8]
-    assert len(calls) == 1
-    assert calls[0]["d_minus"] == field.x_values[-1]
-    assert calls[0]["beta_minus"] == field.y_values[-1]
-    assert_matches_per_cell(field, spec)
-
-
 def test_overflowing_entries_fail_as_cell_by_cell(monkeypatch):
     # log axes up to 1e308: 1 + 2 d and 1 - beta overflow or lose the
     # dominance margin, and the batch leaves those cells to the per-cell path,
@@ -515,6 +499,42 @@ def test_row_crossings_bracket_flux_bound():
         assert unstable[first:].all()
         bound = one_way_explicit_bound(float(d))
         assert betas[max(first - 2, 0)] <= bound <= betas[first + 1]
+
+
+def preset_planes():
+    """Every preset plane: each variant of fig4 and fig6, each ratio of fig8 and fig9."""
+    variants = {"fig4": [{"variant": v} for v in range(3)], "fig6": [{"variant": v} for v in range(3)],
+                "fig8": [{"r": r} for r in sweep_mod.FIG89_RATIOS],
+                "fig9": [{"r": r} for r in sweep_mod.FIG89_RATIOS]}
+    return [preset_sweep(name, **kw) for name in PRESET_NAMES for kw in variants.get(name, [{}])]
+
+
+def test_every_preset_cell_is_certified():
+    # [lambda_max - bound, lambda_max + bound] lies inside the cell's class
+    # interval on all fourteen preset planes, so no label rests on rounding
+    for spec in preset_planes():
+        field = run_sweep(spec)
+        lam, bound, cls = field.lambda_max, field.bound, field.classification
+        assert field.warning_count == 0 and (bound > 0.0).all() and (bound < 1e-9).all()
+        lo, hi = lam - bound, lam + bound
+        stable, unstable = cls == "stable", cls == "unstable"
+        assert (hi[stable] < 1.0 - spec.tol).all()
+        assert (lo[unstable] > 1.0 + spec.tol).all()
+        marginal = ~(stable | unstable)
+        assert (lo[marginal] >= 1.0 - spec.tol).all() and (hi[marginal] <= 1.0 + spec.tol).all()
+
+
+def test_bounds_stay_out_of_the_artifacts(tmp_path):
+    # the writers read lambda_max and the labels only
+    field = run_sweep(tiny_spec())
+    assert field.bound.shape == field.lambda_max.shape and np.isfinite(field.bound).all()
+    blobs = []
+    for bound in (field.bound, None):
+        field.bound = bound
+        write_csv(field, tmp_path / "plane.csv")
+        write_pgm(field, tmp_path / "plane.pgm")
+        blobs.append(((tmp_path / "plane.csv").read_bytes(), (tmp_path / "plane.pgm").read_bytes()))
+    assert blobs[0] == blobs[1]
 
 
 # ------------------------------------------------------------- writers
