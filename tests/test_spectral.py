@@ -532,15 +532,40 @@ def run_probes(runs, twist):
     return ends, sigmas
 
 
-@pytest.mark.parametrize("a_diag, b_diag", [(2.5, 1.7e308), (3.0, 1e308)])
-def test_run_search_never_probes_what_it_cannot_prove(a_diag, b_diag):
+@pytest.mark.parametrize("a_diag, b_diag, calls", [(2.5, 1.7e308, 0), (3.0, 1e308, 4)])
+def test_masked_search_without_a_proved_column(a_diag, b_diag, calls):
     # the first pair's Gershgorin bound overflows, so no cell is tested at
-    # hi; the second's probes overflow to NaN and close every cell.  A loop
-    # that tested keep.all() on its empty state would never end, and none
-    # probes zero cells or a sigma that is not finite
-    ends, sigmas = run_probes(pair_runs([huge_pair(2, a_diag, b_diag)] * 3), 1)
+    # hi, and the scalar search makes no probe; the second's probes overflow
+    # to NaN and close every cell, where the scalar search's fourth probe
+    # overflows.  A loop that tested keep.all() on its empty state would never
+    # end, and none probes zero cells or a sigma that is not finite
+    pair = huge_pair(2, a_diag, b_diag)
+    ends, sigmas = run_probes(pair_runs([pair] * 3), 1)  # past n cells
+    with mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
+        assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
+    assert scalar.call_count == calls
     assert np.isnan(ends).all()
-    assert all(sigma.size and np.isfinite(sigma).all() for sigma in sigmas)
+    assert all(sigma.size == 3 and np.isfinite(sigma).all() for sigma in sigmas)
+
+
+def test_masked_kernel_never_probes_what_it_cannot_prove():
+    # the masked search (_run_top_end) tests no cell at an infinite hi and
+    # makes no probe once no cell is open: none where the Gershgorin bound
+    # overflows, as _top_end makes none
+    def search(*args):
+        before = probes.call_count
+        ends = top_end(*args)
+        searches.append(probes.call_count - before)
+        return ends
+
+    pair, top_end, searches = huge_pair(2, 2.5, 1.7e308), spectral._run_top_end, []
+    with mock.patch.object(spectral, "_run_test", wraps=spectral._run_test) as probes, \
+            mock.patch.object(spectral, "_run_top_end", search), \
+            mock.patch.object(spectral, "_ldl", wraps=spectral._ldl) as scalar:
+        assert np.isnan(spectral.run_ends(pair_runs([pair] * 3), 1)).all()
+        assert np.isnan(spectral.run_ends(pair_runs([pair]), 1)).all()
+        assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
+    assert searches == [0, 0] and scalar.call_count == 0
 
 
 @given(name=st.sampled_from(list(SCHEMES)), n_minus=st.integers(1, 8), n_plus=st.integers(1, 8),
