@@ -7,8 +7,8 @@ reported as such instead of flapping between verdicts.  Every assembled pair
 (A, B) has a real spectrum whose ends come from definiteness tests of a
 symmetric tridiagonal sigma A - B twisted at the pair's interface row, and
 M is never formed (eigen_spectrum states the search).  pencil_ends searches
-one pair of any form, one dpttrf call per test, or dstebz when A is
-diagonal.  run_ends searches a batch of pairs given by runs of equal rows
+one pair of any form, a diagonal A included, one dpttrf call per test.
+run_ends searches a batch of pairs given by runs of equal rows
 (assembly.assemble_runs), one closed form per run, so a test costs the same
 few numpy calls at any n.  full_spectrum gives every eigenvalue from the
 same pencil.  The dense path, plain eig of M with a residual check, is the
@@ -349,26 +349,6 @@ def _top_end(pencil, lo, quotient, gershgorin):
     return lo, hi
 
 
-def _diagonal_form(a_diag, b_diag, b_off):
-    """Diagonal and off-diagonal of D^-1/2 B D^-1/2, for a pencil with diagonal A = D."""
-    scale = 1.0 / np.sqrt(a_diag)
-    return b_diag / a_diag, b_off * scale[:-1] * scale[1:]
-
-
-def _diagonal_ends(a_diag, b_diag, b_off):
-    """Top and bottom end of a pencil with diagonal A: dstebz on _diagonal_form.
-
-    A 1 x 1 pencil has only its top end, and NaN for the bottom.  Both are
-    NaN where dstebz fails, which leaves the pair to the dense path.
-    """
-    diag, off = _diagonal_form(a_diag, b_diag, b_off)
-    if diag.shape[0] == 1:  # dstebz rejects an empty off-diagonal
-        return diag[0], np.nan
-    calls = [lapack.dstebz(diag, off, 2, 0.0, 1.0, k, k, 0.0, "E") for k in (diag.shape[0], 1)]
-    _, w, _, _, info = zip(*calls)
-    return (np.nan, np.nan) if any(info) else (w[0][0], w[1][0])
-
-
 def _bound(width, n, b_diag, margin, radius):
     """The bracket width plus 8 n eps max(g, 1), g the Gershgorin bound of the pencil."""
     g = ((np.abs(b_diag) + radius) / margin).max(axis=0)
@@ -382,11 +362,12 @@ def pencil_ends(bands, twist=None):
     eigen_spectrum states the search.  twist is the row k at which every
     definiteness test is twisted (_ldl); the default n - 1 is plain dpttrf,
     and a pair's k is its Layout.interface_row.  Returns (top, bottom,
-    bound).  bottom is NaN where it is not searched: a lagged pair, B + top A
-    definite, or n = 1.  Nothing raises: all three are NaN where the pair is
-    left to the dense path, for non-finite entries, no symmetric pencil or
-    dominance margin, B0 not definite, a failed dstebz call or a bracket not
-    proved.
+    bound).  A pair of every form, a diagonal A included, takes the same
+    search; n = 1 returns its one eigenvalue B_00 / A_00.  bottom is NaN
+    where it is not searched: a lagged pair, B + top A definite, or n = 1.
+    Nothing raises: all three are NaN where the pair is left to the dense
+    path, for non-finite entries, no symmetric pencil or dominance margin,
+    B0 not definite or a bracket not proved.
     """
     n = np.shape(bands[1])[0]
     twist = n - 1 if twist is None else operator.index(twist)
@@ -396,13 +377,13 @@ def pencil_ends(bands, twist=None):
     # overflow: _symmetric_pencil judges the entries, and a NaN hi proves nothing
     with np.errstate(all="ignore"):
         pencil, lagged, c, margin, radius, ok = _symmetric_pencil(*bands)
-        a_diag, a_off, b_diag, b_off = pencil
+        a_diag, _, b_diag, b_off = pencil
         ok = ok and np.isfinite(np.concatenate(bands)).all()
         if ok and lagged is not None:  # lagged indices need B0 > 0
             ok = lapack.dpttrf(b_diag, b_off)[2] == 0
         width = 0.0
-        if ok and lagged is None and not a_off.any():
-            top, bottom = _diagonal_ends(a_diag, b_diag, b_off)
+        if ok and n == 1:  # the pencil's one eigenvalue
+            top = b_diag[0] / a_diag[0]
         elif ok:
             # twisted once; every probe of both ends tests it
             pencil = _twisted_pencil(pencil, lagged, c, twist)
@@ -658,16 +639,16 @@ def eigen_spectrum(M):
     interface, so the poles of gamma_k, the eigenvalues of the pencil
     without row k, lie far from the ends (Dhillon & Parlett 2004 on the
     choice of twist); at k = n - 1 the last pivot has a pole next to the
-    bottom end of a two-way pair.  A diagonal A reduces the pencil to a
-    standard tridiagonal problem whose ends come from LAPACK dstebz.  The
-    returned eigenvalues are the ends found, sorted by decreasing modulus,
-    and lambda_max is their larger modulus.  The LDL^T test is backward
-    stable: its verdict is exact for a pencil within O(n eps) of the given
-    one (Kahan 1966), so residual_bound is the bracket width plus 8 n eps
-    max(g, 1), with g >= |lambda| the Gershgorin bound of the pair.  A pair
-    of any size takes the pencil path; one that fits no case or is not
-    proved takes the dense path on M = update_matrix(pair), which bounds n
-    by MAX_DENSE_N.
+    bottom end of a two-way pair.  A diagonal A (dn-explicit) takes the same
+    search as the other schemes, and a 1 x 1 pair gives its one eigenvalue
+    B_00 / A_00.  The returned eigenvalues are the ends found, sorted by
+    decreasing modulus, and lambda_max is their larger modulus.  The LDL^T
+    test is backward stable: its verdict is exact for a pencil within O(n
+    eps) of the given one (Kahan 1966), so residual_bound is the bracket
+    width plus 8 n eps max(g, 1), with g >= |lambda| the Gershgorin bound of
+    the pair.  A pair of any size takes the pencil path; one that fits no
+    case or is not proved takes the dense path on M = update_matrix(pair),
+    which bounds n by MAX_DENSE_N.
     """
     if isinstance(M, UpdatePair):
         bands = (M.A.sub, M.A.diag, M.A.sup, M.B.sub, M.B.diag, M.B.sup)
@@ -713,8 +694,10 @@ def full_spectrum(pair):
     pencil, values = (), None
     with np.errstate(all="ignore"):  # overflow leaves non-finite entries: the dense path
         (a_diag, a_off, b_diag, b_off), lagged, _, margin, radius, ok = _symmetric_pencil(*bands)
-        if ok and lagged is None and not a_off.any():
-            solve, pencil = scipy.linalg.eigvalsh_tridiagonal, _diagonal_form(a_diag, b_diag, b_off)
+        if ok and lagged is None and not a_off.any():  # D^-1/2 B D^-1/2 for A = D
+            scale = 1.0 / np.sqrt(a_diag)
+            solve = scipy.linalg.eigvalsh_tridiagonal
+            pencil = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
         elif ok and lagged is None and pair.n <= MAX_DENSE_N:
             solve = scipy.linalg.eigvalsh  # eigh(B, A, eigvals_only=True)
             pencil = [np.diag(d) + np.diag(e, 1) + np.diag(e, -1)

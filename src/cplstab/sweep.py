@@ -2,7 +2,8 @@
 
 A sweep fixes three of the five groups, varies the remaining two on a grid,
 and records the spectral radius, its bound and its classification per cell:
-a plane of many cells in one spectral.run_ends call, a few cells one by one.
+a plane of BATCH_CELLS cells or more in one spectral.run_ends call, at any
+n, and a smaller plane cell by cell.
 Output is a flat CSV (x fastest, y ascending) and optionally a plain PGM
 rendering of the spectral radius with 2.0 mapped to full scale.
 """
@@ -26,6 +27,10 @@ DEFAULT_HI = 1e3
 DEFAULT_POINTS = 101
 DEFAULT_N_MINUS = 20
 DEFAULT_N_PLUS = 10
+# planes from this many cells take the batch.  Per-cell over batch time on
+# the presets' subplanes at n = 30 to 4,000: 4 cells 0.34-0.75 up to n = 400,
+# 9 cells 0.84-1.6, 16 cells 1.5-11
+BATCH_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -132,17 +137,17 @@ def _batch_lambda_max(spec, x, y):
 def run_sweep(spec):
     """Evaluate the grid; failed cells become NaN with class 'failed'.
 
-    A plane with at least as many cells as a pair has rows is one
-    _batch_lambda_max call, which raises for no cell.  A smaller plane goes
-    cell by cell through eigen_spectrum(pair), as do the cells the batch
-    does not prove.  A cell fails on a CplstabError, or when its lambda_max
-    is not a nonnegative number; any other error is a programming error and
+    A plane of at least BATCH_CELLS cells is one _batch_lambda_max call at
+    any n, which raises for no cell.  A smaller plane goes cell by cell
+    through eigen_spectrum(pair), as do the cells the batch does not prove.
+    A cell fails on a CplstabError, or when its lambda_max is not a
+    nonnegative number; any other error is a programming error and
     propagates.
     """
     xs, ys = spec.axis_x.values(), spec.axis_y.values()
     x, y = np.tile(xs, ys.size), np.repeat(ys, xs.size)
     lam, bound = np.full(x.size, np.nan), np.full(x.size, np.nan)
-    if x.size >= assembly.scheme_layout(spec.scheme, spec.n_minus, spec.n_plus).n:
+    if x.size >= BATCH_CELLS:
         lam, bound = _batch_lambda_max(spec, x, y)
     for k in np.flatnonzero(np.isnan(lam)):
         values = dict(spec.fixed)

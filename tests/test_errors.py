@@ -66,11 +66,11 @@ n_plus = 2
 """
 
 
-def plane(n_minus):
-    """The config's 9-cell plane: one batch at n_minus = 4, cell by cell at n_minus = 20."""
-    return SweepSpec(SCHEMES["bulk-explicit-flux"], Axis("d_minus", 0.1, 1.0, 3),
-                     Axis("beta_minus", 0.5, 2.0, 3),
-                     {"beta_plus": 0.1, "d_plus": 0.1, "r": 1.0}, n_minus=n_minus, n_plus=2)
+def plane(points):
+    """The config's plane on points x points cells: one batch at 4, cell by cell at 3."""
+    return SweepSpec(SCHEMES["bulk-explicit-flux"], Axis("d_minus", 0.1, 1.0, points),
+                     Axis("beta_minus", 0.5, 2.0, points),
+                     {"beta_plus": 0.1, "d_plus": 0.1, "r": 1.0}, n_minus=20, n_plus=2)
 
 
 def cli_sweep(tmp_path):
@@ -84,7 +84,7 @@ GROUPS = ["--d-minus", "0.3", "--d-plus", "0.45", "--beta-minus", "0.2", "--beta
 
 ENTRY_POINTS = {
     "run_sweep-batch": lambda tmp_path: run_sweep(plane(4)),
-    "run_sweep-per-cell": lambda tmp_path: run_sweep(plane(20)),
+    "run_sweep-per-cell": lambda tmp_path: run_sweep(plane(3)),
     "cli-sweep": cli_sweep,
     "cli-validate": lambda tmp_path: cli_main(["validate", "--suite", "one-way"]),
     # a lagged pair: full_spectrum takes eigen_spectrum's dense path

@@ -354,9 +354,31 @@ def test_full_spectrum_of_a_diagonal_a_past_the_dense_limit():
     assert len(spectrum.eigenvalues) == pair.n > spectral.MAX_DENSE_N
     # no n x n array: a dense one would take 8 n^2 = 39 MB
     assert peak < 0.05 * 8 * pair.n ** 2
-    ends = eigen_spectrum(pair).eigenvalues.real
-    assert abs(spectrum.eigenvalues.real.max() - ends.max()) <= spectrum.residual_bound
-    assert abs(spectrum.eigenvalues.real.min() - ends.min()) <= spectrum.residual_bound
+    # the ends that eigen_spectrum returns: the top, and the bottom where
+    # B + top A is not definite
+    ends = eigen_spectrum(pair)
+    extremes = spectrum.eigenvalues.real.max(), spectrum.eigenvalues.real.min()
+    for end, extreme in zip(sorted(ends.eigenvalues.real, reverse=True), extremes):
+        assert abs(end - extreme) <= spectrum.residual_bound + ends.residual_bound
+
+
+@pytest.mark.parametrize("n_side, groups", [
+    pytest.param(1100, [(0.3, 0.45, 3.0), (0.07, 2.5, 0.2), (0.2, 0.2, 1.0)], id="2201-rows"),
+    pytest.param(10_000, [(0.07, 2.5, 0.2)], id="20001-rows"),
+])
+def test_diagonal_a_ends_match_full_spectrum(n_side, groups):
+    # dn-explicit pairs, A diagonal, on 2,201 and 20,001 rows: the twisted
+    # LDL^T search finds full_spectrum's extremes to both bounds, without dstebz
+    for dp, dm, r in groups:
+        pair = assemble(SCHEMES["dn-explicit"], params(dp=dp, dm=dm, r=r), n_side, n_side)
+        spectrum = full_spectrum(pair)
+        with mock.patch.object(spectral.lapack, "dstebz", side_effect=AssertionError("dstebz")):
+            top, bottom, bound = spectral.pencil_ends(pair_bands(pair), twist_row(pair))
+        tol = bound + spectrum.residual_bound
+        assert abs(top - spectrum.eigenvalues.real.max()) <= tol
+        # bottom is searched only where B + top A is not definite
+        assert bottom != bottom or abs(bottom - spectrum.eigenvalues.real.min()) <= tol
+        assert bottom == bottom or spectrum.eigenvalues.real.min() > -top
 
 
 def overflowing_pencil_pair(n=2):
@@ -385,29 +407,6 @@ def test_full_spectrum_falls_back_to_the_dense_path(case):
     dense = eigen_spectrum(update_matrix(pair))
     assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
     assert spectrum.residual_bound == dense.residual_bound
-
-
-def test_failed_dstebz_leaves_its_column_to_the_dense_path():
-    # dn-explicit has a diagonal A, so dstebz finds both ends of each pair
-    pairs = [assemble(SCHEMES["dn-explicit"], params(dp=dp, dm=0.45, r=3.0), 6, 5)
-             for dp in (0.3, 0.2)]
-    twist = pairs[0].layout.interface_row
-    expected = spectral.pencil_ends(pair_bands(pairs[1]), twist)
-    failing = pairs[0].B.diag / pairs[0].A.diag  # the diagonal of the first pair's form
-    real = spectral.lapack.dstebz
-
-    def dstebz(d, *args):
-        *out, info = real(d, *args)
-        return (*out, 1 if np.array_equal(d, failing) else info)
-
-    with mock.patch.object(spectral.lapack, "dstebz", dstebz):
-        ends = [spectral.pencil_ends(pair_bands(pair), twist) for pair in pairs]
-        spectrum = eigen_spectrum(pairs[0])
-    assert np.isnan(ends[0]).all()
-    assert np.array_equal(ends[1], expected, equal_nan=True)
-    dense = eigen_spectrum(update_matrix(pairs[0]))
-    assert np.array_equal(spectrum.eigenvalues, dense.eigenvalues)
-    assert spectrum.lambda_max == dense.lambda_max
 
 
 # ------------------------------------------------------------ batch of cells
@@ -612,7 +611,7 @@ def test_twisted_test_is_sylvesters_verdict(name, n_minus, n_plus, groups, zero,
         groups[zero] = 0.0
     pair = assemble(SCHEMES[name], scheme_params(name, groups), n_minus, n_plus)
     n = pair.n
-    assume(n >= 2)  # a 1 x 1 pencil has a diagonal A: dstebz finds its end
+    assume(n >= 2)  # a 1 x 1 pencil is not searched: its end is B_00 / A_00
     k = {"first": 0, "last": n - 1, "interior": min(1 + int(t * (n - 2)), n - 1)}[where]
     with np.errstate(all="ignore"):
         pencil, lagged, c, margin, radius, ok = spectral._symmetric_pencil(*pair_bands(pair))
@@ -761,7 +760,7 @@ def test_pencil_path_far_beyond_the_dense_limit(d):
 
 @pytest.mark.parametrize("d", [0.4, 0.6])
 def test_diagonal_a_path_far_beyond_the_dense_limit(d):
-    # r = 1: A = I and B = I - d L on n = 2N + 1 nodes (dstebz)
+    # r = 1: A = I and B = I - d L on n = 2N + 1 nodes (the twisted LDL^T search)
     pair = assemble(SCHEMES["dn-explicit"], params(dp=d, dm=d, r=1.0), LARGE_N, LARGE_N)
     n = 2 * LARGE_N + 1
     exact = max(abs(1.0 - 4.0 * d * np.sin(k * np.pi / (2 * (n + 1))) ** 2) for k in (1, n))

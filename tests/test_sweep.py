@@ -1,5 +1,6 @@
 """Sweep grids over parameter planes, their file writers, and the presets."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -42,6 +43,12 @@ def tiny_spec(**overrides):
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
+
+
+def batch_spec(**overrides):
+    """tiny_spec on 4x4 cells, the smallest square plane that takes the batch."""
+    return tiny_spec(axis_x=Axis("d_minus", 0.1, 10.0, 4, "log"),
+                     axis_y=Axis("beta_minus", 0.5, 8.0, 4, "log"), **overrides)
 
 
 def lambda_direct(scheme, values, n_minus, n_plus):
@@ -191,14 +198,14 @@ def test_integer_fixed_values_take_the_batch(monkeypatch, tmp_path):
     blobs = []
     for fixed in ({"beta_minus": 0, "beta_plus": 0, "r": 2},
                   {"beta_minus": 0.0, "beta_plus": 0.0, "r": 2.0}):
-        spec = SweepSpec(SCHEMES["dn-implicit"], Axis("d_minus", 0.1, 10.0, 3),
-                         Axis("d_plus", 0.1, 10.0, 3), fixed, n_minus=3, n_plus=2)
+        spec = SweepSpec(SCHEMES["dn-implicit"], Axis("d_minus", 0.1, 10.0, 4),
+                         Axis("d_plus", 0.1, 10.0, 4), fixed, n_minus=3, n_plus=2)
         assert spec.fixed == fixed and all(type(v) is float for v in spec.fixed.values())
         field = run_sweep(spec)
         write_csv(field, tmp_path / "plane.csv")
         write_pgm(field, tmp_path / "plane.pgm")
         blobs.append(((tmp_path / "plane.csv").read_bytes(), (tmp_path / "plane.pgm").read_bytes()))
-    assert batches == [9, 9]
+    assert batches == [16, 16]
     assert blobs[0] == blobs[1]
 
 
@@ -296,7 +303,7 @@ def test_lambda_max_nonnegative():
 
 
 def test_failed_cells_never_abort(monkeypatch):
-    spec = tiny_spec()
+    spec = batch_spec()
     baseline = run_sweep(spec)
     target = float(spec.axis_x.values()[1])
     real_batch, real_point = sweep_mod._batch_lambda_max, sweep_mod._evaluate_point
@@ -316,10 +323,10 @@ def test_failed_cells_never_abort(monkeypatch):
     monkeypatch.setattr(sweep_mod, "_batch_lambda_max", unproved)
     monkeypatch.setattr(sweep_mod, "_evaluate_point", flaky)
     field = run_sweep(spec)
-    assert field.warning_count == 3
+    assert field.warning_count == 4
     assert np.isnan(field.lambda_max[:, 1]).all()
     assert (field.classification[:, 1] == "failed").all()
-    keep = [0, 2]
+    keep = [0, 2, 3]
     np.testing.assert_array_equal(
         field.lambda_max[:, keep], baseline.lambda_max[:, keep]
     )
@@ -333,9 +340,9 @@ def break_path(monkeypatch, path, error):
 
     if path == "batch":
         monkeypatch.setattr(sweep_mod, "_batch_lambda_max", broken)
-        return tiny_spec()
+        return batch_spec()
     monkeypatch.setattr(sweep_mod, "_evaluate_point", broken)
-    # 9 cells and 10 unknowns: the plane goes cell by cell
+    # 9 cells, fewer than BATCH_CELLS: the plane goes cell by cell
     return tiny_spec(n_minus=10)
 
 
@@ -402,7 +409,7 @@ def count_point_calls(monkeypatch):
 
 
 def random_axis(draw, name):
-    points = draw(st.integers(3, 5))
+    points = draw(st.integers(4, 5))  # 16 to 25 cells a plane
     if draw(st.booleans()):
         lo = 10.0 ** draw(st.floats(-2.0, 2.0))
         return Axis(name, lo, lo * 10.0 ** draw(st.floats(0.0, 2.0)), points, "log")
@@ -413,7 +420,7 @@ def random_axis(draw, name):
 
 @st.composite
 def small_planes(draw):
-    """Planes of any scheme with at least as many cells as unknowns, so one batch."""
+    """Planes of any scheme with at least BATCH_CELLS cells, so one batch."""
     name = draw(st.sampled_from(list(SCHEMES)))
     x_name, y_name = draw(st.permutations(AXIS_NAMES))[:2]
     fixed = {}
@@ -445,6 +452,32 @@ def test_plane_smaller_than_its_pairs_goes_cell_by_cell(monkeypatch):
     calls = count_point_calls(monkeypatch)
     field = run_sweep(spec)
     assert len(calls) == 9
+    assert_matches_per_cell(field, spec)
+
+
+def test_plane_with_fewer_cells_than_rows_takes_the_batch(monkeypatch):
+    # a 4x4 subplane of fig9 (r = 2000) on 2,001 rows: one batch, as at any n
+    spec = dataclasses.replace(preset_sweep("fig9", r=2000.0),
+                               axis_x=Axis("d_minus", 0.1, 0.9, 4, "linear"),
+                               axis_y=Axis("d_plus", 0.1, 0.9, 4, "linear"),
+                               n_minus=1000, n_plus=1000)
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    assert len(calls) == 0
+    assert_matches_per_cell(field, spec)
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+@pytest.mark.parametrize("points", [(2, 2), (3, 5)], ids=["2x2", "3x5"])
+def test_plane_below_batch_cells_goes_cell_by_cell(monkeypatch, points, n):
+    # fine-grid's 2x2 planes and one cell short of the batch, with fewer or
+    # more cells than a pair has rows
+    assert points[0] * points[1] < sweep_mod.BATCH_CELLS
+    spec = tiny_spec(axis_x=Axis("d_minus", 0.1, 10.0, points[0], "log"),
+                     axis_y=Axis("beta_minus", 0.5, 8.0, points[1], "log"), n_minus=n, n_plus=n)
+    calls = count_point_calls(monkeypatch)
+    field = run_sweep(spec)
+    assert len(calls) == points[0] * points[1]
     assert_matches_per_cell(field, spec)
 
 
