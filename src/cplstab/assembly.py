@@ -316,8 +316,4 @@ def assemble(scheme, p, n_minus, n_plus):
 
 def write_dense_csv(matrix, path):
     """Dump a matrix as dense CSV, row-major, 17 significant digits."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    np.savetxt(path, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")

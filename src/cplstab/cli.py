@@ -101,13 +101,9 @@ def _cmd_sweep(args):
         if args.scheme:
             spec = replace(spec, scheme=assembly.SCHEMES[args.scheme])
     elif args.preset:
-        scheme = args.scheme or "bulk-explicit-flux"
         chosen = {key: value for key, value in (("variant", args.variant), ("r", args.r))
                   if value is not None}
-        spec = sweep.preset_sweep(args.preset, scheme=scheme, **chosen)
-        mapped = assembly.scheme_name(spec.scheme)
-        if args.scheme and mapped != args.scheme:
-            raise ParameterDomainError(f"preset {args.preset} maps {mapped}, not {args.scheme}")
+        spec = sweep.preset_sweep(args.preset, scheme=args.scheme, **chosen)
         output = {}
     else:
         raise ParameterDomainError("sweep needs --config or --preset")

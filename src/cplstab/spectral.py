@@ -683,8 +683,9 @@ def full_spectrum(pair):
     """Every eigenvalue of an UpdatePair, sorted by decreasing modulus.
 
     A pencil that _symmetric_pencil accepts with no lagged index is symmetric
-    definite: eigvalsh_tridiagonal solves D^-1/2 B D^-1/2 for a diagonal A = D
-    at any n, and LAPACK's symmetric-definite solver the dense pencil up to
+    definite: eigvalsh_tridiagonal (LAPACK dsterf, eigenvalues only) solves
+    D^-1/2 B D^-1/2 for a diagonal A = D at any n, and LAPACK's
+    symmetric-definite solver the dense pencil up to
     MAX_DENSE_N.  Both are backward stable, so residual_bound is
     8 n eps max(G, 1), with G = max_i(|B_ii| + radius_i) / min_i margin_i >=
     ||A^-1|| ||B|| (Gershgorin).  Other pairs, and non-finite pencils or
@@ -696,7 +697,7 @@ def full_spectrum(pair):
         (a_diag, a_off, b_diag, b_off), lagged, _, margin, radius, ok = _symmetric_pencil(*bands)
         if ok and lagged is None and not a_off.any():  # D^-1/2 B D^-1/2 for A = D
             scale = 1.0 / np.sqrt(a_diag)
-            solve = scipy.linalg.eigvalsh_tridiagonal
+            solve = functools.partial(scipy.linalg.eigvalsh_tridiagonal, lapack_driver="sterf")
             pencil = b_diag / a_diag, b_off * scale[:-1] * scale[1:]
         elif ok and lagged is None and pair.n <= MAX_DENSE_N:
             solve = scipy.linalg.eigvalsh  # eigh(B, A, eigvals_only=True)

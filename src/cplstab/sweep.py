@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, assembly, spectral
-from .errors import CplstabError, ParameterDomainError
+from .errors import CplstabError, ParameterDomainError, SchemeError
 from .params import (DimensionlessParams, _require_count, _require_groups, _require_positive,
                      in_domain)
 
@@ -77,6 +77,8 @@ class SweepSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
+        if not isinstance(self.scheme, assembly.SchemeSpec):
+            raise SchemeError(f"scheme must be an assembly.SchemeSpec, got {self.scheme!r}")
         if self.axis_x.name == self.axis_y.name:
             raise ParameterDomainError("the two axes must differ")
         remaining = set(AXIS_NAMES) - {self.axis_x.name, self.axis_y.name}
@@ -225,63 +227,49 @@ def write_pgm(field_result, path):
 # --- presets mirroring the reference stability maps ---
 
 
-def _bulk_minus_plane(scheme_name_, beta_plus, d_plus):
-    return SweepSpec(
-        scheme=assembly.SCHEMES[scheme_name_],
-        axis_x=default_axis("d_minus"),
-        axis_y=default_axis("beta_minus"),
-        fixed={"beta_plus": beta_plus, "d_plus": d_plus, "r": 1.0},
-    )
-
-
-def _bulk_plus_plane(scheme_name_, beta_minus, d_minus):
-    return SweepSpec(
-        scheme=assembly.SCHEMES[scheme_name_],
-        axis_x=default_axis("d_plus"),
-        axis_y=default_axis("beta_plus"),
-        fixed={"beta_minus": beta_minus, "d_minus": d_minus, "r": 1.0},
-    )
-
-
-def _dn_plane(scheme_name_, r):
-    axis = Axis("d_minus", 0.05, 1.0, 41, "linear")
-    return SweepSpec(
-        scheme=assembly.SCHEMES[scheme_name_],
-        axis_x=axis,
-        axis_y=Axis("d_plus", 0.05, 1.0, 41, "linear"),
-        fixed={"beta_minus": 0.0, "beta_plus": 0.0, "r": r},
-    )
-
-
 # fig4/fig6 variants step the fixed parameters through coarser grids;
 # fig8/fig9 step the heat-content ratio
 FIG4_VARIANTS = ((2.375, 9.025), (4.875, 38.025), (9.875, 156.025))
 FIG6_VARIANTS = ((0.012188, 38.025), (0.024688, 156.025), (0.049688, 632.025))
 FIG89_RATIOS = (2000.0, 1.0, 5e-4)
 
+# the bulk planes, at r = 1: x axis, y axis, the two fixed groups, their values per variant
+_BULK_PLANES = {
+    "fig3": ("d_minus", "beta_minus", ("beta_plus", "d_plus"), ((1.125, 2.025),)),
+    "fig4": ("d_minus", "beta_minus", ("beta_plus", "d_plus"), FIG4_VARIANTS),
+    "fig5": ("d_plus", "beta_plus", ("beta_minus", "d_minus"), ((0.005938, 9.025),)),
+    "fig6": ("d_plus", "beta_plus", ("beta_minus", "d_minus"), FIG6_VARIANTS),
+}
+# the shared-node planes over (d_minus, d_plus) at beta = 0: the scheme each one maps
+_DN_PLANES = {"fig8": "dn-explicit", "fig9": "dn-implicit"}
+PRESET_NAMES = (*_BULK_PLANES, *_DN_PLANES)
 
-def preset_sweep(name, scheme="bulk-explicit-flux", variant=0, r=1.0):
-    """Named parameter planes; see the README for the catalogue and its variants."""
-    variants = {"fig4": FIG4_VARIANTS, "fig6": FIG6_VARIANTS}.get(name, (None,))
-    if not 0 <= variant < len(variants):
+
+def preset_sweep(name, scheme=None, variant=0, r=1.0):
+    """The named parameter plane; see the README for the catalogue and its variants.
+
+    scheme is a name in assembly.SCHEMES; None is the preset's own scheme,
+    bulk-explicit-flux for the bulk planes.  fig8 and fig9 map their own
+    scheme and reject any other; the bulk planes fix r = 1.  An unknown
+    preset, then an unknown scheme name, then a variant outside the
+    preset's list raise ParameterDomainError, as do these two rules.
+    """
+    if name not in PRESET_NAMES:
+        raise ParameterDomainError(f"unknown preset {name!r}")
+    if scheme is not None and scheme not in assembly.SCHEMES:
+        raise ParameterDomainError(f"unknown scheme name {scheme!r}")
+    variants = _BULK_PLANES[name][3] if name in _BULK_PLANES else ((),)
+    if not (isinstance(variant, numbers.Integral) and 0 <= variant < len(variants)):
         raise ParameterDomainError(f"variant {variant} outside 0..{len(variants) - 1} for {name}")
-    if name in ("fig3", "fig4", "fig5", "fig6") and r != 1.0:
+    if name in _DN_PLANES:
+        own = _DN_PLANES[name]
+        if scheme not in (None, own):
+            raise ParameterDomainError(f"preset {name} maps {own}, not {scheme}")
+        return SweepSpec(assembly.SCHEMES[own], Axis("d_minus", 0.05, 1.0, 41, "linear"),
+                         Axis("d_plus", 0.05, 1.0, 41, "linear"),
+                         {"beta_minus": 0.0, "beta_plus": 0.0, "r": r})
+    if r != 1.0:
         raise ParameterDomainError(f"{name} fixes r = 1, got r = {r:g}")
-    if name == "fig3":
-        return _bulk_minus_plane(scheme, 1.125, 2.025)
-    if name == "fig4":
-        beta_plus, d_plus = FIG4_VARIANTS[variant]
-        return _bulk_minus_plane(scheme, beta_plus, d_plus)
-    if name == "fig5":
-        return _bulk_plus_plane(scheme, 0.005938, 9.025)
-    if name == "fig6":
-        beta_minus, d_minus = FIG6_VARIANTS[variant]
-        return _bulk_plus_plane(scheme, beta_minus, d_minus)
-    if name == "fig8":
-        return _dn_plane("dn-explicit", r)
-    if name == "fig9":
-        return _dn_plane("dn-implicit", r)
-    raise ParameterDomainError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig8", "fig9")
+    x, y, groups, _ = _BULK_PLANES[name]
+    return SweepSpec(assembly.SCHEMES[scheme or "bulk-explicit-flux"], default_axis(x),
+                     default_axis(y), {**dict(zip(groups, variants[variant])), "r": 1.0})

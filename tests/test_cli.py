@@ -1,5 +1,6 @@
 """Exit codes and output formats of the command-line front end."""
 
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -255,6 +256,29 @@ def test_sweep_output_section_and_pgm(tmp_path, capsys):
     assert csv_path.exists()
     header = pgm_path.read_text(encoding="utf-8").splitlines()[:3]
     assert header == ["P2", "3 3", "255"]
+
+
+def test_sweep_config_scheme_override(tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG, encoding="utf-8")
+    csv_path = tmp_path / "field.csv"
+    code = cli_main(["sweep", "--config", str(config), "--scheme", "bulk-implicit-flux",
+                     "--csv", str(csv_path)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("bulk-implicit-flux: 9 cells")
+    expected = tmp_path / "expected.csv"
+    write_csv(run_sweep(dataclasses.replace(config_spec(), scheme=SCHEMES["bulk-implicit-flux"])),
+              expected)
+    assert csv_path.read_bytes() == expected.read_bytes()
+
+
+def test_sweep_config_rejects_an_unknown_scheme(tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    config.write_text(SWEEP_CONFIG.replace("name = one-way-explicit-flux", "name = nope"),
+                      encoding="utf-8")
+    assert cli_main(["sweep", "--config", str(config), "--csv", str(tmp_path / "f.csv")]) == 2
+    assert "error: unknown scheme name 'nope'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("f.*"))
 
 
 def test_sweep_flag_overrides(tmp_path, capsys):

@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError,
-                     SingularMatrixError, SpectrumError, StabilityClass, Tridiagonal,
+from cplstab import (SCHEMES, DimensionlessParams, ParameterDomainError, SingularMatrixError,
+                     SolveResidualWarning, SpectrumError, StabilityClass, Tridiagonal,
                      UpdatePair, assemble, classify, eigen_spectrum, full_spectrum,
                      power_growth_rate, tridiagonal_solve, update_matrix)
 from cplstab import spectral
@@ -79,6 +79,25 @@ def test_update_matrix_singular_pivot():
                      B=pair.B, layout=pair.layout)
     with pytest.raises(SingularMatrixError):
         update_matrix(bad)
+
+
+@pytest.mark.parametrize("delta, warns", [(1e-6, False), (1e-8, True)])
+def test_update_matrix_refines_an_ill_conditioned_solve(delta, warns):
+    # every pivot clears the singularity floor, but A's condition number of
+    # about 4 / delta leaves a first residual above 1e-12 ||B||: one round of
+    # refinement, after which 1e-6 meets 1e-10 ||B|| and 1e-8 warns
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + delta]])
+    b = np.array([[0.3, 0.7], [-0.2, 0.9]])
+    pair = UpdatePair(A=Tridiagonal.from_dense(a), B=Tridiagonal.from_dense(b), layout=None)
+    with mock.patch.object(spectral, "tridiagonal_solve", wraps=spectral.tridiagonal_solve) as solve:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            m = update_matrix(pair)
+    assert solve.call_count == 2
+    assert [w.category for w in caught] == ([SolveResidualWarning] if warns else [])
+    residual = np.abs(a @ m - b).sum(axis=1).max() / np.abs(b).sum(axis=1).max()
+    assert (residual > 1e-10) == warns
+    np.testing.assert_allclose(m, np.linalg.solve(a, b), rtol=1e-14 / delta)
 
 
 @given(n=st.integers(2, 12), margin=st.floats(0.1, 3.0))
@@ -517,6 +536,15 @@ def test_probe_that_overflows_proves_nothing():
         assert np.isnan(spectral.pencil_ends(pair_bands(pair))).all()
         assert np.isnan(spectral.run_ends(pair_runs([pair] * 2), 1)).all()
     assert eigen_spectrum(pair).lambda_max == pytest.approx(5e307, rel=1e-14)
+
+
+@pytest.mark.parametrize("twist", [-1, 5])
+def test_twist_row_outside_the_pair_is_rejected(twist):
+    pair = assemble(SCHEMES["bulk-explicit-flux"], params(dp=0.5, dm=0.5, bp=0.3, bm=0.3), 3, 2)
+    with pytest.raises(ParameterDomainError, match=f"twist row {twist} outside 0..4"):
+        spectral.pencil_ends(pair_bands(pair), twist)
+    with pytest.raises(ParameterDomainError, match=f"twist row {twist} outside 0..4"):
+        spectral.run_ends(pair_runs([pair] * 2), twist)
 
 
 def run_probes(runs, twist):

@@ -84,6 +84,19 @@ def test_tridiagonal_solve_rejects_non_finite_bands():
                           np.ones(2))
 
 
+@pytest.mark.parametrize("rhs, message", [
+    (np.ones(2), "rhs length does not match the matrix"),
+    (np.ones((4, 2)), "rhs length does not match the matrix"),
+    (np.ones((3, 2, 2)), "rhs length does not match the matrix"),
+    (np.array([1.0, np.nan, 1.0]), "rhs has non-finite entries"),
+    (np.array([[1.0], [np.inf], [1.0]]), "rhs has non-finite entries"),
+])
+def test_tridiagonal_solve_rejects_a_bad_right_hand_side(rhs, message):
+    a = Tridiagonal(np.full(2, -1.0), np.full(3, 3.0), np.full(2, -1.0))
+    with pytest.raises(ParameterDomainError, match=message):
+        tridiagonal_solve(a, rhs)
+
+
 @given(n=st.integers(2, 30), seed=st.integers(0, 100))
 @settings(max_examples=40, deadline=None)
 def test_tridiagonal_solve_matches_dense(n, seed):
@@ -291,6 +304,23 @@ def test_step_partitioned_validates_sizes():
     state = random_state(Layout("bulk", 3, 3), seed=SEED)
     with pytest.raises(ParameterDomainError):
         step_partitioned(scheme, params(dm=0.5), 4, 3, state)
+
+
+def test_step_partitioned_validates_the_one_way_size():
+    scheme = SCHEMES["one-way-explicit-flux"]
+    state = random_state(Layout(ONE_WAY_NEGATIVE, 3, 1), seed=SEED)
+    with pytest.raises(ParameterDomainError, match="state size does not match n_minus"):
+        step_partitioned(scheme, params(dm=0.5, bm=0.5), 4, 1, state)
+
+
+@pytest.mark.parametrize("name", ["dn-explicit", "dn-implicit"])
+def test_dirichlet_neumann_state_needs_its_shared_node(name):
+    layout = assemble(SCHEMES[name], params(dp=0.5, dm=0.5), 3, 2).layout
+    state = State(np.ones(3), np.ones(2))
+    with pytest.raises(ParameterDomainError, match="needs a shared node value"):
+        step_partitioned(SCHEMES[name], params(dp=0.5, dm=0.5), 3, 2, state)
+    with pytest.raises(ParameterDomainError, match="needs a shared node value"):
+        pack_state(state, layout)
 
 
 def test_step_monolithic_validates_sizes():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cplstab
 import cplstab.sweep as sweep_mod
 from cplstab.assembly import SCHEMES, assemble, scheme_name
-from cplstab.errors import CplstabError, ParameterDomainError, SpectrumError
+from cplstab.errors import CplstabError, ParameterDomainError, SchemeError, SpectrumError
 from cplstab.normalmode import one_way_explicit_bound
 from cplstab.params import DimensionlessParams
 from cplstab.spectral import classify, eigen_spectrum, update_matrix
@@ -126,6 +126,13 @@ def test_default_axis():
 
 
 # ------------------------------------------------------------- spec validation
+
+
+@pytest.mark.parametrize("scheme", ["one-way-explicit-flux", ("one-way", 0, 0), None])
+def test_spec_rejects_a_scheme_that_is_not_a_scheme_spec(scheme):
+    # a name used to build, and run_sweep raised AttributeError on it
+    with pytest.raises(SchemeError, match="must be an assembly.SchemeSpec"):
+        tiny_spec(scheme=scheme)
 
 
 def test_spec_rejects_duplicate_axes():
@@ -713,9 +720,31 @@ def test_preset_names_all_build():
 def test_unknown_preset_rejected():
     with pytest.raises(ParameterDomainError):
         preset_sweep("fig7")
+    # the name is checked first
+    for kwargs in ({"variant": 5}, {"scheme": "nope"}, {"r": 5.0}):
+        with pytest.raises(ParameterDomainError, match="unknown preset 'fig7'"):
+            preset_sweep("fig7", **kwargs)
 
 
-@pytest.mark.parametrize("name, variant", [("fig4", 3), ("fig6", -1), ("fig3", 1), ("fig8", 2)])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_rejects_an_unknown_scheme_name(name):
+    # this was a bare KeyError on the bulk planes, and ignored on fig8 and fig9
+    with pytest.raises(ParameterDomainError, match="unknown scheme name 'nope'"):
+        preset_sweep(name, scheme="nope", variant=9)
+
+
+@pytest.mark.parametrize("name, own, other", [("fig8", "dn-explicit", "bulk-explicit-flux"),
+                                              ("fig9", "dn-implicit", "dn-explicit")])
+def test_shared_node_preset_maps_only_its_own_scheme(name, own, other):
+    # another scheme used to return the preset's own plane without a word
+    with pytest.raises(ParameterDomainError) as err:
+        preset_sweep(name, scheme=other)
+    assert str(err.value) == f"preset {name} maps {own}, not {other}"
+    assert preset_sweep(name, scheme=own, r=5e-4) == preset_sweep(name, r=5e-4)
+
+
+@pytest.mark.parametrize("name, variant", [("fig4", 3), ("fig6", -1), ("fig3", 1), ("fig8", 2),
+                                           ("fig4", 1.5), ("fig3", 0.0)])
 def test_preset_variant_out_of_range_rejected(name, variant):
     with pytest.raises(ParameterDomainError, match="variant"):
         preset_sweep(name, variant=variant)
@@ -747,6 +776,13 @@ def test_bulk_plus_plane_preset_variants():
     assert stepped.fixed["d_minus"] == 632.025
     wide = preset_sweep("fig4", variant=1)
     assert wide.fixed["beta_plus"] == 4.875 and wide.fixed["d_plus"] == 38.025
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6"])
+def test_bulk_preset_maps_any_scheme(name):
+    for scheme in SCHEMES:
+        assert scheme_name(preset_sweep(name, scheme=scheme).scheme) == scheme
+    assert preset_sweep(name, scheme=None) == preset_sweep(name, scheme="bulk-explicit-flux")
 
 
 def test_shared_node_presets():
